@@ -4,7 +4,7 @@
 // array, where chunk skipping matters most (800 chunks, few selected).
 #include "bench_json.h"
 #include "bench_util.h"
-#include "core/consolidate_select.h"
+#include "core/consolidate.h"
 #include "gen/datasets.h"
 
 using namespace paradise;        // NOLINT(build/namespaces)
@@ -28,12 +28,12 @@ int main() {
         std::fprintf(stderr, "%s\n", st.ToString().c_str());
         return 1;
       }
-      ArraySelectOptions options;
+      ArrayConsolidateOptions options;
       options.skip_non_overlapping_chunks = skip;
-      ArraySelectStats stats;
+      ArrayConsolidateStats stats;
       Stopwatch watch;
-      Result<query::GroupedResult> result = ArrayConsolidateWithSelection(
-          *db->olap(), q, nullptr, &stats, options);
+      Result<query::GroupedResult> result =
+          ArrayConsolidate(*db->olap(), q, nullptr, &stats, options);
       const double seconds = watch.ElapsedSeconds();
       if (!result.ok()) {
         std::fprintf(stderr, "%s\n", result.status().ToString().c_str());

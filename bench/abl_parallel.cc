@@ -2,7 +2,8 @@
 // Query 1 (no selection) and Query 2 (selection, §4.2) on Data Set 1's
 // 40x40x40x1000 array across worker counts. Workers run the full per-chunk
 // pipeline — fetch through the sharded buffer pool, decode, aggregate —
-// with chunk read-ahead on the storage manager's background I/O pool.
+// with chunk read-ahead on the storage manager's background I/O pool; the
+// 1-thread point is the serial algorithm, run inline with synchronous reads.
 //
 // Besides the CSV, the bench writes BENCH_abl_parallel.json in the shared
 // bench schema (per path, threads → seconds / speedup plus buffer-pool
@@ -13,7 +14,7 @@
 
 #include "bench_json.h"
 #include "bench_util.h"
-#include "core/parallel.h"
+#include "core/consolidate.h"
 #include "gen/datasets.h"
 
 using namespace paradise;        // NOLINT(build/namespaces)
@@ -86,6 +87,16 @@ void Die(const Status& st) {
   std::exit(1);
 }
 
+/// Runs the array executor at `threads` workers or dies.
+void MustConsolidate(const OlapArray& array, const query::ConsolidationQuery& q,
+                     size_t threads, ArrayConsolidateStats* stats = nullptr,
+                     ArrayConsolidateOptions options = {}) {
+  options.num_threads = threads;
+  Result<query::GroupedResult> r =
+      ArrayConsolidate(array, q, nullptr, stats, options);
+  if (!r.ok()) Die(r.status());
+}
+
 }  // namespace
 
 int main() {
@@ -108,28 +119,18 @@ int main() {
   // No-selection path (§4.1 parallelized): Query 1, grouped on every dim.
   const query::ConsolidationQuery q1 = gen::Query1(4);
   if (auto st = db->DropCaches(); !st.ok()) Die(st);
-  if (auto r = ParallelArrayConsolidate(*db->olap(), q1, 2); !r.ok()) {
-    Die(r.status());  // warm-up: populate the pool once
-  }
-  const std::vector<RunPoint> no_sel = Sweep(db.get(), counts, [&](size_t t) {
-    Result<query::GroupedResult> r = ParallelArrayConsolidate(*db->olap(), q1, t);
-    if (!r.ok()) Die(r.status());
-  });
+  MustConsolidate(*db->olap(), q1, 2);  // warm-up: populate the pool once
+  const std::vector<RunPoint> no_sel = Sweep(
+      db.get(), counts, [&](size_t t) { MustConsolidate(*db->olap(), q1, t); });
   PrintCsv("no_selection", no_sel);
 
   // Selection path (§4.2 parallelized): Query 2, equality selection on hX2
   // of every dimension.
   const query::ConsolidationQuery q2 = gen::Query2(4);
   if (auto st = db->DropCaches(); !st.ok()) Die(st);
-  if (auto r = ParallelArrayConsolidateWithSelection(*db->olap(), q2, 2);
-      !r.ok()) {
-    Die(r.status());  // warm-up
-  }
-  const std::vector<RunPoint> sel = Sweep(db.get(), counts, [&](size_t t) {
-    Result<query::GroupedResult> r =
-        ParallelArrayConsolidateWithSelection(*db->olap(), q2, t);
-    if (!r.ok()) Die(r.status());
-  });
+  MustConsolidate(*db->olap(), q2, 2);  // warm-up
+  const std::vector<RunPoint> sel = Sweep(
+      db.get(), counts, [&](size_t t) { MustConsolidate(*db->olap(), q2, t); });
   PrintCsv("selection", sel);
 
   // Skewed chunk layout: the same cube tiled into a handful of huge chunks,
@@ -144,25 +145,22 @@ int main() {
   BenchFile skew_file("abl_parallel_skew");
   std::unique_ptr<Database> skew_db =
       MustBuild(skew_file.path(), skew_config, PaperOptions());
-  if (auto r = ParallelArrayConsolidate(*skew_db->olap(), q1, 2); !r.ok()) {
-    Die(r.status());  // warm-up
-  }
+  MustConsolidate(*skew_db->olap(), q1, 2);  // warm-up
   const size_t skew_threads = 8;
-  MorselOptions chunk_cursor;
+  ArrayConsolidateOptions chunk_cursor;
   chunk_cursor.min_cells = UINT32_MAX;
   std::vector<RunPoint> skew_points;
-  ParallelConsolidateStats last_stats;
+  ArrayConsolidateStats last_stats;
   for (const bool morsels : {false, true}) {
-    const MorselOptions& mo = morsels ? MorselOptions{} : chunk_cursor;
+    const ArrayConsolidateOptions mo =
+        morsels ? ArrayConsolidateOptions{} : chunk_cursor;
     RunPoint p;
     p.threads = skew_threads;
     p.seconds = 1e300;
     for (int rep = 0; rep < 3; ++rep) {
       Stopwatch watch;
-      ParallelConsolidateStats stats;
-      Result<query::GroupedResult> r = ParallelArrayConsolidate(
-          *skew_db->olap(), q1, skew_threads, nullptr, &stats, nullptr, mo);
-      if (!r.ok()) Die(r.status());
+      ArrayConsolidateStats stats;
+      MustConsolidate(*skew_db->olap(), q1, skew_threads, &stats, mo);
       const double seconds = watch.ElapsedSeconds();
       if (seconds < p.seconds) {
         p.seconds = seconds;
@@ -182,19 +180,6 @@ int main() {
     skew_points.push_back(p);
   }
 
-  // Serial §4.2 reference at the same warm pool, for the parallel-vs-serial
-  // comparison the JSON carries.
-  double serial_select_seconds = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    Stopwatch watch;
-    Result<query::GroupedResult> r =
-        ArrayConsolidateWithSelection(*db->olap(), q2);
-    if (!r.ok()) Die(r.status());
-    serial_select_seconds = std::min(serial_select_seconds,
-                                     watch.ElapsedSeconds());
-  }
-  std::printf("selection_serial,1,%.4f,1.00,0,0,0,0\n", serial_select_seconds);
-
   BenchReport report("abl_parallel",
                      "parallel consolidation scaling (DataSet1(1000), warm "
                      "pool, hardware_threads=" + std::to_string(hw) + ")");
@@ -207,12 +192,6 @@ int main() {
                 {"threads", std::to_string(skew_threads)}},
                "array", 0, stats,
                {{"speedup_vs_chunk_cursor", skew_points[i].speedup}});
-  }
-  {
-    ExecutionStats stats;
-    stats.seconds = serial_select_seconds;
-    report.Add({{"path", "selection_serial"}, {"threads", "1"}}, "array", 0,
-               stats);
   }
   report.WriteFile();
   return 0;

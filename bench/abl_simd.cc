@@ -6,8 +6,8 @@
 //   decode_batch    pure offset->flat-index decode on synthetic offsets
 //                   (the vectorized step in isolation)
 //   array_serial    ArrayConsolidate, Query 1, warm pool
-//   array_parallel  ParallelArrayConsolidate at 4 workers, warm pool
-//   array_select    ArrayConsolidateWithSelection, Query 2, warm pool
+//   array_parallel  ArrayConsolidate at 4 workers, Query 1, warm pool
+//   array_select    ArrayConsolidate, Query 2, warm pool
 //
 // Writes BENCH_simd.json (shared bench schema) with a speedup_vs_scalar
 // extra per run, so the scalar->vector ratio is one jq expression away.
@@ -21,9 +21,7 @@
 #include "bench_json.h"
 #include "bench_util.h"
 #include "core/consolidate.h"
-#include "core/consolidate_select.h"
 #include "core/kernels/consolidate_kernel.h"
-#include "core/parallel.h"
 #include "gen/datasets.h"
 
 using namespace paradise;         // NOLINT(build/namespaces)
@@ -159,15 +157,16 @@ int main() {
        }},
       {"array_parallel4",
        [&] {
+         ArrayConsolidateOptions options;
+         options.num_threads = 4;
          Result<query::GroupedResult> r =
-             ParallelArrayConsolidate(*db->olap(), q1, 4);
+             ArrayConsolidate(*db->olap(), q1, nullptr, nullptr, options);
          if (!r.ok()) Die(r.status());
          return ConfigResult{0.0, r->num_groups()};
        }},
       {"array_select",
        [&] {
-         Result<query::GroupedResult> r =
-             ArrayConsolidateWithSelection(*db->olap(), q2);
+         Result<query::GroupedResult> r = ArrayConsolidate(*db->olap(), q2);
          if (!r.ok()) Die(r.status());
          return ConfigResult{0.0, r->num_groups()};
        }},

@@ -59,7 +59,9 @@ inline std::unique_ptr<Database> MustBuild(const std::string& path,
 inline Execution MustRun(Database* db, EngineKind kind,
                          const query::ConsolidationQuery& q,
                          bool cold = true) {
-  Result<Execution> exec = RunQuery(db, kind, q, cold);
+  RunQueryOptions options;
+  options.cold = cold;
+  Result<Execution> exec = RunQuery(db, kind, q, options);
   if (!exec.ok()) {
     std::fprintf(stderr, "bench: %s query failed: %s\n",
                  std::string(EngineKindToString(kind)).c_str(),

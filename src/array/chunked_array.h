@@ -135,21 +135,6 @@ class ChunkedArray {
     return Status::OK();
   }
 
-  /// Invokes `fn(chunk_no, const ChunkView&)` for every non-empty chunk in
-  /// chunk-number order — the scan path the consolidation algorithm uses
-  /// (no per-chunk materialization).
-  template <typename Fn>
-  Status ScanChunkViews(Fn&& fn) const {
-    const VersionPtr v = version();
-    for (uint64_t c = 0; c < layout_.num_chunks(); ++c) {
-      if (ChunkIsEmptyAt(*v, c)) continue;
-      PARADISE_ASSIGN_OR_RETURN(std::string blob, ReadChunkBlobAt(*v, c));
-      PARADISE_ASSIGN_OR_RETURN(ChunkView view, ChunkView::Make(blob));
-      PARADISE_RETURN_IF_ERROR(fn(c, view));
-    }
-    return Status::OK();
-  }
-
   /// Total valid cells across all BASE chunks (directory sum; overlay
   /// deltas not counted — see DeltaOverlay::total_cells for those).
   uint64_t num_valid_cells() const;

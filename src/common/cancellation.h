@@ -5,8 +5,8 @@
 // the cancel flag when the client sends a CANCEL frame or disconnects; the
 // engines poll it at chunk boundaries, so an abandoned query stops within
 // one chunk's work and returns a typed Status — never a torn result or a
-// leaked worker (the parallel engines already join every worker on the
-// first non-OK status).
+// leaked worker (the array executor joins every worker on the first non-OK
+// status).
 //
 // Thread contract: set_deadline/SetDeadlineAfterMs are called before the
 // token is shared (the deadline is immutable once visible to other

@@ -2,7 +2,6 @@
 
 #include "common/coding.h"
 #include "core/consolidate.h"
-#include "core/consolidate_select.h"
 #include "core/olap_array.h"
 
 namespace paradise {
@@ -169,11 +168,6 @@ Result<std::optional<query::GroupedResult>> AnswerFromAggregates(
   PARADISE_ASSIGN_OR_RETURN(OlapArray cube,
                             OlapArray::Open(storage, best->name));
   if (used != nullptr) *used = best->name;
-  if (best_query.HasSelection()) {
-    PARADISE_ASSIGN_OR_RETURN(query::GroupedResult result,
-                              ArrayConsolidateWithSelection(cube, best_query));
-    return std::optional<query::GroupedResult>(std::move(result));
-  }
   PARADISE_ASSIGN_OR_RETURN(query::GroupedResult result,
                             ArrayConsolidate(cube, best_query));
   return std::optional<query::GroupedResult>(std::move(result));

@@ -77,14 +77,13 @@ Result<SelectionPlan> MakeSelectionPlan(const OlapArray& array,
 }
 
 std::vector<SelectionChunkWork> PlanSelectionChunks(
-    const OlapArray& array, const query::ConsolidationQuery& q,
-    const SelectionPlan& plan, const ArraySelectOptions& options,
-    ArraySelectStats* stats) {
-  const ChunkLayout& layout = array.layout();
+    const ChunkedArray& data, const SelectionPlan& plan,
+    bool skip_non_overlapping_chunks, ArrayConsolidateStats* stats) {
+  const ChunkLayout& layout = data.layout();
   const size_t n = layout.num_dims();
   std::vector<SelectionChunkWork> out;
   for (uint64_t chunk_no = 0; chunk_no < layout.num_chunks(); ++chunk_no) {
-    if (array.array(q.measure).ChunkIsEmpty(chunk_no)) continue;
+    if (data.ChunkIsEmpty(chunk_no)) continue;
     const CellCoords base = layout.ChunkBase(chunk_no);
     const CellCoords cdims = layout.ChunkDims(chunk_no);
 
@@ -103,8 +102,8 @@ std::vector<SelectionChunkWork> PlanSelectionChunks(
       work.slice_end[d] = static_cast<uint32_t>(hi - list.begin());
       if (lo == hi) work.overlap = false;
     }
-    if (!work.overlap && options.skip_non_overlapping_chunks) {
-      if (stats != nullptr) ++stats->chunks_skipped;
+    if (!work.overlap && skip_non_overlapping_chunks) {
+      ++stats->chunks_skipped;
       continue;
     }
     out.push_back(std::move(work));
@@ -112,24 +111,12 @@ std::vector<SelectionChunkWork> PlanSelectionChunks(
   return out;
 }
 
-Status ProbeSelectionChunk(const OlapArray& array, const GroupSpec& spec,
-                           const SelectionPlan& plan,
-                           const SelectionChunkWork& work,
-                           const std::string& blob,
-                           std::vector<query::AggState>* flat,
-                           ArraySelectStats* stats) {
-  PARADISE_ASSIGN_OR_RETURN(ChunkView view, ChunkView::Make(blob));
-  if (stats != nullptr) ++stats->chunks_read;
-  if (!work.overlap) return Status::OK();  // ablation path: nothing to probe
-  return ProbeSelectionRange(array, spec, plan, work, view, flat, stats);
-}
-
 Status ProbeSelectionRange(const OlapArray& array, const GroupSpec& spec,
                            const SelectionPlan& plan,
                            const SelectionChunkWork& work,
                            const ChunkView& view,
                            std::vector<query::AggState>* flat,
-                           ArraySelectStats* stats) {
+                           ArrayConsolidateStats* stats) {
   const ChunkLayout& layout = array.layout();
   const size_t n = layout.num_dims();
   const CellCoords base = layout.ChunkBase(work.chunk_no);
@@ -158,7 +145,7 @@ Status ProbeSelectionRange(const OlapArray& array, const GroupSpec& spec,
     for (size_t d = 0; d < n; ++d) {
       offset += (lists[d][pos[d]] - base[d]) * local_strides[d];
     }
-    if (stats != nullptr) ++stats->candidates;
+    ++stats->candidates;
     std::optional<int64_t> hit;
     if (sparse) {
       probe_pos = view.SparseLowerBound(offset, probe_pos);
@@ -178,7 +165,7 @@ Status ProbeSelectionRange(const OlapArray& array, const GroupSpec& spec,
                     spec.strides[g];
       }
       (*flat)[flat_idx].Add(*hit);
-      if (stats != nullptr) ++stats->hits;
+      ++stats->hits;
     }
     if (sparse && probe_pos >= view.num_valid()) {
       break;  // no later offset can match
@@ -199,54 +186,5 @@ Status ProbeSelectionRange(const OlapArray& array, const GroupSpec& spec,
 }
 
 }  // namespace select_detail
-
-Result<query::GroupedResult> ArrayConsolidateWithSelection(
-    const OlapArray& array, const query::ConsolidationQuery& q,
-    PhaseTimer* timer, ArraySelectStats* stats,
-    const ArraySelectOptions& options) {
-  using select_detail::MakeSelectionPlan;
-  using select_detail::PlanSelectionChunks;
-  using select_detail::ProbeSelectionChunk;
-  using select_detail::SelectionChunkWork;
-  using select_detail::SelectionPlan;
-
-  if (!q.HasSelection()) {
-    return Status::InvalidArgument(
-        "ArrayConsolidateWithSelection requires a selection; use "
-        "ArrayConsolidate");
-  }
-  PARADISE_ASSIGN_OR_RETURN(GroupSpec spec, GroupSpec::Make(array, q));
-
-  // Phase 1: B-tree index lookups and list merging.
-  SelectionPlan plan;
-  {
-    ScopedPhase phase(timer, "index-lookup");
-    PARADISE_ASSIGN_OR_RETURN(plan, MakeSelectionPlan(array, q, spec));
-    if (plan.empty) {
-      return FlatToGroupedResult(spec, {}, spec.GroupColumnNames(array));
-    }
-  }
-
-  std::vector<query::AggState> flat(spec.num_groups);
-  {
-    ScopedPhase phase(timer, "probe+aggregate");
-    const std::vector<SelectionChunkWork> chunks =
-        PlanSelectionChunks(array, q, plan, options, stats);
-    for (const SelectionChunkWork& work : chunks) {
-      if (options.cancel != nullptr) {
-        PARADISE_RETURN_IF_ERROR(options.cancel->Check());
-      }
-      PARADISE_ASSIGN_OR_RETURN(
-          std::string blob, array.array(q.measure).ReadChunkBlob(work.chunk_no));
-      PARADISE_RETURN_IF_ERROR(
-          ProbeSelectionChunk(array, spec, plan, work, blob, &flat, stats));
-    }
-  }
-
-  {
-    ScopedPhase phase(timer, "emit");
-    return FlatToGroupedResult(spec, flat, spec.GroupColumnNames(array));
-  }
-}
 
 }  // namespace paradise

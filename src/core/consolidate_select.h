@@ -1,60 +1,42 @@
-// The OLAP Array consolidation-with-selection algorithm (paper §4.2): probe
+// The building blocks of the OLAP Array consolidation-with-selection
+// algorithm (paper §4.2), run by the executor in core/consolidate.h: probe
 // the per-attribute B-trees for the selected values to get per-dimension
 // index lists, merge them, then enumerate the cross-product lazily in chunk
 // order — skipping chunks that cannot contain a selected cell — and probe
-// each candidate by binary search over the chunk's sorted offsets.
-//
-// The building blocks (index-list resolution, per-chunk overlap slices, the
-// odometer probe over one chunk) are exposed so the parallel engine
-// (core/parallel.h) can run the same algorithm with the chunk loop fanned
-// out across worker threads: phase 1 and the overlap scan are cheap and
-// stay serial, the per-chunk probe works on disjoint chunks and private
-// result arrays.
+// each candidate by binary search over the chunk's sorted offsets. Phase 1
+// and the overlap scan are cheap and stay on the caller's thread; the
+// per-chunk probe works on disjoint chunk pieces and private result arrays.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "common/cancellation.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "core/aggregate.h"
+#include "core/consolidate.h"
 #include "core/olap_array.h"
 #include "query/query.h"
 #include "query/result.h"
 
 namespace paradise {
 
-struct ArraySelectStats {
-  uint64_t chunks_read = 0;
-  uint64_t chunks_skipped = 0;   // skipped without I/O (no overlap)
-  uint64_t candidates = 0;       // cross-product elements generated
-  uint64_t hits = 0;             // candidates that were valid cells
-};
-
-struct ArraySelectOptions {
-  /// §4.2 optimization 1: do not read chunks that overlap no cross-product
-  /// element. Off = read every non-empty chunk (ablation).
-  bool skip_non_overlapping_chunks = true;
-  /// Polled at every chunk boundary of the probe loop (serial and parallel);
-  /// when it fires, the query stops within one chunk's work and returns the
-  /// token's typed Status. Not owned; may be nullptr.
-  const CancellationToken* cancel = nullptr;
-};
-
-/// Runs a consolidation with at least one selection.
-Result<query::GroupedResult> ArrayConsolidateWithSelection(
+// perfbench/src/serve_mixed.cc still calls the §4.2 entry point by these
+// names, and the benchmark's sources change only with the benchmark; both
+// forward to the one executor.
+using ArraySelectStats = ArrayConsolidateStats;
+inline Result<query::GroupedResult> ArrayConsolidateWithSelection(
     const OlapArray& array, const query::ConsolidationQuery& q,
-    PhaseTimer* timer = nullptr, ArraySelectStats* stats = nullptr,
-    const ArraySelectOptions& options = {});
+    PhaseTimer* timer = nullptr, ArraySelectStats* stats = nullptr) {
+  return ArrayConsolidate(array, q, timer, stats);
+}
 
 namespace select_detail {
 
-/// Phase-1 state shared by the serial and parallel paths: per-dimension
-/// final index lists (sorted, deduplicated) and per-group level maps.
-/// `empty` is true when some dimension's list came out empty — the
-/// cross-product is empty and the result has no groups.
+/// Phase-1 state: per-dimension final index lists (sorted, deduplicated)
+/// and per-group level maps. `empty` is true when some dimension's list
+/// came out empty — the cross-product is empty and the result has no groups.
 struct SelectionPlan {
   std::vector<std::vector<uint32_t>> lists;
   std::vector<const std::vector<int32_t>*> level_maps;
@@ -77,40 +59,28 @@ struct SelectionChunkWork {
   bool overlap = true;
 };
 
-/// Scans the chunk directory (no chunk I/O) and returns the chunks the
-/// probe loop must read, in chunk-number order. Skipped chunks are counted
-/// into `stats` when given.
+/// Scans the chunk directory of `data` (the measure's array; no chunk I/O)
+/// and returns the chunks the probe loop must read, in chunk-number order.
+/// Skipped chunks are counted into `stats`.
 std::vector<SelectionChunkWork> PlanSelectionChunks(
-    const OlapArray& array, const query::ConsolidationQuery& q,
-    const SelectionPlan& plan, const ArraySelectOptions& options,
-    ArraySelectStats* stats);
+    const ChunkedArray& data, const SelectionPlan& plan,
+    bool skip_non_overlapping_chunks, ArrayConsolidateStats* stats);
 
-/// Probes one chunk blob: enumerates the cross-product elements inside the
-/// chunk's slices in increasing offset order and aggregates hits into
-/// `flat` (paper §4.2 optimizations 2+3). `flat` and `stats` may be
-/// thread-private; calls for distinct chunks are otherwise independent.
-/// Counts the chunk read into `stats`; the probe itself is
-/// ProbeSelectionRange below.
-Status ProbeSelectionChunk(const OlapArray& array, const GroupSpec& spec,
-                           const SelectionPlan& plan,
-                           const SelectionChunkWork& work,
-                           const std::string& blob,
-                           std::vector<query::AggState>* flat,
-                           ArraySelectStats* stats);
-
-/// The odometer probe over an already-decoded chunk view, without the
-/// chunks_read accounting — the morsel form. `work.overlap` must be true.
-/// Morsels narrow one dimension's slice (core/morsel.h) and call this per
-/// piece: the probed candidate boxes are disjoint and their union is the
-/// whole-chunk call's box, so any morsel schedule aggregates exactly the
-/// same hits. (`candidates` counts can differ from the serial run's: the
+/// The odometer probe over an already-decoded chunk view (paper §4.2
+/// optimizations 2+3): enumerates the cross-product elements inside the
+/// work item's slices in increasing offset order and aggregates hits into
+/// `flat`; `flat` and `stats` may be thread-private. `work.overlap` must be
+/// true. Morsels narrow one dimension's slice (core/morsel.h) and call this
+/// per piece: the probed candidate boxes are disjoint and their union is
+/// the whole-chunk call's box, so any morsel schedule aggregates exactly the
+/// same hits. (`candidates` counts can differ from the unsplit run's: the
 /// sparse early-out stops each piece's odometer independently.)
 Status ProbeSelectionRange(const OlapArray& array, const GroupSpec& spec,
                            const SelectionPlan& plan,
                            const SelectionChunkWork& work,
                            const ChunkView& view,
                            std::vector<query::AggState>* flat,
-                           ArraySelectStats* stats);
+                           ArrayConsolidateStats* stats);
 
 }  // namespace select_detail
 

@@ -79,8 +79,8 @@ Result<std::vector<Cuboid>> ArrayCube(const OlapArray& array,
     PARADISE_ASSIGN_OR_RETURN(GroupSpec spec, GroupSpec::Make(array, q));
     flats[full_mask].assign(spec.num_groups, query::AggState{});
     ArrayConsolidateStats base_stats;
-    // Reuse the serial consolidation's chunk pass by running it and copying
-    // its grouped result into the flat array.
+    // Reuse the consolidation executor's chunk pass by running it and
+    // copying its grouped result into the flat array.
     PARADISE_ASSIGN_OR_RETURN(query::GroupedResult base,
                               ArrayConsolidate(array, q, nullptr,
                                                &base_stats));

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <chrono>
 
+#include "core/kernels/consolidate_kernel.h"
+
 namespace paradise {
 
 namespace {
-
-uint32_t ClampMinCells(uint32_t min_cells) {
-  return std::max<uint32_t>(1, min_cells);
-}
 
 // Upper bound on one parked interval. Normal wakeups still ride the notify;
 // the timeout only bounds how long a missed notify or a cancel fired while
@@ -18,10 +16,14 @@ constexpr std::chrono::milliseconds kParkSlice{5};
 
 }  // namespace
 
-MorselPool::MorselPool(ChunkReadAhead* cursor, const MorselOptions& options)
+MorselPool::MorselPool(
+    ChunkReadAhead* cursor,
+    const std::vector<select_detail::SelectionChunkWork>* work,
+    uint32_t min_cells, const CancellationToken* cancel)
     : cursor_(cursor),
-      min_cells_(ClampMinCells(options.min_cells)),
-      cancel_(options.cancel) {}
+      work_(work),
+      min_cells_(std::max<uint32_t>(1, min_cells)),
+      cancel_(cancel) {}
 
 Result<bool> MorselPool::Next(size_t worker, Morsel* out) {
   std::unique_lock<std::mutex> lk(mu_);
@@ -83,168 +85,70 @@ Result<bool> MorselPool::Next(size_t worker, Morsel* out) {
       cv_.notify_all();
       return view.status();
     }
-    const uint32_t positions =
-        view->sparse() ? view->num_valid() : view->capacity();
-
     Morsel m;
     m.chunk_no = chunk_no;
+    if (work_ != nullptr) {
+      // work_ is sorted by chunk_no (PlanSelectionChunks emits in chunk
+      // order) and the cursor iterates exactly its chunk numbers.
+      m.work = &*std::lower_bound(
+          work_->begin(), work_->end(), chunk_no,
+          [](const select_detail::SelectionChunkWork& lhs, uint64_t c) {
+            return lhs.chunk_no < c;
+          });
+    }
     m.blob = std::move(shared);
     m.view = *view;
     m.first = true;
     m.producer = worker;
-    if (static_cast<uint64_t>(positions) >= 2ull * min_cells_) {
-      m.begin = 0;
-      m.end = min_cells_;
-      uint64_t extra = 0;
-      for (uint32_t begin = min_cells_; begin < positions;) {
-        Morsel piece = m;
-        piece.first = false;
-        piece.begin = begin;
-        piece.end = static_cast<uint32_t>(std::min<uint64_t>(
-            static_cast<uint64_t>(begin) + min_cells_, positions));
-        begin = piece.end;
-        queue_.push_back(std::move(piece));
-        ++extra;
-      }
-      stats_.splits += extra;
-      cv_.notify_all();
-    } else {
-      m.begin = 0;
-      m.end = positions;
-    }
+    Split(&m);
     ++stats_.morsels;
     *out = std::move(m);
     return true;
   }
+}
+
+void MorselPool::Split(Morsel* m) {
+  // `total` positions (§4.1) or cross-product candidates (§4.2) in the
+  // chunk; the domain [m->begin, m->end) divides them evenly.
+  uint64_t total = 0;
+  if (m->work == nullptr) {
+    m->end = kernels::PositionCount(*m->view);
+    total = m->end;
+  } else {
+    const select_detail::SelectionChunkWork& w = *m->work;
+    const size_t n = w.slice_begin.size();
+    total = 1;
+    m->dim = n;
+    for (size_t d = 0; d < n; ++d) {
+      const uint32_t width = w.slice_end[d] - w.slice_begin[d];
+      total *= width;
+      if (m->dim == n && width >= 2) m->dim = d;
+    }
+    if (m->dim == n) m->dim = 0;
+    m->begin = w.slice_begin[m->dim];
+    m->end = w.slice_end[m->dim];
+  }
+  const uint32_t width = m->end - m->begin;
+  if (width < 2 || total < 2ull * min_cells_) return;
+  // Domain units per piece, so each piece holds about min_cells_.
+  const auto unit = static_cast<uint32_t>(
+      std::max<uint64_t>(1, min_cells_ / (total / width)));
+  const uint32_t end = m->end;
+  m->end = m->begin + unit;
+  for (uint32_t b = m->end; b < end;) {
+    Morsel piece = *m;
+    piece.first = false;
+    piece.begin = b;
+    piece.end = static_cast<uint32_t>(
+        std::min<uint64_t>(static_cast<uint64_t>(b) + unit, end));
+    b = piece.end;
+    queue_.push_back(std::move(piece));
+    ++stats_.splits;
+  }
+  cv_.notify_all();
 }
 
 MorselPoolStats MorselPool::stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return stats_;
-}
-
-SelectionMorselPool::SelectionMorselPool(
-    ChunkReadAhead* cursor,
-    const std::vector<select_detail::SelectionChunkWork>* work_items,
-    const MorselOptions& options)
-    : cursor_(cursor),
-      work_items_(work_items),
-      min_cells_(ClampMinCells(options.min_cells)),
-      cancel_(options.cancel) {}
-
-Result<bool> SelectionMorselPool::Next(size_t worker, SelectionMorsel* out) {
-  using select_detail::SelectionChunkWork;
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    if (cancel_ != nullptr) {
-      Status st = cancel_->Check();
-      if (!st.ok()) {
-        exhausted_ = true;
-        cv_.notify_all();
-        return st;
-      }
-    }
-    if (!queue_.empty()) {
-      *out = std::move(queue_.front());
-      queue_.pop_front();
-      ++stats_.morsels;
-      if (out->producer != worker) ++stats_.steals;
-      return true;
-    }
-    if (exhausted_) {
-      // Bounded for the same reason as MorselPool::Next.
-      if (fetching_ == 0) return false;
-      cv_.wait_for(lk, kParkSlice);
-      continue;
-    }
-    ++fetching_;
-    lk.unlock();
-    uint64_t chunk_no = 0;
-    std::string blob;
-    Result<bool> more = cursor_->Next(&chunk_no, &blob);
-    lk.lock();
-    // See MorselPool::Next: a decrement to zero must wake waiters even when
-    // this fetcher keeps its whole morsel and queues nothing.
-    --fetching_;
-    if (fetching_ == 0) cv_.notify_all();
-    if (!more.ok()) {
-      exhausted_ = true;
-      cv_.notify_all();
-      return more.status();
-    }
-    if (!*more) {
-      exhausted_ = true;
-      cv_.notify_all();
-      continue;
-    }
-    auto shared = std::make_shared<const std::string>(std::move(blob));
-    Result<ChunkView> view = ChunkView::Make(*shared);
-    if (!view.ok()) {
-      exhausted_ = true;
-      cv_.notify_all();
-      return view.status();
-    }
-    // work_items_ is sorted by chunk_no (PlanSelectionChunks emits in chunk
-    // order) and the cursor iterates exactly its chunk numbers.
-    const auto it = std::lower_bound(
-        work_items_->begin(), work_items_->end(), chunk_no,
-        [](const SelectionChunkWork& lhs, uint64_t c) {
-          return lhs.chunk_no < c;
-        });
-
-    SelectionMorsel m;
-    m.work = &*it;
-    m.blob = std::move(shared);
-    m.view = *view;
-    m.first = true;
-    m.producer = worker;
-
-    if (m.work->overlap) {
-      const size_t n = m.work->slice_begin.size();
-      uint64_t candidates = 1;
-      size_t split_dim = n;
-      for (size_t d = 0; d < n; ++d) {
-        const uint32_t width = m.work->slice_end[d] - m.work->slice_begin[d];
-        candidates *= width;
-        if (split_dim == n && width >= 2) split_dim = d;
-      }
-      if (split_dim < n && candidates >= 2ull * min_cells_) {
-        // Units of the split dimension per piece, so each piece holds about
-        // min_cells_ cross-product candidates.
-        const uint32_t width =
-            m.work->slice_end[split_dim] - m.work->slice_begin[split_dim];
-        const uint64_t per_unit = candidates / width;
-        const uint32_t unit = static_cast<uint32_t>(std::max<uint64_t>(
-            1, min_cells_ / std::max<uint64_t>(1, per_unit)));
-        m.split = true;
-        m.split_dim = split_dim;
-        m.split_begin = m.work->slice_begin[split_dim];
-        m.split_end = static_cast<uint32_t>(std::min<uint64_t>(
-            static_cast<uint64_t>(m.split_begin) + unit,
-            m.work->slice_end[split_dim]));
-        uint64_t extra = 0;
-        for (uint32_t b = m.split_end; b < m.work->slice_end[split_dim];) {
-          SelectionMorsel piece = m;
-          piece.first = false;
-          piece.split_begin = b;
-          piece.split_end = static_cast<uint32_t>(std::min<uint64_t>(
-              static_cast<uint64_t>(b) + unit,
-              m.work->slice_end[split_dim]));
-          b = piece.split_end;
-          queue_.push_back(std::move(piece));
-          ++extra;
-        }
-        stats_.splits += extra;
-        cv_.notify_all();
-      }
-    }
-    ++stats_.morsels;
-    *out = std::move(m);
-    return true;
-  }
-}
-
-MorselPoolStats SelectionMorselPool::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   return stats_;
 }

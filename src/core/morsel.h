@@ -1,29 +1,30 @@
-// Morsel-driven scheduling for the parallel consolidation engines. The old
-// scheme handed whole chunks to workers from the read-ahead cursor, so one
-// skewed chunk (a few dense chunks holding most of the cells) serialized the
-// tail of the query on a single worker. A MorselPool still claims chunks
-// from the shared ChunkReadAhead cursor — preserving the announced I/O order
-// — but the worker that fetches a large chunk splits it into cell-range
-// morsels (~min_cells positions each), keeps the first and publishes the
-// rest on a shared queue that any idle worker drains first. Small chunks
-// (below 2*min_cells positions) stay whole: zero extra synchronization on
+// Morsel-driven scheduling for the array executor (core/consolidate.h).
+// Handing whole chunks to workers lets one skewed chunk (a few dense chunks
+// holding most of the cells) serialize the tail of the query on a single
+// worker. A MorselPool still claims chunks from the shared ChunkReadAhead
+// cursor — preserving the announced I/O order — but the worker that fetches
+// a large chunk splits it into ~min_cells-sized morsels, keeps the first and
+// publishes the rest on a shared queue that any idle worker drains first.
+// Small chunks (below 2*min_cells) stay whole: zero extra synchronization on
 // the balanced path.
 //
-// A morsel never spans chunks, so per-chunk decode tables are built at most
-// once per (worker, chunk) and cancellation polled at morsel boundaries is
-// at least as prompt as the old per-chunk poll.
+// The split domain depends on the morsel source. For a §4.1 scan it is the
+// chunk's position range (kernels::AggregateRange). For a §4.2 probe it is
+// the index-list slice of the first selection dimension holding two or more
+// entries; a piece probes the cross-product box narrowed there.
 //
-// Stealing is counted when a worker pops a morsel another worker produced;
-// splits count the extra pieces published. Both surface through
-// ParallelConsolidateStats and the morsel.steals / morsel.splits registry
-// counters (core/parallel.cc).
+// A morsel never spans chunks, so per-chunk decode tables are built at most
+// once per (worker, chunk), and the cancellation poll at every Next() is at
+// least as prompt as a per-chunk poll. Stealing is counted when a worker
+// pops a morsel another worker produced; splits count the extra pieces
+// published.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <condition_variable>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,23 +38,6 @@
 
 namespace paradise {
 
-struct MorselOptions {
-  /// Target positions (sparse entries / dense offsets, or selection
-  /// cross-product candidates) per morsel. A chunk with >= 2*min_cells
-  /// positions is split into ~min_cells-sized pieces; smaller chunks stay
-  /// whole. Clamped to >= 1; UINT32_MAX degenerates to the old whole-chunk
-  /// cursor (the abl_parallel baseline).
-  uint32_t min_cells = 1u << 14;
-
-  /// Optional cancellation for the pool itself. Workers already poll their
-  /// token between morsels, but a worker parked INSIDE Next() — waiting on
-  /// the condition variable for a late fetcher — would otherwise sleep
-  /// through a cancel and hang the join if the expected notify never comes.
-  /// With a token set, waits are bounded and re-check the token, so every
-  /// worker leaves Next() with the token's typed status promptly.
-  const CancellationToken* cancel = nullptr;
-};
-
 /// Scheduling counters, summed over the query.
 struct MorselPoolStats {
   uint64_t morsels = 0;  // total morsels handed out
@@ -61,13 +45,16 @@ struct MorselPoolStats {
   uint64_t steals = 0;   // morsels popped by a worker that did not fetch them
 };
 
-/// One unit of work for the no-selection engine: a position range of one
-/// chunk ([begin, end) entry indexes when sparse, chunk offsets when dense —
-/// see kernels::AggregateRange).
+/// One unit of work: the piece [begin, end) of one chunk's split domain.
 struct Morsel {
   uint64_t chunk_no = 0;
+  /// The chunk's planned §4.2 work item; null for a §4.1 scan.
+  const select_detail::SelectionChunkWork* work = nullptr;
   std::shared_ptr<const std::string> blob;  // owns the bytes `view` reads
   std::optional<ChunkView> view;
+  /// §4.1: chunk positions. §4.2: entries [begin, end) of the list slice of
+  /// dimension `dim` (the whole slice when the chunk is not split).
+  size_t dim = 0;
   uint32_t begin = 0;
   uint32_t end = 0;
   bool first = false;  // first morsel of its chunk (counts the chunk read)
@@ -76,8 +63,16 @@ struct Morsel {
 
 class MorselPool {
  public:
-  /// `cursor` must outlive the pool and be drained only through it.
-  MorselPool(ChunkReadAhead* cursor, const MorselOptions& options);
+  /// `cursor` must outlive the pool and be drained only through it. `work`
+  /// is null for a §4.1 scan; for a §4.2 probe it is sorted by chunk_no,
+  /// outlives the pool, and the cursor iterates exactly its chunk numbers.
+  /// `min_cells` is clamped to >= 1. `cancel` (may be null) is polled at
+  /// every Next(); a worker parked inside Next() — waiting for a late
+  /// fetcher — re-checks it on a bounded wait, so every worker leaves with
+  /// the token's typed status promptly.
+  MorselPool(ChunkReadAhead* cursor,
+             const std::vector<select_detail::SelectionChunkWork>* work,
+             uint32_t min_cells, const CancellationToken* cancel);
 
   /// Claims the next morsel for worker `worker`: shared queue first, then a
   /// fresh chunk from the cursor (splitting it if large). Returns false when
@@ -88,7 +83,12 @@ class MorselPool {
   MorselPoolStats stats() const;
 
  private:
+  /// Fills `m`'s split domain and queues its extra pieces when it is large.
+  /// Called with mu_ held.
+  void Split(Morsel* m);
+
   ChunkReadAhead* cursor_;
+  const std::vector<select_detail::SelectionChunkWork>* work_;
   const uint32_t min_cells_;
   const CancellationToken* cancel_;
 
@@ -97,49 +97,6 @@ class MorselPool {
   std::deque<Morsel> queue_;
   bool exhausted_ = false;  // cursor returned "no more chunks" (or an error)
   size_t fetching_ = 0;     // workers currently inside cursor_->Next()
-  MorselPoolStats stats_;
-};
-
-/// Selection-engine unit of work: a sub-box of one chunk's odometer, made by
-/// narrowing one dimension's index-list slice. ProbeSelectionRange
-/// (core/consolidate_select.h) runs unchanged on the narrowed work item.
-struct SelectionMorsel {
-  const select_detail::SelectionChunkWork* work = nullptr;  // planned item
-  std::shared_ptr<const std::string> blob;
-  std::optional<ChunkView> view;
-  /// When set, overrides work->slice_begin/end for dimension `split_dim`.
-  size_t split_dim = 0;
-  uint32_t split_begin = 0;
-  uint32_t split_end = 0;
-  bool split = false;
-  bool first = false;
-  size_t producer = 0;
-};
-
-class SelectionMorselPool {
- public:
-  /// `work_items` is sorted by chunk_no and must outlive the pool; `cursor`
-  /// iterates exactly the chunk numbers of `work_items`.
-  SelectionMorselPool(ChunkReadAhead* cursor,
-                      const std::vector<select_detail::SelectionChunkWork>*
-                          work_items,
-                      const MorselOptions& options);
-
-  Result<bool> Next(size_t worker, SelectionMorsel* out);
-
-  MorselPoolStats stats() const;
-
- private:
-  ChunkReadAhead* cursor_;
-  const std::vector<select_detail::SelectionChunkWork>* work_items_;
-  const uint32_t min_cells_;
-  const CancellationToken* cancel_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<SelectionMorsel> queue_;
-  bool exhausted_ = false;
-  size_t fetching_ = 0;
   MorselPoolStats stats_;
 };
 

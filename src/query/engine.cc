@@ -4,9 +4,7 @@
 #include "common/metrics.h"
 #include "core/aggregate.h"
 #include "core/consolidate.h"
-#include "core/consolidate_select.h"
 #include "core/kernels/consolidate_kernel.h"
-#include "core/parallel.h"
 #include "query/planner.h"
 #include "query/result_cache.h"
 #include "relational/bitmap_select.h"
@@ -245,41 +243,16 @@ Result<Execution> RunQueryImpl(Database* db, EngineKind kind,
             .GetCounter("kernel.dispatch." + exec.stats.kernel_isa)
             ->Increment();
       }
-      // All array engines run against the pinned snapshot, never the live
+      // The executor runs against the pinned snapshot, never the live
       // Database instance.
-      const OlapArray& olap = pin->array;
-      const size_t threads = options.num_threads;
-      if (q.HasSelection()) {
-        ArraySelectStats stats;
-        ArraySelectOptions select_options;
-        select_options.cancel = options.cancel;
-        if (threads > 1) {
-          PARADISE_ASSIGN_OR_RETURN(
-              exec.result, ParallelArrayConsolidateWithSelection(
-                               olap, q, threads, &exec.stats.phases,
-                               &stats, nullptr, select_options));
-        } else {
-          PARADISE_ASSIGN_OR_RETURN(
-              exec.result, ArrayConsolidateWithSelection(
-                               olap, q, &exec.stats.phases, &stats,
-                               select_options));
-        }
-        exec.stats.aux = stats.chunks_read;
-      } else if (threads > 1) {
-        ParallelConsolidateStats stats;
-        PARADISE_ASSIGN_OR_RETURN(
-            exec.result, ParallelArrayConsolidate(olap, q, threads,
-                                                  &exec.stats.phases, &stats,
-                                                  options.cancel));
-        exec.stats.aux = stats.chunks_read;
-      } else {
-        ArrayConsolidateStats stats;
-        PARADISE_ASSIGN_OR_RETURN(
-            exec.result,
-            ArrayConsolidate(olap, q, &exec.stats.phases, &stats,
-                             options.cancel));
-        exec.stats.aux = stats.chunks_read;
-      }
+      ArrayConsolidateOptions array_options;
+      array_options.num_threads = options.num_threads;
+      array_options.cancel = options.cancel;
+      ArrayConsolidateStats stats;
+      PARADISE_ASSIGN_OR_RETURN(
+          exec.result, ArrayConsolidate(pin->array, q, &exec.stats.phases,
+                                        &stats, array_options));
+      exec.stats.aux = stats.chunks_read;
       break;
     }
     case EngineKind::kStarJoin: {
@@ -382,13 +355,6 @@ std::string ExecutionStats::ToJson() const {
   }
   w.EndObject();
   return w.Take();
-}
-
-Result<Execution> RunQuery(Database* db, EngineKind kind,
-                           const query::ConsolidationQuery& q, bool cold) {
-  RunQueryOptions options;
-  options.cold = cold;
-  return RunQuery(db, kind, q, options);
 }
 
 Result<Execution> RunQuery(Database* db, EngineKind kind,

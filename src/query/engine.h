@@ -1,6 +1,6 @@
 // RunQuery: one entry point executing a ConsolidationQuery with any of the
-// four implemented algorithms over the same database, with uniform timing,
-// buffer-pool I/O accounting, and the paper's cold-buffer protocol.
+// engines below over the same database, with uniform timing, buffer-pool
+// I/O accounting, and the paper's cold-buffer protocol.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +70,7 @@ struct ExecutionStats {
   double seconds = 0.0;
   BufferPoolStats io;   // delta over the query
   PhaseTimer phases;
-  /// Algorithm-specific: array+selection = chunks read; bitmap = set bits in
+  /// Algorithm-specific: array = chunks read; bitmap = set bits in
   /// the final bitmap; left-deep = materialized intermediate rows.
   uint64_t aux = 0;
   /// Span tree of the query (plan → scan/probe → aggregate → merge), present
@@ -113,9 +113,10 @@ struct RunQueryOptions {
   /// Cold-buffer protocol (the paper's §5 default): flush and drop all
   /// buffered pages before the query.
   bool cold = true;
-  /// Worker threads for the array engine (core/parallel.h); 1 = the serial
-  /// algorithms. Other engines ignore this and run serially. Parallel runs
-  /// produce bit-identical results to serial ones.
+  /// Worker threads for the array engine (core/consolidate.h); 1 = the
+  /// paper's serial algorithms, run inline. Other engines ignore this and
+  /// run serially. Parallel runs produce bit-identical results to serial
+  /// ones.
   size_t num_threads = 1;
   /// Collect an ExecutionTrace (span per engine phase) into
   /// ExecutionStats::trace. Off by default: tracing costs one span
@@ -138,9 +139,9 @@ struct RunQueryOptions {
   std::optional<uint64_t> cache_pin_epoch;
 
   /// Deadline/cancellation token (borrowed; may be flipped from another
-  /// thread). Checked once before dispatch and then at every chunk boundary
-  /// of the array engine's scan/probe loops (serial and parallel), so a
-  /// fired token stops the query within one chunk's work and RunQuery
+  /// thread). Checked once before dispatch and then at every morsel boundary
+  /// of the array executor (at least once per chunk), so a fired token
+  /// stops the query within one chunk's work and RunQuery
   /// returns the token's typed Status (kDeadlineExceeded / kCancelled) with
   /// no torn result and no leaked worker. The non-array engines check only
   /// at dispatch — they exist as paper baselines, not serving paths
@@ -148,16 +149,10 @@ struct RunQueryOptions {
   const CancellationToken* cancel = nullptr;
 };
 
-/// Runs `q` with engine `kind`. With `cold` (the default, matching the
-/// paper's protocol) all buffered pages are flushed and dropped first.
+/// Runs `q` with engine `kind`. By default (the paper's protocol) all
+/// buffered pages are flushed and dropped first; see RunQueryOptions.
 Result<Execution> RunQuery(Database* db, EngineKind kind,
                            const query::ConsolidationQuery& q,
-                           bool cold = true);
-
-/// Options-struct overload: adds intra-query parallelism for the array
-/// engine.
-Result<Execution> RunQuery(Database* db, EngineKind kind,
-                           const query::ConsolidationQuery& q,
-                           const RunQueryOptions& options);
+                           const RunQueryOptions& options = {});
 
 }  // namespace paradise

@@ -5,7 +5,6 @@
 #include "common/random.h"
 #include "core/aggregate_registry.h"
 #include "core/consolidate.h"
-#include "core/consolidate_select.h"
 #include "query/planner.h"
 #include "test_util.h"
 
@@ -190,10 +189,7 @@ TEST_F(AggregateRegistryTest, AnswersMatchBaseCube) {
         AnswerFromAggregates(db_->storage(), "sales", q, &used));
     ASSERT_TRUE(from_agg.has_value());
     EXPECT_EQ(used, "by_type_city");
-    Result<query::GroupedResult> direct =
-        q.HasSelection()
-            ? ArrayConsolidateWithSelection(*db_->olap(), q)
-            : ArrayConsolidate(*db_->olap(), q);
+    Result<query::GroupedResult> direct = ArrayConsolidate(*db_->olap(), q);
     ASSERT_TRUE(direct.ok());
     ASSERT_EQ(from_agg->num_groups(), direct->num_groups());
     for (size_t i = 0; i < direct->rows().size(); ++i) {

@@ -135,6 +135,21 @@ struct LayoutCase {
   std::vector<uint32_t> extents;
 };
 
+// Prints a case by value, e.g. "dims=7x11 extents=3x5", so the test names
+// built from it are the same in every run; gtest's fallback printer would dump
+// the vectors' heap pointers instead.
+void PrintTo(const LayoutCase& tc, std::ostream* os) {
+  auto print_shape = [os](const std::vector<uint32_t>& shape) {
+    for (size_t i = 0; i < shape.size(); ++i) {
+      *os << (i == 0 ? "" : "x") << shape[i];
+    }
+  };
+  *os << "dims=";
+  print_shape(tc.dims);
+  *os << " extents=";
+  print_shape(tc.extents);
+}
+
 class ChunkLayoutSweep : public ::testing::TestWithParam<LayoutCase> {};
 
 TEST_P(ChunkLayoutSweep, EveryCellRoundTrips) {

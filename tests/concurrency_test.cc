@@ -13,7 +13,6 @@
 
 #include "common/random.h"
 #include "core/consolidate.h"
-#include "core/parallel.h"
 #include "query/engine.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -26,6 +25,7 @@ namespace paradise {
 namespace {
 
 using paradise::testing::BruteForce;
+using paradise::testing::ConsolidateAt;
 using paradise::testing::SmallDbOptions;
 using paradise::testing::TempFile;
 using paradise::testing::TinyConfig;
@@ -225,7 +225,7 @@ TEST(ChunkReadAheadTest, ParallelRunRecordsPrefetches) {
   db->storage()->pool()->ResetStats();
   const query::ConsolidationQuery q = gen::Query1(3);
   ASSERT_OK_AND_ASSIGN(query::GroupedResult result,
-                       ParallelArrayConsolidate(*db->olap(), q, 2));
+                       ConsolidateAt(*db->olap(), q, 2));
   EXPECT_TRUE(result.SameAs(BruteForce(data, q)));
   const BufferPoolStats stats = db->storage()->pool()->stats();
   // The read-ahead window covers every chunk after the first claim.
@@ -244,7 +244,7 @@ TEST(ChunkReadAheadTest, DisabledPoolStillCorrect) {
   EXPECT_EQ(db->storage()->io_pool(), nullptr);
   const query::ConsolidationQuery q = gen::Query1(3);
   ASSERT_OK_AND_ASSIGN(query::GroupedResult result,
-                       ParallelArrayConsolidate(*db->olap(), q, 4));
+                       ConsolidateAt(*db->olap(), q, 4));
   EXPECT_TRUE(result.SameAs(BruteForce(data, q)));
   EXPECT_EQ(db->storage()->pool()->stats().prefetched, 0u);
 }
@@ -263,9 +263,8 @@ TEST(ChunkReadAheadTest, DropCachesBetweenParallelRunsIsSafe) {
   // background pool can never re-warm or race the sweep.
   for (int round = 0; round < 5; ++round) {
     ASSERT_OK(db->DropCaches());
-    ASSERT_OK_AND_ASSIGN(
-        query::GroupedResult result,
-        ParallelArrayConsolidateWithSelection(*db->olap(), q, 4));
+    ASSERT_OK_AND_ASSIGN(query::GroupedResult result,
+                         ConsolidateAt(*db->olap(), q, 4));
     ASSERT_TRUE(result.SameAs(expected)) << "round " << round;
   }
   ASSERT_OK(db->DropCaches());
@@ -315,7 +314,7 @@ TEST(ConcurrentFaults, TransientReadFaultsRetryToExactAnswer) {
     faults.max_injected_faults = 3;  // transient: retry always succeeds
     f.faults->Arm(faults);
     ASSERT_OK_AND_ASSIGN(query::GroupedResult result,
-                         ParallelArrayConsolidate(*f.db->olap(), q, 4));
+                         ConsolidateAt(*f.db->olap(), q, 4));
     f.faults->Arm(FaultInjectionOptions{});  // disarm
     EXPECT_TRUE(result.SameAs(expected)) << "round " << round;
   }
@@ -340,9 +339,7 @@ TEST(ConcurrentFaults, HeavyFaultsNeverYieldWrongAnswer) {
     faults.read_error_probability = 0.06;
     f.faults->Arm(faults);
     Result<query::GroupedResult> result =
-        qi == 0 ? ParallelArrayConsolidate(*f.db->olap(), queries[qi], 4)
-                : ParallelArrayConsolidateWithSelection(*f.db->olap(),
-                                                        queries[qi], 4);
+        ConsolidateAt(*f.db->olap(), queries[qi], 4);
     f.faults->Arm(FaultInjectionOptions{});  // disarm
     if (result.ok()) {
       EXPECT_TRUE(result.value().SameAs(expected[qi]))

@@ -5,7 +5,6 @@
 
 #include "core/aggregate.h"
 #include "core/consolidate.h"
-#include "core/consolidate_select.h"
 #include "core/index_to_index.h"
 #include "core/olap_array.h"
 #include "core/slice.h"
@@ -142,21 +141,29 @@ TEST_F(CoreTest, ConsolidateFullCollapseIsGrandTotal) {
   EXPECT_EQ(got.rows()[0].agg.count, data_.measures.size());
 }
 
-TEST_F(CoreTest, ConsolidateRejectsSelectionQueries) {
-  EXPECT_TRUE(ArrayConsolidate(*db_->olap(), gen::Query2(3))
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(ArrayConsolidateWithSelection(*db_->olap(), gen::Query1(3))
-                  .status()
-                  .IsInvalidArgument());
+TEST_F(CoreTest, ConsolidatePicksSourceBySelection) {
+  // One executor serves both shapes: a selection runs the §4.2 probe
+  // (candidates, no scanned cells), a selection-free query the §4.1 scan.
+  ArrayConsolidateStats probe, scan;
+  ASSERT_OK_AND_ASSIGN(
+      query::GroupedResult with_selection,
+      ArrayConsolidate(*db_->olap(), gen::Query2(3), nullptr, &probe));
+  ASSERT_OK_AND_ASSIGN(
+      query::GroupedResult without_selection,
+      ArrayConsolidate(*db_->olap(), gen::Query1(3), nullptr, &scan));
+  EXPECT_TRUE(with_selection.SameAs(BruteForce(data_, gen::Query2(3))));
+  EXPECT_TRUE(without_selection.SameAs(BruteForce(data_, gen::Query1(3))));
+  EXPECT_GT(probe.candidates, 0u);
+  EXPECT_EQ(probe.cells_scanned, 0u);
+  EXPECT_GT(scan.cells_scanned, 0u);
+  EXPECT_EQ(scan.candidates, 0u);
 }
 
 TEST_F(CoreTest, ConsolidateWithSelectionMatchesBruteForce) {
   const query::ConsolidationQuery q = gen::Query2(3);
-  ArraySelectStats stats;
-  ASSERT_OK_AND_ASSIGN(
-      query::GroupedResult got,
-      ArrayConsolidateWithSelection(*db_->olap(), q, nullptr, &stats));
+  ArrayConsolidateStats stats;
+  ASSERT_OK_AND_ASSIGN(query::GroupedResult got,
+                       ArrayConsolidate(*db_->olap(), q, nullptr, &stats));
   const query::GroupedResult expected = BruteForce(data_, q);
   EXPECT_TRUE(got.SameAs(expected))
       << "got:\n" << got.ToString(q.agg) << "expected:\n"
@@ -180,7 +187,7 @@ TEST_F(CoreTest, SelectionWithMultipleValuesUnions) {
       {query::Literal{gen::AttrValue(0, 2, 0)},
        query::Literal{gen::AttrValue(0, 2, 1)}}});
   ASSERT_OK_AND_ASSIGN(query::GroupedResult got,
-                       ArrayConsolidateWithSelection(*db_->olap(), q));
+                       ArrayConsolidate(*db_->olap(), q));
   EXPECT_TRUE(got.SameAs(BruteForce(data_, q)));
 }
 
@@ -192,7 +199,7 @@ TEST_F(CoreTest, SelectionAcrossAttributesIntersects) {
   q.dims[2].selections.push_back(
       query::Selection{2, {query::Literal{gen::AttrValue(2, 2, 0)}}});
   ASSERT_OK_AND_ASSIGN(query::GroupedResult got,
-                       ArrayConsolidateWithSelection(*db_->olap(), q));
+                       ArrayConsolidate(*db_->olap(), q));
   EXPECT_TRUE(got.SameAs(BruteForce(data_, q)));
 }
 
@@ -201,21 +208,20 @@ TEST_F(CoreTest, SelectionOfAbsentValueIsEmpty) {
   q.dims[0].selections.push_back(
       query::Selection{1, {query::Literal{std::string("NOPE")}}});
   ASSERT_OK_AND_ASSIGN(query::GroupedResult got,
-                       ArrayConsolidateWithSelection(*db_->olap(), q));
+                       ArrayConsolidate(*db_->olap(), q));
   EXPECT_EQ(got.num_groups(), 0u);
 }
 
 TEST_F(CoreTest, ChunkSkipAblationSameResultMoreReads) {
   const query::ConsolidationQuery q = gen::Query2(3);
-  ArraySelectStats with_skip, without_skip;
+  ArrayConsolidateStats with_skip, without_skip;
   ASSERT_OK_AND_ASSIGN(query::GroupedResult a,
-                       ArrayConsolidateWithSelection(*db_->olap(), q, nullptr,
-                                                     &with_skip));
-  ArraySelectOptions no_skip;
+                       ArrayConsolidate(*db_->olap(), q, nullptr, &with_skip));
+  ArrayConsolidateOptions no_skip;
   no_skip.skip_non_overlapping_chunks = false;
   ASSERT_OK_AND_ASSIGN(query::GroupedResult b,
-                       ArrayConsolidateWithSelection(*db_->olap(), q, nullptr,
-                                                     &without_skip, no_skip));
+                       ArrayConsolidate(*db_->olap(), q, nullptr,
+                                        &without_skip, no_skip));
   EXPECT_TRUE(a.SameAs(b));
   EXPECT_GE(without_skip.chunks_read, with_skip.chunks_read);
   EXPECT_EQ(without_skip.chunks_skipped, 0u);

@@ -157,7 +157,7 @@ TEST(CrashRecoveryTest, PowerLossSweepNeverServesAWrongAnswer) {
       std::unique_ptr<Database> db = std::move(reopened).value();
       for (EngineKind kind : kAllEngines) {
         ASSERT_OK_AND_ASSIGN(Execution exec,
-                             RunQuery(db.get(), kind, q, /*cold=*/true));
+                             RunQuery(db.get(), kind, q));
         EXPECT_TRUE(exec.result.SameAs(expected))
             << "engine " << EngineKindToString(kind)
             << " diverges after a crash at op " << halt;
@@ -607,14 +607,14 @@ TEST(CrashRecoveryTest, IngestCommitCrashRecoversOldOrNewEpoch) {
       EXPECT_EQ(db->ingest()->stats().live_generations, 1u)
           << "halt " << halt;
       ASSERT_OK_AND_ASSIGN(Execution exec,
-                           RunQuery(db.get(), EngineKind::kArray, q, true));
+                           RunQuery(db.get(), EngineKind::kArray, q));
       EXPECT_TRUE(exec.result.SameAs(expected_new)) << "halt " << halt;
     } else {
       saw_old = true;
       // A commit that reported success must never recover without its data.
       EXPECT_FALSE(commit.ok()) << "halt " << halt;
       ASSERT_OK_AND_ASSIGN(Execution exec,
-                           RunQuery(db.get(), EngineKind::kArray, q, true));
+                           RunQuery(db.get(), EngineKind::kArray, q));
       EXPECT_TRUE(exec.result.SameAs(expected_old)) << "halt " << halt;
     }
     db.reset();
@@ -679,7 +679,7 @@ TEST(CrashRecoveryTest, IngestCompactionCrashAlwaysRecoversMergedContent) {
       saw_compacted = true;
     }
     ASSERT_OK_AND_ASSIGN(Execution exec,
-                         RunQuery(db.get(), EngineKind::kArray, q, true));
+                         RunQuery(db.get(), EngineKind::kArray, q));
     EXPECT_TRUE(exec.result.SameAs(expected))
         << "halt " << halt << " lost ingested content";
     db.reset();

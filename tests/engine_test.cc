@@ -109,13 +109,14 @@ TEST(EngineTest, ColdRunsDoDiskReads) {
   ASSERT_OK_AND_ASSIGN(
       std::unique_ptr<Database> db,
       BuildDatabaseFromConfig(file.path(), TinyConfig(400), SmallDbOptions()));
-  ASSERT_OK_AND_ASSIGN(
-      Execution cold,
-      RunQuery(db.get(), EngineKind::kArray, gen::Query1(3), /*cold=*/true));
+  ASSERT_OK_AND_ASSIGN(Execution cold,
+                       RunQuery(db.get(), EngineKind::kArray, gen::Query1(3)));
   EXPECT_GT(cold.stats.io.disk_reads, 0u);
+  RunQueryOptions warm_options;
+  warm_options.cold = false;
   ASSERT_OK_AND_ASSIGN(
       Execution warm,
-      RunQuery(db.get(), EngineKind::kArray, gen::Query1(3), /*cold=*/false));
+      RunQuery(db.get(), EngineKind::kArray, gen::Query1(3), warm_options));
   EXPECT_EQ(warm.stats.io.disk_reads, 0u);  // everything still buffered
   EXPECT_TRUE(warm.result.SameAs(cold.result));
 }

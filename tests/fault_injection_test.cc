@@ -91,7 +91,7 @@ TEST(FaultInjectionTest, TransientReadFaultsRetryToTheCorrectAnswer) {
       fi.fail_nth_read = nth;
       f.faults->Arm(fi);
       ASSERT_OK_AND_ASSIGN(Execution exec,
-                           RunQuery(f.db.get(), kind, q, /*cold=*/true));
+                           RunQuery(f.db.get(), kind, q));
       EXPECT_TRUE(exec.result.SameAs(expected))
           << "engine " << EngineKindToString(kind) << " diverges with read "
           << nth << " failing";
@@ -111,7 +111,7 @@ TEST(FaultInjectionTest, ExhaustedRetriesPropagateCleanIOError) {
     FaultInjectionOptions fi;
     fi.fail_nth_read = 1;
     f.faults->Arm(fi);
-    auto r = RunQuery(f.db.get(), kind, q, /*cold=*/true);
+    auto r = RunQuery(f.db.get(), kind, q);
     ASSERT_FALSE(r.ok()) << "engine " << EngineKindToString(kind)
                          << " swallowed an unretried read fault";
     const Status st = r.status();
@@ -126,7 +126,7 @@ TEST(FaultInjectionTest, ExhaustedRetriesPropagateCleanIOError) {
   const query::GroupedResult expected = BruteForce(f.data, q);
   for (EngineKind kind : kAllEngines) {
     ASSERT_OK_AND_ASSIGN(Execution exec,
-                         RunQuery(f.db.get(), kind, q, /*cold=*/true));
+                         RunQuery(f.db.get(), kind, q));
     EXPECT_TRUE(exec.result.SameAs(expected));
   }
 }
@@ -143,7 +143,7 @@ TEST(FaultInjectionTest, ProbabilisticReadFaultsAreAbsorbedByRetries) {
   f.faults->Arm(fi);
   for (EngineKind kind : kAllEngines) {
     ASSERT_OK_AND_ASSIGN(Execution exec,
-                         RunQuery(f.db.get(), kind, q, /*cold=*/true));
+                         RunQuery(f.db.get(), kind, q));
     EXPECT_TRUE(exec.result.SameAs(expected))
         << "engine " << EngineKindToString(kind)
         << " diverges under probabilistic read faults";
@@ -167,7 +167,7 @@ TEST(FaultInjectionTest, BitFlippedPageIsCorrectOrCorruptionNamingPage) {
     constexpr uint64_t kBit = 8 * 1000 + 5;
     ASSERT_OK(f.faults->FlipBitOnDisk(id, kBit));
     for (EngineKind kind : kAllEngines) {
-      auto r = RunQuery(f.db.get(), kind, q, /*cold=*/true);
+      auto r = RunQuery(f.db.get(), kind, q);
       if (r.ok()) {
         EXPECT_TRUE(r.value().result.SameAs(expected))
             << "engine " << EngineKindToString(kind)
@@ -188,7 +188,7 @@ TEST(FaultInjectionTest, BitFlippedPageIsCorrectOrCorruptionNamingPage) {
   // All flips restored: everything is correct again.
   for (EngineKind kind : kAllEngines) {
     ASSERT_OK_AND_ASSIGN(Execution exec,
-                         RunQuery(f.db.get(), kind, q, /*cold=*/true));
+                         RunQuery(f.db.get(), kind, q));
     EXPECT_TRUE(exec.result.SameAs(expected));
   }
 }
@@ -203,7 +203,7 @@ TEST(FaultInjectionTest, ScheduledBitFlipSurfacesAsCorruption) {
   // star join performs very few disk reads; trigger on the first one.
   fi.flip_bit_on_nth_read = 1;
   f.faults->Arm(fi);
-  auto r = RunQuery(f.db.get(), EngineKind::kStarJoin, q, /*cold=*/true);
+  auto r = RunQuery(f.db.get(), EngineKind::kStarJoin, q);
   ASSERT_FALSE(r.ok());
   const Status st = r.status();
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
@@ -314,7 +314,7 @@ TEST(FaultInjectionTest, FaultsRespectPageRangeFilter) {
   f.faults->Arm(fi);
   ASSERT_OK_AND_ASSIGN(
       Execution exec,
-      RunQuery(f.db.get(), EngineKind::kArray, q, /*cold=*/true));
+      RunQuery(f.db.get(), EngineKind::kArray, q));
   EXPECT_TRUE(exec.result.SameAs(expected));
   EXPECT_EQ(f.faults->injected_faults(), 0u);
   EXPECT_GT(f.faults->reads_seen(), 0u);

@@ -144,9 +144,10 @@ TEST_P(FuzzTest, AllEnginesMatchBruteForceOnRandomWorkloads) {
       engines.push_back(EngineKind::kBitmap);
       engines.push_back(EngineKind::kBTreeSelect);
     }
+    RunQueryOptions run;
+    run.cold = round == 0;
     for (EngineKind kind : engines) {
-      ASSERT_OK_AND_ASSIGN(Execution exec,
-                           RunQuery(db.get(), kind, q, /*cold=*/round == 0));
+      ASSERT_OK_AND_ASSIGN(Execution exec, RunQuery(db.get(), kind, q, run));
       ASSERT_TRUE(exec.result.SameAs(expected))
           << "seed " << seed << " round " << round << " engine "
           << EngineKindToString(kind) << "\ngot:\n"
@@ -209,7 +210,7 @@ TEST_P(FaultFuzzTest, ResultMatchesBruteForceOrStatusIsNonOk) {
       engines.push_back(EngineKind::kBTreeSelect);
     }
     for (EngineKind kind : engines) {
-      auto r = RunQuery(db.get(), kind, q, /*cold=*/true);
+      auto r = RunQuery(db.get(), kind, q);
       if (r.ok()) {
         ASSERT_TRUE(r.value().result.SameAs(expected))
             << "seed " << seed << " round " << round << " engine "

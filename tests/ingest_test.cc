@@ -5,6 +5,8 @@
 // querying the ingested database at its newest epoch must be
 // indistinguishable — down to the serialized chunk bytes — from loading a
 // fresh database that contained the merged data all along.
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -12,6 +14,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -28,6 +31,7 @@ namespace paradise {
 namespace {
 
 using paradise::testing::BruteForce;
+using paradise::testing::ConsolidateAt;
 using paradise::testing::SmallDbOptions;
 using paradise::testing::TempFile;
 using paradise::testing::TinyConfig;
@@ -137,7 +141,7 @@ TEST(IngestTest, PendingWritesInvisibleUntilCommit) {
 
   // Buffered-but-uncommitted writes are invisible; the epoch is unchanged.
   ASSERT_OK_AND_ASSIGN(Execution exec,
-                       RunQuery(db.get(), EngineKind::kArray, q, true));
+                       RunQuery(db.get(), EngineKind::kArray, q));
   EXPECT_TRUE(exec.result.SameAs(before));
   EXPECT_EQ(db->commit_epoch(), epoch_before);
 }
@@ -202,8 +206,7 @@ TEST(IngestTest, OverlayReadsAreByteIdenticalToFromScratchLoad) {
   const query::GroupedResult expected =
       BruteForce(Merged(data, upserts), GroupQuery());
   ASSERT_OK_AND_ASSIGN(Execution exec,
-                       RunQuery(db.get(), EngineKind::kArray, GroupQuery(),
-                                true));
+                       RunQuery(db.get(), EngineKind::kArray, GroupQuery()));
   EXPECT_TRUE(exec.result.SameAs(expected));
 
   // The file stays verifiable after the full commit+compact cycle.
@@ -307,8 +310,7 @@ TEST(IngestTest, ReopenRecoversUncompactedGenerations) {
   const query::GroupedResult expected =
       BruteForce(Merged(data, both), GroupQuery());
   ASSERT_OK_AND_ASSIGN(
-      Execution exec, RunQuery(db.get(), EngineKind::kArray, GroupQuery(),
-                               true));
+      Execution exec, RunQuery(db.get(), EngineKind::kArray, GroupQuery()));
   EXPECT_TRUE(exec.result.SameAs(expected));
 
   // Compact, reopen again: same answer from the rewritten base.
@@ -319,8 +321,7 @@ TEST(IngestTest, ReopenRecoversUncompactedGenerations) {
   EXPECT_TRUE(db->ingested());
   EXPECT_EQ(db->ingest()->stats().live_generations, 0u);
   ASSERT_OK_AND_ASSIGN(
-      Execution exec2, RunQuery(db.get(), EngineKind::kArray, GroupQuery(),
-                                true));
+      Execution exec2, RunQuery(db.get(), EngineKind::kArray, GroupQuery()));
   EXPECT_TRUE(exec2.result.SameAs(expected));
   db.reset();
   ASSERT_OK_AND_ASSIGN(VerifyReport report, VerifyDatabaseFile(file.path()));
@@ -351,16 +352,14 @@ TEST(IngestTest, CancelledCompactionLeavesDeltasServable) {
   const query::GroupedResult expected =
       BruteForce(Merged(data, upserts), GroupQuery());
   ASSERT_OK_AND_ASSIGN(
-      Execution exec, RunQuery(db.get(), EngineKind::kArray, GroupQuery(),
-                               true));
+      Execution exec, RunQuery(db.get(), EngineKind::kArray, GroupQuery()));
   EXPECT_TRUE(exec.result.SameAs(expected));
 
   // A later un-cancelled compaction completes and preserves the answer.
   ASSERT_OK(db->ingest()->Compact());
   EXPECT_EQ(db->ingest()->stats().live_generations, 0u);
   ASSERT_OK_AND_ASSIGN(
-      Execution exec2, RunQuery(db.get(), EngineKind::kArray, GroupQuery(),
-                                true));
+      Execution exec2, RunQuery(db.get(), EngineKind::kArray, GroupQuery()));
   EXPECT_TRUE(exec2.result.SameAs(expected));
 }
 
@@ -417,9 +416,80 @@ TEST(IngestTest, PinnedReadersSurviveCompaction) {
   const query::GroupedResult expected =
       BruteForce(Merged(data, both), GroupQuery());
   ASSERT_OK_AND_ASSIGN(
-      Execution exec, RunQuery(db.get(), EngineKind::kArray, GroupQuery(),
-                               true));
+      Execution exec, RunQuery(db.get(), EngineKind::kArray, GroupQuery()));
   EXPECT_TRUE(exec.result.SameAs(expected));
+}
+
+/// The array executor copies the measure's chunked array once, so a query
+/// over the live, unpinned OLAP array reads one version from chunk
+/// enumeration to the last chunk read, even while commits and compactions
+/// publish new ones underneath it: every answer, at one thread and at four,
+/// must equal the from-scratch answer at some committed epoch.
+TEST(IngestTest, LiveExecutorAnswersAtSomeCommittedEpoch) {
+  TempFile file("ingest_live");
+  ASSERT_OK_AND_ASSIGN(gen::SyntheticDataset data,
+                       gen::Generate(TinyConfig(120, 18)));
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<Database> db,
+      BuildDatabaseFromDataset(file.path(), data, SmallDbOptions()));
+  const std::vector<query::ConsolidationQuery> queries = {GroupQuery(),
+                                                          SelectQuery()};
+  // oracle[i][k]: query i's answer after the first k batches committed.
+  constexpr int kBatches = 16;
+  std::vector<std::map<uint64_t, int64_t>> batches;
+  std::vector<std::vector<query::GroupedResult>> oracle(queries.size());
+  std::map<uint64_t, int64_t> applied;
+  for (int k = 0; k <= kBatches; ++k) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      oracle[i].push_back(BruteForce(Merged(data, applied), queries[i]));
+    }
+    if (k == kBatches) break;
+    batches.push_back(MakeUpserts(data, 3, 3, 40 + k));
+    for (const auto& [gi, v] : batches.back()) applied[gi] = v;
+  }
+
+  // The writer publishes each batch only after the reader, which never
+  // stops, has produced a few more answers — so commits land mid-query.
+  std::atomic<bool> done{false};
+  std::atomic<size_t> answers{0};
+  std::thread writer([&] {
+    for (int k = 0; k < kBatches; ++k) {
+      for (const auto& [gi, v] : batches[k]) {
+        EXPECT_OK(db->ingest()->Write(data.CellKeys(gi), {v}));
+      }
+      while (answers.load() < 8 * static_cast<size_t>(k + 1)) {
+        std::this_thread::yield();
+      }
+      EXPECT_OK(db->ingest()->Commit());
+      if (k % 3 == 2) EXPECT_OK(db->ingest()->Compact());
+    }
+    done.store(true);
+  });
+  do {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        // No ASSERT here: returning early would strand the writer.
+        Result<query::GroupedResult> r =
+            ConsolidateAt(*db->olap(), queries[i], threads);
+        EXPECT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_TRUE(r.ok() &&
+                    std::any_of(oracle[i].begin(), oracle[i].end(),
+                                [&](const query::GroupedResult& want) {
+                                  return r->SameAs(want);
+                                }))
+            << "query " << i << " threads " << threads
+            << ": answer matches no committed epoch";
+        ++answers;
+      }
+    }
+  } while (!done.load());
+  writer.join();
+  // Quiesced, the live array answers at the newest epoch.
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_OK_AND_ASSIGN(query::GroupedResult last,
+                         ConsolidateAt(*db->olap(), queries[i], 4));
+    EXPECT_TRUE(last.SameAs(oracle[i].back())) << "query " << i;
+  }
 }
 
 TEST(IngestTest, RelationalEnginesGateAfterIngest) {
@@ -438,7 +508,7 @@ TEST(IngestTest, RelationalEnginesGateAfterIngest) {
   for (EngineKind kind :
        {EngineKind::kStarJoin, EngineKind::kBitmap, EngineKind::kLeftDeep,
         EngineKind::kBTreeSelect}) {
-    const Status st = RunQuery(db.get(), kind, q, true).status();
+    const Status st = RunQuery(db.get(), kind, q).status();
     EXPECT_TRUE(st.IsNotSupported())
         << EngineKindToString(kind) << ": " << st.ToString();
   }
@@ -449,7 +519,7 @@ TEST(IngestTest, RelationalEnginesGateAfterIngest) {
 
   // And the array answers correctly through the planner's SQL front door.
   ASSERT_OK_AND_ASSIGN(
-      Execution exec, RunQuery(db.get(), choice.engine, q, true));
+      Execution exec, RunQuery(db.get(), choice.engine, q));
   EXPECT_TRUE(exec.result.SameAs(BruteForce(Merged(data, upserts), q)));
 }
 

@@ -2,8 +2,9 @@
 // exactness, known-answer tests on crafted chunks (empty, single-cell,
 // full-dense, max-offset-width) comparing the scalar and dispatched decode
 // paths cell-for-cell, range/morsel equivalence on dense bitmaps, and an
-// engine-level fuzz asserting parallel-morsel results stay bit-identical to
-// serial at thread counts 1-16 and forced morsel sizes down to 1 cell.
+// executor-level fuzz asserting morsel-scheduled results stay bit-identical
+// to the single-thread run at thread counts 1-16 and forced morsel sizes
+// down to 1 cell.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,9 +14,7 @@
 #include "array/chunk.h"
 #include "common/metrics.h"
 #include "core/consolidate.h"
-#include "core/consolidate_select.h"
 #include "core/kernels/consolidate_kernel.h"
-#include "core/parallel.h"
 #include "query/engine.h"
 #include "test_util.h"
 
@@ -23,6 +22,7 @@ namespace paradise {
 namespace {
 
 using paradise::testing::BruteForce;
+using paradise::testing::ConsolidateAt;
 using paradise::testing::SmallDbOptions;
 using paradise::testing::TempFile;
 using paradise::testing::TinyConfig;
@@ -375,21 +375,19 @@ TEST_P(KernelMorselFuzz, MorselSizesMatchSerial) {
                          ArrayConsolidate(*db_->olap(), q));
     EXPECT_TRUE(serial.SameAs(BruteForce(data_, q)));
     for (const uint32_t min_cells : {1u, 3u, 64u, UINT32_MAX}) {
-      MorselOptions mo;
+      ArrayConsolidateOptions mo;
       mo.min_cells = min_cells;
-      ParallelConsolidateStats stats;
-      ASSERT_OK_AND_ASSIGN(
-          query::GroupedResult parallel,
-          ParallelArrayConsolidate(*db_->olap(), q, threads, nullptr, &stats,
-                                   nullptr, mo));
+      ArrayConsolidateStats stats;
+      ASSERT_OK_AND_ASSIGN(query::GroupedResult parallel,
+                           ConsolidateAt(*db_->olap(), q, threads, &stats, mo));
       EXPECT_TRUE(parallel.SameAs(serial))
           << "threads=" << threads << " min_cells=" << min_cells;
       // Every chunk hands out exactly 1 + splits-from-it morsels.
       EXPECT_EQ(stats.morsels, stats.chunks_read + stats.morsel_splits);
-      if (min_cells == UINT32_MAX) {
-        EXPECT_EQ(stats.morsel_splits, 0u);  // whole-chunk cursor mode
-      }
-      if (min_cells == 1 && stats.chunks_read > 0) {
+      if (min_cells == UINT32_MAX || threads == 1) {
+        // Whole-chunk cursor mode; a lone worker has nobody to steal.
+        EXPECT_EQ(stats.morsel_splits, 0u);
+      } else if (min_cells == 1 && stats.chunks_read > 0) {
         EXPECT_GT(stats.morsel_splits, 0u);  // 60-cell chunks must split
       }
     }
@@ -412,28 +410,24 @@ TEST_P(KernelMorselFuzz, SelectionMorselSizesMatchSerial) {
   }
   for (size_t i = 0; i < queries.size(); ++i) {
     const query::ConsolidationQuery& q = queries[i];
-    ArraySelectStats serial_stats;
-    ASSERT_OK_AND_ASSIGN(
-        query::GroupedResult serial,
-        ArrayConsolidateWithSelection(*db_->olap(), q, nullptr,
-                                      &serial_stats));
+    ArrayConsolidateStats serial_stats;
+    ASSERT_OK_AND_ASSIGN(query::GroupedResult serial,
+                         ArrayConsolidate(*db_->olap(), q, nullptr,
+                                          &serial_stats));
+    EXPECT_TRUE(serial.SameAs(BruteForce(data_, q)));
     for (const uint32_t min_cells : {1u, 3u, 64u, UINT32_MAX}) {
-      MorselOptions mo;
+      ArrayConsolidateOptions mo;
       mo.min_cells = min_cells;
-      ArraySelectStats sel_stats;
-      ParallelConsolidateStats stats;
-      ASSERT_OK_AND_ASSIGN(
-          query::GroupedResult parallel,
-          ParallelArrayConsolidateWithSelection(*db_->olap(), q, threads,
-                                                nullptr, &sel_stats, &stats,
-                                                {}, mo));
+      ArrayConsolidateStats stats;
+      ASSERT_OK_AND_ASSIGN(query::GroupedResult parallel,
+                           ConsolidateAt(*db_->olap(), q, threads, &stats, mo));
       EXPECT_TRUE(parallel.SameAs(serial))
           << "query " << i << " threads=" << threads
           << " min_cells=" << min_cells;
       // Chunk reads and matched cells are split-invariant (candidates are
       // not: sparse early-outs apply per piece).
-      EXPECT_EQ(sel_stats.chunks_read, serial_stats.chunks_read);
-      EXPECT_EQ(sel_stats.hits, serial_stats.hits);
+      EXPECT_EQ(stats.chunks_read, serial_stats.chunks_read);
+      EXPECT_EQ(stats.hits, serial_stats.hits);
       EXPECT_EQ(stats.morsels, stats.chunks_read + stats.morsel_splits);
     }
   }
@@ -442,7 +436,7 @@ TEST_P(KernelMorselFuzz, SelectionMorselSizesMatchSerial) {
 TEST_P(KernelMorselFuzz, ForcedScalarMatchesDispatched) {
   const size_t threads = GetParam();
   IsaGuard guard;
-  MorselOptions mo;
+  ArrayConsolidateOptions mo;
   mo.min_cells = 5;
   for (const query::ConsolidationQuery& q : {gen::Query1(3), gen::Query2(3)}) {
     std::vector<query::GroupedResult> results;
@@ -452,20 +446,10 @@ TEST_P(KernelMorselFuzz, ForcedScalarMatchesDispatched) {
       } else {
         kernels::ForceIsa(std::nullopt);
       }
-      if (q.HasSelection()) {
-        ASSERT_OK_AND_ASSIGN(
-            query::GroupedResult r,
-            ParallelArrayConsolidateWithSelection(*db_->olap(), q, threads,
-                                                  nullptr, nullptr, nullptr,
-                                                  {}, mo));
-        results.push_back(std::move(r));
-      } else {
-        ASSERT_OK_AND_ASSIGN(query::GroupedResult r,
-                             ParallelArrayConsolidate(*db_->olap(), q, threads,
-                                                      nullptr, nullptr,
-                                                      nullptr, mo));
-        results.push_back(std::move(r));
-      }
+      ASSERT_OK_AND_ASSIGN(query::GroupedResult r,
+                           ConsolidateAt(*db_->olap(), q, threads, nullptr,
+                                         mo));
+      results.push_back(std::move(r));
     }
     EXPECT_TRUE(results[0].SameAs(results[1])) << "threads=" << threads;
   }
@@ -475,20 +459,14 @@ TEST_P(KernelMorselFuzz, MorselCancellationStopsQuery) {
   const size_t threads = GetParam();
   CancellationToken token;
   token.RequestCancel();
-  MorselOptions mo;
+  ArrayConsolidateOptions mo;
   mo.min_cells = 1;
-  EXPECT_TRUE(ParallelArrayConsolidate(*db_->olap(), gen::Query1(3), threads,
-                                       nullptr, nullptr, &token, mo)
-                  .status()
-                  .IsCancelled());
-  ArraySelectOptions sel_options;
-  sel_options.cancel = &token;
-  EXPECT_TRUE(ParallelArrayConsolidateWithSelection(*db_->olap(),
-                                                    gen::Query2(3), threads,
-                                                    nullptr, nullptr, nullptr,
-                                                    sel_options, mo)
-                  .status()
-                  .IsCancelled());
+  mo.cancel = &token;
+  for (const query::ConsolidationQuery& q : {gen::Query1(3), gen::Query2(3)}) {
+    EXPECT_TRUE(ConsolidateAt(*db_->olap(), q, threads, nullptr, mo)
+                    .status()
+                    .IsCancelled());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, KernelMorselFuzz,
@@ -527,12 +505,12 @@ TEST(KernelDispatchStats, RunQueryReportsIsaAndCounters) {
   EXPECT_EQ(star.stats.kernel_isa, "none");
 
   // Parallel run with 1-cell morsels: splits must reach the registry.
-  ParallelConsolidateStats pstats;
-  MorselOptions mo;
+  ArrayConsolidateStats pstats;
+  ArrayConsolidateOptions mo;
   mo.min_cells = 1;
   ASSERT_OK_AND_ASSIGN(query::GroupedResult parallel,
-                       ParallelArrayConsolidate(*db->olap(), gen::Query1(3), 2,
-                                                nullptr, &pstats, nullptr, mo));
+                       ConsolidateAt(*db->olap(), gen::Query1(3), 2, &pstats,
+                                     mo));
   EXPECT_GT(pstats.morsel_splits, 0u);
   EXPECT_EQ(reg.GetCounter("morsel.splits")->value(),
             splits_before + pstats.morsel_splits);

@@ -1,5 +1,6 @@
-// Parallel consolidation tests: exact agreement with the serial algorithms
-// (no-selection §4.1 and selection §4.2) across thread counts
+// Parallel consolidation tests: the array executor at N threads agrees
+// exactly with itself at one thread (no-selection §4.1 and selection §4.2)
+// and with the independent star-join engine, across thread counts
 // (parameterized), selection shapes, error handling, and stats.
 #include <chrono>
 #include <future>
@@ -9,8 +10,6 @@
 
 #include "common/cancellation.h"
 #include "core/consolidate.h"
-#include "core/consolidate_select.h"
-#include "core/parallel.h"
 #include "query/engine.h"
 #include "test_util.h"
 
@@ -18,6 +17,7 @@ namespace paradise {
 namespace {
 
 using paradise::testing::BruteForce;
+using paradise::testing::ConsolidateAt;
 using paradise::testing::SmallDbOptions;
 using paradise::testing::TempFile;
 using paradise::testing::TinyConfig;
@@ -46,14 +46,18 @@ TEST_P(ParallelConsolidateTest, MatchesSerialResult) {
     if (variant == 1) q.dims[1].group_by_col = 2;
     // variant 2: full collapse.
     ASSERT_OK_AND_ASSIGN(query::GroupedResult serial,
-                         ArrayConsolidate(*db_->olap(), q));
-    ParallelConsolidateStats stats;
-    ASSERT_OK_AND_ASSIGN(
-        query::GroupedResult parallel,
-        ParallelArrayConsolidate(*db_->olap(), q, threads, nullptr, &stats));
+                         ConsolidateAt(*db_->olap(), q, 1));
+    // threads=1 is the same executor run inline; the star join over the
+    // fact file is the independent reference.
+    ASSERT_OK_AND_ASSIGN(Execution star,
+                         RunQuery(db_.get(), EngineKind::kStarJoin, q));
+    ArrayConsolidateStats stats;
+    ASSERT_OK_AND_ASSIGN(query::GroupedResult parallel,
+                         ConsolidateAt(*db_->olap(), q, threads, &stats));
     EXPECT_TRUE(parallel.SameAs(serial)) << "variant " << variant;
-    EXPECT_EQ(stats.threads_used, threads);
+    EXPECT_TRUE(parallel.SameAs(star.result)) << "variant " << variant;
     EXPECT_GT(stats.chunks_read, 0u);
+    EXPECT_EQ(stats.morsels, stats.chunks_read + stats.morsel_splits);
   }
 }
 
@@ -75,26 +79,26 @@ TEST_P(ParallelConsolidateTest, SelectionMatchesSerialResult) {
   }
   for (size_t i = 0; i < queries.size(); ++i) {
     const query::ConsolidationQuery& q = queries[i];
-    ArraySelectStats serial_stats;
-    ASSERT_OK_AND_ASSIGN(
-        query::GroupedResult serial,
-        ArrayConsolidateWithSelection(*db_->olap(), q, nullptr,
-                                      &serial_stats));
-    ArraySelectStats par_select_stats;
-    ParallelConsolidateStats par_stats;
-    ASSERT_OK_AND_ASSIGN(
-        query::GroupedResult parallel,
-        ParallelArrayConsolidateWithSelection(*db_->olap(), q, threads,
-                                              nullptr, &par_select_stats,
-                                              &par_stats));
+    ArrayConsolidateStats serial_stats;
+    ASSERT_OK_AND_ASSIGN(query::GroupedResult serial,
+                         ConsolidateAt(*db_->olap(), q, 1, &serial_stats));
+    ASSERT_OK_AND_ASSIGN(Execution star,
+                         RunQuery(db_.get(), EngineKind::kStarJoin, q));
+    ArrayConsolidateStats par_stats;
+    ASSERT_OK_AND_ASSIGN(query::GroupedResult parallel,
+                         ConsolidateAt(*db_->olap(), q, threads, &par_stats));
     EXPECT_TRUE(parallel.SameAs(serial)) << "query " << i;
-    EXPECT_EQ(par_stats.threads_used, threads);
-    // The §4.2 work metrics are scheduling-independent: both paths read,
-    // skip and probe exactly the same chunks and candidates.
-    EXPECT_EQ(par_select_stats.chunks_read, serial_stats.chunks_read);
-    EXPECT_EQ(par_select_stats.chunks_skipped, serial_stats.chunks_skipped);
-    EXPECT_EQ(par_select_stats.candidates, serial_stats.candidates);
-    EXPECT_EQ(par_select_stats.hits, serial_stats.hits);
+    EXPECT_TRUE(parallel.SameAs(star.result)) << "query " << i;
+    // The §4.2 work metrics are scheduling-independent at the default
+    // morsel size: both runs read, skip and probe exactly the same chunks
+    // and candidates.
+    EXPECT_EQ(par_stats.chunks_read, serial_stats.chunks_read);
+    EXPECT_EQ(par_stats.chunks_skipped, serial_stats.chunks_skipped);
+    EXPECT_EQ(par_stats.candidates, serial_stats.candidates);
+    EXPECT_EQ(par_stats.hits, serial_stats.hits);
+    // Every chunk read hands out one morsel plus the pieces split off it.
+    EXPECT_EQ(par_stats.morsels,
+              par_stats.chunks_read + par_stats.morsel_splits);
   }
 }
 
@@ -102,30 +106,26 @@ TEST_P(ParallelConsolidateTest, EmptySelectionShortCircuits) {
   const size_t threads = GetParam();
   // A predicate matching no attribute value must produce an empty result
   // WITHOUT enumerating chunk order: the §4.2 early return fires before any
-  // chunk I/O, on the serial and the parallel path alike.
+  // chunk I/O, at one thread and at many alike.
   query::ConsolidationQuery q = gen::Query1(3);
   query::Selection s;
   s.attr_col = 1;
   s.values = {query::Literal{"ZZNOSUCHVALUE"}};
   q.dims[0].selections.push_back(std::move(s));
 
-  ArraySelectStats serial_stats;
-  ASSERT_OK_AND_ASSIGN(
-      query::GroupedResult serial,
-      ArrayConsolidateWithSelection(*db_->olap(), q, nullptr, &serial_stats));
+  ArrayConsolidateStats serial_stats;
+  ASSERT_OK_AND_ASSIGN(query::GroupedResult serial,
+                       ConsolidateAt(*db_->olap(), q, 1, &serial_stats));
   EXPECT_EQ(serial.num_groups(), 0u);
   EXPECT_EQ(serial_stats.chunks_read, 0u);
   EXPECT_EQ(serial_stats.candidates, 0u);
 
-  ArraySelectStats par_select_stats;
-  ParallelConsolidateStats par_stats;
-  ASSERT_OK_AND_ASSIGN(
-      query::GroupedResult parallel,
-      ParallelArrayConsolidateWithSelection(*db_->olap(), q, threads, nullptr,
-                                            &par_select_stats, &par_stats));
+  ArrayConsolidateStats par_stats;
+  ASSERT_OK_AND_ASSIGN(query::GroupedResult parallel,
+                       ConsolidateAt(*db_->olap(), q, threads, &par_stats));
   EXPECT_EQ(parallel.num_groups(), 0u);
-  EXPECT_EQ(par_select_stats.chunks_read, 0u);
-  EXPECT_EQ(par_select_stats.candidates, 0u);
+  EXPECT_EQ(par_stats.chunks_read, 0u);
+  EXPECT_EQ(par_stats.candidates, 0u);
   EXPECT_TRUE(parallel.SameAs(serial));
 
   // The same shape through the engine entry point (cold, both thread modes).
@@ -147,20 +147,10 @@ TEST(ParallelConsolidateErrors, RejectsBadArguments) {
   ASSERT_OK_AND_ASSIGN(
       std::unique_ptr<Database> db,
       BuildDatabaseFromConfig(file.path(), TinyConfig(50), SmallDbOptions()));
-  EXPECT_TRUE(
-      ParallelArrayConsolidate(*db->olap(), gen::Query2(3), 2).status()
-          .IsInvalidArgument());
-  EXPECT_TRUE(
-      ParallelArrayConsolidate(*db->olap(), gen::Query1(3), 0).status()
-          .IsInvalidArgument());
-  EXPECT_TRUE(ParallelArrayConsolidateWithSelection(*db->olap(),
-                                                    gen::Query1(3), 2)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(ParallelArrayConsolidateWithSelection(*db->olap(),
-                                                    gen::Query2(3), 0)
-                  .status()
-                  .IsInvalidArgument());
+  for (const query::ConsolidationQuery& q : {gen::Query1(3), gen::Query2(3)}) {
+    EXPECT_TRUE(
+        ConsolidateAt(*db->olap(), q, 0).status().IsInvalidArgument());
+  }
 }
 
 TEST(ParallelEngine, RunQueryThreadsMatchSerial) {
@@ -210,7 +200,7 @@ TEST(ParallelConsolidateErrors, MatchesBruteForceAtScale) {
       BuildDatabaseFromDataset(file.path(), data, SmallDbOptions()));
   const query::ConsolidationQuery q = gen::Query1(4);
   ASSERT_OK_AND_ASSIGN(query::GroupedResult result,
-                       ParallelArrayConsolidate(*db->olap(), q, 4));
+                       ConsolidateAt(*db->olap(), q, 4));
   EXPECT_TRUE(result.SameAs(BruteForce(data, q)));
 }
 
@@ -238,8 +228,9 @@ TEST(ParallelCancellation, FiredTokenNeverHangsTheJoin) {
       if (trial == 0) token.RequestCancel();  // fired before the pool starts
       std::future<Result<query::GroupedResult>> fut =
           std::async(std::launch::async, [&] {
-            return ParallelArrayConsolidate(*db->olap(), q, threads, nullptr,
-                                            nullptr, &token);
+            ArrayConsolidateOptions options;
+            options.cancel = &token;
+            return ConsolidateAt(*db->olap(), q, threads, nullptr, options);
           });
       if (trial > 0) {
         // Stagger the fire point across the query's lifetime so some runs

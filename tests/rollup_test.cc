@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/aggregate_registry.h"
 #include "core/consolidate.h"
-#include "core/consolidate_select.h"
 #include "core/slice.h"
 #include "test_util.h"
 
@@ -143,7 +143,7 @@ TEST_F(RollupTest, ResultSupportsSelection) {
   q.dims[0].selections.push_back(
       query::Selection{2, {query::Literal{std::string("cat1")}}});
   ASSERT_OK_AND_ASSIGN(query::GroupedResult got,
-                       ArrayConsolidateWithSelection(mid, q));
+                       ArrayConsolidate(mid, q));
   // Expected from the base cube with the same logical filter.
   query::ConsolidationQuery base_q;
   base_q.dims.resize(2);
@@ -151,7 +151,7 @@ TEST_F(RollupTest, ResultSupportsSelection) {
   base_q.dims[0].selections.push_back(
       query::Selection{2, {query::Literal{std::string("cat1")}}});
   ASSERT_OK_AND_ASSIGN(query::GroupedResult expected,
-                       ArrayConsolidateWithSelection(*db_->olap(), base_q));
+                       ArrayConsolidate(*db_->olap(), base_q));
   ASSERT_EQ(got.num_groups(), expected.num_groups());
   for (size_t i = 0; i < got.rows().size(); ++i) {
     EXPECT_EQ(got.rows()[i].group, expected.rows()[i].group);
@@ -184,6 +184,33 @@ TEST_F(RollupTest, RejectsFullCollapse) {
                                      ArrayOptions{})
                   .status()
                   .IsInvalidArgument());
+}
+
+// The registry keys a materialized cube by its grouping alone, so a filtered
+// one would be served to later unfiltered queries with partial sums.
+TEST_F(RollupTest, RejectsSelection) {
+  query::ConsolidationQuery q;
+  q.dims.resize(2);
+  q.dims[0].group_by_col = 1;
+  q.dims[1].group_by_col = 1;
+  q.dims[0].selections.push_back(
+      query::Selection{2, {query::Literal{std::string("cat1")}}});
+  EXPECT_TRUE(ConsolidateToOlapArray(db_->storage(), *db_->olap(),
+                                     db_->DimPointers(), q, "filtered",
+                                     ArrayOptions{})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(MaterializeConsolidation(db_->storage(), *db_->olap(), q,
+                                       ArrayOptions{})
+                  .status()
+                  .IsInvalidArgument());
+  // Nothing was registered, so the unfiltered query with the same grouping
+  // is still answered from the base cube.
+  q.dims[0].selections.clear();
+  ASSERT_OK_AND_ASSIGN(
+      std::optional<query::GroupedResult> from_agg,
+      AnswerFromAggregates(db_->storage(), "sales", q));
+  EXPECT_FALSE(from_agg.has_value());
 }
 
 }  // namespace

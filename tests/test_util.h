@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/status.h"
+#include "core/consolidate.h"
 #include "gen/datasets.h"
 #include "query/result.h"
 #include "schema/loader.h"
@@ -82,6 +83,15 @@ inline DatabaseOptions SmallDbOptions() {
   options.storage.buffer_pool_pages = 256;
   options.storage.pages_per_extent = 8;
   return options;
+}
+
+/// The array executor at `threads` workers, with `options` otherwise.
+inline Result<query::GroupedResult> ConsolidateAt(
+    const OlapArray& array, const query::ConsolidationQuery& q,
+    size_t threads, ArrayConsolidateStats* stats = nullptr,
+    ArrayConsolidateOptions options = {}) {
+  options.num_threads = threads;
+  return ArrayConsolidate(array, q, nullptr, stats, options);
 }
 
 /// Brute-force reference evaluation of a consolidation query directly over
