@@ -11,8 +11,11 @@
 // the size formulas in Chunk::SerializedBytes rely on this.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+
+#include "common/coding.h"
 
 namespace paradise {
 
@@ -65,6 +68,48 @@ inline uint64_t ReadBits(const char* base, uint64_t bit_pos, unsigned nbits) {
             << (8 * i);
   }
   return static_cast<uint64_t>(wide >> shift) & BitMask(nbits);
+}
+
+/// Unpacks the `n` consecutive `nbits`-wide fields first..first+n-1 of the
+/// stream [base, end) into `out` (out[k] = field first+k). The block decoder
+/// of the packed chunk codecs.
+///
+/// A field whose 8-byte window [bit_pos/8, bit_pos/8 + 8) lies inside the
+/// stream is read with one unaligned 64-bit load, a shift and a mask; that
+/// covers every width up to 56 (shift <= 7 leaves 57 bits in the word).
+/// Wider fields and the stream's last few fields, whose window would cross
+/// `end`, fall back to ReadBits — so no byte at or past `end` is ever read.
+template <typename T>
+inline void UnpackBits(const char* base, const char* end, uint64_t first,
+                       unsigned nbits, uint32_t n, T* out) {
+  if (nbits == 0) {
+    std::fill_n(out, n, T{0});
+    return;
+  }
+  // Fields [first, first + fast) start at or before max_pos, the last bit
+  // whose byte still has 8 stream bytes from it on. Checking the request's
+  // last field first keeps the usual whole-block call free of the division.
+  uint32_t fast = 0;
+  const size_t len = static_cast<size_t>(end - base);
+  if (nbits <= 56 && len >= 8 && n > 0) {
+    const uint64_t max_pos = (uint64_t{len} - 8) * 8 + 7;
+    if ((first + n - 1) * nbits <= max_pos) {
+      fast = n;
+    } else if (first * nbits <= max_pos) {
+      fast = static_cast<uint32_t>(max_pos / nbits + 1 - first);
+    }
+  }
+  const uint64_t mask = BitMask(nbits);
+  uint64_t bit_pos = first * nbits;
+  uint32_t k = 0;
+  for (; k < fast; ++k, bit_pos += nbits) {
+    const uint64_t word =
+        DecodeFixed64(base + static_cast<size_t>(bit_pos >> 3));
+    out[k] = static_cast<T>((word >> (bit_pos & 7)) & mask);
+  }
+  for (; k < n; ++k, bit_pos += nbits) {
+    out[k] = static_cast<T>(ReadBits(base, bit_pos, nbits));
+  }
 }
 
 }  // namespace paradise

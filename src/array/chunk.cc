@@ -390,6 +390,7 @@ Result<ChunkView> ChunkView::Make(std::string_view blob) {
     view.anchors_ = blob.data() + kPackedHeaderBytes;
     view.stream1_ = view.anchors_ + 4 * nb;
     view.values_ = view.stream1_ + (fields1 * width1 + 7) / 8;
+    view.end_ = blob.data() + blob.size();
     return view;
   }
   return Status::Corruption("unknown chunk format tag " + std::to_string(tag));
@@ -400,38 +401,36 @@ uint32_t ChunkView::BlockFirstOffset(uint32_t b) const {
 }
 
 int64_t ChunkView::PackedValue(uint32_t i) const {
-  return static_cast<int64_t>(
-      static_cast<uint64_t>(val_min_) +
-      ReadBits(values_, static_cast<uint64_t>(i) * val_bits_, val_bits_));
+  uint64_t field = 0;
+  UnpackBits(values_, end_, i, val_bits_, 1, &field);
+  return static_cast<int64_t>(static_cast<uint64_t>(val_min_) + field);
 }
 
 uint32_t ChunkView::DecodeBlockOffsets(uint32_t b, uint32_t* offsets) const {
   const uint32_t start = b * kPackedChunkBlock;
   const uint32_t n = std::min(kPackedChunkBlock, num_valid_ - start);
-  uint32_t off = BlockFirstOffset(b);
-  offsets[0] = off;
+  offsets[0] = BlockFirstOffset(b);
   if (encoding_ == ChunkEncoding::kBitPacked) {
-    for (uint32_t k = 1; k < n; ++k) {
-      offsets[k] = static_cast<uint32_t>(ReadBits(
-          stream1_, static_cast<uint64_t>(start + k) * width1_, width1_));
-    }
+    UnpackBits(stream1_, values_, start + 1, width1_, n - 1, offsets + 1);
     return n;
   }
-  const uint64_t slot0 =
-      static_cast<uint64_t>(b) * (kPackedChunkBlock - 1);
-  for (uint32_t k = 1; k < n; ++k) {
-    off += 1 + static_cast<uint32_t>(
-                   ReadBits(stream1_, (slot0 + k - 1) * width1_, width1_));
-    offsets[k] = off;
-  }
+  // Diff-sequence: unpack the block's n - 1 gaps, then prefix-sum them onto
+  // the anchor.
+  UnpackBits(stream1_, values_, uint64_t{b} * (kPackedChunkBlock - 1),
+             width1_, n - 1, offsets + 1);
+  for (uint32_t k = 1; k < n; ++k) offsets[k] += offsets[k - 1] + 1;
   return n;
 }
 
 uint32_t ChunkView::DecodeBlock(uint32_t b, uint32_t* offsets,
                                 int64_t* values) const {
   const uint32_t n = DecodeBlockOffsets(b, offsets);
-  const uint32_t start = b * kPackedChunkBlock;
-  for (uint32_t k = 0; k < n; ++k) values[k] = PackedValue(start + k);
+  UnpackBits(values_, end_, b * kPackedChunkBlock, val_bits_, n, values);
+  // Two's-complement bias add in uint64, as in PackedValue.
+  const uint64_t bias = static_cast<uint64_t>(val_min_);
+  for (uint32_t k = 0; k < n; ++k) {
+    values[k] = static_cast<int64_t>(static_cast<uint64_t>(values[k]) + bias);
+  }
   return n;
 }
 
@@ -442,21 +441,20 @@ ChunkEntry ChunkView::SparseEntry(uint32_t i) const {
       return ChunkEntry{DecodeFixed32(p),
                         static_cast<int64_t>(DecodeFixed64(p + 4))};
     }
-    case ChunkEncoding::kBitPacked:
-      return ChunkEntry{
-          static_cast<uint32_t>(ReadBits(
-              stream1_, static_cast<uint64_t>(i) * width1_, width1_)),
-          PackedValue(i)};
+    case ChunkEncoding::kBitPacked: {
+      uint32_t off = 0;
+      UnpackBits(stream1_, values_, i, width1_, 1, &off);
+      return ChunkEntry{off, PackedValue(i)};
+    }
     case ChunkEncoding::kDiffSeq: {
+      // Prefix-sum the j gaps before entry i onto its block's anchor.
       const uint32_t b = i / kPackedChunkBlock;
       const uint32_t j = i % kPackedChunkBlock;
+      uint32_t gaps[kPackedChunkBlock];
+      UnpackBits(stream1_, values_, uint64_t{b} * (kPackedChunkBlock - 1),
+                 width1_, j, gaps);
       uint32_t off = BlockFirstOffset(b);
-      const uint64_t slot0 =
-          static_cast<uint64_t>(b) * (kPackedChunkBlock - 1);
-      for (uint32_t k = 0; k < j; ++k) {
-        off += 1 + static_cast<uint32_t>(
-                       ReadBits(stream1_, (slot0 + k) * width1_, width1_));
-      }
+      for (uint32_t k = 0; k < j; ++k) off += 1 + gaps[k];
       return ChunkEntry{off, PackedValue(i)};
     }
     case ChunkEncoding::kDense:

@@ -220,6 +220,7 @@ class ChunkView {
   const char* anchors_ = nullptr;  // num_blocks_ fixed32 block-first offsets
   const char* stream1_ = nullptr;  // gap stream / absolute-offset stream
   const char* values_ = nullptr;   // bit-packed (value - val_min) stream
+  const char* end_ = nullptr;      // end of the value stream (= blob end)
 };
 
 }  // namespace paradise

@@ -21,15 +21,19 @@ struct AggState {
   int64_t min = std::numeric_limits<int64_t>::max();
   int64_t max = std::numeric_limits<int64_t>::min();
 
+  // Sums wrap modulo 2^64 (done in uint64_t, so overflow is defined):
+  // bit-identical to int64 addition whenever nothing overflows.
   void Add(int64_t v) {
-    sum += v;
+    sum = static_cast<int64_t>(static_cast<uint64_t>(sum) +
+                               static_cast<uint64_t>(v));
     ++count;
     if (v < min) min = v;
     if (v > max) max = v;
   }
 
   void Merge(const AggState& o) {
-    sum += o.sum;
+    sum = static_cast<int64_t>(static_cast<uint64_t>(sum) +
+                               static_cast<uint64_t>(o.sum));
     count += o.count;
     if (o.min < min) min = o.min;
     if (o.max > max) max = o.max;

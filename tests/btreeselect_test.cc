@@ -51,8 +51,9 @@ TEST_F(BTreeSelectTest, AuxCountsQualifyingTuples) {
   const query::ConsolidationQuery q = gen::Query2(3);
   ASSERT_OK_AND_ASSIGN(Execution exec,
                        RunQuery(db_.get(), EngineKind::kBTreeSelect, q));
+  const query::GroupedResult brute = BruteForce(data_, q);
   uint64_t expected = 0;
-  for (const auto& row : BruteForce(data_, q).rows()) {
+  for (const auto& row : brute.rows()) {
     expected += row.agg.count;
   }
   EXPECT_EQ(exec.stats.aux, expected);

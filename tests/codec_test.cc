@@ -10,15 +10,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "array/bitpack.h"
 #include "array/chunk.h"
 #include "array/chunk_layout.h"
 #include "array/chunked_array.h"
@@ -351,6 +355,120 @@ TEST(CodecConformanceTest, PackedFormatsRejectTruncationAndBadHeaders) {
   ASSERT_FALSE(view.ok());
   EXPECT_NE(view.status().ToString().find("unknown chunk format tag"),
             std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Block unpacker: UnpackBits must agree field for field with ReadBits and
+// never read past its stream. Buffers are exact-size heap allocations, so a
+// sanitizer build flags any byte read past the end.
+
+TEST(CodecUnpackTest, MatchesReadBitsForEveryWidthStartAndCount) {
+  Random rng(0xB17Bull);
+  for (unsigned w = 0; w <= 64; ++w) {
+    for (uint64_t first : {0u, 1u, 127u, 128u, 129u}) {
+      for (uint32_t n : {0u, 1u, 7u, 128u}) {
+        SCOPED_TRACE("width " + std::to_string(w) + " first " +
+                     std::to_string(first) + " n " + std::to_string(n));
+        const size_t bytes = static_cast<size_t>(((first + n) * w + 7) / 8);
+        std::unique_ptr<char[]> buf(new char[bytes]);
+        for (size_t i = 0; i < bytes; ++i) {
+          buf[i] = static_cast<char>(rng.Next());
+        }
+        uint64_t out[128];
+        UnpackBits(buf.get(), buf.get() + bytes, first, w, n, out);
+        for (uint32_t k = 0; k < n; ++k) {
+          ASSERT_EQ(out[k], ReadBits(buf.get(), (first + k) * w, w))
+              << "field " << first + k;
+        }
+        if (w <= 32) {
+          // The offset streams unpack into uint32_t.
+          uint32_t out32[128];
+          UnpackBits(buf.get(), buf.get() + bytes, first, w, n, out32);
+          for (uint32_t k = 0; k < n; ++k) ASSERT_EQ(out32[k], out[k]);
+        }
+      }
+    }
+  }
+}
+
+// Decodes `chunk` in `fmt` from an exact-size copy of its blob through every
+// packed-view reader and checks each against the chunk's entries.
+void CheckPackedDecodeInBounds(const Chunk& chunk, ChunkFormat fmt) {
+  const std::string blob = chunk.Serialize(fmt);
+  std::unique_ptr<char[]> buf(new char[blob.size()]);
+  std::memcpy(buf.get(), blob.data(), blob.size());
+  ASSERT_OK_AND_ASSIGN(ChunkView view,
+                       ChunkView::Make(std::string_view(buf.get(),
+                                                        blob.size())));
+  const std::vector<ChunkEntry>& entries = chunk.entries();
+  ASSERT_EQ(view.num_valid(), entries.size());
+  uint32_t offsets[kPackedChunkBlock];
+  int64_t values[kPackedChunkBlock];
+  const uint32_t blocks =
+      (view.num_valid() + kPackedChunkBlock - 1) / kPackedChunkBlock;
+  for (uint32_t b = 0; b < blocks; ++b) {
+    const uint32_t n = view.DecodeBlock(b, offsets, values);
+    for (uint32_t k = 0; k < n; ++k) {
+      ASSERT_EQ(offsets[k], entries[b * kPackedChunkBlock + k].offset);
+      ASSERT_EQ(values[k], entries[b * kPackedChunkBlock + k].value);
+    }
+  }
+  for (uint32_t i = 0; i < view.num_valid(); ++i) {
+    ASSERT_EQ(view.SparseEntry(i), entries[i]) << "entry " << i;
+    ASSERT_EQ(view.SparseLowerBound(entries[i].offset, 0), i);
+  }
+  ASSERT_OK_AND_ASSIGN(Chunk back,
+                       Chunk::Deserialize(std::string_view(buf.get(),
+                                                           blob.size())));
+  EXPECT_TRUE(back == chunk);
+}
+
+TEST(CodecUnpackTest, LastFieldOnTheBlobsFinalByteDecodesInBounds) {
+  Random rng(0x7A11ull);
+  // 136 entries: two blocks, and 136 * w bits is a whole number of bytes for
+  // every w, so the last value field ends exactly on the blob's final byte.
+  constexpr uint32_t kCount = 136;
+  for (unsigned w = 0; w <= 64; ++w) {
+    SCOPED_TRACE("value width " + std::to_string(w));
+    Chunk chunk(4096);
+    const int64_t lo = w == 64 ? std::numeric_limits<int64_t>::min() : -5;
+    const uint64_t span = BitMask(w);
+    uint32_t k = 0;
+    for (uint64_t off : SampleSortedDistinct(4096, kCount, &rng)) {
+      // The first entry pins the minimum and the last the maximum, so the
+      // value stream is exactly w bits wide.
+      const uint64_t delta = k == 0           ? 0
+                             : k == kCount - 1 ? span
+                                               : rng.Next() & span;
+      ASSERT_OK(chunk.AppendSorted(
+          static_cast<uint32_t>(off),
+          static_cast<int64_t>(static_cast<uint64_t>(lo) + delta)));
+      ++k;
+    }
+    for (ChunkFormat fmt :
+         {ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
+      SCOPED_TRACE(FormatTag(fmt));
+      CheckPackedDecodeInBounds(chunk, fmt);
+    }
+  }
+  // Constant values (zero value bits): the offset stream ends the blob, so
+  // its own tail takes the fallback. Sweep every offset width.
+  for (unsigned w = 1; w <= 31; ++w) {
+    SCOPED_TRACE("offset width " + std::to_string(w));
+    const uint32_t capacity = uint32_t{1} << w;
+    Chunk chunk(capacity);
+    const uint64_t count = std::min<uint64_t>(kCount, capacity);
+    std::set<uint64_t> offs = {capacity - 1};  // the widest offset
+    while (offs.size() < count) offs.insert(rng.Uniform(capacity));
+    for (uint64_t off : offs) {
+      ASSERT_OK(chunk.AppendSorted(static_cast<uint32_t>(off), 7));
+    }
+    for (ChunkFormat fmt :
+         {ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
+      SCOPED_TRACE(FormatTag(fmt));
+      CheckPackedDecodeInBounds(chunk, fmt);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

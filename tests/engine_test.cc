@@ -151,8 +151,9 @@ TEST(EngineTest, BitmapAuxCountsQualifyingTuples) {
   const query::ConsolidationQuery q = gen::Query2(3);
   ASSERT_OK_AND_ASSIGN(Execution exec,
                        RunQuery(db.get(), EngineKind::kBitmap, q));
+  const query::GroupedResult expected = BruteForce(data, q);
   uint64_t qualifying = 0;
-  for (const auto& row : BruteForce(data, q).rows()) {
+  for (const auto& row : expected.rows()) {
     qualifying += row.agg.count;
   }
   EXPECT_EQ(exec.stats.aux, qualifying);
