@@ -3,7 +3,8 @@
 // costing ~3x the whole array algorithm, and relational value-based
 // aggregation costing several times the array's position-based aggregation.
 // This bench prints each engine's per-phase seconds so that split is
-// directly visible.
+// directly visible. Every run is cold, so the phases include the pool drop
+// (`drop-caches`); the `total` row is the engine's own time and excludes it.
 #include "bench_util.h"
 #include "gen/datasets.h"
 

@@ -5,10 +5,9 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
-
-#include "common/trace.h"
+#include <string_view>
+#include <vector>
 
 namespace paradise {
 
@@ -36,112 +35,85 @@ class Stopwatch {
   Clock::time_point start_;
 };
 
-/// Accumulates named phase timings (e.g. "scan", "aggregate") so an
-/// algorithm can report where its time went. Accumulation is thread-safe:
-/// parallel consolidation workers add their per-phase time into the one
-/// timer carried by ExecutionStats, so phase totals are CPU-seconds summed
-/// across workers (they can exceed wall-clock time at high thread counts).
-/// Copyable despite the internal mutex — copies snapshot the totals.
-///
-/// A timer may carry an ExecutionTrace sink: while one is attached, every
-/// ScopedPhase additionally opens/closes a trace span, which is how all the
-/// engines gained span-level tracing without signature changes. The sink
-/// pointer is borrowed (the engine owns the trace), is deliberately NOT
-/// copied by the copy operations (a snapshot copy must not keep feeding
-/// spans), and spans are only opened from the coordinator thread — worker
-/// threads get a timer with no sink (see RunWorkers call sites).
+/// One timed scope of a query. `parent` indexes the enclosing span in the
+/// same PhaseTimer (-1 at top level); times are microseconds since the
+/// timer's construction.
+struct PhaseSpan {
+  std::string name;
+  int32_t parent = -1;
+  int64_t start_micros = 0;
+  int64_t duration_micros = 0;
+};
+
+/// A query's only timing record: the spans its ScopedPhases opened, in
+/// opening order (so a span's children follow it). The flat per-phase totals
+/// the paper's §5.5.1 scan/aggregate split reads are sums over same-named
+/// spans; the nesting is the query's trace tree (ExecutionStats::ToJson).
+/// Single-threaded: spans are opened and closed only on the thread running
+/// the query — parallel workers record nothing here.
 class PhaseTimer {
  public:
-  PhaseTimer() = default;
-  PhaseTimer(const PhaseTimer& other) : phases_(other.Snapshot()) {}
-  PhaseTimer& operator=(const PhaseTimer& other) {
-    if (this != &other) {
-      std::map<std::string, int64_t> copy = other.Snapshot();
-      std::lock_guard<std::mutex> lock(mu_);
-      phases_ = std::move(copy);
-    }
-    return *this;
+  PhaseTimer() : epoch_(Clock::now()) {}
+
+  /// Opens a span nested in the innermost open one; returns its index.
+  size_t Open(std::string name) {
+    spans_.push_back(PhaseSpan{std::move(name), open_, NowMicros(), 0});
+    open_ = static_cast<int32_t>(spans_.size() - 1);
+    return spans_.size() - 1;
   }
 
-  /// Adds `micros` to the named phase. Safe from any thread.
-  void Add(const std::string& phase, int64_t micros) {
-    std::lock_guard<std::mutex> lock(mu_);
-    phases_[phase] += micros;
+  /// Closes span `id`, which must be the innermost open one.
+  void Close(size_t id) {
+    PhaseSpan& span = spans_[id];
+    span.duration_micros = NowMicros() - span.start_micros;
+    open_ = span.parent;
   }
 
-  /// Merges every phase of `other` into this timer.
-  void Merge(const PhaseTimer& other) {
-    std::map<std::string, int64_t> theirs = other.Snapshot();
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [phase, micros] : theirs) phases_[phase] += micros;
-  }
+  const std::vector<PhaseSpan>& spans() const { return spans_; }
 
-  /// Total microseconds recorded for `phase` (0 if never recorded).
-  int64_t Micros(const std::string& phase) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = phases_.find(phase);
-    return it == phases_.end() ? 0 : it->second;
-  }
+  /// Total microseconds of the spans named `phase` (0 if none).
+  int64_t Micros(std::string_view phase) const;
 
-  double Seconds(const std::string& phase) const {
+  double Seconds(std::string_view phase) const {
     return static_cast<double>(Micros(phase)) * 1e-6;
   }
 
-  /// Consistent copy of all phase totals.
-  std::map<std::string, int64_t> Snapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return phases_;
-  }
+  /// Per-phase totals: each span name with the summed duration of its spans.
+  std::map<std::string, int64_t> phases() const;
 
-  /// Phase totals by reference — only safe once concurrent Add()ers have
-  /// joined (reporting code reads this after the query returns).
-  const std::map<std::string, int64_t>& phases() const { return phases_; }
-
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    phases_.clear();
-  }
-
-  /// Attaches (or detaches, with nullptr) a trace sink. Not thread-safe
-  /// against concurrent ScopedPhase construction — set it before the query
-  /// starts and clear it after the coordinator returns.
-  void set_trace(ExecutionTrace* trace) { trace_ = trace; }
-  ExecutionTrace* trace() const { return trace_; }
+  /// When the last span closed, in microseconds since construction.
+  int64_t EndMicros() const;
 
  private:
-  mutable std::mutex mu_;
-  std::map<std::string, int64_t> phases_;
-  ExecutionTrace* trace_ = nullptr;  // borrowed; never copied
+  using Clock = std::chrono::steady_clock;
+
+  int64_t NowMicros() const {
+    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                                 epoch_)
+        .count();
+  }
+
+  Clock::time_point epoch_;
+  std::vector<PhaseSpan> spans_;
+  int32_t open_ = -1;  // innermost open span
 };
 
-/// RAII guard adding the scope's duration to a PhaseTimer on destruction.
-/// When the timer carries a trace sink, the scope is also a trace span.
+/// RAII guard timing its scope as one span of a PhaseTimer; a null timer
+/// makes it a no-op.
 class ScopedPhase {
  public:
-  ScopedPhase(PhaseTimer* timer, std::string phase)
-      : timer_(timer), phase_(std::move(phase)) {
-    if (timer_ != nullptr && timer_->trace() != nullptr) {
-      span_id_ = timer_->trace()->BeginSpan(phase_);
-      has_span_ = true;
-    }
+  ScopedPhase(PhaseTimer* timer, std::string_view phase) : timer_(timer) {
+    if (timer_ != nullptr) id_ = timer_->Open(std::string(phase));
   }
   ~ScopedPhase() {
-    if (timer_ != nullptr) {
-      timer_->Add(phase_, watch_.ElapsedMicros());
-      if (has_span_ && timer_->trace() != nullptr) {
-        timer_->trace()->EndSpan(span_id_);
-      }
-    }
+    if (timer_ != nullptr) timer_->Close(id_);
   }
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
  private:
   PhaseTimer* timer_;
-  std::string phase_;
-  Stopwatch watch_;
-  uint64_t span_id_ = 0;
-  bool has_span_ = false;
+  size_t id_ = 0;
 };
 
 }  // namespace paradise

@@ -15,6 +15,27 @@ void AppendString(std::string* out, const std::string& s) {
   out->append(scratch, 4);
   out->append(s);
 }
+
+// Whether every column `q` groups or selects coarser than the level `agg`
+// stores its dimension at is a function of that level in the base cube.
+bool RollsUpFunctionally(const query::ConsolidationQuery& q,
+                         const AggregateProvenance& agg,
+                         const OlapArray& base) {
+  for (const AggregateProvenance::Entry& e : agg.grouped) {
+    const query::DimensionQuery& dq = q.dims[e.base_dim];
+    std::vector<size_t> cols;
+    if (dq.group_by_col.has_value()) cols.push_back(*dq.group_by_col);
+    for (const query::Selection& s : dq.selections) cols.push_back(s.attr_col);
+    for (const size_t col : cols) {
+      if (col > e.level_col && !base.i2i(e.base_dim)
+                                    .FunctionalRollUp(e.level_col, col)
+                                    .has_value()) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 }  // namespace
 
 std::string AggregateProvenance::Serialize() const {
@@ -144,9 +165,11 @@ std::optional<query::ConsolidationQuery> RewriteForAggregate(
 
 Result<std::optional<query::GroupedResult>> AnswerFromAggregates(
     StorageManager* storage, const std::string& base_cube,
-    const query::ConsolidationQuery& q, std::string* used) {
+    const query::ConsolidationQuery& q, std::string* used,
+    const OlapArray* base) {
   PARADISE_ASSIGN_OR_RETURN(std::vector<AggregateProvenance> aggregates,
                             ListAggregates(storage));
+  std::optional<OlapArray> opened_base;
   // Pick the applicable aggregate with the fewest result dimensions (a
   // proxy for size); ties broken by name for determinism.
   const AggregateProvenance* best = nullptr;
@@ -156,6 +179,13 @@ Result<std::optional<query::GroupedResult>> AnswerFromAggregates(
     std::optional<query::ConsolidationQuery> rewritten =
         RewriteForAggregate(q, agg, q.dims.size());
     if (!rewritten.has_value()) continue;
+    if (base == nullptr) {
+      PARADISE_ASSIGN_OR_RETURN(OlapArray opened,
+                                OlapArray::Open(storage, base_cube));
+      opened_base.emplace(std::move(opened));
+      base = &*opened_base;
+    }
+    if (!RollsUpFunctionally(q, agg, *base)) continue;
     if (best == nullptr ||
         agg.grouped.size() < best->grouped.size() ||
         (agg.grouped.size() == best->grouped.size() &&

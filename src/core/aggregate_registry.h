@@ -10,9 +10,12 @@
 //   * dimensions the aggregate collapsed are untouched by the query;
 //   * the aggregate stores SUMs, so only SUM queries of the same measure
 //     rewrite.
-// Correctness of the dense group codes across the rewrite relies on the
-// hierarchy being functionally dependent (finer level determines coarser) —
-// the same assumption ConsolidateToOlapArray documents.
+// The aggregate's dimension tables keep one coarser value per stored member,
+// so reading a column coarser than the stored level is only exact when the
+// base cube's hierarchy is functionally dependent there (finer level
+// determines coarser). AnswerFromAggregates checks that on the base cube's
+// IndexToIndexArray — the test RollUpCachedResult applies — and refuses the
+// rewrite otherwise.
 #pragma once
 
 #include <optional>
@@ -26,6 +29,8 @@
 #include "storage/storage_manager.h"
 
 namespace paradise {
+
+class OlapArray;
 
 struct AggregateProvenance {
   std::string name;       // the materialized cube's catalog name
@@ -58,12 +63,16 @@ std::optional<query::ConsolidationQuery> RewriteForAggregate(
     const query::ConsolidationQuery& q, const AggregateProvenance& agg,
     size_t base_num_dims);
 
-/// Scans the registry for aggregates of `base_cube` that can answer `q`,
-/// opens the one with the smallest cell space, runs the rewritten query and
+/// Scans the registry for aggregates of `base_cube` that can answer `q`
+/// exactly (RewriteForAggregate plus the functional-dependency check above),
+/// opens the one with the fewest dimensions, runs the rewritten query and
 /// returns its result — or nullopt if no aggregate applies. `used` (if
-/// non-null) receives the chosen aggregate's name.
+/// non-null) receives the chosen aggregate's name. `base` is the open base
+/// cube when the caller has it; otherwise it is opened from `storage` once
+/// some aggregate rewrites `q`.
 Result<std::optional<query::GroupedResult>> AnswerFromAggregates(
     StorageManager* storage, const std::string& base_cube,
-    const query::ConsolidationQuery& q, std::string* used = nullptr);
+    const query::ConsolidationQuery& q, std::string* used = nullptr,
+    const OlapArray* base = nullptr);
 
 }  // namespace paradise

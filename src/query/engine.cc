@@ -141,13 +141,8 @@ Result<Execution> RunQueryImpl(Database* db, EngineKind kind,
     pin.emplace(db->PinArray());
   }
   Execution exec;
-  if (options.trace) {
-    exec.stats.trace = std::make_shared<ExecutionTrace>(
-        "query:" + std::string(EngineKindToString(kind)));
-    // Every ScopedPhase the engines open on the coordinator thread now also
-    // records a trace span; worker threads use sink-less scratch timers.
-    exec.stats.phases.set_trace(exec.stats.trace.get());
-  }
+  exec.stats.engine = kind;
+  exec.stats.traced = options.trace;
   query::ConsolidationResultCache* const cache = options.cache;
   std::string cache_scope;
   uint64_t cache_epoch = 0;
@@ -211,15 +206,11 @@ Result<Execution> RunQueryImpl(Database* db, EngineKind kind,
       // A cache hit never touches the storage layer: no cold drop, zero
       // buffer-pool delta.
       exec.stats.seconds = cache_watch.ElapsedSeconds();
-      if (exec.stats.trace != nullptr) {
-        exec.stats.phases.set_trace(nullptr);
-        exec.stats.trace->Finish();
-      }
       return exec;
     }
   }
   if (options.cold) {
-    TraceScope drop_span(exec.stats.trace.get(), "drop-caches");
+    ScopedPhase phase(&exec.stats.phases, "drop-caches");
     PARADISE_RETURN_IF_ERROR(db->DropCaches());
   }
   const BufferPoolStats before = db->storage()->pool()->stats();
@@ -231,13 +222,11 @@ Result<Execution> RunQueryImpl(Database* db, EngineKind kind,
         return Status::InvalidArgument("database has no OLAP array");
       }
       // Record which decode kernel this query's consolidation dispatches —
-      // in the stats, as a zero-length marker span in the trace, and (when
-      // metrics are on) as a kernel.dispatch.<isa> counter — so a speedup
-      // or a regression is attributable to the ISA from any surface.
+      // in the stats and (when metrics are on) as a kernel.dispatch.<isa>
+      // counter — so a speedup or a regression is attributable to the ISA
+      // from any surface.
       const kernels::Isa isa = kernels::ActiveIsa();
       exec.stats.kernel_isa = std::string(kernels::IsaName(isa));
-      { TraceScope kernel_span(exec.stats.trace.get(),
-                               "kernel:" + exec.stats.kernel_isa); }
       if (db->storage()->options().metrics_enabled) {
         MetricsRegistry::Default()
             .GetCounter("kernel.dispatch." + exec.stats.kernel_isa)
@@ -309,11 +298,30 @@ Result<Execution> RunQueryImpl(Database* db, EngineKind kind,
     cache->Insert(cache_scope, cache_epoch, canon,
                   std::make_shared<const query::GroupedResult>(exec.result));
   }
-  if (exec.stats.trace != nullptr) {
-    exec.stats.phases.set_trace(nullptr);
-    exec.stats.trace->Finish();
-  }
   return exec;
+}
+
+// Writes the spans from `i` on whose parent is `parent` (-1: the trace
+// root), each followed by its own subtree; returns the first index past
+// them. Spans are in opening order, so a subtree is a contiguous run.
+size_t WriteSpans(JsonWriter& w, const std::vector<PhaseSpan>& spans, size_t i,
+                  int32_t parent) {
+  while (i < spans.size() && spans[i].parent == parent) {
+    const PhaseSpan& span = spans[i];
+    w.BeginObject();
+    w.KV("name", span.name);
+    w.KV("start_micros", span.start_micros);
+    w.KV("duration_micros", span.duration_micros);
+    const int32_t self = static_cast<int32_t>(i++);
+    if (i < spans.size() && spans[i].parent == self) {
+      w.Key("children");
+      w.BeginArray();
+      i = WriteSpans(w, spans, i, self);
+      w.EndArray();
+    }
+    w.EndObject();
+  }
+  return i;
 }
 
 }  // namespace
@@ -342,16 +350,26 @@ std::string ExecutionStats::ToJson() const {
   w.EndObject();
   w.Key("phases");
   w.BeginObject();
-  for (const auto& [phase, micros] : phases.Snapshot()) w.KV(phase, micros);
+  for (const auto& [phase, micros] : phases.phases()) w.KV(phase, micros);
   w.EndObject();
   w.Key("cache");
   w.BeginObject();
   w.KV("outcome", CacheOutcomeToString(cache_outcome));
   w.KV("source_rows", cache_source_rows);
   w.EndObject();
-  if (trace != nullptr) {
+  if (traced) {
     w.Key("trace");
-    w.Raw(trace->ToJson());
+    w.BeginObject();
+    w.KV("name", "query:" + std::string(EngineKindToString(engine)));
+    w.KV("start_micros", int64_t{0});
+    w.KV("duration_micros", phases.EndMicros());
+    if (!phases.spans().empty()) {
+      w.Key("children");
+      w.BeginArray();
+      WriteSpans(w, phases.spans(), 0, -1);
+      w.EndArray();
+    }
+    w.EndObject();
   }
   w.EndObject();
   return w.Take();

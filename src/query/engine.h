@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -12,7 +11,6 @@
 #include "common/cancellation.h"
 #include "common/result.h"
 #include "common/stopwatch.h"
-#include "common/trace.h"
 #include "query/query.h"
 #include "query/result.h"
 #include "schema/database.h"
@@ -69,14 +67,18 @@ std::string_view CacheOutcomeToString(CacheOutcome outcome);
 struct ExecutionStats {
   double seconds = 0.0;
   BufferPoolStats io;   // delta over the query
+  /// Every span the query opened — cache lookup/derive, drop-caches, then
+  /// the engine's phases (index lookup → scan/probe+aggregate → merge →
+  /// emit). Both the flat "phases" totals and the "trace" tree of ToJson
+  /// are views of this one list.
   PhaseTimer phases;
   /// Algorithm-specific: array = chunks read; bitmap = set bits in
   /// the final bitmap; left-deep = materialized intermediate rows.
   uint64_t aux = 0;
-  /// Span tree of the query (plan → scan/probe → aggregate → merge), present
-  /// when the query ran with RunQueryOptions::trace. Shared so copies of the
-  /// stats stay cheap.
-  std::shared_ptr<ExecutionTrace> trace;
+  /// The engine that answered; names the trace root "query:<engine>".
+  EngineKind engine = EngineKind::kArray;
+  /// Whether ToJson writes the span tree (RunQueryOptions::trace).
+  bool traced = false;
 
   /// Result-cache participation (kOff unless RunQueryOptions::cache is set).
   CacheOutcome cache_outcome = CacheOutcome::kOff;
@@ -100,7 +102,12 @@ struct ExecutionStats {
   ///          "prefetched":..,"prefetch_hits":..,"prefetch_wasted":..},
   ///    "phases":{name:micros,...},
   ///    "cache":{"outcome":"off|miss|hit|derived","source_rows":..},
-  ///    "trace":{...}}            ("trace" omitted when not traced)
+  ///    "trace":{"name":"query:<engine>","start_micros":0,
+  ///             "duration_micros":..,"children":[...]}}
+  /// "phases" maps each span name to the summed duration of its spans.
+  /// "trace" (only when `traced`) nests the same spans under a root lasting
+  /// until the last one closed; a span's "children" key is omitted when it
+  /// has none.
   std::string ToJson() const;
 };
 
@@ -118,9 +125,9 @@ struct RunQueryOptions {
   /// run serially. Parallel runs produce bit-identical results to serial
   /// ones.
   size_t num_threads = 1;
-  /// Collect an ExecutionTrace (span per engine phase) into
-  /// ExecutionStats::trace. Off by default: tracing costs one span
-  /// allocation per ScopedPhase on the coordinator thread.
+  /// Include the span tree in ExecutionStats::ToJson (sets
+  /// ExecutionStats::traced). The spans are recorded either way; this only
+  /// decides whether the reply carries them.
   bool trace = false;
   /// Consolidation result cache (borrowed; may be shared across databases
   /// and threads). When set, RunQuery tries an exact-signature hit, then a

@@ -120,8 +120,10 @@ Result<SqlExecution> RunSql(Database* db, std::string_view sql, bool cold,
   SqlExecution out;
 
   // Transparent acceleration (§1's open problem): a derivable SUM query is
-  // answered from a registered materialized aggregate.
-  if (options.use_materialized_aggregates) {
+  // answered from a registered materialized aggregate. Aggregates are not
+  // maintained by incremental ingest, so after the first commit only the
+  // base array reflects the data — the gate ChoosePlan and RunQuery apply.
+  if (options.use_materialized_aggregates && !db->ingested()) {
     if (cold) {
       PARADISE_RETURN_IF_ERROR(db->DropCaches());
     }
@@ -131,7 +133,7 @@ Result<SqlExecution> RunSql(Database* db, std::string_view sql, bool cold,
     PARADISE_ASSIGN_OR_RETURN(
         std::optional<query::GroupedResult> result,
         AnswerFromAggregates(db->storage(), db->schema().cube_name, q,
-                             &used));
+                             &used, db->olap()));
     if (result.has_value()) {
       out.plan.engine = EngineKind::kArray;
       out.plan.aggregate = used;

@@ -146,7 +146,7 @@ struct HelloReply {
 struct QueryRequest {
   /// 0 = let the planner choose; otherwise EngineKind value + 1.
   uint8_t engine = 0;
-  /// Collect an ExecutionTrace into the reply's stats JSON.
+  /// Include the span tree ("trace") in the reply's stats JSON.
   bool trace = false;
   /// Bypass the server's result cache for this query.
   bool no_cache = false;

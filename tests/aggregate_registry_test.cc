@@ -5,6 +5,7 @@
 #include "common/random.h"
 #include "core/aggregate_registry.h"
 #include "core/consolidate.h"
+#include "ingest/ingest.h"
 #include "query/planner.h"
 #include "test_util.h"
 
@@ -17,6 +18,9 @@ using paradise::testing::TempFile;
 // Strictly hierarchical 2-d cube (same setup as rollup_test).
 class AggregateRegistryTest : public ::testing::Test {
  protected:
+  // Product `pid`'s category: here a function of its type (pid % 5).
+  virtual int Category(int32_t pid) const { return pid % 5 % 2; }
+
   void SetUp() override {
     file_ = std::make_unique<TempFile>("aggreg");
     StarSchema schema;
@@ -38,9 +42,8 @@ class AggregateRegistryTest : public ::testing::Test {
     for (int32_t pid = 0; pid < 20; ++pid) {
       Tuple row(&product);
       row.SetInt32(0, pid);
-      const int type = pid % 5;
-      ASSERT_OK(row.SetString(1, "type" + std::to_string(type)));
-      ASSERT_OK(row.SetString(2, "cat" + std::to_string(type % 2)));
+      ASSERT_OK(row.SetString(1, "type" + std::to_string(pid % 5)));
+      ASSERT_OK(row.SetString(2, "cat" + std::to_string(Category(pid))));
       ASSERT_OK(db_->AppendDimensionRow(0, row));
     }
     for (int32_t sid = 0; sid < 10; ++sid) {
@@ -282,6 +285,86 @@ TEST_F(AggregateRegistryTest, RegistryPersistsAcrossReopen) {
   ASSERT_OK_AND_ASSIGN(query::GroupedResult direct,
                        ArrayConsolidate(*reopened->olap(), q));
   EXPECT_EQ(r->TotalSum(), direct.TotalSum());
+}
+
+TEST_F(AggregateRegistryTest, IngestCommitBypassesStaleAggregate) {
+  // Ingest maintains the base array only; the materialized aggregate still
+  // holds the pre-commit sums.
+  ASSERT_OK(db_->ingest()->Write({0, 0}, {100000}));
+  ASSERT_OK(db_->ingest()->Commit());
+  ASSERT_OK_AND_ASSIGN(
+      SqlExecution exec,
+      RunSql(db_.get(),
+             "select sum(volume), product.category from sales "
+             "group by product.category"));
+  EXPECT_TRUE(exec.plan.aggregate.empty()) << exec.plan.aggregate;
+  query::ConsolidationQuery q;
+  q.dims.resize(2);
+  q.dims[0].group_by_col = 2;
+  ASSERT_OK_AND_ASSIGN(Execution array,
+                       RunQuery(db_.get(), EngineKind::kArray, q));
+  EXPECT_GE(array.result.TotalSum(), 100000);
+  EXPECT_EQ(exec.execution.result.TotalSum(), array.result.TotalSum());
+  ASSERT_EQ(exec.execution.result.num_groups(), array.result.num_groups());
+  for (size_t i = 0; i < array.result.rows().size(); ++i) {
+    EXPECT_EQ(exec.execution.result.rows()[i].agg.sum,
+              array.result.rows()[i].agg.sum);
+  }
+}
+
+// category = pid % 2 is not a function of type = pid % 5, so the
+// (type, city) aggregate cannot tell which category a type's sums belong to.
+class AggregateRegistryNonFunctionalTest : public AggregateRegistryTest {
+ protected:
+  int Category(int32_t pid) const override { return pid % 2; }
+};
+
+TEST_F(AggregateRegistryNonFunctionalTest, CoarserColumnIsNotRewritten) {
+  ASSERT_OK_AND_ASSIGN(
+      SqlExecution exec,
+      RunSql(db_.get(),
+             "select sum(volume), product.category from sales "
+             "group by product.category"));
+  EXPECT_TRUE(exec.plan.aggregate.empty()) << exec.plan.aggregate;
+  query::ConsolidationQuery q;
+  q.dims.resize(2);
+  q.dims[0].group_by_col = 2;
+  ASSERT_OK_AND_ASSIGN(Execution star,
+                       RunQuery(db_.get(), EngineKind::kStarJoin, q));
+  ASSERT_EQ(exec.execution.result.num_groups(), star.result.num_groups());
+  for (size_t i = 0; i < star.result.rows().size(); ++i) {
+    EXPECT_EQ(exec.execution.result.rows()[i].agg.sum,
+              star.result.rows()[i].agg.sum);
+  }
+
+  // A selection on the category is refused the same way.
+  query::ConsolidationQuery selected;
+  selected.dims.resize(2);
+  selected.dims[1].group_by_col = 1;
+  selected.dims[0].selections.push_back(
+      query::Selection{2, {query::Literal{std::string("cat1")}}});
+  ASSERT_OK_AND_ASSIGN(std::optional<query::GroupedResult> r,
+                       AnswerFromAggregates(db_->storage(), "sales", selected));
+  EXPECT_FALSE(r.has_value());
+
+  // The stored level, or a coarser one reached through a functional
+  // hierarchy (city -> region), still rewrites.
+  query::ConsolidationQuery stored;
+  stored.dims.resize(2);
+  stored.dims[0].group_by_col = 1;
+  stored.dims[1].group_by_col = 2;
+  std::string used;
+  ASSERT_OK_AND_ASSIGN(
+      r, AnswerFromAggregates(db_->storage(), "sales", stored, &used));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(used, "by_type_city");
+  ASSERT_OK_AND_ASSIGN(query::GroupedResult direct,
+                       ArrayConsolidate(*db_->olap(), stored));
+  ASSERT_EQ(r->num_groups(), direct.num_groups());
+  for (size_t i = 0; i < direct.rows().size(); ++i) {
+    EXPECT_EQ(r->rows()[i].group, direct.rows()[i].group);
+    EXPECT_EQ(r->rows()[i].agg.sum, direct.rows()[i].agg.sum);
+  }
 }
 
 }  // namespace

@@ -298,16 +298,23 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
 
 TEST(PhaseTimerTest, AccumulatesNamedPhases) {
   PhaseTimer timer;
-  timer.Add("scan", 100);
-  timer.Add("scan", 50);
-  timer.Add("aggregate", 25);
-  EXPECT_EQ(timer.Micros("scan"), 150);
-  EXPECT_EQ(timer.Micros("aggregate"), 25);
+  for (const char* phase : {"scan", "scan", "aggregate"}) {
+    ScopedPhase scope(&timer, phase);
+    volatile int x = 0;
+    for (int i = 0; i < 1000; ++i) x = x + i;
+  }
+  const std::vector<PhaseSpan>& spans = timer.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(timer.Micros("scan"),
+            spans[0].duration_micros + spans[1].duration_micros);
+  EXPECT_EQ(timer.Micros("aggregate"), spans[2].duration_micros);
   EXPECT_EQ(timer.Micros("absent"), 0);
-  EXPECT_DOUBLE_EQ(timer.Seconds("scan"), 150e-6);
-  EXPECT_EQ(timer.phases().size(), 2u);
-  timer.Clear();
-  EXPECT_TRUE(timer.phases().empty());
+  EXPECT_DOUBLE_EQ(timer.Seconds("scan"),
+                   static_cast<double>(timer.Micros("scan")) * 1e-6);
+  const std::map<std::string, int64_t> phases = timer.phases();
+  EXPECT_EQ(phases.size(), 2u);
+  EXPECT_EQ(phases.at("scan"), timer.Micros("scan"));
+  EXPECT_TRUE(PhaseTimer().phases().empty());
 }
 
 TEST(PhaseTimerTest, ScopedPhaseRecords) {

@@ -2,9 +2,14 @@
 // consolidation, the bitmap+fact-file plan and the left-deep baseline must
 // all produce identical GroupedResults — and match the brute-force reference
 // — across randomized cubes, densities and query shapes.
+#include <map>
+#include <regex>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "query/engine.h"
+#include "query/result_cache.h"
 #include "test_util.h"
 
 namespace paradise {
@@ -139,6 +144,103 @@ TEST(EngineTest, PhaseTimersPopulated) {
       RunQuery(db.get(), EngineKind::kBitmap, gen::Query2(3)));
   EXPECT_TRUE(bitmap.stats.phases.phases().contains("bitmaps"));
   EXPECT_TRUE(bitmap.stats.phases.phases().contains("fetch+aggregate"));
+}
+
+// Sums of `"<name>":<micros>` pairs matched by `pattern` in `json`.
+std::map<std::string, int64_t> SumByName(const std::string& json,
+                                         const std::regex& pattern) {
+  std::map<std::string, int64_t> sums;
+  for (std::sregex_iterator it(json.begin(), json.end(), pattern), end;
+       it != end; ++it) {
+    sums[(*it)[1].str()] += std::stoll((*it)[2].str());
+  }
+  return sums;
+}
+
+// Checks, on the stats JSON itself, that "phases" is a view of "trace": its
+// keys are exactly the span names below the query:<engine> root, and each
+// value is the summed duration_micros of the spans with that name.
+void ExpectPhasesViewTrace(const Execution& exec, const std::string& label) {
+  SCOPED_TRACE(label);
+  const std::string json = exec.stats.ToJson();
+  const size_t phases_at = json.find("\"phases\":{");
+  const size_t trace_at = json.find("\"trace\":{\"name\":\"query:");
+  ASSERT_NE(phases_at, std::string::npos) << json;
+  ASSERT_NE(trace_at, std::string::npos) << json;
+  const std::string phases =
+      json.substr(phases_at, json.find('}', phases_at) - phases_at);
+  const std::map<std::string, int64_t> totals = SumByName(
+      phases.substr(std::string("\"phases\":").size()),
+      std::regex("\"([^\"]+)\":(-?[0-9]+)"));
+  // Skip the root span itself; every span after it lies below it.
+  const size_t below_root = json.find("\"children\":[", trace_at);
+  ASSERT_NE(below_root, std::string::npos) << json;
+  const std::map<std::string, int64_t> spans = SumByName(
+      json.substr(below_root),
+      std::regex("\\{\"name\":\"([^\"]+)\",\"start_micros\":-?[0-9]+,"
+                 "\"duration_micros\":(-?[0-9]+)"));
+  EXPECT_FALSE(totals.empty());
+  EXPECT_EQ(totals, spans) << json;
+}
+
+TEST(EngineTest, PhasesAreAViewOfTheTrace) {
+  TempFile file("engine_view");
+  DatabaseOptions db_options = SmallDbOptions();
+  db_options.build_btree_join_indexes = true;
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<Database> db,
+      BuildDatabaseFromConfig(file.path(), TinyConfig(300), db_options));
+  const query::ConsolidationQuery scan = gen::Query1(3);
+  const query::ConsolidationQuery select = gen::Query2(3);
+  const struct {
+    EngineKind kind;
+    const query::ConsolidationQuery* q;
+  } runs[] = {{EngineKind::kArray, &scan},
+              {EngineKind::kArray, &select},
+              {EngineKind::kStarJoin, &scan},
+              {EngineKind::kBitmap, &select},
+              {EngineKind::kLeftDeep, &scan},
+              {EngineKind::kBTreeSelect, &select}};
+  for (const bool cold : {true, false}) {
+    for (const auto& run : runs) {
+      RunQueryOptions options;
+      options.cold = cold;
+      options.trace = true;
+      ASSERT_OK_AND_ASSIGN(Execution exec,
+                           RunQuery(db.get(), run.kind, *run.q, options));
+      ExpectPhasesViewTrace(exec, std::string(EngineKindToString(run.kind)) +
+                                      (cold ? " cold" : " warm"));
+      EXPECT_EQ(exec.stats.phases.phases().contains("drop-caches"), cold);
+    }
+  }
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    RunQueryOptions options;
+    options.trace = true;
+    options.num_threads = threads;
+    ASSERT_OK_AND_ASSIGN(Execution exec,
+                         RunQuery(db.get(), EngineKind::kArray, scan, options));
+    ExpectPhasesViewTrace(exec, "array threads=" + std::to_string(threads));
+  }
+
+  query::ConsolidationResultCache::Options cache_options;
+  cache_options.derive_row_cost = 0;  // derive whenever the roll-up is exact
+  query::ConsolidationResultCache cache(cache_options);
+  RunQueryOptions cached;
+  cached.trace = true;
+  cached.cache = &cache;
+  ASSERT_OK_AND_ASSIGN(Execution miss,
+                       RunQuery(db.get(), EngineKind::kArray, scan, cached));
+  ExpectPhasesViewTrace(miss, "cache miss");
+  ASSERT_OK_AND_ASSIGN(Execution hit,
+                       RunQuery(db.get(), EngineKind::kArray, scan, cached));
+  ASSERT_EQ(hit.stats.cache_outcome, CacheOutcome::kHit);
+  ExpectPhasesViewTrace(hit, "cache hit");
+  query::ConsolidationQuery coarse = scan;
+  coarse.dims[1].group_by_col = 2;  // TinyConfig's dim1 rolls up 1 -> 2
+  ASSERT_OK_AND_ASSIGN(Execution derived,
+                       RunQuery(db.get(), EngineKind::kArray, coarse, cached));
+  ASSERT_EQ(derived.stats.cache_outcome, CacheOutcome::kDerived);
+  ExpectPhasesViewTrace(derived, "derived hit");
 }
 
 TEST(EngineTest, BitmapAuxCountsQualifyingTuples) {

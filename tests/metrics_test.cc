@@ -1,6 +1,7 @@
 // Observability-layer tests: histogram bucketing known-answers, registry
-// concurrency, trace span nesting, JSON golden output, the PhaseTimer trace
-// sink, and the disabled-mode zero-allocation guarantee.
+// concurrency, PhaseTimer span nesting, JSON golden output, the trace tree
+// ExecutionStats writes from the spans, and the disabled-mode
+// zero-allocation guarantee.
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -12,7 +13,6 @@
 #include "common/json_writer.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
-#include "common/trace.h"
 #include "query/engine.h"
 
 // Global allocation counter backing the zero-allocation test. Replacing
@@ -199,95 +199,58 @@ TEST(JsonWriterTest, EscapesAndNesting) {
             "\"nested\":{}}");
 }
 
-// -------------------------------------------------------------------- trace
+// ------------------------------------------------------------------- spans
 
-TEST(ExecutionTraceTest, SpansNestUnderInnermostOpen) {
-  ExecutionTrace t("query");
-  const uint64_t plan = t.BeginSpan("plan");
-  t.EndSpan(plan);
-  const uint64_t scan = t.BeginSpan("scan");
-  const uint64_t chunk = t.BeginSpan("chunk");
-  t.EndSpan(chunk);
-  t.EndSpan(scan);
-  t.Finish();
+TEST(PhaseTimerTest, SpansNestUnderInnermostOpen) {
+  PhaseTimer t;
+  const size_t plan = t.Open("plan");
+  t.Close(plan);
+  const size_t scan = t.Open("scan");
+  const size_t chunk = t.Open("chunk");
+  t.Close(chunk);
+  t.Close(scan);
+  const size_t emit = t.Open("emit");
+  t.Close(emit);
 
-  TraceSpan root = t.Snapshot();
-  EXPECT_EQ(root.name, "query");
-  EXPECT_GE(root.duration_micros, 0);
-  ASSERT_EQ(root.children.size(), 2u);
-  EXPECT_EQ(root.children[0]->name, "plan");
-  EXPECT_EQ(root.children[1]->name, "scan");
-  ASSERT_EQ(root.children[1]->children.size(), 1u);
-  EXPECT_EQ(root.children[1]->children[0]->name, "chunk");
-
-  TraceSpan found;
-  EXPECT_TRUE(t.FindSpan("chunk", &found));
-  EXPECT_GE(found.duration_micros, 0);
-  EXPECT_FALSE(t.FindSpan("no-such-span", nullptr));
+  const std::vector<PhaseSpan>& spans = t.spans();
+  ASSERT_EQ(spans.size(), 4u);
+  EXPECT_EQ(spans[0].name, "plan");
+  EXPECT_EQ(spans[0].parent, -1);
+  EXPECT_EQ(spans[1].name, "scan");
+  EXPECT_EQ(spans[1].parent, -1);
+  EXPECT_EQ(spans[2].name, "chunk");
+  EXPECT_EQ(spans[2].parent, 1);
+  EXPECT_EQ(spans[3].name, "emit");
+  EXPECT_EQ(spans[3].parent, -1);
+  for (const PhaseSpan& span : spans) EXPECT_GE(span.duration_micros, 0);
+  // A child lies inside its parent, and siblings follow one another.
+  EXPECT_GE(spans[2].start_micros, spans[1].start_micros);
+  EXPECT_LE(spans[2].start_micros + spans[2].duration_micros,
+            spans[1].start_micros + spans[1].duration_micros);
+  EXPECT_GE(spans[1].start_micros,
+            spans[0].start_micros + spans[0].duration_micros);
+  EXPECT_EQ(t.EndMicros(), spans[3].start_micros + spans[3].duration_micros);
 }
 
-TEST(ExecutionTraceTest, EndSpanClosesForgottenDescendants) {
-  ExecutionTrace t;
-  const uint64_t outer = t.BeginSpan("outer");
-  (void)t.BeginSpan("inner-forgotten");
-  t.EndSpan(outer);  // must close "inner-forgotten" too
-  TraceSpan inner;
-  ASSERT_TRUE(t.FindSpan("inner-forgotten", &inner));
-  EXPECT_GE(inner.duration_micros, 0);
-  // Double-close and unknown ids are ignored.
-  t.EndSpan(outer);
-  t.EndSpan(12345);
-  t.Finish();
-  t.Finish();
-  TraceSpan root = t.Snapshot();
-  EXPECT_GE(root.duration_micros, 0);
-}
-
-TEST(ExecutionTraceTest, CompleteSpansAndJsonShape) {
-  ExecutionTrace t("q");
-  const uint64_t scan = t.BeginSpan("scan");
-  t.AddCompleteSpan("precomputed", 5, 17);
-  t.EndSpan(scan);
-  t.Finish();
-  const std::string json = t.ToJson();
-  EXPECT_NE(json.find("\"name\":\"q\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"scan\""), std::string::npos);
-  EXPECT_NE(
-      json.find("{\"name\":\"precomputed\",\"start_micros\":5,"
-                "\"duration_micros\":17}"),
-      std::string::npos);
-  // Exactly one "children" array under root, one under scan.
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-}
-
-TEST(PhaseTimerTest, TraceSinkRecordsSpansAndIsNotCopied) {
-  ExecutionTrace trace("q");
+TEST(PhaseTimerTest, ScopedPhasesNestAndCopiesKeepThem) {
   PhaseTimer timer;
-  timer.set_trace(&trace);
   {
     ScopedPhase outer(&timer, "scan");
     ScopedPhase inner(&timer, "aggregate");
   }
+  { ScopedPhase again(&timer, "scan"); }
+  ASSERT_EQ(timer.spans().size(), 3u);
+  EXPECT_EQ(timer.spans()[1].name, "aggregate");
+  EXPECT_EQ(timer.spans()[1].parent, 0);
+  EXPECT_EQ(timer.spans()[2].parent, -1);
+  // Same-named spans accumulate into one phase total.
+  EXPECT_EQ(timer.Micros("scan"), timer.spans()[0].duration_micros +
+                                      timer.spans()[2].duration_micros);
   PhaseTimer copy(timer);
-  EXPECT_EQ(copy.trace(), nullptr);  // copies must not keep feeding spans
   EXPECT_EQ(copy.Micros("scan"), timer.Micros("scan"));
-  PhaseTimer assigned;
-  assigned = timer;
-  EXPECT_EQ(assigned.trace(), nullptr);
-  timer.set_trace(nullptr);
-  { ScopedPhase after(&timer, "untraced"); }
-  trace.Finish();
-
-  TraceSpan root = trace.Snapshot();
-  ASSERT_EQ(root.children.size(), 1u);
-  EXPECT_EQ(root.children[0]->name, "scan");
-  ASSERT_EQ(root.children[0]->children.size(), 1u);
-  EXPECT_EQ(root.children[0]->children[0]->name, "aggregate");
-  EXPECT_FALSE(trace.FindSpan("untraced", nullptr));
-  // Flat totals still recorded for all three phases.
-  EXPECT_GE(timer.Micros("scan"), 0);
-  EXPECT_GE(timer.Micros("untraced"), 0);
+  EXPECT_EQ(copy.phases(), timer.phases());
+  ASSERT_EQ(copy.spans().size(), 3u);
+  EXPECT_EQ(copy.spans()[1].parent, 0);
 }
 
 // ---------------------------------------------------- ExecutionStats schema
@@ -301,7 +264,7 @@ TEST(ExecutionStatsTest, ToJsonCarriesDocumentedSchema) {
   stats.io.disk_reads = 3;
   stats.io.seq_disk_reads = 2;
   stats.io.rand_disk_reads = 1;
-  stats.phases.Add("scan", 1000);
+  { ScopedPhase scan(&stats.phases, "scan"); }
   const std::string json = stats.ToJson();
   for (const char* key :
        {"\"seconds\":", "\"modeled_seconds\":", "\"aux\":42", "\"io\":",
@@ -309,17 +272,47 @@ TEST(ExecutionStatsTest, ToJsonCarriesDocumentedSchema) {
         "\"seq_disk_reads\":2", "\"rand_disk_reads\":1", "\"disk_writes\":0",
         "\"evictions\":0", "\"read_retries\":0", "\"coalesced_reads\":0",
         "\"prefetched\":0", "\"prefetch_hits\":0", "\"prefetch_wasted\":0",
-        "\"phases\":", "\"scan\":1000"}) {
+        "\"phases\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
-  // No trace attached → no trace key.
+  EXPECT_NE(json.find("\"phases\":{\"scan\":" +
+                      std::to_string(stats.phases.Micros("scan")) + "}"),
+            std::string::npos);
+  // Not traced → no trace key.
   EXPECT_EQ(json.find("\"trace\":"), std::string::npos);
 
-  stats.trace = std::make_shared<ExecutionTrace>("query:array");
-  stats.trace->Finish();
+  stats.traced = true;
   const std::string traced = stats.ToJson();
   EXPECT_NE(traced.find("\"trace\":{\"name\":\"query:array\""),
             std::string::npos);
+}
+
+TEST(ExecutionStatsTest, TraceJsonNestsSpansUnderEngineRoot) {
+  ExecutionStats stats;
+  stats.engine = EngineKind::kStarJoin;
+  stats.traced = true;
+  {
+    ScopedPhase scan(&stats.phases, "scan");
+    { ScopedPhase chunk(&stats.phases, "chunk"); }
+    { ScopedPhase chunk(&stats.phases, "chunk"); }
+  }
+  { ScopedPhase emit(&stats.phases, "emit"); }
+  const std::vector<PhaseSpan>& spans = stats.phases.spans();
+  ASSERT_EQ(spans.size(), 4u);
+  auto span_json = [](const PhaseSpan& s) {
+    return "{\"name\":\"" + s.name + "\",\"start_micros\":" +
+           std::to_string(s.start_micros) + ",\"duration_micros\":" +
+           std::to_string(s.duration_micros);
+  };
+  const std::string tree =
+      "\"trace\":{\"name\":\"query:starjoin\",\"start_micros\":0,"
+      "\"duration_micros\":" + std::to_string(stats.phases.EndMicros()) +
+      ",\"children\":[" + span_json(spans[0]) + ",\"children\":[" +
+      span_json(spans[1]) + "}," + span_json(spans[2]) + "}]}," +
+      span_json(spans[3]) + "}]}}";
+  const std::string json = stats.ToJson();
+  EXPECT_NE(json.find(tree), std::string::npos) << json;
+  EXPECT_EQ(json.back(), '}');
 }
 
 // ----------------------------------------------------- disabled-mode cost
@@ -335,9 +328,9 @@ TEST(DisabledModeTest, RecordingPathsDoNotAllocate) {
     g->Add(1);
     h->Record(i);
   }
-  // A null trace makes TraceScope a no-op — the disabled-tracing hot path.
+  // A null timer makes ScopedPhase a no-op — the untimed hot path.
   for (int i = 0; i < 1000; ++i) {
-    TraceScope scope(nullptr, "not-traced");
+    ScopedPhase scope(nullptr, "not-timed");
   }
   const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "metric recording must never allocate";

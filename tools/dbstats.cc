@@ -25,7 +25,7 @@
 //   --engine NAME    array|starjoin|bitmap|leftdeep (default array)
 //   --threads N      array-engine worker threads (default 1)
 //   --warm           skip the cold-buffer protocol before the query
-//   --no-trace       disable the per-query ExecutionTrace
+//   --no-trace       omit the span tree ("trace") from the query stats
 //   --no-query       snapshot file/storage/registry state only
 //   --exercise-server
 //                    spin up an in-process olapd on loopback and drive one

@@ -14,7 +14,7 @@
 //   --engine NAME  force array|starjoin|bitmap|leftdeep|btreeselect
 //                  (default: let the server's planner choose)
 //   --threads N    array-engine worker threads (default 1)
-//   --trace        request an ExecutionTrace in the stats JSON
+//   --trace        request the span tree ("trace") in the stats JSON
 //   --no-cache     bypass the server's result cache
 //   --timeout-ms N query deadline: the server aborts the query and replies
 //                  QUERY_TIMEOUT once N ms elapse; the client also gives up
