@@ -1,5 +1,5 @@
-// Ablation: the incremental ingest path (DESIGN.md choice 15). Three
-// measurements over one cube:
+// Ablation: the incremental ingest path (DESIGN.md choice 15). Four
+// measurements over one cube, then an overlay sweep over Data Set 1:
 //
 //   ingest      write/commit throughput (cells/s) across delta generations,
 //               then one timed compaction merging them all;
@@ -14,7 +14,12 @@
 //               pinned readers run against their epoch untouched, so churn
 //               p99 must stay within a few percent of matched p99 — any
 //               excess is database-level interference (locks, version
-//               churn), not timeslicing.
+//               churn), not timeslicing;
+//   overlay     serial warm reader p50 on DataSet1(1000) with 0, 100, 400
+//               and 800 committed-but-uncompacted delta cells: what the
+//               scan kernel's base+delta merge costs per overlay cell.
+//               Each level's answer must equal the answer after compacting
+//               that overlay into a re-encoded base.
 //
 // Every reader result is compared against the pin-time answer of its own
 // snapshot — the bench dies on the first divergence, so a passing churn run
@@ -32,6 +37,7 @@
 
 #include "bench_json.h"
 #include "bench_util.h"
+#include "common/random.h"
 #include "core/consolidate.h"
 #include "gen/datasets.h"
 #include "gen/generator.h"
@@ -123,6 +129,85 @@ LatencyPass RunPinnedReaders(const Database* db,
   pass.p99_ms = static_cast<double>(Percentile(micros, 0.99)) / 1000.0;
   pass.queries = queries;
   return pass;
+}
+
+/// The overlay sweep: one serial warm reader on DataSet1(1000, 10, seed 5)
+/// stored under kAuto, running Query 1, measured with `level` delta cells
+/// committed on a freshly compacted base, for each level. Half the upserts
+/// overwrite stored cells, half insert new ones. Each level's answer is
+/// checked against the answer after compacting its overlay, which
+/// re-encodes the merged chunks.
+void RunOverlaySweep(BenchReport* report) {
+  BenchFile file("ingest_overlay");
+  const gen::GenConfig config = gen::DataSet1(1000, 10, 5);
+  Result<gen::SyntheticDataset> data_or = gen::Generate(config);
+  if (!data_or.ok()) Die(data_or.status());
+  const gen::SyntheticDataset data = std::move(data_or).value();
+  // kAuto, like the benchmark's cubes: a chunk re-encode sizes every codec.
+  DatabaseOptions options = PaperOptions();
+  options.array.chunk_format = ChunkFormat::kAuto;
+  Result<std::unique_ptr<Database>> db_or =
+      BuildDatabaseFromDataset(file.path(), data, options);
+  if (!db_or.ok()) Die(db_or.status());
+  const std::unique_ptr<Database> db = std::move(db_or).value();
+  const query::ConsolidationQuery q = gen::Query1(config.dims.size());
+  uint64_t total_cells = 1;
+  for (const gen::GenDimension& d : config.dims) total_cells *= d.size;
+
+  constexpr size_t kSweepQueries = 100;
+  Random rng(5);
+  std::printf("overlay_cells,queries,p50_ms\n");
+  for (const size_t level : {0, 100, 400, 800}) {
+    for (size_t i = 0; i < level; ++i) {
+      const uint64_t gi =
+          i % 2 == 0 ? data.cell_global_indices[rng.Uniform(
+                           data.cell_global_indices.size())]
+                     : rng.Uniform(total_cells);
+      if (Status st = db->ingest()->Write(data.CellKeys(gi),
+                                          {static_cast<int64_t>(i)});
+          !st.ok()) {
+        Die(st);
+      }
+    }
+    if (Status st = db->ingest()->Commit(); !st.ok()) Die(st);
+    const uint64_t overlay_cells = db->ingest()->stats().overlay_cells;
+    // Warm-up query; the pool then holds the whole array.
+    Result<query::GroupedResult> first = ArrayConsolidate(*db->olap(), q);
+    if (!first.ok()) Die(first.status());
+    std::vector<uint64_t> micros;
+    for (size_t i = 0; i < kSweepQueries; ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      Result<query::GroupedResult> r = ArrayConsolidate(*db->olap(), q);
+      const auto t1 = std::chrono::steady_clock::now();
+      if (!r.ok()) Die(r.status());
+      if (!r->SameAs(*first)) {
+        Die(Status::Internal("overlay sweep answer changed between queries"));
+      }
+      micros.push_back(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
+              .count()));
+    }
+    if (Status st = db->ingest()->Compact(); !st.ok()) Die(st);
+    Result<query::GroupedResult> compacted = ArrayConsolidate(*db->olap(), q);
+    if (!compacted.ok()) Die(compacted.status());
+    if (!compacted->SameAs(*first)) {
+      Die(Status::Internal("overlay answer at " + std::to_string(level) +
+                           " delta cells differs from the compacted base's"));
+    }
+    std::sort(micros.begin(), micros.end());
+    const double p50_ms = static_cast<double>(Percentile(micros, 0.50)) / 1000;
+    std::printf("%llu,%zu,%.3f\n",
+                static_cast<unsigned long long>(overlay_cells), kSweepQueries,
+                p50_ms);
+    ExecutionStats stats;
+    stats.seconds = p50_ms / 1000;
+    report->Add({{"mode", "overlay_sweep"},
+                 {"overlay_cells", std::to_string(overlay_cells)}},
+                "array", first->num_groups(), stats,
+                {{"p50_ms", p50_ms},
+                 {"overlay_cells", static_cast<double>(overlay_cells)},
+                 {"queries", static_cast<double>(kSweepQueries)}});
+  }
 }
 
 }  // namespace
@@ -324,6 +409,9 @@ int main() {
                 {"compactions", static_cast<double>(
                      is_churn ? churn_compactions.load() : 0)}});
   }
+
+  // --- Pass 5: reader cost per overlay cell.
+  RunOverlaySweep(&report);
   report.WriteFile();
   return 0;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "array/chunked_array.h"
 #include "storage/buffer_pool.h"
 #include "storage/io_pool.h"
 
@@ -52,15 +51,16 @@ void ChunkReadAhead::ScheduleWindow(const std::shared_ptr<State>& st,
         return;
       }
       lock.unlock();
-      Result<std::string> blob = st->array->ReadChunkBlob(st->chunks[idx]);
+      Result<ChunkedArray::ChunkParts> parts =
+          st->array->ReadChunkParts(st->chunks[idx]);
       lock.lock();
       Slot& slot = st->slots[idx];
-      if (blob.ok()) {
-        slot.blob = std::move(blob).value();
+      if (parts.ok()) {
+        slot.parts = std::move(parts).value();
         slot.state = Slot::kReady;
         if (st->pool != nullptr) st->pool->RecordPrefetch();
       } else {
-        slot.status = blob.status();
+        slot.status = parts.status();
         slot.state = Slot::kFailed;
       }
       --st->in_flight;
@@ -75,7 +75,8 @@ void ChunkReadAhead::ScheduleWindow(const std::shared_ptr<State>& st,
   }
 }
 
-Result<bool> ChunkReadAhead::Next(uint64_t* chunk_no, std::string* blob) {
+Result<bool> ChunkReadAhead::Next(uint64_t* chunk_no,
+                                  ChunkedArray::ChunkParts* parts) {
   std::shared_ptr<State>& st = state_;
   std::unique_lock<std::mutex> lock(st->mu);
   if (st->next_claim >= st->chunks.size()) return false;
@@ -94,8 +95,8 @@ Result<bool> ChunkReadAhead::Next(uint64_t* chunk_no, std::string* blob) {
   switch (slot.state) {
     case Slot::kReady:
       *chunk_no = st->chunks[idx];
-      *blob = std::move(slot.blob);
-      slot.blob.clear();
+      *parts = std::move(slot.parts);
+      slot.parts = {};
       return true;
     case Slot::kFailed:
       return slot.status;
@@ -104,10 +105,8 @@ Result<bool> ChunkReadAhead::Next(uint64_t* chunk_no, std::string* blob) {
       // consumers can claim and wait concurrently.
       const uint64_t chunk = st->chunks[idx];
       lock.unlock();
-      PARADISE_ASSIGN_OR_RETURN(std::string bytes,
-                                st->array->ReadChunkBlob(chunk));
+      PARADISE_ASSIGN_OR_RETURN(*parts, st->array->ReadChunkParts(chunk));
       *chunk_no = chunk;
-      *blob = std::move(bytes);
       return true;
     }
   }

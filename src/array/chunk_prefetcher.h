@@ -9,12 +9,15 @@
 //
 // Usage (each worker thread):
 //   ChunkReadAhead cursor(array, chunks, depth, io_pool, pool);
-//   uint64_t chunk_no; std::string blob;
+//   uint64_t chunk_no; ChunkedArray::ChunkParts parts;
 //   while (true) {
-//     PARADISE_ASSIGN_OR_RETURN(bool more, cursor.Next(&chunk_no, &blob));
+//     PARADISE_ASSIGN_OR_RETURN(bool more, cursor.Next(&chunk_no, &parts));
 //     if (!more) break;
-//     ... decode and aggregate blob ...
+//     ... decode and aggregate parts.base, merging parts.delta ...
 //   }
+//
+// A chunk is handed out as ChunkedArray::ReadChunkParts returns it: base
+// bytes plus the pinned version's delta, never a re-encoded merge.
 //
 // Next() hands out chunks strictly in list order. A chunk whose background
 // read already finished is taken without blocking (a prefetch hit); one
@@ -36,13 +39,13 @@
 #include <string>
 #include <vector>
 
+#include "array/chunked_array.h"
 #include "common/result.h"
 #include "common/status.h"
 
 namespace paradise {
 
 class BufferPool;
-class ChunkedArray;
 class IoPool;
 
 class ChunkReadAhead {
@@ -59,16 +62,16 @@ class ChunkReadAhead {
   ChunkReadAhead& operator=(const ChunkReadAhead&) = delete;
 
   /// Claims the next chunk in order. Returns true with `*chunk_no` and
-  /// `*blob` filled, false when the list is exhausted, or the error the
+  /// `*parts` filled, false when the list is exhausted, or the error the
   /// chunk's read produced. Safe to call from multiple threads; each chunk
   /// is handed to exactly one caller.
-  Result<bool> Next(uint64_t* chunk_no, std::string* blob);
+  Result<bool> Next(uint64_t* chunk_no, ChunkedArray::ChunkParts* parts);
 
  private:
   struct Slot {
     enum : uint8_t { kIdle = 0, kScheduled, kReady, kFailed };
     uint8_t state = kIdle;
-    std::string blob;
+    ChunkedArray::ChunkParts parts;
     Status status;
   };
 

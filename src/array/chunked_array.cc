@@ -34,6 +34,12 @@ bool IsPackedFormat(ChunkFormat format) {
   return format == ChunkFormat::kDiffSequence ||
          format == ChunkFormat::kBitPacked;
 }
+
+Status CheckChunkNo(const ChunkLayout& layout, uint64_t chunk_no) {
+  if (chunk_no < layout.num_chunks()) return Status::OK();
+  return Status::OutOfRange("chunk " + std::to_string(chunk_no) + " beyond " +
+                            std::to_string(layout.num_chunks()));
+}
 }  // namespace
 
 ChunkedArray::ChunkedArray(StorageManager* storage, ObjectId meta,
@@ -248,46 +254,49 @@ Result<std::string> ChunkedArray::ReadBaseChunkBlobAt(
   return UnwrapChunkBlob(std::move(blob));
 }
 
-Result<std::string> ChunkedArray::ReadChunkBlobAt(const Version& v,
-                                                  uint64_t chunk_no) const {
-  const ChunkDelta* delta =
-      v.overlay == nullptr ? nullptr : v.overlay->Find(chunk_no);
-  PARADISE_ASSIGN_OR_RETURN(std::string base,
-                            ReadBaseChunkBlobAt(v, chunk_no));
-  if (delta == nullptr) return base;
-  // Merge through the array's configured format and unwrap again: the bytes
-  // handed out are exactly what a from-scratch load of the merged cells
-  // would produce.
-  uint32_t merged_valid = 0;
-  PARADISE_ASSIGN_OR_RETURN(
-      std::string merged,
-      MergeChunkBlob(base, *delta, layout_.ChunkCellCount(chunk_no),
-                     options_.chunk_format, &merged_valid, allow_packed_));
-  return UnwrapChunkBlob(std::move(merged));
+Result<ChunkedArray::ChunkParts> ChunkedArray::ReadChunkPartsAt(
+    const Version& v, uint64_t chunk_no) const {
+  ChunkParts parts;
+  PARADISE_ASSIGN_OR_RETURN(parts.base, ReadBaseChunkBlobAt(v, chunk_no));
+  if (v.overlay != nullptr) parts.delta = v.overlay->Find(chunk_no);
+  return parts;
 }
 
 Result<Chunk> ChunkedArray::ReadChunkAt(const Version& v,
                                         uint64_t chunk_no) const {
-  PARADISE_ASSIGN_OR_RETURN(std::string blob, ReadChunkBlobAt(v, chunk_no));
-  if (blob.empty()) return Chunk(layout_.ChunkCellCount(chunk_no));
-  return Chunk::Deserialize(blob);
+  PARADISE_ASSIGN_OR_RETURN(ChunkParts parts, ReadChunkPartsAt(v, chunk_no));
+  const uint32_t capacity = layout_.ChunkCellCount(chunk_no);
+  if (parts.delta != nullptr) {
+    return MergeChunk(parts.base, *parts.delta, capacity);
+  }
+  if (parts.base.empty()) return Chunk(capacity);
+  return Chunk::Deserialize(parts.base);
 }
 
 Result<std::string> ChunkedArray::ReadChunkBlob(uint64_t chunk_no) const {
-  if (chunk_no >= layout_.num_chunks()) {
-    return Status::OutOfRange("chunk " + std::to_string(chunk_no) +
-                              " beyond " +
-                              std::to_string(layout_.num_chunks()));
-  }
-  return ReadChunkBlobAt(*version(), chunk_no);
+  PARADISE_RETURN_IF_ERROR(CheckChunkNo(layout_, chunk_no));
+  const VersionPtr v = version();  // keeps parts.delta alive
+  PARADISE_ASSIGN_OR_RETURN(ChunkParts parts, ReadChunkPartsAt(*v, chunk_no));
+  if (parts.delta == nullptr) return std::move(parts.base);
+  // Merge through the array's configured format and unwrap again: the bytes
+  // handed out are exactly what a from-scratch load of the merged cells
+  // would produce.
+  PARADISE_ASSIGN_OR_RETURN(
+      std::string merged,
+      MergeChunkBlob(parts.base, *parts.delta,
+                     layout_.ChunkCellCount(chunk_no), options_.chunk_format,
+                     nullptr, allow_packed_));
+  return UnwrapChunkBlob(std::move(merged));
+}
+
+Result<ChunkedArray::ChunkParts> ChunkedArray::ReadChunkParts(
+    uint64_t chunk_no) const {
+  PARADISE_RETURN_IF_ERROR(CheckChunkNo(layout_, chunk_no));
+  return ReadChunkPartsAt(*version(), chunk_no);
 }
 
 Result<Chunk> ChunkedArray::ReadChunk(uint64_t chunk_no) const {
-  if (chunk_no >= layout_.num_chunks()) {
-    return Status::OutOfRange("chunk " + std::to_string(chunk_no) +
-                              " beyond " +
-                              std::to_string(layout_.num_chunks()));
-  }
+  PARADISE_RETURN_IF_ERROR(CheckChunkNo(layout_, chunk_no));
   return ReadChunkAt(*version(), chunk_no);
 }
 
@@ -298,13 +307,7 @@ bool ChunkedArray::ChunkIsEmpty(uint64_t chunk_no) const {
 
 uint32_t ChunkedArray::ChunkValidCount(uint64_t chunk_no) const {
   if (chunk_no >= layout_.num_chunks()) return 0;
-  const VersionPtr v = version();
-  uint32_t n = v->directory[chunk_no].num_valid;
-  if (v->overlay != nullptr) {
-    const ChunkDelta* delta = v->overlay->Find(chunk_no);
-    if (delta != nullptr) n += static_cast<uint32_t>(delta->cells.size());
-  }
-  return n;
+  return version()->directory[chunk_no].num_valid;
 }
 
 Result<std::optional<int64_t>> ChunkedArray::GetCell(

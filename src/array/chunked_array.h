@@ -14,9 +14,11 @@
 // lifetime — the query engines copy the array at query start, so a whole
 // query sees one consistent version while ingest commits and compactions
 // publish new ones underneath. Publishing swaps one pointer; readers never
-// block. A read of a chunk with overlay deltas merges them over the base
-// bytes in the decode path, so delta-only and delta-over-base chunks are
-// indistinguishable from a from-scratch load of the merged data.
+// block. The array executor reads a chunk as its base bytes plus the
+// version's sorted delta (ReadChunkParts) and merges the two inside the scan
+// kernel; ReadChunk and ReadChunkBlob hand out the merged chunk, so
+// delta-only and delta-over-base chunks are indistinguishable from a
+// from-scratch load of the merged data.
 //
 // The array is optimized for bulk load + read (the paper's workload); point
 // updates (PutCell/EraseCell) rewrite the packed data object in place and
@@ -106,20 +108,35 @@ class ChunkedArray {
   Status EraseCell(const CellCoords& coords);
 
   /// Reads one chunk's raw serialized bytes (empty string for an empty
-  /// chunk), with any overlay deltas merged in. Pair with ChunkView for
-  /// zero-copy probing.
+  /// chunk), with any overlay deltas merged in: exactly the bytes a
+  /// from-scratch load of the merged cells would store (LZW unwrapped). A
+  /// chunk with deltas is re-encoded on every call, so the query path reads
+  /// ReadChunkParts instead. Pair with ChunkView for zero-copy probing.
   Result<std::string> ReadChunkBlob(uint64_t chunk_no) const;
 
-  /// Reads and materializes one chunk.
+  /// One chunk as the current version stores it: the base chunk's
+  /// serialized bytes (LZW unwrapped; empty when the base chunk is empty)
+  /// and the overlay's sorted upserts for the chunk (null when none), which
+  /// supersede base cells at equal offsets. `delta` points into the
+  /// version's overlay, so it stays valid while this object keeps that
+  /// version — for the lifetime of a copy nobody publishes to, which is
+  /// how the engines pin a query's version.
+  struct ChunkParts {
+    std::string base;
+    const ChunkDelta* delta = nullptr;
+  };
+  Result<ChunkParts> ReadChunkParts(uint64_t chunk_no) const;
+
+  /// Reads and materializes one chunk, overlay deltas applied.
   Result<Chunk> ReadChunk(uint64_t chunk_no) const;
 
   /// True if the chunk has no valid cells — neither base cells in the
   /// directory nor overlay deltas.
   bool ChunkIsEmpty(uint64_t chunk_no) const;
 
-  /// Valid-cell count of a chunk without reading it. With an overlay this
-  /// is an upper bound (base count + delta count; a delta upserting an
-  /// existing cell counts twice) — exact on overlay-free arrays.
+  /// Valid-cell count of the BASE chunk as the directory lists it, without
+  /// reading it; overlay deltas are not counted (ReadChunkParts returns
+  /// them). Equals the merged count on overlay-free arrays.
   uint32_t ChunkValidCount(uint64_t chunk_no) const;
 
   /// Invokes `fn(chunk_no, const Chunk&)` for every non-empty chunk in
@@ -253,9 +270,11 @@ class ChunkedArray {
   /// Base bytes only, no overlay merge.
   Result<std::string> ReadBaseChunkBlobAt(const Version& v,
                                           uint64_t chunk_no) const;
-  /// Overlay-merged bytes.
-  Result<std::string> ReadChunkBlobAt(const Version& v,
+  /// Base bytes plus `v`'s delta for the chunk (see ReadChunkParts).
+  Result<ChunkParts> ReadChunkPartsAt(const Version& v,
                                       uint64_t chunk_no) const;
+  /// The base chunk deserialized with the version's delta cells Put over
+  /// it; nothing is re-encoded.
   Result<Chunk> ReadChunkAt(const Version& v, uint64_t chunk_no) const;
 
   /// Replaces chunk `chunk_no` with `blob` (possibly empty), rewriting the

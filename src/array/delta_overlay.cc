@@ -21,10 +21,8 @@ void DeltaOverlay::Apply(uint64_t chunk_no,
   }
 }
 
-Result<std::string> MergeChunkBlob(const std::string& base_blob,
-                                   const ChunkDelta& delta, uint32_t capacity,
-                                   ChunkFormat format, uint32_t* merged_valid,
-                                   bool allow_packed) {
+Result<Chunk> MergeChunk(const std::string& base_blob,
+                         const ChunkDelta& delta, uint32_t capacity) {
   Chunk chunk(capacity);
   if (!base_blob.empty()) {
     PARADISE_ASSIGN_OR_RETURN(chunk, Chunk::Deserialize(base_blob));
@@ -32,6 +30,15 @@ Result<std::string> MergeChunkBlob(const std::string& base_blob,
   for (const ChunkEntry& e : delta.cells) {
     PARADISE_RETURN_IF_ERROR(chunk.Put(e.offset, e.value));
   }
+  return chunk;
+}
+
+Result<std::string> MergeChunkBlob(const std::string& base_blob,
+                                   const ChunkDelta& delta, uint32_t capacity,
+                                   ChunkFormat format, uint32_t* merged_valid,
+                                   bool allow_packed) {
+  PARADISE_ASSIGN_OR_RETURN(Chunk chunk,
+                            MergeChunk(base_blob, delta, capacity));
   if (merged_valid != nullptr) *merged_valid = chunk.num_valid();
   return chunk.Serialize(format, allow_packed);
 }

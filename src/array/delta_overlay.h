@@ -1,14 +1,17 @@
 // DeltaOverlay: the in-memory read-side of incremental ingest. Committed
 // ingest generations (src/ingest/) fold down to one immutable per-measure
 // overlay — for each chunk, the sorted (offsetInChunk, value) upserts that
-// supersede the packed base chunk. ChunkedArray consults the overlay in its
-// chunk decode path: a read of a chunk with deltas materializes the base
-// chunk, applies the upserts last-write-wins, and re-serializes, so every
-// consumer (serial scan, read-ahead cursor, morsel pools, GetCell probes)
-// sees exactly the bytes a from-scratch load of the merged data would have
-// produced. Overlays are immutable and shared by shared_ptr: publishing a
-// new one never blocks or tears in-flight readers, which keep the overlay
-// (and base version) they pinned at query start.
+// supersede the packed base chunk. Readers never rebuild a chunk: the array
+// executor takes the base chunk's bytes plus its ChunkDelta and merges the
+// two sorted offset lists inside the scan kernel and the §4.2 probe (a delta
+// cell wins on an equal offset), GetCell checks the delta before the base,
+// and ReadChunk Puts the delta cells over the deserialized base. Only
+// compaction and the public ChunkedArray::ReadChunkBlob re-serialize a
+// merged chunk (MergeChunkBlob), byte-identical to a from-scratch load of
+// the merged data. Overlays are
+// immutable and shared by shared_ptr: publishing a new one never blocks or
+// tears in-flight readers, which keep the overlay (and base version) they
+// pinned at query start.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +59,12 @@ class DeltaOverlay {
  private:
   std::map<uint64_t, ChunkDelta> chunks_;
 };
+
+/// Materialized merge: the base chunk (serialized, LZW unwrapped; empty
+/// string = empty base chunk) with every delta cell Put over it. `capacity`
+/// is the chunk's cell count from the layout.
+Result<Chunk> MergeChunk(const std::string& base_blob, const ChunkDelta& delta,
+                         uint32_t capacity);
 
 /// Serialized merge: base chunk bytes (empty string = empty base chunk) +
 /// delta -> the merged chunk re-serialized in `format`, byte-identical to

@@ -106,14 +106,23 @@ Result<query::GroupedResult> ArrayConsolidate(
             tables.Build(array, spec, m.chunk_no);
             tables_chunk = m.chunk_no;
           }
-          ws.cells_scanned += kernels::AggregateRange(*m.view, m.begin, m.end,
-                                                      tables, flat.data());
+          // The merge of base and delta: base cells minus the superseded
+          // ones in every piece, the delta cells once, with the first piece.
+          if (m.view) {
+            ws.cells_scanned += kernels::AggregateRange(
+                *m.view, m.begin, m.end, tables, flat.data(), m.delta);
+          }
+          if (m.first && m.delta != nullptr) {
+            ws.cells_scanned +=
+                kernels::AggregateDelta(*m.delta, tables, flat.data());
+          }
         } else if (m.work->overlap) {  // else: ablation read, nothing to probe
           piece = *m.work;
           piece.slice_begin[m.dim] = m.begin;
           piece.slice_end[m.dim] = m.end;
           PARADISE_RETURN_IF_ERROR(select_detail::ProbeSelectionRange(
-              array, spec, *plan, piece, *m.view, &flat, &ws));
+              array, spec, *plan, piece, m.view ? &*m.view : nullptr, m.delta,
+              &flat, &ws));
         }
       }
     };

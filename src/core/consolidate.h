@@ -11,6 +11,10 @@
 //     read, each probed in chunk-offset order
 //     (select_detail::ProbeSelectionRange, core/consolidate_select.h).
 //
+// A chunk with ingest deltas is read as its base bytes plus its sorted
+// ChunkDelta and merged inside the kernel and the probe (core/morsel.h);
+// the executor never rebuilds or re-encodes a chunk.
+//
 // At num_threads == 1 the pass runs inline on the caller's thread with
 // synchronous chunk reads — the paper's serial algorithms. With more
 // threads (the intra-operator parallelism the paper names as future work,

@@ -111,12 +111,18 @@ std::vector<SelectionChunkWork> PlanSelectionChunks(
   return out;
 }
 
-Status ProbeSelectionRange(const OlapArray& array, const GroupSpec& spec,
-                           const SelectionPlan& plan,
-                           const SelectionChunkWork& work,
-                           const ChunkView& view,
-                           std::vector<query::AggState>* flat,
-                           ArrayConsolidateStats* stats) {
+namespace {
+
+/// The probe loop of ProbeSelectionRange. kMerge: the chunk has an ingest
+/// delta, so each candidate is looked up in it before the base (and `view`
+/// may be null). Without a delta the loop is the plain §4.2 probe: the
+/// merge adds no per-candidate work to it.
+template <bool kMerge>
+void ProbeLoop(const OlapArray& array, const GroupSpec& spec,
+               const SelectionPlan& plan, const SelectionChunkWork& work,
+               const ChunkView* view, const ChunkDelta* delta,
+               std::vector<query::AggState>* flat,
+               ArrayConsolidateStats* stats) {
   const ChunkLayout& layout = array.layout();
   const size_t n = layout.num_dims();
   const CellCoords base = layout.ChunkBase(work.chunk_no);
@@ -133,9 +139,17 @@ Status ProbeSelectionRange(const OlapArray& array, const GroupSpec& spec,
   // §4.2 optimizations 2+3: enumerate cross-product elements in increasing
   // chunk-offset order (row-major odometer over the list slices) and probe
   // the sorted stored chunk with a forward-moving binary search directly on
-  // the serialized bytes.
+  // the serialized bytes. An ingest delta is probed first with its own
+  // forward cursor: its upserts win over the base, as in GetCell.
   const auto& lists = plan.lists;
-  const bool sparse = view.sparse();
+  const bool sparse = view == nullptr || view->sparse();
+  const uint32_t base_valid = view == nullptr ? 0 : view->num_valid();
+  const ChunkEntry* next = nullptr;
+  const ChunkEntry* next_end = nullptr;
+  if constexpr (kMerge) {
+    next = delta->cells.data();
+    next_end = next + delta->cells.size();
+  }
   uint32_t probe_pos = 0;
   std::vector<uint32_t> pos(n);
   for (size_t d = 0; d < n; ++d) pos[d] = work.slice_begin[d];
@@ -147,14 +161,22 @@ Status ProbeSelectionRange(const OlapArray& array, const GroupSpec& spec,
     }
     ++stats->candidates;
     std::optional<int64_t> hit;
-    if (sparse) {
-      probe_pos = view.SparseLowerBound(offset, probe_pos);
-      if (probe_pos < view.num_valid()) {
-        const ChunkEntry e = view.SparseEntry(probe_pos);
-        if (e.offset == offset) hit = e.value;
+    if constexpr (kMerge) {
+      next = std::lower_bound(
+          next, next_end, offset,
+          [](const ChunkEntry& e, uint32_t o) { return e.offset < o; });
+      if (next != next_end && next->offset == offset) hit = next->value;
+    }
+    if (!kMerge || (!hit.has_value() && view != nullptr)) {
+      if (sparse) {
+        probe_pos = view->SparseLowerBound(offset, probe_pos);
+        if (probe_pos < base_valid) {
+          const ChunkEntry e = view->SparseEntry(probe_pos);
+          if (e.offset == offset) hit = e.value;
+        }
+      } else {
+        hit = view->Get(offset);
       }
-    } else {
-      hit = view.Get(offset);
     }
     if (hit.has_value()) {
       uint64_t flat_idx = 0;
@@ -167,7 +189,7 @@ Status ProbeSelectionRange(const OlapArray& array, const GroupSpec& spec,
       (*flat)[flat_idx].Add(*hit);
       ++stats->hits;
     }
-    if (sparse && probe_pos >= view.num_valid()) {
+    if (sparse && probe_pos >= base_valid && next == next_end) {
       break;  // no later offset can match
     }
     // Advance the odometer (last dimension fastest).
@@ -181,6 +203,21 @@ Status ProbeSelectionRange(const OlapArray& array, const GroupSpec& spec,
       }
       --d;
     }
+  }
+}
+
+}  // namespace
+
+Status ProbeSelectionRange(const OlapArray& array, const GroupSpec& spec,
+                           const SelectionPlan& plan,
+                           const SelectionChunkWork& work,
+                           const ChunkView* view, const ChunkDelta* delta,
+                           std::vector<query::AggState>* flat,
+                           ArrayConsolidateStats* stats) {
+  if (delta != nullptr) {
+    ProbeLoop<true>(array, spec, plan, work, view, delta, flat, stats);
+  } else if (view != nullptr) {
+    ProbeLoop<false>(array, spec, plan, work, view, nullptr, flat, stats);
   }
   return Status::OK();
 }

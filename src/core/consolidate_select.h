@@ -69,16 +69,20 @@ std::vector<SelectionChunkWork> PlanSelectionChunks(
 /// The odometer probe over an already-decoded chunk view (paper §4.2
 /// optimizations 2+3): enumerates the cross-product elements inside the
 /// work item's slices in increasing offset order and aggregates hits into
-/// `flat`; `flat` and `stats` may be thread-private. `work.overlap` must be
-/// true. Morsels narrow one dimension's slice (core/morsel.h) and call this
-/// per piece: the probed candidate boxes are disjoint and their union is
-/// the whole-chunk call's box, so any morsel schedule aggregates exactly the
-/// same hits. (`candidates` counts can differ from the unsplit run's: the
-/// sparse early-out stops each piece's odometer independently.)
+/// `flat`; `flat` and `stats` may be thread-private. `view` is the base
+/// chunk (null when it is empty) and `delta` the chunk's ingest upserts
+/// (may be null): each candidate is looked up in the delta first, then in
+/// the base, so the probe sees the merged chunk without rebuilding it.
+/// `work.overlap` must be true. Morsels narrow one dimension's slice
+/// (core/morsel.h) and call this per piece: the probed candidate boxes are
+/// disjoint and their union is the whole-chunk call's box, so any morsel
+/// schedule aggregates exactly the same hits. (`candidates` counts can
+/// differ from the unsplit run's: the sparse early-out stops each piece's
+/// odometer independently.)
 Status ProbeSelectionRange(const OlapArray& array, const GroupSpec& spec,
                            const SelectionPlan& plan,
                            const SelectionChunkWork& work,
-                           const ChunkView& view,
+                           const ChunkView* view, const ChunkDelta* delta,
                            std::vector<query::AggState>* flat,
                            ArrayConsolidateStats* stats);
 

@@ -5,6 +5,12 @@
 // within a chunk, so when many cells of a batch fall into the same group
 // (the common case — the innermost grouped dimension spans whole runs) the
 // scatter touches the AggState once per run instead of once per cell.
+//
+// A chunk with ingest deltas is aggregated as a merge of two sorted offset
+// lists (paper §3.3 keeps a chunk's offsets sorted; ChunkDelta keeps its
+// upserts sorted): each batch of base cells drops the offsets the delta holds
+// — found with a forward cursor — before decode, and AggregateDelta adds the
+// delta cells once per chunk. The chunk is never rebuilt or re-encoded.
 #include "core/kernels/consolidate_kernel.h"
 
 #include <algorithm>
@@ -52,6 +58,28 @@ void ScatterBatch(const uint64_t* flat_idx, const int64_t* values, size_t n,
     flat[idx].Merge(run);
     i = j;
   }
+}
+
+/// Drops from a batch (offsets ascending) every base cell whose offset the
+/// delta holds, advancing the forward cursor `*next` over [*next, end);
+/// returns the number of cells kept, compacted to the front.
+size_t DropSuperseded(uint32_t* offsets, int64_t* values, size_t n,
+                      const ChunkEntry** next, const ChunkEntry* end) {
+  const ChunkEntry* d = std::lower_bound(
+      *next, end, offsets[0],
+      [](const ChunkEntry& e, uint32_t o) { return e.offset < o; });
+  *next = d;
+  if (d == end || d->offset > offsets[n - 1]) return n;
+  size_t kept = 0;
+  for (size_t k = 0; k < n; ++k) {
+    while (d != end && d->offset < offsets[k]) ++d;
+    if (d != end && d->offset == offsets[k]) continue;
+    offsets[kept] = offsets[k];
+    values[kept] = values[k];
+    ++kept;
+  }
+  *next = d;
+  return kept;
 }
 
 /// One 64-cell window of the dense validity bitmap, starting at cell
@@ -133,12 +161,30 @@ void KernelTables::BuildRaw(
 }
 
 uint64_t AggregateRange(const ChunkView& view, uint32_t begin, uint32_t end,
-                        const KernelTables& tables, query::AggState* flat) {
+                        const KernelTables& tables, query::AggState* flat,
+                        const ChunkDelta* superseding) {
   const DecodeBatchFn decode = ActiveDecodeBatch();
   uint32_t offsets[kBatch];
   int64_t values[kBatch];
   uint64_t flat_idx[kBatch];
   uint64_t cells = 0;
+  // Forward cursor into the delta; null when no base cell can be superseded,
+  // so overlay-free chunks pay one untaken branch per batch.
+  const ChunkEntry* next = nullptr;
+  const ChunkEntry* next_end = nullptr;
+  if (superseding != nullptr && !superseding->cells.empty()) {
+    next = superseding->cells.data();
+    next_end = next + superseding->cells.size();
+  }
+  // Decodes and scatters one batch of base cells; returns the cells kept.
+  auto flush = [&](uint32_t* off, int64_t* val, size_t n) -> size_t {
+    if (next != nullptr && n != 0) {
+      n = DropSuperseded(off, val, n, &next, next_end);
+    }
+    decode(off, n, tables, flat_idx);
+    ScatterBatch(flat_idx, val, n, flat);
+    return n;
+  };
 
   if (view.encoding() == ChunkEncoding::kSparse) {
     const char* p = view.SparseEntriesData() + static_cast<size_t>(begin) * 12;
@@ -148,10 +194,8 @@ uint64_t AggregateRange(const ChunkView& view, uint32_t begin, uint32_t end,
         offsets[k] = DecodeFixed32(p);
         values[k] = static_cast<int64_t>(DecodeFixed64(p + 4));
       }
-      decode(offsets, n, tables, flat_idx);
-      ScatterBatch(flat_idx, values, n, flat);
+      cells += flush(offsets, values, n);
       i += static_cast<uint32_t>(n);
-      cells += n;
     }
     return cells;
   }
@@ -170,10 +214,7 @@ uint64_t AggregateRange(const ChunkView& view, uint32_t begin, uint32_t end,
       const uint32_t lo = i - block_start;
       const uint32_t hi =
           std::min<uint32_t>(block_n, end - block_start);
-      const size_t n = hi - lo;
-      decode(offsets + lo, n, tables, flat_idx);
-      ScatterBatch(flat_idx, values + lo, n, flat);
-      cells += n;
+      cells += flush(offsets + lo, values + lo, hi - lo);
       i = block_start + hi;
     }
     return cells;
@@ -200,20 +241,34 @@ uint64_t AggregateRange(const ChunkView& view, uint32_t begin, uint32_t end,
       values[n] =
           static_cast<int64_t>(DecodeFixed64(vals + static_cast<size_t>(o) * 8));
       if (++n == kBatch) {
-        decode(offsets, n, tables, flat_idx);
-        ScatterBatch(flat_idx, values, n, flat);
-        cells += n;
+        cells += flush(offsets, values, n);
         n = 0;
       }
     }
     off = static_cast<uint64_t>(word_base) + 64;
   }
-  if (n != 0) {
+  if (n != 0) cells += flush(offsets, values, n);
+  return cells;
+}
+
+uint64_t AggregateDelta(const ChunkDelta& delta, const KernelTables& tables,
+                        query::AggState* flat) {
+  const DecodeBatchFn decode = ActiveDecodeBatch();
+  uint32_t offsets[kBatch];
+  int64_t values[kBatch];
+  uint64_t flat_idx[kBatch];
+  const size_t total = delta.cells.size();
+  for (size_t i = 0; i < total;) {
+    const size_t n = std::min(kBatch, total - i);
+    for (size_t k = 0; k < n; ++k) {
+      offsets[k] = delta.cells[i + k].offset;
+      values[k] = delta.cells[i + k].value;
+    }
     decode(offsets, n, tables, flat_idx);
     ScatterBatch(flat_idx, values, n, flat);
-    cells += n;
+    i += n;
   }
-  return cells;
+  return total;
 }
 
 uint64_t AggregateView(const ChunkView& view, const KernelTables& tables,

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "array/chunk.h"
+#include "array/delta_overlay.h"
 #include "query/result.h"
 
 namespace paradise {
@@ -120,9 +121,19 @@ DecodeBatchFn ActiveDecodeBatch();
 /// is [begin, end) over chunk offsets (invalid cells are skipped via the
 /// validity bitmap). Morsels are exactly such ranges, so the whole-chunk
 /// path below and every morsel schedule aggregate identical cell sequences.
-/// Returns the number of valid cells aggregated.
+/// `superseding` is the chunk's ingest delta (may be null): a base cell at an
+/// offset it holds is skipped, because the delta's value wins and
+/// AggregateDelta adds it. Returns the number of base cells aggregated.
 uint64_t AggregateRange(const ChunkView& view, uint32_t begin, uint32_t end,
-                        const KernelTables& tables,
+                        const KernelTables& tables, query::AggState* flat,
+                        const ChunkDelta* superseding = nullptr);
+
+/// Aggregates every cell of a chunk's ingest delta into `flat`: the other
+/// half of the merge AggregateRange starts. Call it once per chunk (also
+/// when the base chunk is empty); AggregateRange over all positions with
+/// `superseding` = `delta`, plus this, aggregates exactly the merged chunk.
+/// Returns delta.cells.size().
+uint64_t AggregateDelta(const ChunkDelta& delta, const KernelTables& tables,
                         query::AggState* flat);
 
 /// Whole-chunk convenience: AggregateRange over every position.

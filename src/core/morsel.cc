@@ -58,8 +58,8 @@ Result<bool> MorselPool::Next(size_t worker, Morsel* out) {
     ++fetching_;
     lk.unlock();
     uint64_t chunk_no = 0;
-    std::string blob;
-    Result<bool> more = cursor_->Next(&chunk_no, &blob);
+    ChunkedArray::ChunkParts parts;
+    Result<bool> more = cursor_->Next(&chunk_no, &parts);
     lk.lock();
     // Waiters block only while exhausted_ && fetching_ > 0 (a late fetcher
     // may still publish split pieces). Every decrement reaching zero must
@@ -78,14 +78,19 @@ Result<bool> MorselPool::Next(size_t worker, Morsel* out) {
       cv_.notify_all();
       continue;  // re-check the queue before retiring
     }
-    auto shared = std::make_shared<const std::string>(std::move(blob));
-    Result<ChunkView> view = ChunkView::Make(*shared);
-    if (!view.ok()) {
-      exhausted_ = true;
-      cv_.notify_all();
-      return view.status();
-    }
     Morsel m;
+    if (!parts.base.empty()) {
+      auto shared = std::make_shared<const std::string>(std::move(parts.base));
+      Result<ChunkView> view = ChunkView::Make(*shared);
+      if (!view.ok()) {
+        exhausted_ = true;
+        cv_.notify_all();
+        return view.status();
+      }
+      m.blob = std::move(shared);
+      m.view = *view;
+    }
+    m.delta = parts.delta;
     m.chunk_no = chunk_no;
     if (work_ != nullptr) {
       // work_ is sorted by chunk_no (PlanSelectionChunks emits in chunk
@@ -96,8 +101,6 @@ Result<bool> MorselPool::Next(size_t worker, Morsel* out) {
             return lhs.chunk_no < c;
           });
     }
-    m.blob = std::move(shared);
-    m.view = *view;
     m.first = true;
     m.producer = worker;
     Split(&m);
@@ -112,7 +115,7 @@ void MorselPool::Split(Morsel* m) {
   // chunk; the domain [m->begin, m->end) divides them evenly.
   uint64_t total = 0;
   if (m->work == nullptr) {
-    m->end = kernels::PositionCount(*m->view);
+    m->end = m->view ? kernels::PositionCount(*m->view) : 0;
     total = m->end;
   } else {
     const select_detail::SelectionChunkWork& w = *m->work;

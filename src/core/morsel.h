@@ -13,6 +13,12 @@
 // the index-list slice of the first selection dimension holding two or more
 // entries; a piece probes the cross-product box narrowed there.
 //
+// A chunk arrives as its base bytes plus the pinned version's ChunkDelta
+// (ChunkReadAhead); every piece carries both. A §4.1 piece aggregates its
+// base positions minus the cells the delta supersedes, and the chunk's first
+// piece also aggregates the delta cells, so each is counted exactly once. A
+// §4.2 piece looks every candidate up in the delta before the base.
+//
 // A morsel never spans chunks, so per-chunk decode tables are built at most
 // once per (worker, chunk), and the cancellation poll at every Next() is at
 // least as prompt as a per-chunk poll. Stealing is counted when a worker
@@ -51,9 +57,12 @@ struct Morsel {
   /// The chunk's planned §4.2 work item; null for a §4.1 scan.
   const select_detail::SelectionChunkWork* work = nullptr;
   std::shared_ptr<const std::string> blob;  // owns the bytes `view` reads
-  std::optional<ChunkView> view;
-  /// §4.1: chunk positions. §4.2: entries [begin, end) of the list slice of
-  /// dimension `dim` (the whole slice when the chunk is not split).
+  std::optional<ChunkView> view;  // the base chunk; empty when it has no cells
+  /// The chunk's sorted upserts (null when none); they win over base cells
+  /// at equal offsets. Owned by the version the cursor's array pins.
+  const ChunkDelta* delta = nullptr;
+  /// §4.1: base chunk positions. §4.2: entries [begin, end) of the list
+  /// slice of dimension `dim` (the whole slice when the chunk is not split).
   size_t dim = 0;
   uint32_t begin = 0;
   uint32_t end = 0;

@@ -11,6 +11,28 @@
 
 namespace paradise {
 
+namespace {
+
+/// Why `delta` cannot be merged into a chunk of `capacity` cells by the
+/// scan kernel's forward cursor, or "" when it can.
+std::string CheckChunkDelta(const ChunkDelta& delta, uint32_t capacity) {
+  for (size_t i = 0; i < delta.cells.size(); ++i) {
+    const uint32_t offset = delta.cells[i].offset;
+    if (offset >= capacity) {
+      return "offset " + std::to_string(offset) + " beyond capacity " +
+             std::to_string(capacity);
+    }
+    if (i > 0 && offset <= delta.cells[i - 1].offset) {
+      return "offset " + std::to_string(offset) + " follows " +
+             std::to_string(delta.cells[i - 1].offset) +
+             " (not strictly increasing)";
+    }
+  }
+  return "";
+}
+
+}  // namespace
+
 std::vector<std::string> VerifyReport::AllIssues() const {
   std::vector<std::string> all = scrub.issues;
   all.insert(all.end(), issues.begin(), issues.end());
@@ -119,48 +141,58 @@ Result<VerifyReport> VerifyDatabase(const std::string& path,
   // array's directory, so a chunk whose serialized codec is damaged —
   // an unknown tag byte, a truncated diff-sequence stream, out-of-order or
   // out-of-bounds offsets — would otherwise surface only mid-query. Every
-  // non-empty chunk must parse as a view (header + exact stream sizes) and
-  // deep-decode cleanly (Chunk::Deserialize re-validates strict offset
-  // order and capacity bounds cell by cell). Chunks with overlay deltas are
-  // validated through the same merged-read path queries use.
+  // non-empty base chunk must parse as a view (header + exact stream sizes),
+  // deep-decode cleanly (Chunk::Deserialize re-validates strict offset order
+  // and capacity bounds cell by cell) and decode to exactly the valid count
+  // the directory lists. Overlay deltas are checked on their own, the way
+  // the scan kernel consumes them: strictly increasing offsets, each inside
+  // the chunk.
   if (db->has_olap()) {
     const ChunkLayout& layout = db->olap()->layout();
     for (size_t m = 0; m < db->olap()->num_measures(); ++m) {
       const ChunkedArray& array = db->olap()->array(m);
-      const auto overlay = array.overlay();
       for (uint64_t c = 0; c < layout.num_chunks(); ++c) {
         if (array.ChunkIsEmpty(c)) continue;
         const std::string where = "measure " + std::to_string(m) + " chunk " +
                                   std::to_string(c);
-        Result<std::string> blob = array.ReadChunkBlob(c);
-        if (!blob.ok()) {
+        Result<ChunkedArray::ChunkParts> parts = array.ReadChunkParts(c);
+        if (!parts.ok()) {
           report.issues.push_back(where + " unreadable: " +
-                                  blob.status().ToString());
+                                  parts.status().ToString());
           continue;
         }
-        if (blob->empty()) continue;
-        Result<Chunk> chunk = Chunk::Deserialize(*blob);
-        if (!chunk.ok()) {
-          report.issues.push_back(where + " codec rejected: " +
-                                  chunk.status().ToString());
-          continue;
-        }
-        if (chunk->capacity() != layout.ChunkCellCount(c)) {
-          report.issues.push_back(
-              where + " stores capacity " + std::to_string(chunk->capacity()) +
-              " but the layout says " +
-              std::to_string(layout.ChunkCellCount(c)));
-          continue;
-        }
-        // Directory valid-count cross-check; only exact without deltas.
-        if (overlay == nullptr || overlay->Find(c) == nullptr) {
-          const uint32_t listed = array.ChunkValidCount(c);
-          if (chunk->num_valid() != listed) {
-            report.issues.push_back(
-                where + " decodes " + std::to_string(chunk->num_valid()) +
-                " cells but the directory lists " + std::to_string(listed));
+        const uint32_t capacity = layout.ChunkCellCount(c);
+        if (const ChunkDelta* delta = parts->delta; delta != nullptr) {
+          const std::string issue = CheckChunkDelta(*delta, capacity);
+          if (!issue.empty()) {
+            report.issues.push_back(where + " delta " + issue);
             continue;
           }
+        }
+        const uint32_t listed = array.ChunkValidCount(c);
+        uint32_t decoded = 0;
+        if (!parts->base.empty()) {
+          Result<Chunk> chunk = Chunk::Deserialize(parts->base);
+          if (!chunk.ok()) {
+            report.issues.push_back(where + " codec rejected: " +
+                                    chunk.status().ToString());
+            continue;
+          }
+          if (chunk->capacity() != capacity) {
+            report.issues.push_back(
+                where + " stores capacity " +
+                std::to_string(chunk->capacity()) +
+                " but the layout says " + std::to_string(capacity));
+            continue;
+          }
+          decoded = chunk->num_valid();
+        }
+        if (decoded != listed) {
+          report.issues.push_back(where + " decodes " +
+                                  std::to_string(decoded) +
+                                  " cells but the directory lists " +
+                                  std::to_string(listed));
+          continue;
         }
         ++report.chunks_verified;
       }

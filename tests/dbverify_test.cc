@@ -1,8 +1,9 @@
 // Tests for the dbverify library (schema/db_verify.h): clean committed
 // databases verify with zero findings and zero file mutation, every
 // corrupted fixture — bit flip, truncation, garbage — produces findings (the
-// tool's non-zero exit), legacy v1 files verify, and the read-only storage
-// mode underpinning it all rejects writes and never commits.
+// tool's non-zero exit), legacy v1 files verify, chunks carrying ingest
+// deltas get the same exact checks, and the read-only storage mode
+// underpinning it all rejects writes and never commits.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +15,7 @@
 
 #include "common/coding.h"
 #include "common/options.h"
+#include "ingest/ingest.h"
 #include "schema/db_verify.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
@@ -350,6 +352,74 @@ TEST(DbVerifyTest, TruncatedDiffSequenceChunkIsAFinding) {
     }
   }
   EXPECT_TRUE(typed) << "no finding flags the inconsistent diff-sequence size";
+}
+
+/// The directory's valid count of a chunk that also carries an ingest delta
+/// is cross-checked against its base blob like any other chunk's: the
+/// chunk stage reads base and delta separately, so the count is exact.
+TEST(DbVerifyTest, DirectoryCountIsCheckedOnChunksWithDeltas) {
+  TempFile file("dbverify_delta_count");
+  gen::SyntheticDataset data;
+  BuildTinyDb(file.path(), &data);
+  uint64_t chunk_no = 0;
+  uint64_t num_chunks = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
+                         Database::Open(file.path(), SmallDbOptions()));
+    const uint64_t gi = data.cell_global_indices.front();
+    const std::vector<int32_t> keys = data.CellKeys(gi);
+    const CellCoords coords(keys.begin(), keys.end());
+    const ChunkLayout& layout = db->olap()->layout();
+    chunk_no = layout.CoordsToChunk(coords);
+    num_chunks = layout.num_chunks();
+    ASSERT_OK(db->ingest()->Write(keys, {777}));
+    ASSERT_OK(db->ingest()->Commit());
+    ASSERT_NE(db->olap()->array(0).overlay()->Find(chunk_no), nullptr);
+    ASSERT_OK(db->storage()->Close());
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(VerifyReport report, VerifyDatabaseFile(file.path()));
+    EXPECT_TRUE(report.clean()) << (report.AllIssues().empty()
+                                        ? std::string("?")
+                                        : report.AllIssues().front());
+  }
+  {
+    // Bump the chunk's directory valid count: the trailing fixed32 of its
+    // 20-byte entry at the end of the CARR meta.
+    StorageManager sm;
+    ASSERT_OK(sm.Open(file.path(), SmallDbOptions().storage));
+    std::string olap_root;
+    for (const auto& [name, value] : sm.catalog()) {
+      if (name.rfind("olap_array.", 0) == 0) olap_root = name;
+    }
+    ASSERT_FALSE(olap_root.empty());
+    ASSERT_OK_AND_ASSIGN(uint64_t meta_oid, sm.GetRoot(olap_root));
+    ASSERT_OK_AND_ASSIGN(std::string meta, sm.objects()->Read(meta_oid));
+    const uint64_t chunk_meta_oid =
+        DecodeFixed64(meta.data() + meta.size() - 8);
+    ASSERT_OK_AND_ASSIGN(std::string chunk_meta,
+                         sm.objects()->Read(chunk_meta_oid));
+    ASSERT_EQ(chunk_meta.substr(0, 4), "CARR");
+    const size_t count_at =
+        chunk_meta.size() - (num_chunks - chunk_no) * 20 + 16;
+    const uint32_t listed = DecodeFixed32(chunk_meta.data() + count_at);
+    ASSERT_GT(listed, 0u);
+    EncodeFixed32(chunk_meta.data() + count_at, listed + 1);
+    ASSERT_OK(sm.objects()->Overwrite(chunk_meta_oid, chunk_meta));
+    ASSERT_OK(sm.Close());
+  }
+  ASSERT_OK_AND_ASSIGN(VerifyReport report, VerifyDatabaseFile(file.path()));
+  EXPECT_FALSE(report.clean());
+  const std::string want = "chunk " + std::to_string(chunk_no) + " decodes ";
+  bool flagged = false;
+  for (const std::string& issue : report.AllIssues()) {
+    if (issue.find(want) != std::string::npos &&
+        issue.find("but the directory lists") != std::string::npos) {
+      flagged = true;
+    }
+  }
+  EXPECT_TRUE(flagged) << "no finding flags the directory count of chunk "
+                       << chunk_no;
 }
 
 /// scrub_on_open turns a damaged file into a refused Open for applications

@@ -1,7 +1,8 @@
 // Incremental-ingest suite (DESIGN.md choice 15): epoch-MVCC visibility,
 // byte-parity of overlay reads with a from-scratch load, crash-safe delta
 // compaction, pinned-reader survival, recovery across reopen, cancellation,
-// and the relational-engine gate. The load-bearing invariant everywhere:
+// and the relational-engine gate, plus the scan kernel's and §4.2 probe's
+// base+delta merge under every codec. The load-bearing invariant everywhere:
 // querying the ingested database at its newest epoch must be
 // indistinguishable — down to the serialized chunk bytes — from loading a
 // fresh database that contained the merged data all along.
@@ -109,7 +110,9 @@ std::map<uint64_t, int64_t> MakeUpserts(const gen::SyntheticDataset& data,
 }
 
 /// Asserts every base chunk of `got` serializes to exactly the bytes of the
-/// corresponding chunk in `want` — the bit-identity acceptance criterion.
+/// corresponding chunk in `want` — the bit-identity acceptance criterion —
+/// and materializes (ReadChunk, which applies deltas without re-encoding)
+/// to the same cells.
 void ExpectChunkBytesEqual(const Database& got, const Database& want,
                            const std::string& label) {
   const ChunkedArray& a = got.olap()->array(0);
@@ -119,6 +122,10 @@ void ExpectChunkBytesEqual(const Database& got, const Database& want,
     ASSERT_OK_AND_ASSIGN(std::string blob_a, a.ReadChunkBlob(c));
     ASSERT_OK_AND_ASSIGN(std::string blob_b, b.ReadChunkBlob(c));
     EXPECT_EQ(blob_a, blob_b) << label << ": chunk " << c << " bytes diverge";
+    ASSERT_OK_AND_ASSIGN(Chunk chunk_a, a.ReadChunk(c));
+    ASSERT_OK_AND_ASSIGN(Chunk chunk_b, b.ReadChunk(c));
+    EXPECT_TRUE(chunk_a == chunk_b)
+        << label << ": chunk " << c << " cells diverge";
   }
 }
 
@@ -215,6 +222,115 @@ TEST(IngestTest, OverlayReadsAreByteIdenticalToFromScratchLoad) {
   EXPECT_TRUE(report.clean()) << (report.AllIssues().empty()
                                       ? std::string("?")
                                       : report.AllIssues().front());
+}
+
+/// The §4.2 selection whose cross-product is exactly the level-1 box of
+/// cell `gi` (one selected level-1 value per dimension).
+query::ConsolidationQuery BoxSelection(const gen::SyntheticDataset& data,
+                                       uint64_t gi) {
+  const std::vector<int32_t> keys = data.CellKeys(gi);
+  query::ConsolidationQuery q;
+  q.dims.resize(keys.size());
+  for (size_t d = 0; d < keys.size(); ++d) {
+    const uint32_t code = data.config.dims[d].LevelCode(
+        1, static_cast<uint32_t>(keys[d]));
+    q.dims[d].selections.push_back(
+        query::Selection{1, {query::Literal{gen::AttrValue(d, 1, code)}}});
+  }
+  q.dims[0].group_by_col = 1;
+  q.dims[2].group_by_col = 1;
+  return q;
+}
+
+/// Under every stored codec: ingests `upserts`, then runs `q` (and the §4.1
+/// group query) at threads 1 and 4 on the overlaid array, against
+/// BruteForce of the merged data and against the same query on a
+/// from-scratch load of it — the kernel merge must read the same chunks and
+/// aggregate the same cells as the merged chunks would.
+void ExpectOverlaidSelectionMatchesFreshLoad(
+    const gen::SyntheticDataset& data,
+    const std::map<uint64_t, int64_t>& upserts,
+    const query::ConsolidationQuery& q) {
+  const gen::SyntheticDataset merged = Merged(data, upserts);
+  for (const ChunkFormat f :
+       {ChunkFormat::kDense, ChunkFormat::kOffsetCompressed,
+        ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
+    const std::string label(ChunkFormatToString(f));
+    DatabaseOptions options = SmallDbOptions();
+    options.array.chunk_format = f;
+    TempFile file("ingest_merge_overlay");
+    TempFile fresh_file("ingest_merge_fresh");
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
+                         BuildDatabaseFromDataset(file.path(), data, options));
+    WriteUpserts(db.get(), data, upserts);
+    ASSERT_OK(db->ingest()->Commit());
+    ASSERT_NE(db->olap()->array(0).overlay(), nullptr) << label;
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<Database> fresh,
+        BuildDatabaseFromDataset(fresh_file.path(), merged, options));
+    for (const query::ConsolidationQuery& query : {q, GroupQuery()}) {
+      const query::GroupedResult expected = BruteForce(merged, query);
+      for (const size_t threads : {size_t{1}, size_t{4}}) {
+        // Small morsels at 4 threads split every chunk, so the delta must
+        // be aggregated once per chunk, not once per piece.
+        ArrayConsolidateOptions mo;
+        mo.min_cells = 4;
+        ArrayConsolidateStats got_stats;
+        ArrayConsolidateStats want_stats;
+        ASSERT_OK_AND_ASSIGN(
+            query::GroupedResult got,
+            ConsolidateAt(*db->olap(), query, threads, &got_stats, mo));
+        ASSERT_OK_AND_ASSIGN(
+            query::GroupedResult want,
+            ConsolidateAt(*fresh->olap(), query, threads, &want_stats, mo));
+        const std::string where =
+            label + " threads " + std::to_string(threads) +
+            (query.HasSelection() ? " selection" : " scan");
+        EXPECT_TRUE(got.SameAs(expected)) << where;
+        EXPECT_TRUE(want.SameAs(expected)) << where;
+        EXPECT_EQ(got_stats.cells_scanned, want_stats.cells_scanned) << where;
+        EXPECT_EQ(got_stats.chunks_read, want_stats.chunks_read) << where;
+        EXPECT_EQ(got_stats.hits, want_stats.hits) << where;
+      }
+    }
+  }
+}
+
+TEST(IngestTest, SelectionFindsCellOnlyInTheDelta) {
+  ASSERT_OK_AND_ASSIGN(gen::SyntheticDataset data,
+                       gen::Generate(TinyConfig(120, 31)));
+  const std::set<uint64_t> occupied(data.cell_global_indices.begin(),
+                                    data.cell_global_indices.end());
+  // An empty cell whose whole selected box is empty in the base: the one
+  // cell the selection finds exists only in the delta.
+  std::optional<uint64_t> target;
+  for (uint64_t gi = 0; gi < 6 * 8 * 10 && !target; ++gi) {
+    if (occupied.contains(gi)) continue;
+    const query::ConsolidationQuery q = BoxSelection(data, gi);
+    if (BruteForce(data, q).rows().empty()) target = gi;
+  }
+  ASSERT_TRUE(target.has_value());
+  const query::ConsolidationQuery q = BoxSelection(data, *target);
+  const std::map<uint64_t, int64_t> upserts = {{*target, 4242}};
+  ASSERT_EQ(BruteForce(Merged(data, upserts), q).rows().size(), 1u);
+  ExpectOverlaidSelectionMatchesFreshLoad(data, upserts, q);
+}
+
+TEST(IngestTest, SelectionSeesDeltaOverrideOfBaseValue) {
+  ASSERT_OK_AND_ASSIGN(gen::SyntheticDataset data,
+                       gen::Generate(TinyConfig(120, 32)));
+  // Override the first and last stored cells (the first and last offsets of
+  // their chunks' bases are likely among them) plus one in the middle.
+  const uint64_t first = data.cell_global_indices.front();
+  const uint64_t middle =
+      data.cell_global_indices[data.cell_global_indices.size() / 2];
+  const uint64_t last = data.cell_global_indices.back();
+  const std::map<uint64_t, int64_t> upserts = {
+      {first, -900001}, {middle, 900002}, {last, 900003}};
+  for (const uint64_t gi : {first, middle, last}) {
+    ExpectOverlaidSelectionMatchesFreshLoad(data, upserts,
+                                            BoxSelection(data, gi));
+  }
 }
 
 /// The fuzzed acceptance loop: random interleavings of write / commit /

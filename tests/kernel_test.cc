@@ -4,14 +4,17 @@
 // paths cell-for-cell, range/morsel equivalence on dense bitmaps, and an
 // executor-level fuzz asserting morsel-scheduled results stay bit-identical
 // to the single-thread run at thread counts 1-16 and forced morsel sizes
-// down to 1 cell.
+// down to 1 cell, and the base+delta merge (KernelDeltaMerge) against the
+// re-encoded merged chunk.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
 
 #include "array/chunk.h"
+#include "array/delta_overlay.h"
 #include "common/metrics.h"
 #include "core/consolidate.h"
 #include "core/kernels/consolidate_kernel.h"
@@ -335,6 +338,133 @@ TEST(KernelMorsel, SparseRangesSplitEntries) {
     ExpectRangePartitionMatchesWhole(*c.view, kDims345, Grouped345(), kFlat345,
                                      piece);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Delta merge: AggregateRange over a base chunk with the ingest delta
+// superseding, plus AggregateDelta once, must equal AggregateView over the
+// chunk MergeChunkBlob re-encodes — under every stored codec, both ISAs, and
+// a split of the base positions at every point (a two-morsel schedule).
+
+// 10x8x5 chunk grouped on dims 0 and 2: 400 cells, so a well-filled base
+// spans several 128-entry packed blocks.
+const std::vector<uint32_t> kDims1085 = {10, 8, 5};
+constexpr uint32_t kCap1085 = 400;
+Grouped Grouped1085() {
+  Grouped g = {{0, {}}, {2, {}}};
+  for (uint64_t i = 0; i < 10; ++i) g[0].second.push_back(i * 5);
+  for (uint64_t i = 0; i < 5; ++i) g[1].second.push_back(i);
+  return g;
+}
+constexpr size_t kFlat1085 = 50;
+
+using Cells = std::vector<std::pair<uint32_t, int64_t>>;
+
+// Every third offset below `limit` skipped, values seeded.
+Cells HoleyBase(uint32_t limit, uint32_t seed) {
+  std::mt19937 rng(seed);
+  Cells out;
+  for (uint32_t off = 0; off < limit; ++off) {
+    if (off % 3 != 2) out.push_back({off, static_cast<int64_t>(rng()) - 7});
+  }
+  return out;
+}
+
+void ExpectDeltaMergeMatchesReencode(const Cells& base_cells,
+                                     const Cells& delta_cells) {
+  ChunkDelta delta;
+  for (const auto& [off, value] : delta_cells) {
+    delta.cells.push_back(ChunkEntry{off, value});
+  }
+  ASSERT_TRUE(std::is_sorted(delta.cells.begin(), delta.cells.end(),
+                             [](const ChunkEntry& a, const ChunkEntry& b) {
+                               return a.offset < b.offset;
+                             }));
+  kernels::Isa detected;
+  {
+    IsaGuard guard;
+    kernels::ForceIsa(std::nullopt);
+    detected = kernels::ActiveIsa();
+  }
+  for (const ChunkFormat f :
+       {ChunkFormat::kDense, ChunkFormat::kOffsetCompressed,
+        ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
+    // The base as the directory stores it: no bytes when it has no cells.
+    Chunk base_chunk(kCap1085);
+    for (const auto& [off, value] : base_cells) {
+      ASSERT_OK(base_chunk.Put(off, value));
+    }
+    const std::string base =
+        base_chunk.empty() ? std::string() : base_chunk.Serialize(f);
+    uint32_t merged_valid = 0;
+    ASSERT_OK_AND_ASSIGN(std::string merged,
+                         MergeChunkBlob(base, delta, kCap1085, f,
+                                        &merged_valid));
+    ASSERT_OK_AND_ASSIGN(ChunkView merged_view, ChunkView::Make(merged));
+    std::optional<ChunkView> base_view;
+    if (!base.empty()) {
+      ASSERT_OK_AND_ASSIGN(base_view, ChunkView::Make(base));
+    }
+    const uint32_t positions =
+        base_view ? kernels::PositionCount(*base_view) : 0;
+    for (const kernels::Isa isa : {kernels::Isa::kScalar, detected}) {
+      IsaGuard guard;
+      kernels::ForceIsa(isa);
+      kernels::KernelTables tables;
+      tables.BuildRaw(kDims1085, Grouped1085());
+      std::vector<query::AggState> want(kFlat1085);
+      ASSERT_EQ(kernels::AggregateView(merged_view, tables, want.data()),
+                merged_valid);
+      for (uint32_t split = 0; split <= positions; ++split) {
+        std::vector<query::AggState> got(kFlat1085);
+        uint64_t cells = kernels::AggregateDelta(delta, tables, got.data());
+        if (base_view) {
+          cells += kernels::AggregateRange(*base_view, 0, split, tables,
+                                           got.data(), &delta);
+          cells += kernels::AggregateRange(*base_view, split, positions,
+                                           tables, got.data(), &delta);
+        }
+        const std::string where = std::string(ChunkFormatToString(f)) + " " +
+                                  std::string(kernels::IsaName(isa)) +
+                                  " split " + std::to_string(split);
+        ASSERT_EQ(cells, merged_valid) << where;
+        for (size_t i = 0; i < kFlat1085; ++i) {
+          ASSERT_EQ(got[i], want[i]) << where << " flat " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelDeltaMerge, DeltaOnEmptyBase) {
+  ExpectDeltaMergeMatchesReencode(
+      {}, {{0, 5}, {17, -3}, {200, 1LL << 40}, {399, -(1LL << 50)}});
+}
+
+TEST(KernelDeltaMerge, UpsertsFirstAndLastBaseCell) {
+  const Cells base = HoleyBase(kCap1085, 11);
+  ExpectDeltaMergeMatchesReencode(
+      base, {{base.front().first, 1000}, {base.back().first, -1000}});
+  // Also with an insert into a hole between them.
+  ExpectDeltaMergeMatchesReencode(base, {{base.front().first, 1000},
+                                         {2, 77},
+                                         {base.back().first, -1000}});
+}
+
+TEST(KernelDeltaMerge, DeltaPastLastBaseOffset) {
+  const Cells base = HoleyBase(300, 12);
+  ExpectDeltaMergeMatchesReencode(base, {{300, 9}, {351, -9}, {399, 99}});
+}
+
+TEST(KernelDeltaMerge, DeltaCoversEveryBaseCell) {
+  const Cells base = HoleyBase(kCap1085, 13);
+  Cells delta;
+  for (const auto& [off, value] : base) delta.push_back({off, -value});
+  ExpectDeltaMergeMatchesReencode(base, delta);
+  // Every base cell plus every hole: the merged chunk is full.
+  Cells full;
+  for (uint32_t off = 0; off < kCap1085; ++off) full.push_back({off, off});
+  ExpectDeltaMergeMatchesReencode(base, full);
 }
 
 // ---------------------------------------------------------------------------
