@@ -4,14 +4,18 @@
 // bit-packed codecs (kDiffSequence, kBitPacked) and the kAuto selector,
 // reporting stored bytes (absolute, per chunk, and the reduction against
 // the offset-compressed baseline), raw decode throughput over the stored
-// chunks, and the Figure 4 (Query 1) / Figure 8 (Query 2, low selectivity)
-// scan times. Query results are asserted identical across formats — the
-// codec must change the bytes, never the answer.
+// chunks, the Figure 4 (Query 1) / Figure 8 (Query 2, low selectivity)
+// scan times, and the warm serial §4.2 probe cost per cross-product
+// candidate on olapd's probe shape. Query results are asserted identical
+// across formats — the codec must change the bytes, never the answer.
+#include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include "array/chunked_array.h"
 #include "bench_json.h"
 #include "bench_util.h"
+#include "core/consolidate.h"
 #include "gen/datasets.h"
 
 using namespace paradise;        // NOLINT(build/namespaces)
@@ -49,6 +53,53 @@ double DecodeThroughput(const ChunkedArray& array) {
   return best_seconds > 0 ? static_cast<double>(cells) / best_seconds : 0.0;
 }
 
+/// olapd's ad-hoc probe shape: an equality on hX2 (cardinality 10) of three
+/// dimensions, star selectivity 1e-3, answered by the §4.2 probe; grouped by
+/// hX1 of the fourth.
+query::ConsolidationQuery ProbeQuery() {
+  query::ConsolidationQuery q;
+  q.dims.resize(4);
+  for (size_t d = 0; d < 3; ++d) {
+    q.dims[d].selections.push_back(
+        query::Selection{2, {query::Literal{gen::AttrValue(d, 2, 3)}}});
+  }
+  q.dims[3].group_by_col = 1;
+  return q;
+}
+
+struct ProbeCost {
+  double ns_per_candidate = 0;
+  uint64_t candidates = 0;
+  query::GroupedResult result;
+};
+
+/// Warm, serial §4.2 probe: one unmeasured run fills the buffer pool, then
+/// the median over 31 runs of wall time per cross-product candidate.
+ProbeCost MeasureProbe(const OlapArray& olap,
+                       const query::ConsolidationQuery& q) {
+  constexpr int kRuns = 31;
+  ProbeCost cost;
+  std::vector<double> ns;
+  for (int run = 0; run <= kRuns; ++run) {
+    ArrayConsolidateStats stats;
+    const auto start = std::chrono::steady_clock::now();
+    Result<query::GroupedResult> r = ArrayConsolidate(olap, q, nullptr, &stats);
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+    PARADISE_CHECK_OK(r.status());
+    if (run == 0) {
+      cost.candidates = stats.candidates;
+      cost.result = std::move(r).value();
+      continue;
+    }
+    ns.push_back(seconds * 1e9 / static_cast<double>(stats.candidates));
+  }
+  std::nth_element(ns.begin(), ns.begin() + kRuns / 2, ns.end());
+  cost.ns_per_candidate = ns[kRuns / 2];
+  return cost;
+}
+
 }  // namespace
 
 int main() {
@@ -56,14 +107,17 @@ int main() {
   std::printf(
       "density_percent,format,array_bytes,bytes_per_chunk,"
       "reduction_vs_offset_pct,decode_cells_per_sec,q1_seconds,q2_seconds,"
-      "q1_disk_reads\n");
+      "q1_disk_reads,probe_ns_per_candidate\n");
   BenchReport report(
       "codec",
       "chunk codec ablation on 40x40x40x100: stored bytes, decode "
-      "throughput, and Figure 4/8 scan times per format");
+      "throughput, Figure 4/8 scan times and the warm serial S=1e-3 probe "
+      "cost per candidate per format");
+  const query::ConsolidationQuery probe_query = ProbeQuery();
   for (double pct : {0.5, 2.0, 10.0}) {
     uint64_t offset_bytes = 0;
     uint64_t baseline_groups = 0;
+    query::GroupedResult baseline_probe;
     for (ChunkFormat format :
          {ChunkFormat::kOffsetCompressed, ChunkFormat::kDense,
           ChunkFormat::kAuto, ChunkFormat::kLzwDense,
@@ -77,9 +131,12 @@ int main() {
                                    gen::Query1(4));
       const Execution q2 = MustRun(db.get(), EngineKind::kArray,
                                    gen::Query2(4));
+      const ProbeCost probe = MeasureProbe(*db->olap(), probe_query);
       if (format == ChunkFormat::kOffsetCompressed) {
         baseline_groups = q1.result.num_groups();
-      } else if (q1.result.num_groups() != baseline_groups) {
+        baseline_probe = probe.result;
+      } else if (q1.result.num_groups() != baseline_groups ||
+                 !probe.result.SameAs(baseline_probe)) {
         std::fprintf(stderr, "bench: format changed the answer\n");
         std::exit(1);
       }
@@ -104,12 +161,13 @@ int main() {
       const double decode_rate = DecodeThroughput(array);
       char density[32];
       std::snprintf(density, sizeof(density), "%.1f", pct);
-      std::printf("%.1f,%s,%llu,%.1f,%.1f,%.3e,%.4f,%.4f,%llu\n", pct,
+      std::printf("%.1f,%s,%llu,%.1f,%.1f,%.3e,%.4f,%.4f,%llu,%.1f\n", pct,
                   std::string(ChunkFormatToString(format)).c_str(),
                   static_cast<unsigned long long>(array_bytes),
                   bytes_per_chunk, reduction, decode_rate, q1.stats.seconds,
                   q2.stats.seconds,
-                  static_cast<unsigned long long>(q1.stats.io.disk_reads));
+                  static_cast<unsigned long long>(q1.stats.io.disk_reads),
+                  probe.ns_per_candidate);
       report.Add({{"density_percent", density},
                   {"format", std::string(ChunkFormatToString(format))},
                   {"query", "q1"}},
@@ -122,6 +180,15 @@ int main() {
                   {"format", std::string(ChunkFormatToString(format))},
                   {"query", "q2"}},
                  EngineKind::kArray, q2);
+      ExecutionStats probe_stats;
+      probe_stats.seconds =
+          probe.ns_per_candidate * static_cast<double>(probe.candidates) / 1e9;
+      report.Add({{"density_percent", density},
+                  {"format", std::string(ChunkFormatToString(format))},
+                  {"query", "probe"}},
+                 "array-warm-serial", probe.result.num_groups(), probe_stats,
+                 {{"probe_ns_per_candidate", probe.ns_per_candidate},
+                  {"candidates", static_cast<double>(probe.candidates)}});
     }
   }
   report.WriteFile();

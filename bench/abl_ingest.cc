@@ -6,7 +6,9 @@
 //   quiesced    pinned-reader latency distribution with the writers idle —
 //               the baseline p50/p99;
 //   churn       the same pinned readers while a background thread commits
-//               fresh generations and compacts continuously;
+//               fresh generations and compacts continuously (interleaved
+//               with matched over five rounds; the p99 ratio is the
+//               median round's, printed with its min and max);
 //   matched     the readers against a thread with the writer's measured
 //               duty cycle (spin + sleep) doing NO database work — on a
 //               small box the scheduler charges readers for any busy
@@ -83,7 +85,30 @@ struct LatencyPass {
   double p99_ms = 0;
   double seconds = 0;
   uint64_t queries = 0;
+  std::vector<uint64_t> micros;  // per-query latencies, sorted
 };
+
+LatencyPass FromMicros(std::vector<uint64_t> micros, double seconds) {
+  LatencyPass pass;
+  std::sort(micros.begin(), micros.end());
+  pass.p50_ms = static_cast<double>(Percentile(micros, 0.50)) / 1000.0;
+  pass.p99_ms = static_cast<double>(Percentile(micros, 0.99)) / 1000.0;
+  pass.seconds = seconds;
+  pass.queries = micros.size();
+  pass.micros = std::move(micros);
+  return pass;
+}
+
+/// The passes' queries as one population.
+LatencyPass Pooled(const std::vector<LatencyPass>& passes) {
+  std::vector<uint64_t> micros;
+  double seconds = 0;
+  for (const LatencyPass& pass : passes) {
+    micros.insert(micros.end(), pass.micros.begin(), pass.micros.end());
+    seconds += pass.seconds;
+  }
+  return FromMicros(std::move(micros), seconds);
+}
 
 /// Runs `queries` serial consolidations against one pinned snapshot. The pin
 /// is taken once up front, like a server session's connect-time pin, and the
@@ -96,7 +121,6 @@ LatencyPass RunPinnedReaders(const Database* db,
                              const query::ConsolidationQuery& q,
                              const query::GroupedResult* expect,
                              size_t queries) {
-  LatencyPass pass;
   const Database::PinnedArray pin = db->PinArray();
   Result<query::GroupedResult> ref_or = ArrayConsolidate(pin.array, q);
   if (!ref_or.ok()) Die(ref_or.status());
@@ -121,14 +145,10 @@ LatencyPass RunPinnedReaders(const Database* db,
         std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
             .count()));
   }
-  pass.seconds =
+  return FromMicros(
+      std::move(micros),
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  std::sort(micros.begin(), micros.end());
-  pass.p50_ms = static_cast<double>(Percentile(micros, 0.50)) / 1000.0;
-  pass.p99_ms = static_cast<double>(Percentile(micros, 0.99)) / 1000.0;
-  pass.queries = queries;
-  return pass;
+          .count());
 }
 
 /// The overlay sweep: one serial warm reader on DataSet1(1000, 10, seed 5)
@@ -299,80 +319,93 @@ int main() {
   const LatencyPass quiesced =
       RunPinnedReaders(db.get(), q, &golden, kReaderQueries);
 
-  // --- Pass 3: the same readers while a writer thread commits a fresh
-  // generation per round and compacts every fourth round.
-  std::atomic<bool> done{false};
-  std::atomic<uint64_t> churn_commits{0};
-  std::atomic<uint64_t> churn_compactions{0};
-  std::atomic<uint64_t> writer_busy_micros{0};
-  std::atomic<uint64_t> writer_rounds{0};
-  std::thread writer([&] {
-    size_t wcursor = 0;
-    uint64_t round = 0;
-    while (!done.load(std::memory_order_acquire)) {
-      const auto r0 = std::chrono::steady_clock::now();
-      for (size_t i = 0; i < kBatch; ++i) {
-        const uint64_t gi =
-            data.cell_global_indices[wcursor++ %
-                                     data.cell_global_indices.size()];
-        if (Status st = db->ingest()->Write(
-                data.CellKeys(gi), {static_cast<int64_t>(round)});
-            !st.ok()) {
-          Die(st);
+  // --- Passes 3 and 4, interleaved over kRounds rounds so drift in the
+  // machine's load hits both alike. Churn: the same readers while a writer
+  // thread commits a fresh generation per round and compacts every fourth
+  // round. Matched load: the writer's measured duty cycle (busy-spin the
+  // mean round time, sleep the same 2 ms) replayed without any database
+  // calls, under the same readers. The scheduler cost of a busy neighbor is
+  // identical; only ingest's database-level interference is absent — so
+  // churn/matched isolates what MVCC actually costs readers. One pass's p99
+  // is its 20th-slowest query of about 0.2 ms, so the ratio is taken per
+  // round and printed as the median with its range.
+  constexpr int kRounds = 5;
+  std::vector<double> round_ratios;
+  std::vector<LatencyPass> churn_passes;
+  std::vector<LatencyPass> matched_passes;
+  uint64_t churn_commits = 0;
+  uint64_t churn_compactions = 0;
+  uint64_t write_round = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    std::atomic<bool> done{false};
+    uint64_t writer_busy_micros = 0;
+    uint64_t writer_rounds = 0;
+    std::thread writer([&] {
+      size_t wcursor = 0;
+      while (!done.load(std::memory_order_acquire)) {
+        const auto r0 = std::chrono::steady_clock::now();
+        for (size_t i = 0; i < kBatch; ++i) {
+          const uint64_t gi =
+              data.cell_global_indices[wcursor++ %
+                                       data.cell_global_indices.size()];
+          if (Status st = db->ingest()->Write(
+                  data.CellKeys(gi), {static_cast<int64_t>(write_round)});
+              !st.ok()) {
+            Die(st);
+          }
         }
+        if (Status st = db->ingest()->Commit(); !st.ok()) Die(st);
+        ++churn_commits;
+        if (write_round % 4 == 3) {
+          if (Status st = db->ingest()->Compact(); !st.ok()) Die(st);
+          ++churn_compactions;
+        }
+        ++write_round;
+        writer_busy_micros += static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - r0)
+                .count());
+        ++writer_rounds;
+        // Pace the rounds so "continuous" churn still leaves the readers
+        // runnable on a single-CPU box; dozens of commits and compactions
+        // land inside the reader window regardless.
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
-      if (Status st = db->ingest()->Commit(); !st.ok()) Die(st);
-      churn_commits.fetch_add(1, std::memory_order_relaxed);
-      if (round % 4 == 3) {
-        if (Status st = db->ingest()->Compact(); !st.ok()) Die(st);
-        churn_compactions.fetch_add(1, std::memory_order_relaxed);
-      }
-      ++round;
-      writer_busy_micros.fetch_add(
-          static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - r0)
-                  .count()),
-          std::memory_order_relaxed);
-      writer_rounds.fetch_add(1, std::memory_order_relaxed);
-      // Pace the rounds so "continuous" churn still leaves the readers
-      // runnable on a single-CPU box; dozens of commits and compactions
-      // land inside the reader window regardless.
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  });
-  // No `expect`: the pin lands mid-churn, at whatever epoch is current —
-  // the isolation claim is that its answer never changes from there on.
-  const LatencyPass churn =
-      RunPinnedReaders(db.get(), q, nullptr, kReaderQueries);
-  done.store(true, std::memory_order_release);
-  writer.join();
+    });
+    // No `expect`: the pin lands mid-churn, at whatever epoch is current —
+    // the isolation claim is that its answer never changes from there on.
+    churn_passes.push_back(
+        RunPinnedReaders(db.get(), q, nullptr, kReaderQueries));
+    done.store(true, std::memory_order_release);
+    writer.join();
 
-  // --- Pass 4: matched-load baseline. Replay the writer's measured duty
-  // cycle (busy-spin the mean round time, sleep the same 2 ms) without any
-  // database calls, under the same readers. The scheduler cost of a busy
-  // neighbor is identical; only ingest's database-level interference is
-  // absent — so churn/matched isolates what MVCC actually costs readers.
-  const uint64_t rounds = std::max<uint64_t>(1, writer_rounds.load());
-  const std::chrono::microseconds spin(writer_busy_micros.load() / rounds);
-  std::atomic<bool> matched_done{false};
-  std::thread dummy([&] {
-    while (!matched_done.load(std::memory_order_acquire)) {
-      const auto until = std::chrono::steady_clock::now() + spin;
-      while (std::chrono::steady_clock::now() < until) {
+    const std::chrono::microseconds spin(
+        writer_busy_micros / std::max<uint64_t>(1, writer_rounds));
+    std::atomic<bool> matched_done{false};
+    std::thread dummy([&] {
+      while (!matched_done.load(std::memory_order_acquire)) {
+        const auto until = std::chrono::steady_clock::now() + spin;
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  });
-  const LatencyPass matched =
-      RunPinnedReaders(db.get(), q, nullptr, kReaderQueries);
-  matched_done.store(true, std::memory_order_release);
-  dummy.join();
+    });
+    matched_passes.push_back(
+        RunPinnedReaders(db.get(), q, nullptr, kReaderQueries));
+    matched_done.store(true, std::memory_order_release);
+    dummy.join();
+    round_ratios.push_back(matched_passes.back().p99_ms > 0
+                               ? churn_passes.back().p99_ms /
+                                     matched_passes.back().p99_ms
+                               : 0);
+  }
+  const LatencyPass churn = Pooled(churn_passes);
+  const LatencyPass matched = Pooled(matched_passes);
+  std::sort(round_ratios.begin(), round_ratios.end());
+  const double ratio_matched = round_ratios[kRounds / 2];
 
   const double ratio_quiesced =
       quiesced.p99_ms > 0 ? churn.p99_ms / quiesced.p99_ms : 0;
-  const double ratio_matched =
-      matched.p99_ms > 0 ? churn.p99_ms / matched.p99_ms : 0;
   std::printf("mode,queries,seconds,p50_ms,p99_ms,commits,compactions\n");
   std::printf("quiesced,%llu,%.3f,%.3f,%.3f,0,0\n",
               static_cast<unsigned long long>(quiesced.queries),
@@ -383,13 +416,16 @@ int main() {
   std::printf("churn,%llu,%.3f,%.3f,%.3f,%llu,%llu\n",
               static_cast<unsigned long long>(churn.queries), churn.seconds,
               churn.p50_ms, churn.p99_ms,
-              static_cast<unsigned long long>(churn_commits.load()),
-              static_cast<unsigned long long>(churn_compactions.load()));
-  std::printf("# churn/quiesced p99 ratio: %.3f (scheduler included)\n",
+              static_cast<unsigned long long>(churn_commits),
+              static_cast<unsigned long long>(churn_compactions));
+  std::printf("# churn/quiesced p99 ratio: %.3f (all rounds pooled; "
+              "scheduler included)\n",
               ratio_quiesced);
-  std::printf("# churn/matched-load p99 ratio: %.3f (target < 1.10; matched "
-              "= equal CPU duty cycle, no database)\n",
-              ratio_matched);
+  std::printf("# churn/matched-load p99 ratio: median %.3f over %d rounds "
+              "(min %.3f, max %.3f; target < 1.10; matched = equal CPU duty "
+              "cycle, no database)\n",
+              ratio_matched, kRounds, round_ratios.front(),
+              round_ratios.back());
 
   const LatencyPass* passes[] = {&quiesced, &matched, &churn};
   const char* names[] = {"quiesced", "matched", "churn"};
@@ -404,10 +440,15 @@ int main() {
                 {"queries", static_cast<double>(pass.queries)},
                 {"p99_ratio_vs_quiesced", is_churn ? ratio_quiesced : 1.0},
                 {"p99_ratio_vs_matched", is_churn ? ratio_matched : 1.0},
+                {"p99_ratio_vs_matched_min",
+                 is_churn ? round_ratios.front() : 1.0},
+                {"p99_ratio_vs_matched_max",
+                 is_churn ? round_ratios.back() : 1.0},
+                {"rounds", i == 0 ? 1.0 : static_cast<double>(kRounds)},
                 {"commits", static_cast<double>(
-                     is_churn ? churn_commits.load() : 0)},
+                     is_churn ? churn_commits : 0)},
                 {"compactions", static_cast<double>(
-                     is_churn ? churn_compactions.load() : 0)}});
+                     is_churn ? churn_compactions : 0)}});
   }
 
   // --- Pass 5: reader cost per overlay cell.

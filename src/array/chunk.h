@@ -33,9 +33,9 @@ struct ChunkEntry {
 };
 
 /// Entries per block of the packed codecs: every block starts at a fixed32
-/// anchor (kDiffSequence) or skip-directory entry (kBitPacked), so a probe
-/// binary-searches the per-block directory and decodes at most one block —
-/// the sub-linear access the §4.2 probe loop needs.
+/// anchor (kDiffSequence) or skip-directory entry (kBitPacked), so a reader
+/// can find the block holding an offset from the directory alone and decode
+/// only that block — the §4.2 probe walks the blocks forward this way.
 inline constexpr uint32_t kPackedChunkBlock = 128;
 
 /// Concrete serialized encoding behind a ChunkView (the blob's tag byte, as
@@ -143,7 +143,11 @@ class ChunkView {
   ChunkEntry SparseEntry(uint32_t i) const;
 
   /// Sparse encodings: index of the first entry with offset >= `offset`,
-  /// searching from entry `from` (monotone probes pass their last position).
+  /// searching from entry `from`. A single random lookup (Get uses it):
+  /// on packed encodings each call binary-searches the block directory and
+  /// decodes a block. A run of rising offsets, like the §4.2 probe's
+  /// candidates, walks the blocks forward instead (num_blocks,
+  /// BlockFirstOffset, DecodeBlock) and decodes each block at most once.
   uint32_t SparseLowerBound(uint32_t offset, uint32_t from) const;
 
   /// Packed encodings (kDiffSeq/kBitPacked): decodes block `b` — entries
@@ -151,6 +155,12 @@ class ChunkView {
   /// `offsets`/`values` (each sized >= kPackedChunkBlock) and returns the
   /// number of entries decoded. The batch kernels' unpack step.
   uint32_t DecodeBlock(uint32_t b, uint32_t* offsets, int64_t* values) const;
+
+  /// Packed encodings: the number of blocks, ceil(num_valid /
+  /// kPackedChunkBlock), and the first offset of block `b` (its anchor /
+  /// skip-directory entry), read without decoding the block.
+  uint32_t num_blocks() const { return num_blocks_; }
+  uint32_t BlockFirstOffset(uint32_t b) const;
 
   /// Raw serialized regions for the batch kernels (core/kernels/), which
   /// extract whole runs of cells without per-cell accessor calls. Layouts
@@ -204,9 +214,6 @@ class ChunkView {
 
   /// Packed encodings: entry i's value.
   int64_t PackedValue(uint32_t i) const;
-
-  /// First offset of block b (the anchor / skip-directory entry).
-  uint32_t BlockFirstOffset(uint32_t b) const;
 
   const char* data_ = nullptr;
   ChunkEncoding encoding_ = ChunkEncoding::kSparse;

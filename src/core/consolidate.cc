@@ -121,8 +121,8 @@ Result<query::GroupedResult> ArrayConsolidate(
           piece.slice_begin[m.dim] = m.begin;
           piece.slice_end[m.dim] = m.end;
           PARADISE_RETURN_IF_ERROR(select_detail::ProbeSelectionRange(
-              array, spec, *plan, piece, m.view ? &*m.view : nullptr, m.delta,
-              &flat, &ws));
+              array.layout(), spec, *plan, piece,
+              m.view ? &*m.view : nullptr, m.delta, &flat, &ws));
         }
       }
     };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <optional>
 
+#include "common/coding.h"
+
 namespace paradise {
 
 namespace select_detail {
@@ -113,17 +115,133 @@ std::vector<SelectionChunkWork> PlanSelectionChunks(
 
 namespace {
 
+/// Galloping search for the end of a run: `below` must hold at `lo` and be
+/// monotone (true, then false) over [lo, end). Returns the first index in
+/// (lo, end] where it fails (end if none) — strides double from `lo` until
+/// one lands past the run, then a bisection narrows the last stride, so the
+/// cost grows with the log of the distance moved, not of the whole range.
+template <typename Below>
+uint32_t Gallop(uint32_t lo, uint32_t end, Below below) {
+  uint32_t hi = end;
+  for (uint64_t step = 1; lo + step < end; step *= 2) {
+    if (!below(static_cast<uint32_t>(lo + step))) {
+      hi = static_cast<uint32_t>(lo + step);
+      break;
+    }
+    lo += static_cast<uint32_t>(step);
+  }
+  ++lo;
+  while (lo < hi) {
+    const uint32_t mid = lo + (hi - lo) / 2;
+    if (below(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+/// A forward cursor over one base chunk's entries. The §4.2 candidates
+/// arrive in increasing offset order, so the probe is a merge of two sorted
+/// streams (the difference sequence read forward, as Szépkúti reads it):
+/// - offset-compressed chunks gallop over the stored entries in place;
+/// - packed chunks keep one block decoded and step through it; a candidate
+///   past the block's last offset jumps by the block anchors, so a block
+///   whose anchor range holds no candidate is never decoded;
+/// - dense chunks index the candidate directly.
+class BaseCursor {
+ public:
+  /// `view` may be null (the base has no cells): nothing is ever found.
+  explicit BaseCursor(const ChunkView* view)
+      : view_(view),
+        num_valid_(view == nullptr ? 0 : view->num_valid()),
+        sparse_(view == nullptr || view->sparse()) {}
+
+  /// The base value at `offset`, if valid. Offsets must not decrease from
+  /// call to call, and `view` must be non-null.
+  std::optional<int64_t> Seek(uint32_t offset) {
+    switch (view_->encoding()) {
+      case ChunkEncoding::kSparse:
+        return SeekStored(offset);
+      case ChunkEncoding::kDiffSeq:
+      case ChunkEncoding::kBitPacked:
+        return SeekPacked(offset);
+      case ChunkEncoding::kDense:
+        break;
+    }
+    return view_->Get(offset);
+  }
+
+  /// True once every base entry lies below the last offset sought (sparse
+  /// encodings and an empty base only): no later candidate can hit.
+  bool exhausted() const { return sparse_ && pos_ >= num_valid_; }
+
+ private:
+  std::optional<int64_t> SeekStored(uint32_t offset) {
+    const char* entries = view_->SparseEntriesData();
+    const auto offset_at = [entries](uint32_t i) {
+      return DecodeFixed32(entries + static_cast<size_t>(i) * 12);
+    };
+    if (pos_ < num_valid_ && offset_at(pos_) < offset) {
+      pos_ = Gallop(pos_, num_valid_,
+                    [&](uint32_t i) { return offset_at(i) < offset; });
+    }
+    if (pos_ < num_valid_ && offset_at(pos_) == offset) {
+      return static_cast<int64_t>(DecodeFixed64(
+          entries + static_cast<size_t>(pos_) * 12 + 4));
+    }
+    return std::nullopt;
+  }
+
+  std::optional<int64_t> SeekPacked(uint32_t offset) {
+    if (n_ == 0 || offset > offsets_[n_ - 1]) {
+      // Past the decoded block: every entry before block next_ is below
+      // `offset`. If block next_ starts past it too, the candidate falls in
+      // the gap before that anchor and nothing is decoded.
+      const uint32_t blocks = view_->num_blocks();
+      if (next_ >= blocks || view_->BlockFirstOffset(next_) > offset) {
+        pos_ = next_ * kPackedChunkBlock;
+        return std::nullopt;
+      }
+      // Decode the last block whose anchor is at or before `offset`.
+      next_ = Gallop(next_, blocks, [&](uint32_t b) {
+        return view_->BlockFirstOffset(b) <= offset;
+      });
+      n_ = view_->DecodeBlock(next_ - 1, offsets_, values_);
+      k_ = 0;
+    }
+    while (k_ < n_ && offsets_[k_] < offset) ++k_;
+    pos_ = (next_ - 1) * kPackedChunkBlock + k_;
+    if (k_ < n_ && offsets_[k_] == offset) return values_[k_];
+    return std::nullopt;
+  }
+
+  const ChunkView* view_;
+  uint32_t num_valid_;
+  bool sparse_;
+  // Index of the first entry at or past the last offset sought.
+  uint32_t pos_ = 0;
+  // Packed encodings: block next_ - 1 is decoded into offsets_/values_ with
+  // n_ entries (n_ == 0: none is yet), and k_ indexes the first of them at
+  // or past the last offset sought.
+  uint32_t next_ = 0;
+  uint32_t n_ = 0;
+  uint32_t k_ = 0;
+  uint32_t offsets_[kPackedChunkBlock];
+  int64_t values_[kPackedChunkBlock];
+};
+
 /// The probe loop of ProbeSelectionRange. kMerge: the chunk has an ingest
 /// delta, so each candidate is looked up in it before the base (and `view`
 /// may be null). Without a delta the loop is the plain §4.2 probe: the
 /// merge adds no per-candidate work to it.
 template <bool kMerge>
-void ProbeLoop(const OlapArray& array, const GroupSpec& spec,
+void ProbeLoop(const ChunkLayout& layout, const GroupSpec& spec,
                const SelectionPlan& plan, const SelectionChunkWork& work,
                const ChunkView* view, const ChunkDelta* delta,
                std::vector<query::AggState>* flat,
                ArrayConsolidateStats* stats) {
-  const ChunkLayout& layout = array.layout();
   const size_t n = layout.num_dims();
   const CellCoords base = layout.ChunkBase(work.chunk_no);
   const CellCoords cdims = layout.ChunkDims(work.chunk_no);
@@ -137,20 +255,18 @@ void ProbeLoop(const OlapArray& array, const GroupSpec& spec,
   }
 
   // §4.2 optimizations 2+3: enumerate cross-product elements in increasing
-  // chunk-offset order (row-major odometer over the list slices) and probe
-  // the sorted stored chunk with a forward-moving binary search directly on
-  // the serialized bytes. An ingest delta is probed first with its own
-  // forward cursor: its upserts win over the base, as in GetCell.
+  // chunk-offset order (row-major odometer over the list slices) and merge
+  // them with the stored chunk through a forward cursor on the serialized
+  // bytes. An ingest delta is probed first with its own forward cursor: its
+  // upserts win over the base, as in GetCell.
   const auto& lists = plan.lists;
-  const bool sparse = view == nullptr || view->sparse();
-  const uint32_t base_valid = view == nullptr ? 0 : view->num_valid();
+  BaseCursor cursor(view);
   const ChunkEntry* next = nullptr;
   const ChunkEntry* next_end = nullptr;
   if constexpr (kMerge) {
     next = delta->cells.data();
     next_end = next + delta->cells.size();
   }
-  uint32_t probe_pos = 0;
   std::vector<uint32_t> pos(n);
   for (size_t d = 0; d < n; ++d) pos[d] = work.slice_begin[d];
   bool done = false;
@@ -168,15 +284,7 @@ void ProbeLoop(const OlapArray& array, const GroupSpec& spec,
       if (next != next_end && next->offset == offset) hit = next->value;
     }
     if (!kMerge || (!hit.has_value() && view != nullptr)) {
-      if (sparse) {
-        probe_pos = view->SparseLowerBound(offset, probe_pos);
-        if (probe_pos < base_valid) {
-          const ChunkEntry e = view->SparseEntry(probe_pos);
-          if (e.offset == offset) hit = e.value;
-        }
-      } else {
-        hit = view->Get(offset);
-      }
+      hit = cursor.Seek(offset);
     }
     if (hit.has_value()) {
       uint64_t flat_idx = 0;
@@ -189,7 +297,7 @@ void ProbeLoop(const OlapArray& array, const GroupSpec& spec,
       (*flat)[flat_idx].Add(*hit);
       ++stats->hits;
     }
-    if (sparse && probe_pos >= base_valid && next == next_end) {
+    if (cursor.exhausted() && next == next_end) {
       break;  // no later offset can match
     }
     // Advance the odometer (last dimension fastest).
@@ -208,16 +316,16 @@ void ProbeLoop(const OlapArray& array, const GroupSpec& spec,
 
 }  // namespace
 
-Status ProbeSelectionRange(const OlapArray& array, const GroupSpec& spec,
+Status ProbeSelectionRange(const ChunkLayout& layout, const GroupSpec& spec,
                            const SelectionPlan& plan,
                            const SelectionChunkWork& work,
                            const ChunkView* view, const ChunkDelta* delta,
                            std::vector<query::AggState>* flat,
                            ArrayConsolidateStats* stats) {
   if (delta != nullptr) {
-    ProbeLoop<true>(array, spec, plan, work, view, delta, flat, stats);
+    ProbeLoop<true>(layout, spec, plan, work, view, delta, flat, stats);
   } else if (view != nullptr) {
-    ProbeLoop<false>(array, spec, plan, work, view, nullptr, flat, stats);
+    ProbeLoop<false>(layout, spec, plan, work, view, nullptr, flat, stats);
   }
   return Status::OK();
 }

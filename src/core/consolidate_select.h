@@ -2,10 +2,13 @@
 // algorithm (paper §4.2), run by the executor in core/consolidate.h: probe
 // the per-attribute B-trees for the selected values to get per-dimension
 // index lists, merge them, then enumerate the cross-product lazily in chunk
-// order — skipping chunks that cannot contain a selected cell — and probe
-// each candidate by binary search over the chunk's sorted offsets. Phase 1
-// and the overlap scan are cheap and stay on the caller's thread; the
-// per-chunk probe works on disjoint chunk pieces and private result arrays.
+// order — skipping chunks that cannot contain a selected cell — and merge
+// the rising candidate offsets with the chunk's sorted entries through one
+// forward cursor per chunk piece: it walks offset-compressed entries in
+// place and decodes a packed block only when a candidate falls in its
+// anchor range, at most once. Phase 1 and the overlap scan are cheap and
+// stay on the caller's thread; the per-chunk probe works on disjoint chunk
+// pieces and private result arrays.
 #pragma once
 
 #include <cstdint>
@@ -66,20 +69,22 @@ std::vector<SelectionChunkWork> PlanSelectionChunks(
     const ChunkedArray& data, const SelectionPlan& plan,
     bool skip_non_overlapping_chunks, ArrayConsolidateStats* stats);
 
-/// The odometer probe over an already-decoded chunk view (paper §4.2
+/// The odometer probe over an already-fetched chunk view (paper §4.2
 /// optimizations 2+3): enumerates the cross-product elements inside the
-/// work item's slices in increasing offset order and aggregates hits into
-/// `flat`; `flat` and `stats` may be thread-private. `view` is the base
-/// chunk (null when it is empty) and `delta` the chunk's ingest upserts
-/// (may be null): each candidate is looked up in the delta first, then in
-/// the base, so the probe sees the merged chunk without rebuilding it.
+/// work item's slices in increasing offset order, looks each up with one
+/// forward cursor over the base chunk, and aggregates hits into `flat`;
+/// `flat` and `stats` may be thread-private. `layout` is the array's,
+/// `view` the base chunk (null when it is empty) and `delta` the chunk's
+/// ingest upserts (may be null): each candidate is looked up in the delta
+/// first, then in the base, so the probe sees the merged chunk without
+/// rebuilding it.
 /// `work.overlap` must be true. Morsels narrow one dimension's slice
 /// (core/morsel.h) and call this per piece: the probed candidate boxes are
 /// disjoint and their union is the whole-chunk call's box, so any morsel
 /// schedule aggregates exactly the same hits. (`candidates` counts can
 /// differ from the unsplit run's: the sparse early-out stops each piece's
 /// odometer independently.)
-Status ProbeSelectionRange(const OlapArray& array, const GroupSpec& spec,
+Status ProbeSelectionRange(const ChunkLayout& layout, const GroupSpec& spec,
                            const SelectionPlan& plan,
                            const SelectionChunkWork& work,
                            const ChunkView* view, const ChunkDelta* delta,

@@ -258,9 +258,10 @@ void CheckChunkAcrossFormats(const Chunk& chunk, bool probe_all = true) {
     }
     EXPECT_FALSE(view.Get(chunk.capacity()).has_value());
 
-    // Sparse encodings: the §4.2 monotone probe walk — SparseLowerBound
+    // Sparse encodings: a monotone lower-bound walk — SparseLowerBound
     // fed its own previous result must visit every entry in order, and
-    // SparseEntry(i) must match.
+    // SparseEntry(i) must match. (The §4.2 probe's forward block cursor
+    // is tested in kernel_test, KernelProbeCursor.)
     if (view.sparse()) {
       uint32_t pos = 0;
       for (size_t i = 0; i < expect.size(); ++i) {

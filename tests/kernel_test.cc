@@ -4,19 +4,23 @@
 // paths cell-for-cell, range/morsel equivalence on dense bitmaps, and an
 // executor-level fuzz asserting morsel-scheduled results stay bit-identical
 // to the single-thread run at thread counts 1-16 and forced morsel sizes
-// down to 1 cell, and the base+delta merge (KernelDeltaMerge) against the
-// re-encoded merged chunk.
+// down to 1 cell, the base+delta merge (KernelDeltaMerge) against the
+// re-encoded merged chunk, and the §4.2 probe's forward cursor
+// (KernelProbeCursor) against brute force and the per-candidate loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <random>
 #include <vector>
 
 #include "array/chunk.h"
 #include "array/delta_overlay.h"
 #include "common/metrics.h"
+#include "array/chunk_layout.h"
 #include "core/consolidate.h"
+#include "core/consolidate_select.h"
 #include "core/kernels/consolidate_kernel.h"
 #include "query/engine.h"
 #include "test_util.h"
@@ -601,6 +605,464 @@ TEST_P(KernelMorselFuzz, MorselCancellationStopsQuery) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, KernelMorselFuzz,
                          ::testing::Values(1, 2, 3, 4, 8, 16));
+
+// ---------------------------------------------------------------------------
+// §4.2 probe cursor: ProbeSelectionRange over one chunk against a brute-force
+// scan of the merged (base + delta) chunk, and its `candidates`/`hits`
+// counters against the per-candidate lower-bound loop the forward cursor
+// replaced — under every stored codec, with and without a delta, whole and at
+// every two-way split of the first wide dimension's slice (the morsel split
+// domain, core/morsel.h).
+
+// One chunk spanning the whole array: `dims` are both the array's and the
+// chunk's sides, so an offset is the row-major index of its coordinates.
+struct ProbeCase {
+  std::vector<uint32_t> dims;
+  std::vector<std::vector<uint32_t>> lists;  // sorted selected indices per dim
+  Cells base;                                // sorted by offset
+  Cells delta;                               // sorted by offset
+};
+
+struct ProbeOutcome {
+  std::vector<query::AggState> flat;
+  uint64_t candidates = 0;
+  uint64_t hits = 0;
+};
+
+// Every dimension is grouped, index i mapping to group i % kProbeGroups.
+constexpr int32_t kProbeGroups = 3;
+
+struct ProbeGrouping {
+  GroupSpec spec;
+  std::vector<std::vector<int32_t>> maps;
+  std::vector<const std::vector<int32_t>*> level_maps;
+
+  explicit ProbeGrouping(const std::vector<uint32_t>& dims)
+      : maps(dims.size()) {
+    const size_t n = dims.size();
+    for (size_t d = 0; d < n; ++d) {
+      for (uint32_t i = 0; i < dims[d]; ++i) {
+        maps[d].push_back(static_cast<int32_t>(i) % kProbeGroups);
+      }
+      spec.grouped_dims.push_back(d);
+      spec.group_cols.push_back(1);
+      spec.cardinalities.push_back(kProbeGroups);
+      level_maps.push_back(&maps[d]);
+    }
+    spec.strides.assign(n, 1);
+    for (size_t d = n; d-- > 1;) {
+      spec.strides[d - 1] = spec.strides[d] * kProbeGroups;
+    }
+    spec.num_groups = spec.strides[0] * kProbeGroups;
+  }
+
+  uint64_t FlatIndex(const std::vector<uint32_t>& coords) const {
+    uint64_t idx = 0;
+    for (size_t d = 0; d < coords.size(); ++d) {
+      idx += static_cast<uint64_t>(maps[d][coords[d]]) * spec.strides[d];
+    }
+    return idx;
+  }
+};
+
+std::vector<uint32_t> OffsetToCoords(const std::vector<uint32_t>& dims,
+                                     uint32_t offset) {
+  std::vector<uint32_t> coords(dims.size());
+  for (size_t d = dims.size(); d-- > 0;) {
+    coords[d] = offset % dims[d];
+    offset /= dims[d];
+  }
+  return coords;
+}
+
+// The loop the cursor replaced, over the decoded entries: each candidate is
+// looked up in the delta, then (on a miss) by lower bound in the base from
+// the last position; a sparse base stops the odometer once both are passed.
+ProbeOutcome ReferenceProbe(const ProbeCase& c, const ProbeGrouping& g,
+                            bool dense_base, bool with_delta,
+                            const std::vector<uint32_t>& begin,
+                            const std::vector<uint32_t>& end) {
+  ProbeOutcome out;
+  out.flat.resize(g.spec.num_groups);
+  const size_t n = c.dims.size();
+  const bool has_base = !c.base.empty();
+  const bool sparse = !has_base || !dense_base;
+  const auto below = [](const std::pair<uint32_t, int64_t>& e, uint32_t o) {
+    return e.first < o;
+  };
+  auto base_pos = c.base.begin();
+  auto next = c.delta.begin();
+  const auto next_end = with_delta ? c.delta.end() : c.delta.begin();
+  std::vector<uint32_t> pos = begin;
+  std::vector<uint32_t> coords(n);
+  for (;;) {
+    uint32_t offset = 0;
+    for (size_t d = 0; d < n; ++d) {
+      coords[d] = c.lists[d][pos[d]];
+      offset = offset * c.dims[d] + coords[d];
+    }
+    ++out.candidates;
+    std::optional<int64_t> hit;
+    if (with_delta) {
+      next = std::lower_bound(next, next_end, offset, below);
+      if (next != next_end && next->first == offset) hit = next->second;
+    }
+    if (!hit.has_value() && has_base) {
+      base_pos = std::lower_bound(base_pos, c.base.end(), offset, below);
+      if (base_pos != c.base.end() && base_pos->first == offset) {
+        hit = base_pos->second;
+      }
+    }
+    if (hit.has_value()) {
+      out.flat[g.FlatIndex(coords)].Add(*hit);
+      ++out.hits;
+    }
+    if (sparse && base_pos == c.base.end() && next == next_end) break;
+    size_t d = n - 1;
+    while (++pos[d] == end[d]) {
+      pos[d] = begin[d];
+      if (d == 0) return out;
+      --d;
+    }
+  }
+  return out;
+}
+
+// Ground truth: every cell of the merged chunk whose coordinates all lie in
+// the selected lists.
+ProbeOutcome BruteForceProbe(const ProbeCase& c, const ProbeGrouping& g,
+                             bool with_delta) {
+  std::map<uint32_t, int64_t> merged(c.base.begin(), c.base.end());
+  if (with_delta) {
+    for (const auto& [off, value] : c.delta) merged[off] = value;
+  }
+  ProbeOutcome out;
+  out.flat.resize(g.spec.num_groups);
+  for (const auto& [off, value] : merged) {
+    const std::vector<uint32_t> coords = OffsetToCoords(c.dims, off);
+    bool selected = true;
+    for (size_t d = 0; d < coords.size() && selected; ++d) {
+      selected = std::binary_search(c.lists[d].begin(), c.lists[d].end(),
+                                    coords[d]);
+    }
+    if (selected) {
+      out.flat[g.FlatIndex(coords)].Add(value);
+      ++out.hits;
+    }
+  }
+  return out;
+}
+
+void ExpectSameFlat(const std::vector<query::AggState>& got,
+                    const std::vector<query::AggState>& want,
+                    const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << where << " flat " << i;
+  }
+}
+
+// Runs ProbeSelectionRange on `c` under every codec, with and without the
+// delta, whole and split in two at every point of the first wide
+// dimension's slice.
+void ExpectProbeMatchesReference(const ProbeCase& c) {
+  const size_t n = c.dims.size();
+  ASSERT_OK_AND_ASSIGN(ChunkLayout layout, ChunkLayout::Make(c.dims, c.dims));
+  ASSERT_EQ(layout.num_chunks(), 1u);
+  uint64_t capacity = 1;
+  for (const uint32_t side : c.dims) capacity *= side;
+  const ProbeGrouping g(c.dims);
+  select_detail::SelectionPlan plan;
+  plan.lists = c.lists;
+  plan.level_maps = g.level_maps;
+  select_detail::SelectionChunkWork work;
+  work.chunk_no = 0;
+  work.slice_begin.assign(n, 0);
+  for (const auto& list : c.lists) {
+    work.slice_end.push_back(static_cast<uint32_t>(list.size()));
+  }
+  // The morsel split domain: the first dimension with two or more entries.
+  size_t wide = 0;
+  while (wide < n && work.slice_end[wide] < 2) ++wide;
+  if (wide == n) wide = 0;
+
+  ChunkDelta delta;
+  for (const auto& [off, value] : c.delta) {
+    delta.cells.push_back(ChunkEntry{off, value});
+  }
+  for (const bool with_delta : {false, true}) {
+    if (with_delta && c.delta.empty()) continue;
+    if (!with_delta && c.base.empty()) continue;  // the executor never probes
+    const ProbeOutcome truth = BruteForceProbe(c, g, with_delta);
+    for (const ChunkFormat f :
+         {ChunkFormat::kOffsetCompressed, ChunkFormat::kDense,
+          ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
+      Chunk chunk(static_cast<uint32_t>(capacity));
+      for (const auto& [off, value] : c.base) ASSERT_OK(chunk.Put(off, value));
+      const std::string blob =
+          chunk.empty() ? std::string() : chunk.Serialize(f);
+      std::optional<ChunkView> view;
+      if (!blob.empty()) {
+        ASSERT_OK_AND_ASSIGN(view, ChunkView::Make(blob));
+      }
+      const bool dense_base = view && !view->sparse();
+      // Cut points: none (the whole slice), then every interior point.
+      for (uint32_t cut = 0; cut < work.slice_end[wide]; ++cut) {
+        std::vector<std::pair<uint32_t, uint32_t>> pieces;
+        if (cut == 0) {
+          pieces.push_back({0, work.slice_end[wide]});
+        } else {
+          pieces.push_back({0, cut});
+          pieces.push_back({cut, work.slice_end[wide]});
+        }
+        ProbeOutcome want;
+        want.flat.resize(g.spec.num_groups);
+        std::vector<query::AggState> got(g.spec.num_groups);
+        ArrayConsolidateStats stats;
+        for (const auto& [lo, hi] : pieces) {
+          select_detail::SelectionChunkWork piece = work;
+          piece.slice_begin[wide] = lo;
+          piece.slice_end[wide] = hi;
+          ASSERT_OK(select_detail::ProbeSelectionRange(
+              layout, g.spec, plan, piece, view ? &*view : nullptr,
+              with_delta ? &delta : nullptr, &got, &stats));
+          const ProbeOutcome ref =
+              ReferenceProbe(c, g, dense_base, with_delta, piece.slice_begin,
+                             piece.slice_end);
+          want.candidates += ref.candidates;
+          want.hits += ref.hits;
+          for (size_t i = 0; i < ref.flat.size(); ++i) {
+            if (ref.flat[i].count > 0) want.flat[i].Merge(ref.flat[i]);
+          }
+        }
+        const std::string where =
+            std::string(ChunkFormatToString(f)) +
+            (with_delta ? " +delta" : "") + " cut " + std::to_string(cut);
+        EXPECT_EQ(stats.candidates, want.candidates) << where;
+        EXPECT_EQ(stats.hits, want.hits) << where;
+        EXPECT_EQ(stats.hits, truth.hits) << where;
+        ExpectSameFlat(got, truth.flat, where);
+        ExpectSameFlat(want.flat, truth.flat, where + " (reference)");
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+// Base cells at the offsets below `limit` that `keep` accepts, seeded values.
+template <typename Keep>
+Cells BaseWhere(uint32_t limit, uint32_t seed, Keep keep) {
+  std::mt19937 rng(seed);
+  Cells out;
+  for (uint32_t off = 0; off < limit; ++off) {
+    if (keep(off, rng)) out.push_back({off, static_cast<int64_t>(rng()) - 99});
+  }
+  return out;
+}
+
+// Candidate offsets aimed at the packed block structure of `base`
+// (kPackedChunkBlock entries a block): every third block is left out whole;
+// each other block gets its first and last entry, a middle entry and the
+// hole after it, the offset after its last entry and the one before the
+// next block's anchor (in the gap between the blocks when there is one).
+// Then offsets before the first entry and past the last (the early-out).
+std::vector<uint32_t> BlockAimedCandidates(const Cells& base,
+                                           uint32_t capacity) {
+  std::vector<uint32_t> out = {0};
+  const size_t blocks = (base.size() + kPackedChunkBlock - 1) /
+                        kPackedChunkBlock;
+  for (size_t b = 0; b < blocks; ++b) {
+    if (b % 3 == 2) continue;
+    const size_t first = b * kPackedChunkBlock;
+    const size_t last = std::min(base.size(), first + kPackedChunkBlock) - 1;
+    const size_t mid = (first + last) / 2;
+    for (const uint32_t off :
+         {base[first].first, base[last].first, base[mid].first,
+          base[mid].first + 1, base[last].first + 1}) {
+      out.push_back(off);
+    }
+    if (last + 1 < base.size()) out.push_back(base[last + 1].first - 1);
+  }
+  if (!base.empty()) {
+    out.push_back(base.back().first + 1);
+    out.push_back(base.back().first + 2);
+  }
+  out.push_back(capacity - 1);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  while (!out.empty() && out.back() >= capacity) out.pop_back();
+  return out;
+}
+
+// Upserts every 37th base cell, inserts into a few holes the candidates
+// probe, and adds cells past the last base entry.
+Cells DeltaFor(const Cells& base, const std::vector<uint32_t>& candidates,
+               uint32_t capacity) {
+  std::map<uint32_t, int64_t> cells;
+  for (size_t i = 0; i < base.size(); i += 37) {
+    cells[base[i].first] = -base[i].second - 1;
+  }
+  std::map<uint32_t, int64_t> stored(base.begin(), base.end());
+  int inserted = 0;
+  for (size_t i = 0; i < candidates.size() && inserted < 20; i += 3) {
+    if (!stored.contains(candidates[i])) {
+      cells[candidates[i]] = 1000 + inserted++;
+    }
+  }
+  const uint32_t past = base.empty() ? 0 : base.back().first + 1;
+  for (const uint32_t off : {past, past + 3}) {
+    if (off < capacity) cells[off] = 7;
+  }
+  return Cells(cells.begin(), cells.end());
+}
+
+ProbeCase OneWideDimCase(uint32_t capacity, Cells base) {
+  ProbeCase c;
+  c.dims = {capacity, 1};
+  c.lists = {BlockAimedCandidates(base, capacity), {0}};
+  c.delta = DeltaFor(base, c.lists[0], capacity);
+  c.base = std::move(base);
+  return c;
+}
+
+TEST(KernelProbeCursor, SingleBlockChunk) {
+  // Under one packed block of cells, not starting at offset 0.
+  const Cells base = BaseWhere(90, 21, [](uint32_t off, std::mt19937&) {
+    return off >= 3 && off % 4 != 1;
+  });
+  ASSERT_LE(base.size(), kPackedChunkBlock);
+  ExpectProbeMatchesReference(OneWideDimCase(100, base));
+}
+
+TEST(KernelProbeCursor, BlockBoundariesGapsAndSkippedBlocks) {
+  // A 65536-cell chunk with holes: most blocks end before the next anchor,
+  // so the candidates land in the gaps between blocks as well as on them.
+  const Cells base =
+      BaseWhere(60000, 22, [](uint32_t off, std::mt19937& rng) {
+        return off >= 10 && off % 7 != 3 && rng() % 5 != 0;
+      });
+  ASSERT_GT(base.size(), 100 * kPackedChunkBlock);
+  ExpectProbeMatchesReference(OneWideDimCase(65536, base));
+}
+
+TEST(KernelProbeCursor, AdjacentBlocksWithoutGaps) {
+  // Every offset valid: each block's last offset is one below the next
+  // anchor, and a run of zero-bit gaps is what diff-sequence stores.
+  const Cells base =
+      BaseWhere(3000, 23, [](uint32_t, std::mt19937&) { return true; });
+  ExpectProbeMatchesReference(OneWideDimCase(65536, base));
+}
+
+TEST(KernelProbeCursor, DeltaOnEmptyBase) {
+  ProbeCase c = OneWideDimCase(65536, {});
+  c.delta = {{0, 1}, {5, 2}, {60000, 3}, {65535, 4}};
+  c.lists[0] = {0, 4, 5, 6, 59999, 60000, 65535};
+  ExpectProbeMatchesReference(c);
+}
+
+TEST(KernelProbeCursor, OdometerOverThreeDims) {
+  // Random selections on a 16x64x64 (65536-cell) chunk and a 4x5x6
+  // single-block one; the second case selects one index on dimension 0, so
+  // the split domain moves to dimension 1.
+  std::mt19937 rng(24);
+  const auto pick = [&rng](uint32_t side, uint32_t count) {
+    std::vector<uint32_t> out;
+    for (uint32_t i = 0; i < side; ++i) {
+      if (rng() % side < count) out.push_back(i);
+    }
+    if (out.empty()) out.push_back(side / 2);
+    return out;
+  };
+  for (const auto& [dims, picks] :
+       std::vector<std::pair<std::vector<uint32_t>, std::vector<uint32_t>>>{
+           {{16, 64, 64}, {5, 9, 12}},
+           {{16, 64, 64}, {1, 20, 7}},
+           {{4, 5, 6}, {3, 4, 4}}}) {
+    ProbeCase c;
+    c.dims = dims;
+    for (size_t d = 0; d < dims.size(); ++d) {
+      c.lists.push_back(pick(dims[d], picks[d]));
+    }
+    const uint32_t capacity = dims[0] * dims[1] * dims[2];
+    c.base = BaseWhere(capacity - capacity / 5, 25,
+                       [](uint32_t, std::mt19937& r) { return r() % 4 == 0; });
+    std::vector<uint32_t> every(capacity);
+    for (uint32_t i = 0; i < capacity; ++i) every[i] = i;
+    std::shuffle(every.begin(), every.end(), rng);
+    every.resize(capacity / 50);
+    std::sort(every.begin(), every.end());
+    c.delta = DeltaFor(c.base, every, capacity);
+    ExpectProbeMatchesReference(c);
+  }
+}
+
+// The executor over a stored 65536-cell chunk (one chunk of a 64x32x32
+// cube) under every codec, thread count and morsel size, against the
+// brute-force evaluation of the generated data.
+TEST(KernelProbeCursor, ExecutorMatchesBruteForceOnWideChunks) {
+  gen::GenConfig config;
+  config.dims.resize(3);
+  const uint32_t sizes[3] = {64, 32, 32};
+  for (size_t d = 0; d < 3; ++d) {
+    config.dims[d].name = "dim" + std::to_string(d);
+    config.dims[d].size = sizes[d];
+    config.dims[d].level_cardinalities = {8, 2};
+  }
+  config.num_valid_cells = 7000;
+  config.seed = 26;
+  config.chunk_extents = {64, 32, 32};
+  ASSERT_OK_AND_ASSIGN(gen::SyntheticDataset data, gen::Generate(config));
+  query::ConsolidationQuery q;
+  q.dims.resize(3);
+  q.dims[0].group_by_col = 1;
+  q.dims[2].group_by_col = 2;
+  for (size_t d = 0; d < 3; ++d) {
+    query::Selection s;
+    s.attr_col = 1;
+    for (const uint32_t code : {1u, 4u, 6u}) {
+      if (d == 1 && code == 4) continue;
+      s.values.push_back(query::Literal{gen::AttrValue(d, 1, code)});
+    }
+    q.dims[d].selections.push_back(std::move(s));
+  }
+  const query::GroupedResult truth = BruteForce(data, q);
+  uint64_t matched = 0;
+  for (const query::ResultRow& row : truth.rows()) matched += row.agg.count;
+  ASSERT_GT(matched, 0u);
+  std::optional<uint64_t> sparse_candidates;
+  for (const ChunkFormat f :
+       {ChunkFormat::kOffsetCompressed, ChunkFormat::kDense,
+        ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
+    TempFile file("probe_cursor");
+    DatabaseOptions options = SmallDbOptions();
+    options.array.chunk_format = f;
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<Database> db,
+        BuildDatabaseFromDataset(file.path(), data, options));
+    for (const size_t threads : {1u, 2u, 4u}) {
+      for (const uint32_t min_cells : {1u, 50u, UINT32_MAX}) {
+        ArrayConsolidateOptions mo;
+        mo.min_cells = min_cells;
+        ArrayConsolidateStats stats;
+        ASSERT_OK_AND_ASSIGN(
+            query::GroupedResult got,
+            ConsolidateAt(*db->olap(), q, threads, &stats, mo));
+        const std::string where = std::string(ChunkFormatToString(f)) +
+                                  " threads=" + std::to_string(threads) +
+                                  " min_cells=" + std::to_string(min_cells);
+        EXPECT_TRUE(got.SameAs(truth)) << where;
+        EXPECT_EQ(stats.hits, matched) << where;
+        EXPECT_EQ(stats.chunks_read, 1u) << where;
+        if (min_cells == UINT32_MAX && f != ChunkFormat::kDense) {
+          // Whole-chunk probes stop at the same candidate on every sparse
+          // codec.
+          if (!sparse_candidates) sparse_candidates = stats.candidates;
+          EXPECT_EQ(stats.candidates, *sparse_candidates) << where;
+        }
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Observability: kernel_isa in ExecutionStats, dispatch/steal counters in
