@@ -1,8 +1,6 @@
 #include "core/aggregate_registry.h"
 
 #include "common/coding.h"
-#include "core/consolidate.h"
-#include "core/olap_array.h"
 
 namespace paradise {
 
@@ -10,9 +8,7 @@ namespace {
 constexpr char kCatalogPrefix[] = "agg.";
 
 void AppendString(std::string* out, const std::string& s) {
-  char scratch[4];
-  EncodeFixed32(scratch, static_cast<uint32_t>(s.size()));
-  out->append(scratch, 4);
+  AppendFixed32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
 }
 
@@ -42,16 +38,11 @@ std::string AggregateProvenance::Serialize() const {
   std::string out;
   AppendString(&out, name);
   AppendString(&out, base_cube);
-  char scratch[4];
-  EncodeFixed32(scratch, static_cast<uint32_t>(measure));
-  out.append(scratch, 4);
-  EncodeFixed32(scratch, static_cast<uint32_t>(grouped.size()));
-  out.append(scratch, 4);
+  AppendFixed32(&out, static_cast<uint32_t>(measure));
+  AppendFixed32(&out, static_cast<uint32_t>(grouped.size()));
   for (const Entry& e : grouped) {
-    EncodeFixed32(scratch, static_cast<uint32_t>(e.base_dim));
-    out.append(scratch, 4);
-    EncodeFixed32(scratch, static_cast<uint32_t>(e.level_col));
-    out.append(scratch, 4);
+    AppendFixed32(&out, static_cast<uint32_t>(e.base_dim));
+    AppendFixed32(&out, static_cast<uint32_t>(e.level_col));
   }
   return out;
 }
@@ -92,27 +83,44 @@ Result<AggregateProvenance> AggregateProvenance::Deserialize(
   return out;
 }
 
-Status RegisterAggregate(StorageManager* storage,
-                         const AggregateProvenance& provenance) {
+Result<AggregateProvenance> RegisterAggregate(
+    StorageManager* storage, const std::string& name,
+    const std::string& base_cube, const query::ConsolidationQuery& q) {
+  AggregateProvenance provenance;
+  provenance.name = name;
+  provenance.base_cube = base_cube;
+  provenance.measure = q.measure;
+  for (size_t d = 0; d < q.dims.size(); ++d) {
+    if (q.dims[d].group_by_col.has_value()) {
+      provenance.grouped.push_back(
+          AggregateProvenance::Entry{d, *q.dims[d].group_by_col});
+    }
+  }
   const std::string blob = provenance.Serialize();
-  const std::string key = kCatalogPrefix + provenance.name;
+  const std::string key = kCatalogPrefix + name;
   if (storage->HasRoot(key)) {
     PARADISE_ASSIGN_OR_RETURN(uint64_t oid, storage->GetRoot(key));
-    return storage->objects()->Overwrite(oid, blob);
+    PARADISE_RETURN_IF_ERROR(storage->objects()->Overwrite(oid, blob));
+  } else {
+    PARADISE_ASSIGN_OR_RETURN(ObjectId oid, storage->objects()->Create(blob));
+    PARADISE_RETURN_IF_ERROR(storage->SetRoot(key, oid));
   }
-  PARADISE_ASSIGN_OR_RETURN(ObjectId oid, storage->objects()->Create(blob));
-  return storage->SetRoot(key, oid);
+  return provenance;
 }
 
-Result<std::vector<AggregateProvenance>> ListAggregates(
-    StorageManager* storage) {
-  std::vector<AggregateProvenance> out;
+Result<AggregateMap> OpenAggregates(StorageManager* storage,
+                                    const std::string& base_cube) {
+  AggregateMap out;
   for (const auto& [key, oid] : storage->catalog()) {
     if (key.rfind(kCatalogPrefix, 0) != 0) continue;
     PARADISE_ASSIGN_OR_RETURN(std::string blob, storage->objects()->Read(oid));
     PARADISE_ASSIGN_OR_RETURN(AggregateProvenance provenance,
                               AggregateProvenance::Deserialize(blob));
-    out.push_back(std::move(provenance));
+    if (provenance.base_cube != base_cube) continue;
+    const std::string name = provenance.name;
+    PARADISE_ASSIGN_OR_RETURN(OlapArray cube, OlapArray::Open(storage, name));
+    out[name] = std::make_shared<const RegisteredAggregate>(
+        RegisteredAggregate{std::move(provenance), std::move(cube)});
   }
   return out;
 }
@@ -163,44 +171,23 @@ std::optional<query::ConsolidationQuery> RewriteForAggregate(
   return rewritten;
 }
 
-Result<std::optional<query::GroupedResult>> AnswerFromAggregates(
-    StorageManager* storage, const std::string& base_cube,
-    const query::ConsolidationQuery& q, std::string* used,
-    const OlapArray* base) {
-  PARADISE_ASSIGN_OR_RETURN(std::vector<AggregateProvenance> aggregates,
-                            ListAggregates(storage));
-  std::optional<OlapArray> opened_base;
-  // Pick the applicable aggregate with the fewest result dimensions (a
-  // proxy for size); ties broken by name for determinism.
-  const AggregateProvenance* best = nullptr;
-  query::ConsolidationQuery best_query;
-  for (const AggregateProvenance& agg : aggregates) {
-    if (agg.base_cube != base_cube) continue;
+std::optional<AggregateMatch> ChooseAggregate(
+    const AggregateMap& aggregates, const OlapArray& base,
+    const query::ConsolidationQuery& q) {
+  // Fewest result dimensions (a proxy for size); in name order, so ties go
+  // to the first name.
+  std::optional<AggregateMatch> best;
+  size_t best_dims = 0;
+  for (const auto& [name, agg] : aggregates) {
+    const AggregateProvenance& p = agg->provenance;
+    if (best && best_dims <= p.grouped.size()) continue;
     std::optional<query::ConsolidationQuery> rewritten =
-        RewriteForAggregate(q, agg, q.dims.size());
-    if (!rewritten.has_value()) continue;
-    if (base == nullptr) {
-      PARADISE_ASSIGN_OR_RETURN(OlapArray opened,
-                                OlapArray::Open(storage, base_cube));
-      opened_base.emplace(std::move(opened));
-      base = &*opened_base;
-    }
-    if (!RollsUpFunctionally(q, agg, *base)) continue;
-    if (best == nullptr ||
-        agg.grouped.size() < best->grouped.size() ||
-        (agg.grouped.size() == best->grouped.size() &&
-         agg.name < best->name)) {
-      best = &agg;
-      best_query = std::move(*rewritten);
-    }
+        RewriteForAggregate(q, p, base.num_dims());
+    if (!rewritten.has_value() || !RollsUpFunctionally(q, p, base)) continue;
+    best = AggregateMatch{agg, std::move(*rewritten)};
+    best_dims = p.grouped.size();
   }
-  if (best == nullptr) return std::optional<query::GroupedResult>{};
-  PARADISE_ASSIGN_OR_RETURN(OlapArray cube,
-                            OlapArray::Open(storage, best->name));
-  if (used != nullptr) *used = best->name;
-  PARADISE_ASSIGN_OR_RETURN(query::GroupedResult result,
-                            ArrayConsolidate(cube, best_query));
-  return std::optional<query::GroupedResult>(std::move(result));
+  return best;
 }
 
 }  // namespace paradise

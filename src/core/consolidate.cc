@@ -7,7 +7,6 @@
 #include "array/chunk_prefetcher.h"
 #include "common/metrics.h"
 #include "core/aggregate.h"
-#include "core/aggregate_registry.h"
 #include "core/consolidate_select.h"
 #include "core/kernels/consolidate_kernel.h"
 #include "core/morsel.h"
@@ -294,20 +293,7 @@ Result<OlapArray> ConsolidateToOlapArray(
   for (const query::ResultRow& row : result.rows()) {
     PARADISE_RETURN_IF_ERROR(builder.PutByKeys(row.group, row.agg.sum));
   }
-  PARADISE_ASSIGN_OR_RETURN(OlapArray out, builder.Finish());
-
-  // Record provenance so the aggregate can transparently answer later
-  // derivable queries (core/aggregate_registry.h).
-  AggregateProvenance provenance;
-  provenance.name = name;
-  provenance.base_cube = array.name();
-  provenance.measure = q.measure;
-  for (size_t g = 0; g < spec.grouped_dims.size(); ++g) {
-    provenance.grouped.push_back(
-        AggregateProvenance::Entry{spec.grouped_dims[g], spec.group_cols[g]});
-  }
-  PARADISE_RETURN_IF_ERROR(RegisterAggregate(storage, provenance));
-  return out;
+  return builder.Finish();
 }
 
 }  // namespace paradise

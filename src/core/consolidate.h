@@ -100,11 +100,11 @@ Result<ChunkedArray> MaterializeConsolidation(
 /// dependency finer level → coarser level; with non-hierarchical data the
 /// coarser attribute of a member is taken from that member's first base
 /// element). `dims` are the source cube's dimension tables (they carry the
-/// display strings the new dimension tables need); the result is registered
-/// in the catalog under `name` and its dimension tables under
+/// display strings the new dimension tables need); the result is stored in
+/// the catalog under `name` and its dimension tables under
 /// "dim.<name>.<dim>". A query with a selection is rejected with
-/// InvalidArgument: the aggregate registry records only the grouping, so a
-/// filtered cube would later be served to unfiltered queries.
+/// InvalidArgument: Database::MaterializeAggregate registers only the
+/// grouping, so a filtered cube would later be served to unfiltered queries.
 Result<OlapArray> ConsolidateToOlapArray(
     StorageManager* storage, const OlapArray& array,
     const std::vector<const DimensionTable*>& dims,

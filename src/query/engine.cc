@@ -232,16 +232,21 @@ Result<Execution> RunQueryImpl(Database* db, EngineKind kind,
             .GetCounter("kernel.dispatch." + exec.stats.kernel_isa)
             ->Increment();
       }
-      // The executor runs against the pinned snapshot, never the live
-      // Database instance.
+      // A registered aggregate that derives `q` answers in its place (looked
+      // up after PinArray(), see FindAggregate); otherwise the executor runs
+      // against the pinned snapshot, never the live Database instance.
+      const std::optional<AggregateMatch> match = db->FindAggregate(q);
       ArrayConsolidateOptions array_options;
       array_options.num_threads = options.num_threads;
       array_options.cancel = options.cancel;
       ArrayConsolidateStats stats;
       PARADISE_ASSIGN_OR_RETURN(
-          exec.result, ArrayConsolidate(pin->array, q, &exec.stats.phases,
-                                        &stats, array_options));
+          exec.result,
+          ArrayConsolidate(match ? match->aggregate->cube : pin->array,
+                           match ? match->query : q, &exec.stats.phases,
+                           &stats, array_options));
       exec.stats.aux = stats.chunks_read;
+      if (match) exec.stats.aggregate = match->aggregate->provenance.name;
       break;
     }
     case EngineKind::kStarJoin: {
@@ -294,7 +299,9 @@ Result<Execution> RunQueryImpl(Database* db, EngineKind kind,
 
   exec.stats.seconds = watch.ElapsedSeconds();
   exec.stats.io = db->storage()->pool()->stats().Delta(before);
-  if (cache != nullptr) {
+  // An aggregate's answer is exact in SUM only, and the cache signature
+  // ignores the aggregate function: caching it would serve a later COUNT.
+  if (cache != nullptr && exec.stats.aggregate.empty()) {
     cache->Insert(cache_scope, cache_epoch, canon,
                   std::make_shared<const query::GroupedResult>(exec.result));
   }
@@ -333,6 +340,7 @@ std::string ExecutionStats::ToJson() const {
   w.KV("modeled_seconds", ModeledSeconds());
   w.KV("aux", aux);
   w.KV("kernel_isa", kernel_isa);
+  w.KV("aggregate", aggregate);
   w.Key("io");
   w.BeginObject();
   w.KV("logical_reads", io.logical_reads);

@@ -90,12 +90,17 @@ struct ExecutionStats {
   /// and cache hits, which never run the consolidation kernels.
   std::string kernel_isa = "none";
 
+  /// The registered aggregate (core/aggregate_registry.h) the array engine
+  /// answered from instead of the base cube; empty when it read the base.
+  std::string aggregate;
+
   /// Disk-bound time estimate under the paper's hardware (see IoModel1997).
   double ModeledSeconds() const { return ModeledIoSeconds(io); }
 
   /// The stats as one JSON object — the schema every observability surface
   /// (tools/dbstats, the bench BENCH_*.json files) shares:
   ///   {"seconds":..,"modeled_seconds":..,"aux":..,"kernel_isa":"..",
+  ///    "aggregate":"..",
   ///    "io":{"logical_reads":..,"hits":..,"disk_reads":..,
   ///          "seq_disk_reads":..,"rand_disk_reads":..,"disk_writes":..,
   ///          "evictions":..,"read_retries":..,"coalesced_reads":..,

@@ -1,6 +1,5 @@
 #include "query/planner.h"
 
-#include "core/aggregate_registry.h"
 #include "query/sql.h"
 
 namespace paradise {
@@ -47,6 +46,12 @@ Result<PlanChoice> ChoosePlan(const Database& db,
     }
     choice.engine = EngineKind::kArray;
     choice.reason = "ingested data: only the array reflects it";
+    return choice;
+  }
+  if (std::optional<AggregateMatch> match = db.FindAggregate(q)) {
+    choice.engine = EngineKind::kArray;
+    choice.reason = "derivable from materialized aggregate '" +
+                    match->aggregate->provenance.name + "'";
     return choice;
   }
   if (!q.HasSelection()) {
@@ -118,34 +123,6 @@ Result<SqlExecution> RunSql(Database* db, std::string_view sql, bool cold,
   PARADISE_ASSIGN_OR_RETURN(query::ConsolidationQuery q,
                             query::CompileSql(sql, db->schema()));
   SqlExecution out;
-
-  // Transparent acceleration (§1's open problem): a derivable SUM query is
-  // answered from a registered materialized aggregate. Aggregates are not
-  // maintained by incremental ingest, so after the first commit only the
-  // base array reflects the data — the gate ChoosePlan and RunQuery apply.
-  if (options.use_materialized_aggregates && !db->ingested()) {
-    if (cold) {
-      PARADISE_RETURN_IF_ERROR(db->DropCaches());
-    }
-    const BufferPoolStats before = db->storage()->pool()->stats();
-    Stopwatch watch;
-    std::string used;
-    PARADISE_ASSIGN_OR_RETURN(
-        std::optional<query::GroupedResult> result,
-        AnswerFromAggregates(db->storage(), db->schema().cube_name, q,
-                             &used, db->olap()));
-    if (result.has_value()) {
-      out.plan.engine = EngineKind::kArray;
-      out.plan.aggregate = used;
-      out.plan.reason =
-          "rewritten onto materialized aggregate '" + used + "'";
-      out.execution.result = std::move(*result);
-      out.execution.stats.seconds = watch.ElapsedSeconds();
-      out.execution.stats.io = db->storage()->pool()->stats().Delta(before);
-      return out;
-    }
-  }
-
   PARADISE_ASSIGN_OR_RETURN(out.plan, ChoosePlan(*db, q, options));
   RunQueryOptions run_options;
   run_options.cold = cold;

@@ -2,6 +2,9 @@
 // query — the role the paper assigns to the query optimizer once arrays are
 // integrated with SQL processing (§1). Rules distilled from the paper's own
 // findings:
+//   * SUM derivable from a registered aggregate -> the array engine, whose
+//     arm reads the aggregate (core/aggregate_registry.h): exact in SUM only,
+//     so never cached;
 //   * no selection          -> array consolidation (Fig. 4/5: always wins),
 //                              or the star join if no array was built;
 //   * selection             -> estimate the star selectivity S as the
@@ -25,18 +28,12 @@ struct PlanChoice {
   double estimated_selectivity = 1.0;
   /// Human-readable rule trace for EXPLAIN-style output.
   std::string reason;
-  /// Set when the query was rewritten onto a materialized aggregate.
-  std::string aggregate;
 };
 
 struct PlannerOptions {
   /// Crossover selectivity below which the bitmap plan is chosen; default
   /// is the paper's measured crossover (§5.6).
   double bitmap_crossover = 2.4e-4;
-
-  /// Try to answer SUM queries from registered materialized aggregates
-  /// (core/aggregate_registry.h) before touching the base cube.
-  bool use_materialized_aggregates = true;
 
   /// Worker threads for array-engine plans (forwarded to
   /// RunQueryOptions::num_threads); 1 = serial. Parallel plans return
@@ -71,8 +68,9 @@ Result<PlanChoice> ChoosePlan(const Database& db,
                               const query::ConsolidationQuery& q,
                               const PlannerOptions& options = {});
 
-/// Compiles a SQL string against the database's schema, plans it, and runs
-/// it. The returned Execution carries the chosen plan's stats.
+/// Compiles a SQL string against the database's schema, plans it
+/// (ChoosePlan) and runs it (RunQuery) — the same sequence olapd's sessions
+/// follow. The returned Execution carries the chosen plan's stats.
 struct SqlExecution {
   PlanChoice plan;
   Execution execution;

@@ -105,28 +105,8 @@ ConsolidationResultCache::ConsolidationResultCache(Options options)
 std::shared_ptr<const GroupedResult> ConsolidationResultCache::Lookup(
     const std::string& scope, uint64_t epoch, const CanonicalQuery& canon) {
   Stopwatch watch;
-  const std::string key = scope + "\n" + canon.Signature();
-  std::shared_ptr<const GroupedResult> result;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.lookups;
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      if (it->second->epoch != epoch) {
-        EraseLocked(it->second, /*invalidation=*/true);
-      } else {
-        lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-        result = it->second->result;
-        ++stats_.hits;
-      }
-    }
-    if (result == nullptr) ++stats_.misses;
-  }
-  if (result != nullptr) {
-    if (m_hits_ != nullptr) m_hits_->Increment();
-  } else {
-    if (m_misses_ != nullptr) m_misses_->Increment();
-  }
+  std::shared_ptr<const GroupedResult> result =
+      Find(scope, epoch, canon, /*invalidate=*/true);
   if (m_lookup_micros_ != nullptr) {
     m_lookup_micros_->Record(static_cast<uint64_t>(watch.ElapsedMicros()));
   }
@@ -135,19 +115,28 @@ std::shared_ptr<const GroupedResult> ConsolidationResultCache::Lookup(
 
 std::shared_ptr<const GroupedResult> ConsolidationResultCache::Peek(
     const std::string& scope, uint64_t epoch, const CanonicalQuery& canon) {
+  return Find(scope, epoch, canon, /*invalidate=*/false);
+}
+
+std::shared_ptr<const GroupedResult> ConsolidationResultCache::Find(
+    const std::string& scope, uint64_t epoch, const CanonicalQuery& canon,
+    bool invalidate) {
   const std::string key = scope + "\n" + canon.Signature();
   std::shared_ptr<const GroupedResult> result;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.lookups;
     auto it = index_.find(key);
-    if (it != index_.end() && it->second->epoch == epoch) {
-      lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-      result = it->second->result;
-      ++stats_.hits;
-    } else {
-      ++stats_.misses;
+    if (it != index_.end()) {
+      if (it->second->epoch == epoch) {
+        lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
+        result = it->second->result;
+        ++stats_.hits;
+      } else if (invalidate) {
+        EraseLocked(it->second, /*invalidation=*/true);
+      }
     }
+    if (result == nullptr) ++stats_.misses;
   }
   if (result != nullptr) {
     if (m_hits_ != nullptr) m_hits_->Increment();

@@ -184,6 +184,12 @@ class ConsolidationResultCache {
   /// not an allocator.
   static size_t EntryBytes(const std::string& key, const GroupedResult& r);
 
+  /// Lookup without its timing; an entry at another epoch misses, and is
+  /// dropped as an invalidation only when `invalidate` (Peek passes false).
+  std::shared_ptr<const GroupedResult> Find(const std::string& scope,
+                                            uint64_t epoch,
+                                            const CanonicalQuery& canon,
+                                            bool invalidate);
   void EvictToFitLocked(size_t incoming_bytes);
   void EraseLocked(LruList::iterator it, bool invalidation);
 

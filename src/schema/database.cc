@@ -1,5 +1,6 @@
 #include "schema/database.h"
 
+#include "core/consolidate.h"
 #include "ingest/ingest.h"
 
 namespace paradise {
@@ -122,6 +123,9 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& path,
         db->olap_, OlapArray::Open(db->storage_.get(),
                                    db->schema_.cube_name));
     db->has_olap_ = true;
+    PARADISE_ASSIGN_OR_RETURN(
+        db->aggregates_,
+        OpenAggregates(db->storage_.get(), db->schema_.cube_name));
     db->ingest_ = std::make_unique<IngestManager>(db.get());
     if (db->storage_->HasRoot(IngestStateRootName())) {
       PARADISE_RETURN_IF_ERROR(db->ingest_->Recover());
@@ -257,6 +261,31 @@ Status Database::PublishIngest(const std::function<Status()>& publish) {
   std::lock_guard<std::mutex> lk(array_pin_mu_);
   PARADISE_RETURN_IF_ERROR(storage_->Checkpoint());
   return publish();
+}
+
+Result<OlapArray> Database::MaterializeAggregate(
+    const query::ConsolidationQuery& q, const std::string& name,
+    const ArrayOptions& options) {
+  PARADISE_ASSIGN_OR_RETURN(
+      OlapArray cube, ConsolidateToOlapArray(storage_.get(), PinArray().array,
+                                             DimPointers(), q, name, options));
+  PARADISE_ASSIGN_OR_RETURN(
+      AggregateProvenance provenance,
+      RegisterAggregate(storage_.get(), name, schema_.cube_name, q));
+  auto agg = std::make_shared<const RegisteredAggregate>(
+      RegisteredAggregate{std::move(provenance), cube});
+  std::lock_guard<std::mutex> lk(aggregates_mu_);
+  aggregates_[name] = std::move(agg);
+  return cube;
+}
+
+std::optional<AggregateMatch> Database::FindAggregate(
+    const query::ConsolidationQuery& q) const {
+  std::unique_lock<std::mutex> lk(aggregates_mu_);
+  std::optional<AggregateMatch> match = ChooseAggregate(aggregates_, olap_, q);
+  lk.unlock();
+  if (match.has_value() && ingested()) return std::nullopt;
+  return match;
 }
 
 Status Database::BuildBitmapIndexes() {

@@ -24,6 +24,7 @@
 #include "common/options.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "core/aggregate_registry.h"
 #include "core/olap_array.h"
 #include "index/bitmap_index.h"
 #include "relational/dimension_table.h"
@@ -138,6 +139,20 @@ class Database {
   /// old epoch with them. IngestManager calls this; nothing else should.
   Status PublishIngest(const std::function<Status()>& publish);
 
+  /// ConsolidateToOlapArray of the current array into cube `name`, which is
+  /// then registered (catalog + memory) as an aggregate FindAggregate can
+  /// choose, replacing any of the same name.
+  Result<OlapArray> MaterializeAggregate(const query::ConsolidationQuery& q,
+                                         const std::string& name,
+                                         const ArrayOptions& options);
+
+  /// ChooseAggregate over the registered aggregates; always nullopt once
+  /// ingested(), as ingest does not maintain them. A commit raises
+  /// ingested() before it publishes, so a match found after PinArray()
+  /// proves the pin predates every commit.
+  std::optional<AggregateMatch> FindAggregate(
+      const query::ConsolidationQuery& q) const;
+
   /// Cold-run protocol: flush and drop every buffered page.
   Status DropCaches() { return storage_->FlushAndEvictAll(); }
 
@@ -181,6 +196,10 @@ class Database {
   // Guards the (commit_epoch, published array versions) pairing: PinArray()
   // reads both under it; PublishIngest() advances both under it.
   mutable std::mutex array_pin_mu_;
+  // Registered aggregates of this cube, each cube opened once: loaded at
+  // Open, appended by MaterializeAggregate while queries read it.
+  mutable std::mutex aggregates_mu_;
+  AggregateMap aggregates_;
 
   // Load-time state.
   bool facts_begun_ = false;

@@ -1,12 +1,19 @@
 // Aggregate-registry tests: provenance persistence, the rewrite rules, and
-// transparent answering of derivable queries from materialized aggregates.
+// transparent answering of derivable queries from materialized aggregates
+// inside RunQuery's array arm, under RunQuery's contract (spans,
+// cancellation, result cache, ingest gate).
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
+#include <utility>
 
 #include "common/random.h"
 #include "core/aggregate_registry.h"
 #include "core/consolidate.h"
 #include "ingest/ingest.h"
 #include "query/planner.h"
+#include "query/result_cache.h"
 #include "test_util.h"
 
 namespace paradise {
@@ -69,10 +76,19 @@ class AggregateRegistryTest : public ::testing::Test {
     q.dims.resize(2);
     q.dims[0].group_by_col = 1;
     q.dims[1].group_by_col = 1;
-    ASSERT_OK(ConsolidateToOlapArray(db_->storage(), *db_->olap(),
-                                     db_->DimPointers(), q, "by_type_city",
-                                     ArrayOptions{})
+    ASSERT_OK(db_->MaterializeAggregate(q, "by_type_city", ArrayOptions{})
                   .status());
+  }
+
+  // SUM of the volume grouped by product category: derivable from
+  // by_type_city.
+  static query::ConsolidationQuery CategoryRollUp(
+      query::AggFunc agg = query::AggFunc::kSum) {
+    query::ConsolidationQuery q;
+    q.dims.resize(2);
+    q.dims[0].group_by_col = 2;
+    q.agg = agg;
+    return q;
   }
 
   std::unique_ptr<TempFile> file_;
@@ -96,13 +112,15 @@ TEST_F(AggregateRegistryTest, ProvenanceRoundTrip) {
 }
 
 TEST_F(AggregateRegistryTest, MaterializationRegisters) {
-  ASSERT_OK_AND_ASSIGN(std::vector<AggregateProvenance> all,
-                       ListAggregates(db_->storage()));
+  ASSERT_OK_AND_ASSIGN(AggregateMap all,
+                       OpenAggregates(db_->storage(), "sales"));
   ASSERT_EQ(all.size(), 1u);
-  EXPECT_EQ(all[0].name, "by_type_city");
-  EXPECT_EQ(all[0].base_cube, "sales");
-  ASSERT_EQ(all[0].grouped.size(), 2u);
-  EXPECT_EQ(all[0].grouped[0].level_col, 1u);
+  const RegisteredAggregate& agg = *all.at("by_type_city");
+  EXPECT_EQ(agg.provenance.name, "by_type_city");
+  EXPECT_EQ(agg.provenance.base_cube, "sales");
+  ASSERT_EQ(agg.provenance.grouped.size(), 2u);
+  EXPECT_EQ(agg.provenance.grouped[0].level_col, 1u);
+  EXPECT_EQ(agg.cube.layout().dims(), (std::vector<uint32_t>{5, 4}));
 }
 
 TEST_F(AggregateRegistryTest, RewriteRules) {
@@ -186,18 +204,16 @@ TEST_F(AggregateRegistryTest, AnswersMatchBaseCube) {
     queries.push_back(sel);
   }
   for (const query::ConsolidationQuery& q : queries) {
-    std::string used;
-    ASSERT_OK_AND_ASSIGN(
-        std::optional<query::GroupedResult> from_agg,
-        AnswerFromAggregates(db_->storage(), "sales", q, &used));
-    ASSERT_TRUE(from_agg.has_value());
-    EXPECT_EQ(used, "by_type_city");
+    ASSERT_OK_AND_ASSIGN(Execution exec,
+                         RunQuery(db_.get(), EngineKind::kArray, q));
+    EXPECT_EQ(exec.stats.aggregate, "by_type_city");
+    const query::GroupedResult& from_agg = exec.result;
     Result<query::GroupedResult> direct = ArrayConsolidate(*db_->olap(), q);
     ASSERT_TRUE(direct.ok());
-    ASSERT_EQ(from_agg->num_groups(), direct->num_groups());
+    ASSERT_EQ(from_agg.num_groups(), direct->num_groups());
     for (size_t i = 0; i < direct->rows().size(); ++i) {
-      EXPECT_EQ(from_agg->rows()[i].group, direct->rows()[i].group);
-      EXPECT_EQ(from_agg->rows()[i].agg.sum, direct->rows()[i].agg.sum);
+      EXPECT_EQ(from_agg.rows()[i].group, direct->rows()[i].group);
+      EXPECT_EQ(from_agg.rows()[i].agg.sum, direct->rows()[i].agg.sum);
     }
   }
 }
@@ -209,13 +225,25 @@ TEST_F(AggregateRegistryTest, NonDerivableFallsThrough) {
   q.dims[0].group_by_col = 1;
   q.dims[1].group_by_col = 1;
   q.agg = query::AggFunc::kMin;  // not derivable from sums
-  ASSERT_OK_AND_ASSIGN(std::optional<query::GroupedResult> r,
-                       AnswerFromAggregates(db_->storage(), "sales", q));
-  EXPECT_FALSE(r.has_value());
-  // Unknown base cube.
-  ASSERT_OK_AND_ASSIGN(r, AnswerFromAggregates(db_->storage(), "ghost",
-                                               gen::Query1(2)));
-  EXPECT_FALSE(r.has_value());
+  EXPECT_FALSE(db_->FindAggregate(q).has_value());
+  ASSERT_OK_AND_ASSIGN(Execution exec,
+                       RunQuery(db_.get(), EngineKind::kArray, q));
+  EXPECT_TRUE(exec.stats.aggregate.empty()) << exec.stats.aggregate;
+  ASSERT_OK_AND_ASSIGN(query::GroupedResult direct,
+                       ArrayConsolidate(*db_->olap(), q));
+  EXPECT_TRUE(exec.result.SameAs(direct));
+
+  // An aggregate registered for another base cube is neither opened (its
+  // cube does not exist) nor chosen, though it would rank first here.
+  ASSERT_OK(RegisterAggregate(db_->storage(), "a_ghost", "ghost",
+                              CategoryRollUp())
+                .status());
+  ASSERT_OK(db_->storage()->Close());
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> reopened,
+                       Database::Open(file_->path(), SmallDbOptions()));
+  ASSERT_OK_AND_ASSIGN(exec, RunQuery(reopened.get(), EngineKind::kArray,
+                                      CategoryRollUp()));
+  EXPECT_EQ(exec.stats.aggregate, "by_type_city");
 }
 
 TEST_F(AggregateRegistryTest, SmallestApplicableAggregateWins) {
@@ -223,15 +251,15 @@ TEST_F(AggregateRegistryTest, SmallestApplicableAggregateWins) {
   query::ConsolidationQuery q;
   q.dims.resize(2);
   q.dims[0].group_by_col = 2;  // category only
-  ASSERT_OK(ConsolidateToOlapArray(db_->storage(), *db_->olap(),
-                                   db_->DimPointers(), q, "by_category",
-                                   ArrayOptions{})
-                .status());
-  std::string used;
-  ASSERT_OK_AND_ASSIGN(std::optional<query::GroupedResult> r,
-                       AnswerFromAggregates(db_->storage(), "sales", q, &used));
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(used, "by_category");  // fewer dimensions than by_type_city
+  ASSERT_OK(
+      db_->MaterializeAggregate(q, "by_category", ArrayOptions{}).status());
+  ASSERT_OK_AND_ASSIGN(Execution exec,
+                       RunQuery(db_.get(), EngineKind::kArray, q));
+  EXPECT_EQ(exec.stats.aggregate, "by_category");  // fewer dimensions
+  ASSERT_OK_AND_ASSIGN(PlanChoice plan, ChoosePlan(*db_, q));
+  EXPECT_EQ(plan.engine, EngineKind::kArray);
+  EXPECT_NE(plan.reason.find("'by_category'"), std::string::npos)
+      << plan.reason;
 }
 
 TEST_F(AggregateRegistryTest, RunSqlRoutesThroughAggregate) {
@@ -240,7 +268,9 @@ TEST_F(AggregateRegistryTest, RunSqlRoutesThroughAggregate) {
       RunSql(db_.get(),
              "select sum(volume), product.category from sales "
              "group by product.category"));
-  EXPECT_EQ(exec.plan.aggregate, "by_type_city");
+  EXPECT_EQ(exec.execution.stats.aggregate, "by_type_city");
+  EXPECT_NE(exec.plan.reason.find("'by_type_city'"), std::string::npos)
+      << exec.plan.reason;
   query::ConsolidationQuery direct_q;
   direct_q.dims.resize(2);
   direct_q.dims[0].group_by_col = 2;
@@ -254,19 +284,7 @@ TEST_F(AggregateRegistryTest, RunSqlRoutesThroughAggregate) {
       RunSql(db_.get(),
              "select count(volume), product.category from sales "
              "group by product.category"));
-  EXPECT_TRUE(fallback.plan.aggregate.empty());
-
-  // Turning the feature off also falls back.
-  PlannerOptions no_agg;
-  no_agg.use_materialized_aggregates = false;
-  ASSERT_OK_AND_ASSIGN(
-      SqlExecution off,
-      RunSql(db_.get(),
-             "select sum(volume), product.category from sales "
-             "group by product.category",
-             /*cold=*/true, no_agg));
-  EXPECT_TRUE(off.plan.aggregate.empty());
-  EXPECT_EQ(off.execution.result.TotalSum(), direct.TotalSum());
+  EXPECT_TRUE(fallback.execution.stats.aggregate.empty());
 }
 
 TEST_F(AggregateRegistryTest, RegistryPersistsAcrossReopen) {
@@ -277,14 +295,12 @@ TEST_F(AggregateRegistryTest, RegistryPersistsAcrossReopen) {
   q.dims.resize(2);
   q.dims[0].group_by_col = 2;
   q.dims[1].group_by_col = 2;
-  std::string used;
-  ASSERT_OK_AND_ASSIGN(
-      std::optional<query::GroupedResult> r,
-      AnswerFromAggregates(reopened->storage(), "sales", q, &used));
-  ASSERT_TRUE(r.has_value());
+  ASSERT_OK_AND_ASSIGN(Execution exec,
+                       RunQuery(reopened.get(), EngineKind::kArray, q));
+  EXPECT_EQ(exec.stats.aggregate, "by_type_city");
   ASSERT_OK_AND_ASSIGN(query::GroupedResult direct,
                        ArrayConsolidate(*reopened->olap(), q));
-  EXPECT_EQ(r->TotalSum(), direct.TotalSum());
+  EXPECT_EQ(exec.result.TotalSum(), direct.TotalSum());
 }
 
 TEST_F(AggregateRegistryTest, IngestCommitBypassesStaleAggregate) {
@@ -297,19 +313,126 @@ TEST_F(AggregateRegistryTest, IngestCommitBypassesStaleAggregate) {
       RunSql(db_.get(),
              "select sum(volume), product.category from sales "
              "group by product.category"));
-  EXPECT_TRUE(exec.plan.aggregate.empty()) << exec.plan.aggregate;
-  query::ConsolidationQuery q;
-  q.dims.resize(2);
-  q.dims[0].group_by_col = 2;
-  ASSERT_OK_AND_ASSIGN(Execution array,
-                       RunQuery(db_.get(), EngineKind::kArray, q));
-  EXPECT_GE(array.result.TotalSum(), 100000);
-  EXPECT_EQ(exec.execution.result.TotalSum(), array.result.TotalSum());
-  ASSERT_EQ(exec.execution.result.num_groups(), array.result.num_groups());
-  for (size_t i = 0; i < array.result.rows().size(); ++i) {
-    EXPECT_EQ(exec.execution.result.rows()[i].agg.sum,
-              array.result.rows()[i].agg.sum);
+  EXPECT_TRUE(exec.execution.stats.aggregate.empty())
+      << exec.execution.stats.aggregate;
+  EXPECT_FALSE(db_->FindAggregate(CategoryRollUp()).has_value());
+  ASSERT_OK_AND_ASSIGN(query::GroupedResult array,
+                       ArrayConsolidate(*db_->olap(), CategoryRollUp()));
+  EXPECT_GE(array.TotalSum(), 100000);
+  EXPECT_EQ(exec.execution.result.TotalSum(), array.TotalSum());
+  ASSERT_EQ(exec.execution.result.num_groups(), array.num_groups());
+  for (size_t i = 0; i < array.rows().size(); ++i) {
+    EXPECT_EQ(exec.execution.result.rows()[i].agg.sum, array.rows()[i].agg.sum);
   }
+}
+
+// An aggregate answers under RunQuery's contract like any other array run.
+TEST_F(AggregateRegistryTest, ArrayArmAnswersUnderTheQueryContract) {
+  RunQueryOptions options;
+  options.trace = true;
+  ASSERT_OK_AND_ASSIGN(
+      Execution exec,
+      RunQuery(db_.get(), EngineKind::kArray, CategoryRollUp(), options));
+  EXPECT_EQ(exec.stats.aggregate, "by_type_city");
+  EXPECT_NE(exec.stats.ToJson().find("\"aggregate\":\"by_type_city\""),
+            std::string::npos);
+  EXPECT_NE(exec.stats.kernel_isa, "none");
+  EXPECT_GT(exec.stats.aux, 0u);
+  // The cold drop, then the executor's spans; the aggregate's chunks come
+  // from disk.
+  for (const char* span : {"drop-caches", "prepare", "scan+aggregate",
+                           "emit"}) {
+    EXPECT_TRUE(exec.stats.phases.phases().contains(span)) << span;
+  }
+  EXPECT_GT(exec.stats.io.disk_reads, 0u);
+
+  CancellationToken fired;
+  fired.RequestCancel();
+  options.cancel = &fired;
+  Result<Execution> cancelled =
+      RunQuery(db_.get(), EngineKind::kArray, CategoryRollUp(), options);
+  EXPECT_TRUE(cancelled.status().IsCancelled()) << cancelled.status();
+}
+
+// The aggregate holds sums only and the cache signature ignores the
+// aggregate function, so a cached SUM would answer a later COUNT wrongly.
+TEST_F(AggregateRegistryTest, AggregateAnswerIsNotCached) {
+  query::ConsolidationResultCache cache;
+  RunQueryOptions options;
+  options.cache = &cache;
+  ASSERT_OK_AND_ASSIGN(
+      Execution sum,
+      RunQuery(db_.get(), EngineKind::kArray, CategoryRollUp(), options));
+  EXPECT_EQ(sum.stats.aggregate, "by_type_city");
+  EXPECT_EQ(sum.stats.cache_outcome, CacheOutcome::kMiss);
+  EXPECT_EQ(cache.stats().insertions, 0u);
+  EXPECT_EQ(cache.Peek(db_->CacheScope(), db_->commit_epoch(),
+                       query::CanonicalQuery::From(CategoryRollUp())),
+            nullptr);
+
+  const query::ConsolidationQuery count =
+      CategoryRollUp(query::AggFunc::kCount);
+  ASSERT_OK_AND_ASSIGN(Execution cached,
+                       RunQuery(db_.get(), EngineKind::kArray, count, options));
+  EXPECT_TRUE(cached.stats.aggregate.empty()) << cached.stats.aggregate;
+  ASSERT_OK_AND_ASSIGN(Execution star,
+                       RunQuery(db_.get(), EngineKind::kStarJoin, count));
+  EXPECT_TRUE(cached.result.SameAs(star.result));
+  EXPECT_EQ(cache.stats().insertions, 1u);
+}
+
+// One thread runs the roll-up while another makes the first ingest commit:
+// every answer is the data at one side of the commit, and a query that
+// starts after Commit() returns sees the commit.
+TEST_F(AggregateRegistryTest, FirstCommitRacesAggregateAnswers) {
+  using Sums = std::vector<std::pair<std::vector<int32_t>, int64_t>>;
+  auto sums = [](const query::GroupedResult& r) {
+    Sums out;
+    for (const query::ResultRow& row : r.rows()) {
+      out.emplace_back(row.group, row.agg.sum);
+    }
+    return out;
+  };
+  const query::ConsolidationQuery q = CategoryRollUp();
+  ASSERT_OK_AND_ASSIGN(Execution pre_star,
+                       RunQuery(db_.get(), EngineKind::kStarJoin, q));
+  const Sums pre = sums(pre_star.result);
+
+  constexpr size_t kAnswersEachSide = 40;
+  std::atomic<size_t> answers{0};
+  std::atomic<bool> committed{false};
+  std::thread writer([&] {
+    EXPECT_OK(db_->ingest()->Write({0, 0}, {100000}));
+    while (answers.load() < kAnswersEachSide) std::this_thread::yield();
+    EXPECT_OK(db_->ingest()->Commit());
+    committed.store(true);
+  });
+  RunQueryOptions warm;
+  warm.cold = false;
+  std::vector<Sums> before_commit_returned;
+  std::vector<Sums> after_commit_returned;
+  size_t from_aggregate = 0;
+  while (after_commit_returned.size() < kAnswersEachSide) {
+    const bool started_after = committed.load();
+    // No ASSERT here: returning early would strand the writer.
+    Result<Execution> r = RunQuery(db_.get(), EngineKind::kArray, q, warm);
+    EXPECT_TRUE(r.ok()) << r.status();
+    if (!r.ok()) break;
+    if (!r->stats.aggregate.empty()) ++from_aggregate;
+    (started_after ? after_commit_returned : before_commit_returned)
+        .push_back(sums(r->result));
+    ++answers;
+  }
+  writer.join();
+  ASSERT_OK_AND_ASSIGN(query::GroupedResult post_array,
+                       ArrayConsolidate(*db_->olap(), q));
+  const Sums post = sums(post_array);
+  ASSERT_NE(pre, post);
+  EXPECT_GE(from_aggregate, kAnswersEachSide);
+  for (const Sums& got : before_commit_returned) {
+    EXPECT_TRUE(got == pre || got == post);
+  }
+  for (const Sums& got : after_commit_returned) EXPECT_EQ(got, post);
 }
 
 // category = pid % 2 is not a function of type = pid % 5, so the
@@ -325,12 +448,11 @@ TEST_F(AggregateRegistryNonFunctionalTest, CoarserColumnIsNotRewritten) {
       RunSql(db_.get(),
              "select sum(volume), product.category from sales "
              "group by product.category"));
-  EXPECT_TRUE(exec.plan.aggregate.empty()) << exec.plan.aggregate;
-  query::ConsolidationQuery q;
-  q.dims.resize(2);
-  q.dims[0].group_by_col = 2;
-  ASSERT_OK_AND_ASSIGN(Execution star,
-                       RunQuery(db_.get(), EngineKind::kStarJoin, q));
+  EXPECT_TRUE(exec.execution.stats.aggregate.empty())
+      << exec.execution.stats.aggregate;
+  ASSERT_OK_AND_ASSIGN(
+      Execution star,
+      RunQuery(db_.get(), EngineKind::kStarJoin, CategoryRollUp()));
   ASSERT_EQ(exec.execution.result.num_groups(), star.result.num_groups());
   for (size_t i = 0; i < star.result.rows().size(); ++i) {
     EXPECT_EQ(exec.execution.result.rows()[i].agg.sum,
@@ -343,9 +465,9 @@ TEST_F(AggregateRegistryNonFunctionalTest, CoarserColumnIsNotRewritten) {
   selected.dims[1].group_by_col = 1;
   selected.dims[0].selections.push_back(
       query::Selection{2, {query::Literal{std::string("cat1")}}});
-  ASSERT_OK_AND_ASSIGN(std::optional<query::GroupedResult> r,
-                       AnswerFromAggregates(db_->storage(), "sales", selected));
-  EXPECT_FALSE(r.has_value());
+  ASSERT_OK_AND_ASSIGN(Execution r,
+                       RunQuery(db_.get(), EngineKind::kArray, selected));
+  EXPECT_TRUE(r.stats.aggregate.empty()) << r.stats.aggregate;
 
   // The stored level, or a coarser one reached through a functional
   // hierarchy (city -> region), still rewrites.
@@ -353,17 +475,14 @@ TEST_F(AggregateRegistryNonFunctionalTest, CoarserColumnIsNotRewritten) {
   stored.dims.resize(2);
   stored.dims[0].group_by_col = 1;
   stored.dims[1].group_by_col = 2;
-  std::string used;
-  ASSERT_OK_AND_ASSIGN(
-      r, AnswerFromAggregates(db_->storage(), "sales", stored, &used));
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(used, "by_type_city");
+  ASSERT_OK_AND_ASSIGN(r, RunQuery(db_.get(), EngineKind::kArray, stored));
+  EXPECT_EQ(r.stats.aggregate, "by_type_city");
   ASSERT_OK_AND_ASSIGN(query::GroupedResult direct,
                        ArrayConsolidate(*db_->olap(), stored));
-  ASSERT_EQ(r->num_groups(), direct.num_groups());
+  ASSERT_EQ(r.result.num_groups(), direct.num_groups());
   for (size_t i = 0; i < direct.rows().size(); ++i) {
-    EXPECT_EQ(r->rows()[i].group, direct.rows()[i].group);
-    EXPECT_EQ(r->rows()[i].agg.sum, direct.rows()[i].agg.sum);
+    EXPECT_EQ(r.result.rows()[i].group, direct.rows()[i].group);
+    EXPECT_EQ(r.result.rows()[i].agg.sum, direct.rows()[i].agg.sum);
   }
 }
 

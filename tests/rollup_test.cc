@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "core/aggregate_registry.h"
 #include "core/consolidate.h"
 #include "core/slice.h"
+#include "query/engine.h"
 #include "test_util.h"
 
 namespace paradise {
@@ -204,13 +204,17 @@ TEST_F(RollupTest, RejectsSelection) {
                                        ArrayOptions{})
                   .status()
                   .IsInvalidArgument());
+  EXPECT_TRUE(db_->MaterializeAggregate(q, "filtered", ArrayOptions{})
+                  .status()
+                  .IsInvalidArgument());
   // Nothing was registered, so the unfiltered query with the same grouping
   // is still answered from the base cube.
+  EXPECT_FALSE(db_->storage()->HasRoot("agg.filtered"));
   q.dims[0].selections.clear();
-  ASSERT_OK_AND_ASSIGN(
-      std::optional<query::GroupedResult> from_agg,
-      AnswerFromAggregates(db_->storage(), "sales", q));
-  EXPECT_FALSE(from_agg.has_value());
+  EXPECT_FALSE(db_->FindAggregate(q).has_value());
+  ASSERT_OK_AND_ASSIGN(Execution exec,
+                       RunQuery(db_.get(), EngineKind::kArray, q));
+  EXPECT_TRUE(exec.stats.aggregate.empty()) << exec.stats.aggregate;
 }
 
 }  // namespace
