@@ -197,6 +197,8 @@ Status IngestManager::Commit() {
   state_oid_ = new_state;
   std::vector<std::shared_ptr<const DeltaOverlay>> overlays =
       BuildLiveOverlays();
+  // Raised before the publish: a reader that pins the new epoch sees it.
+  ingested_.store(true);
 
   // 4. Commit point: the manifest write publishes the new epoch, and the
   //    overlay swap lands under the same pin lock so no reader can pair the
@@ -250,6 +252,7 @@ Status IngestManager::Recover() {
   applied_cells_ = applied;
   next_seq_ = next_seq;
   live_ = std::move(live);
+  ingested_.store(applied > 0);
 
   // Republish: Open runs single-threaded before any reader exists, so the
   // overlays can swap in directly.
@@ -263,8 +266,7 @@ Status IngestManager::Recover() {
 }
 
 bool IngestManager::ingested() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return applied_cells_ > 0;
+  return ingested_.load();
 }
 
 uint64_t IngestManager::pending_cells() const {

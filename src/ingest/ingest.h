@@ -30,6 +30,7 @@
 // typed error (see query/engine.cc) — the array is the paper's protagonist.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -79,7 +80,10 @@ class IngestManager {
   Status ReclaimRetired();
 
   /// True once any ingest commit ever landed — the relational fact file is
-  /// stale from then on and the relational engines are gated off.
+  /// stale from then on and the relational engines are gated off. Lock-free:
+  /// a flag Commit() raises before it publishes the new epoch (and Recover()
+  /// sets), so planning and the relational gate never wait out a commit's
+  /// checkpoint and fsync.
   bool ingested() const;
 
   struct Stats {
@@ -126,6 +130,7 @@ class IngestManager {
   std::vector<LiveGeneration> live_;
   uint64_t next_seq_ = 1;
   uint64_t applied_cells_ = 0;
+  std::atomic<bool> ingested_{false};  // applied_cells_ > 0, read lock-free
   ObjectId state_oid_ = kInvalidObjectId;
   std::vector<Retired> graveyard_;
 

@@ -46,70 +46,67 @@ std::string_view CacheOutcomeToString(CacheOutcome outcome) {
 
 namespace {
 
-/// Whether the uncached `kind` run would accept this query at all. A cached
-/// answer must never mask the error an engine run would have reported —
-/// e.g. the bitmap plan rejects selection-free queries and queries on
-/// unindexed columns even though the cached result would be correct.
-Status CachedQueryServable(Database* db, EngineKind kind,
-                           const query::ConsolidationQuery& q) {
+/// The bitmap and B-tree plans reach fact tuples only through an index on
+/// every selected attribute: `indexes[dim][col]`, `missing` where none was
+/// built.
+template <typename Index>
+Status CheckSelectionsIndexed(const Database& db,
+                              const query::ConsolidationQuery& q,
+                              const std::vector<std::vector<Index>>& indexes,
+                              const Index& missing, std::string_view plan,
+                              std::string_view index) {
+  if (!q.HasSelection()) {
+    return Status::InvalidArgument(std::string(plan) +
+                                   " requires at least one selection");
+  }
+  for (size_t d = 0; d < q.dims.size(); ++d) {
+    for (const query::Selection& s : q.dims[d].selections) {
+      if (d >= indexes.size() || s.attr_col >= indexes[d].size() ||
+          indexes[d][s.attr_col] == missing) {
+        return Status::InvalidArgument(
+            "no " + std::string(index) + " on dimension " + db.dim(d).name() +
+            " column " + std::to_string(s.attr_col));
+      }
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status CheckEngineAccepts(const Database& db, EngineKind kind,
+                          const query::ConsolidationQuery& q) {
   std::vector<size_t> dim_cols;
-  dim_cols.reserve(db->schema().dims.size());
-  for (const DimensionSpec& d : db->schema().dims) {
+  dim_cols.reserve(db.schema().dims.size());
+  for (const DimensionSpec& d : db.schema().dims) {
     dim_cols.push_back(d.attrs.size());
   }
   PARADISE_RETURN_IF_ERROR(q.Validate(dim_cols));
-  const size_t measure_col = q.dims.size() + q.measure;
-  if (measure_col >= db->fact_schema().num_columns()) {
+  if (q.dims.size() + q.measure >= db.fact_schema().num_columns()) {
     return Status::InvalidArgument("measure index out of range");
   }
   switch (kind) {
     case EngineKind::kArray:
-      if (!db->has_olap()) {
+      if (!db.has_olap()) {
         return Status::InvalidArgument("database has no OLAP array");
       }
       break;
-    case EngineKind::kBitmap: {
-      if (!q.HasSelection()) {
-        return Status::InvalidArgument(
-            "bitmap algorithm requires at least one selection");
-      }
-      for (size_t d = 0; d < q.dims.size(); ++d) {
-        for (const query::Selection& s : q.dims[d].selections) {
-          if (d >= db->bitmap_indexes().size() ||
-              s.attr_col >= db->bitmap_indexes()[d].size() ||
-              db->bitmap_indexes()[d][s.attr_col] == nullptr) {
-            return Status::InvalidArgument(
-                "no bitmap index on dimension " + db->dim(d).name() +
-                " column " + std::to_string(s.attr_col));
-          }
-        }
-      }
-      break;
-    }
-    case EngineKind::kBTreeSelect: {
-      if (!q.HasSelection()) {
-        return Status::InvalidArgument(
-            "B-tree selection plan requires at least one selection");
-      }
-      for (size_t d = 0; d < q.dims.size(); ++d) {
-        for (const query::Selection& s : q.dims[d].selections) {
-          if (d >= db->btree_join_roots().size() ||
-              s.attr_col >= db->btree_join_roots()[d].size() ||
-              db->btree_join_roots()[d][s.attr_col] == kInvalidPageId) {
-            return Status::InvalidArgument(
-                "no B-tree join index on dimension " + db->dim(d).name() +
-                " column " + std::to_string(s.attr_col));
-          }
-        }
-      }
-      break;
-    }
+    case EngineKind::kBitmap:
+      return CheckSelectionsIndexed(db, q, db.bitmap_indexes(),
+                                    std::shared_ptr<BitmapJoinIndex>(),
+                                    "bitmap algorithm", "bitmap index");
+    case EngineKind::kBTreeSelect:
+      return CheckSelectionsIndexed(db, q, db.btree_join_roots(),
+                                    kInvalidPageId, "B-tree selection plan",
+                                    "B-tree join index");
     case EngineKind::kStarJoin:
     case EngineKind::kLeftDeep:
       break;
   }
   return Status::OK();
 }
+
+namespace {
 
 Result<Execution> RunQueryImpl(Database* db, EngineKind kind,
                                const query::ConsolidationQuery& q,
@@ -132,29 +129,35 @@ Result<Execution> RunQueryImpl(Database* db, EngineKind kind,
         "' reads the relational fact file, which is stale after incremental "
         "ingest; use the array engine");
   }
+  // Every run, cached or not: a cached answer must never mask the error an
+  // engine run would report (e.g. the bitmap plan rejects selection-free
+  // queries even though the cached result would be correct).
+  PARADISE_RETURN_IF_ERROR(CheckEngineAccepts(*db, kind, q));
   // Pin the (epoch, array-version) snapshot once per query: everything
   // below — cache keying, scan planning, chunk decoding — reads this copy,
   // so concurrent ingest commits and compactions can publish freely without
   // ever tearing or blocking this query.
   std::optional<Database::PinnedArray> pin;
-  if (kind == EngineKind::kArray && db->has_olap()) {
-    pin.emplace(db->PinArray());
-  }
+  if (kind == EngineKind::kArray) pin.emplace(db->PinArray());
   Execution exec;
   exec.stats.engine = kind;
   exec.stats.traced = options.trace;
-  query::ConsolidationResultCache* const cache = options.cache;
+  // A commit that published between the caller's epoch check and
+  // PinArray() leaves the pin newer than cache_pin_epoch. Such a run skips
+  // the cache: filing its new-epoch result under the caller's older epoch
+  // would poison pinned-snapshot reads, and a lookup at the newer epoch
+  // would invalidate the entry the caller's snapshot still serves.
+  const bool pin_outran_caller = pin.has_value() &&
+                                 options.cache_pin_epoch.has_value() &&
+                                 pin->epoch != *options.cache_pin_epoch;
+  query::ConsolidationResultCache* const cache =
+      pin_outran_caller ? nullptr : options.cache;
   std::string cache_scope;
   uint64_t cache_epoch = 0;
   query::CanonicalQuery canon;
   if (cache != nullptr) {
-    PARADISE_RETURN_IF_ERROR(CachedQueryServable(db, kind, q));
     cache_scope = db->CacheScope();
-    // Key cache traffic by the epoch the result is actually computed
-    // against. With a pin that is pin->epoch — even when the caller asked
-    // for cache_pin_epoch: if a commit slipped in between the caller's
-    // epoch check and PinArray(), filing the (new-epoch) result under the
-    // caller's older epoch would poison pinned-snapshot reads.
+    // Key cache traffic by the epoch the result is computed against.
     cache_epoch = pin.has_value()
                       ? pin->epoch
                       : options.cache_pin_epoch.value_or(db->commit_epoch());
@@ -215,12 +218,13 @@ Result<Execution> RunQueryImpl(Database* db, EngineKind kind,
   }
   const BufferPoolStats before = db->storage()->pool()->stats();
   Stopwatch watch;
+  // What the four relational engines read; the array arm ignores it.
+  const RelationalInput relational{db->fact(),         &db->fact_schema(),
+                                   db->DimPointers(),  &q,
+                                   &exec.stats.phases, options.cancel};
 
   switch (kind) {
     case EngineKind::kArray: {
-      if (!db->has_olap()) {
-        return Status::InvalidArgument("database has no OLAP array");
-      }
       // Record which decode kernel this query's consolidation dispatches —
       // in the stats and (when metrics are on) as a kernel.dispatch.<isa>
       // counter — so a speedup or a regression is attributable to the ISA
@@ -250,49 +254,25 @@ Result<Execution> RunQueryImpl(Database* db, EngineKind kind,
       break;
     }
     case EngineKind::kStarJoin: {
-      StarJoinParams params;
-      params.fact = db->fact();
-      params.fact_schema = &db->fact_schema();
-      params.dims = db->DimPointers();
-      params.query = &q;
-      params.timer = &exec.stats.phases;
-      PARADISE_ASSIGN_OR_RETURN(exec.result, StarJoinConsolidate(params));
+      PARADISE_ASSIGN_OR_RETURN(exec.result, StarJoinConsolidate(relational));
       break;
     }
     case EngineKind::kBitmap: {
-      BitmapSelectParams params;
-      params.fact = db->fact();
-      params.fact_schema = &db->fact_schema();
-      params.dims = db->DimPointers();
-      params.bitmap_indexes = &db->bitmap_indexes();
-      params.query = &q;
-      params.timer = &exec.stats.phases;
-      params.result_bits = &exec.stats.aux;
-      PARADISE_ASSIGN_OR_RETURN(exec.result, BitmapSelectConsolidate(params));
+      PARADISE_ASSIGN_OR_RETURN(
+          exec.result, BitmapSelectConsolidate(relational, db->bitmap_indexes(),
+                                               &exec.stats.aux));
       break;
     }
     case EngineKind::kLeftDeep: {
-      LeftDeepJoinParams params;
-      params.fact = db->fact();
-      params.fact_schema = &db->fact_schema();
-      params.dims = db->DimPointers();
-      params.query = &q;
-      params.timer = &exec.stats.phases;
-      params.intermediate_rows = &exec.stats.aux;
-      PARADISE_ASSIGN_OR_RETURN(exec.result, LeftDeepJoinConsolidate(params));
+      PARADISE_ASSIGN_OR_RETURN(
+          exec.result, LeftDeepJoinConsolidate(relational, &exec.stats.aux));
       break;
     }
     case EngineKind::kBTreeSelect: {
-      BTreeSelectParams params;
-      params.fact = db->fact();
-      params.fact_schema = &db->fact_schema();
-      params.dims = db->DimPointers();
-      params.join_index_roots = &db->btree_join_roots();
-      params.pool = db->storage()->pool();
-      params.query = &q;
-      params.timer = &exec.stats.phases;
-      params.result_tuples = &exec.stats.aux;
-      PARADISE_ASSIGN_OR_RETURN(exec.result, BTreeSelectConsolidate(params));
+      PARADISE_ASSIGN_OR_RETURN(
+          exec.result,
+          BTreeSelectConsolidate(relational, db->btree_join_roots(),
+                                 db->storage()->pool(), &exec.stats.aux));
       break;
     }
   }

@@ -151,15 +151,25 @@ struct RunQueryOptions {
   std::optional<uint64_t> cache_pin_epoch;
 
   /// Deadline/cancellation token (borrowed; may be flipped from another
-  /// thread). Checked once before dispatch and then at every morsel boundary
-  /// of the array executor (at least once per chunk), so a fired token
-  /// stops the query within one chunk's work and RunQuery
-  /// returns the token's typed Status (kDeadlineExceeded / kCancelled) with
-  /// no torn result and no leaked worker. The non-array engines check only
-  /// at dispatch — they exist as paper baselines, not serving paths
-  /// (DESIGN.md choice 13).
+  /// thread). Checked once before dispatch, then at every morsel boundary
+  /// of the array executor (at least once per chunk) and on the first tuple
+  /// of every fact page the relational engines read (plus once per index
+  /// lookup and left-deep stage), so a fired token stops the query within
+  /// one chunk's or one page's work and RunQuery returns the token's typed
+  /// Status (kDeadlineExceeded / kCancelled) with no torn result and no
+  /// leaked worker (DESIGN.md choice 13).
   const CancellationToken* cancel = nullptr;
 };
+
+/// Whether engine `kind` accepts `q` over `db`: the query fits the schema
+/// (ConsolidationQuery::Validate), its measure exists, the array engine has
+/// an array, and the bitmap and B-tree plans get at least one selection,
+/// each on an attribute they hold an index for. RunQuery checks this on
+/// every run, cached or not, so a cached answer never masks the error an
+/// engine run would report; the planner asks it whether the bitmap plan is
+/// available.
+Status CheckEngineAccepts(const Database& db, EngineKind kind,
+                          const query::ConsolidationQuery& q);
 
 /// Runs `q` with engine `kind`. By default (the paper's protocol) all
 /// buffered pages are flushed and dropped first; see RunQueryOptions.

@@ -74,17 +74,8 @@ Result<PlanChoice> ChoosePlan(const Database& db,
   }
   choice.estimated_selectivity = selectivity;
 
-  const bool bitmap_available = [&] {
-    for (size_t d = 0; d < q.dims.size(); ++d) {
-      for (const query::Selection& s : q.dims[d].selections) {
-        const auto& per_dim = db.bitmap_indexes()[d];
-        if (s.attr_col >= per_dim.size() || per_dim[s.attr_col] == nullptr) {
-          return false;
-        }
-      }
-    }
-    return true;
-  }();
+  const bool bitmap_available =
+      CheckEngineAccepts(db, EngineKind::kBitmap, q).ok();
 
   if (selectivity < options.bitmap_crossover && bitmap_available) {
     choice.engine = EngineKind::kBitmap;

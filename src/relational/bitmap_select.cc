@@ -1,41 +1,22 @@
 #include "relational/bitmap_select.h"
 
-#include <unordered_map>
-
-#include "relational/star_join.h"
-
 namespace paradise {
 
 Result<query::GroupedResult> BitmapSelectConsolidate(
-    const BitmapSelectParams& params) {
-  const query::ConsolidationQuery& q = *params.query;
-  const size_t n = params.dims.size();
-  if (q.dims.size() != n) {
-    return Status::InvalidArgument("query/dimension count mismatch");
-  }
-  if (!q.HasSelection()) {
-    return Status::InvalidArgument(
-        "bitmap algorithm requires at least one selection");
-  }
-  const size_t measure_col = n + q.measure;
-  if (measure_col >= params.fact_schema->num_columns()) {
-    return Status::InvalidArgument("measure index out of range");
-  }
-  const uint64_t num_tuples = params.fact->num_tuples();
+    const RelationalInput& in,
+    const std::vector<std::vector<std::shared_ptr<BitmapJoinIndex>>>&
+        bitmap_indexes,
+    uint64_t* result_bits) {
+  const query::ConsolidationQuery& q = *in.query;
 
   // Phase 1: retrieve and AND the bitmaps (paper's pseudo-code: start from
   // all-ones, AND in each selected dimension's merged bitmap).
-  Bitmap result_bitmap = Bitmap::AllOnes(num_tuples);
+  Bitmap result_bitmap = Bitmap::AllOnes(in.fact->num_tuples());
   {
-    ScopedPhase phase(params.timer, "bitmaps");
-    for (size_t i = 0; i < n; ++i) {
+    ScopedPhase phase(in.timer, "bitmaps");
+    for (size_t i = 0; i < q.dims.size(); ++i) {
       for (const query::Selection& s : q.dims[i].selections) {
-        const auto& per_dim = (*params.bitmap_indexes)[i];
-        if (s.attr_col >= per_dim.size() || per_dim[s.attr_col] == nullptr) {
-          return Status::InvalidArgument(
-              "no bitmap index on dimension " + params.dims[i]->name() +
-              " column " + std::to_string(s.attr_col));
-        }
+        PARADISE_RETURN_IF_ERROR(in.CheckCancel());
         std::vector<int64_t> values;
         values.reserve(s.values.size());
         for (const query::Literal& lit : s.values) {
@@ -43,67 +24,28 @@ Result<query::GroupedResult> BitmapSelectConsolidate(
         }
         // OR the selected values of one attribute, then AND across
         // attributes/dimensions.
-        PARADISE_ASSIGN_OR_RETURN(Bitmap b,
-                                  per_dim[s.attr_col]->LookupAny(values));
+        PARADISE_ASSIGN_OR_RETURN(
+            Bitmap b, bitmap_indexes[i][s.attr_col]->LookupAny(values));
         PARADISE_RETURN_IF_ERROR(result_bitmap.And(b));
       }
     }
   }
-  if (params.result_bits != nullptr) {
-    *params.result_bits = result_bitmap.CountOnes();
-  }
+  if (result_bits != nullptr) *result_bits = result_bitmap.CountOnes();
 
-  // Phase 2: build group-by probe tables for the grouped dimensions only
-  // (selection is already fully decided by the bitmap).
-  std::vector<std::unordered_map<int32_t, int32_t>> group_tables(n);
-  std::vector<std::string> group_columns;
-  {
-    ScopedPhase phase(params.timer, "build");
-    for (size_t i = 0; i < n; ++i) {
-      if (!q.dims[i].group_by_col.has_value()) continue;
-      const DimensionTable& dim = *params.dims[i];
-      const size_t col = *q.dims[i].group_by_col;
-      auto& table = group_tables[i];
-      table.reserve(dim.num_rows());
-      for (uint32_t row = 0; row < dim.num_rows(); ++row) {
-        PARADISE_ASSIGN_OR_RETURN(int32_t code, dim.RowAttrCode(row, col));
-        table.emplace(dim.rows()[row].GetInt32(0), code);
-      }
-      group_columns.push_back(dim.name() + "." + dim.schema().column(col).name);
-    }
-  }
+  // Phase 2: group-by probe tables for the grouped dimensions only (the
+  // bitmap already decided the selection).
+  PARADISE_ASSIGN_OR_RETURN(FactAggregator agg,
+                            FactAggregator::Build(in, ProbeMode::kGroupOnly));
 
   // Phase 3: fetch qualifying tuples through the fact file and aggregate.
-  std::unordered_map<std::vector<int32_t>, query::AggState, GroupVectorHash>
-      groups;
   {
-    ScopedPhase phase(params.timer, "fetch+aggregate");
-    const Schema& fs = *params.fact_schema;
-    PARADISE_RETURN_IF_ERROR(params.fact->FetchBitmap(
-        result_bitmap, [&](uint64_t /*tuple*/, const char* record) -> Status {
-          TupleRef t(&fs, record);
-          std::vector<int32_t> group;
-          group.reserve(group_columns.size());
-          for (size_t i = 0; i < n; ++i) {
-            if (!q.dims[i].group_by_col.has_value()) continue;
-            auto it = group_tables[i].find(t.GetInt32(i));
-            if (it == group_tables[i].end()) {
-              return Status::Corruption("fact tuple references unknown key " +
-                                        std::to_string(t.GetInt32(i)));
-            }
-            group.push_back(it->second);
-          }
-          groups[std::move(group)].Add(t.GetInt64(measure_col));
-          return Status::OK();
+    ScopedPhase phase(in.timer, "fetch+aggregate");
+    PARADISE_RETURN_IF_ERROR(in.fact->FetchBitmap(
+        result_bitmap, [&](uint64_t tuple, const char* record) {
+          return agg.Add(tuple, record);
         }));
   }
-
-  query::GroupedResult result(std::move(group_columns));
-  for (auto& [group, agg] : groups) {
-    result.Add(query::ResultRow{group, agg});
-  }
-  result.SortCanonical();
-  return result;
+  return agg.Finish();
 }
 
 }  // namespace paradise

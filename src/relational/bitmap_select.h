@@ -3,40 +3,28 @@
 // fetch exactly the qualifying tuples through the fact file and aggregate.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/result.h"
-#include "common/status.h"
-#include "common/stopwatch.h"
 #include "index/bitmap_index.h"
-#include "query/query.h"
 #include "query/result.h"
-#include "relational/dimension_table.h"
-#include "relational/fact_file.h"
-#include "relational/schema.h"
+#include "relational/group_by.h"
 
 namespace paradise {
 
-struct BitmapSelectParams {
-  const FactFile* fact = nullptr;
-  const Schema* fact_schema = nullptr;
-  std::vector<const DimensionTable*> dims;
-  /// bitmap_indexes[dim][attr_col]: join bitmap index on that attribute, or
-  /// null if none was built. Every selected attribute must have one.
-  const std::vector<std::vector<std::shared_ptr<BitmapJoinIndex>>>*
-      bitmap_indexes = nullptr;
-  const query::ConsolidationQuery* query = nullptr;
-  PhaseTimer* timer = nullptr;
-
-  /// Output: number of set bits in the final ANDed bitmap (the paper quotes
-  /// this, e.g. "only 80 non-zero bits at selectivity 0.0001").
-  uint64_t* result_bits = nullptr;
-};
-
-/// Runs the bitmap-and-fact-file algorithm. Requires at least one selection;
-/// group-by and aggregation match StarJoinConsolidate's semantics exactly.
+/// Runs the bitmap-and-fact-file algorithm; group-by and aggregation match
+/// StarJoinConsolidate's semantics exactly. `bitmap_indexes[dim][attr_col]`
+/// is the join bitmap index on that attribute; the query has at least one
+/// selection and every selected attribute has an index (CheckEngineAccepts).
+/// `result_bits` (optional) receives the number of set bits in the final
+/// ANDed bitmap (the paper quotes this, e.g. "only 80 non-zero bits at
+/// selectivity 0.0001").
 Result<query::GroupedResult> BitmapSelectConsolidate(
-    const BitmapSelectParams& params);
+    const RelationalInput& in,
+    const std::vector<std::vector<std::shared_ptr<BitmapJoinIndex>>>&
+        bitmap_indexes,
+    uint64_t* result_bits);
 
 }  // namespace paradise

@@ -1,9 +1,8 @@
 #include "relational/btree_select.h"
 
 #include <algorithm>
-#include <unordered_map>
 
-#include "relational/star_join.h"
+#include "index/btree.h"
 
 namespace paradise {
 
@@ -37,39 +36,23 @@ std::vector<uint64_t> Intersect(const std::vector<uint64_t>& a,
 }  // namespace
 
 Result<query::GroupedResult> BTreeSelectConsolidate(
-    const BTreeSelectParams& params) {
-  const query::ConsolidationQuery& q = *params.query;
-  const size_t n = params.dims.size();
-  if (q.dims.size() != n) {
-    return Status::InvalidArgument("query/dimension count mismatch");
-  }
-  if (!q.HasSelection()) {
-    return Status::InvalidArgument(
-        "B-tree selection plan requires at least one selection");
-  }
-  const size_t measure_col = n + q.measure;
-  if (measure_col >= params.fact_schema->num_columns()) {
-    return Status::InvalidArgument("measure index out of range");
-  }
+    const RelationalInput& in,
+    const std::vector<std::vector<PageId>>& join_index_roots,
+    BufferPool* pool, uint64_t* result_tuples) {
+  const query::ConsolidationQuery& q = *in.query;
 
   // Phase 1: per selection, probe the join B-tree and intersect the sorted
   // tuple-number lists.
   std::vector<uint64_t> qualifying;
   bool first = true;
   {
-    ScopedPhase phase(params.timer, "index-lookup");
-    for (size_t d = 0; d < n; ++d) {
+    ScopedPhase phase(in.timer, "index-lookup");
+    for (size_t d = 0; d < q.dims.size(); ++d) {
       for (const query::Selection& s : q.dims[d].selections) {
-        const auto& per_dim = (*params.join_index_roots)[d];
-        if (s.attr_col >= per_dim.size() ||
-            per_dim[s.attr_col] == kInvalidPageId) {
-          return Status::InvalidArgument(
-              "no B-tree join index on dimension " + params.dims[d]->name() +
-              " column " + std::to_string(s.attr_col));
-        }
+        PARADISE_RETURN_IF_ERROR(in.CheckCancel());
         std::vector<uint64_t> list;
-        PARADISE_RETURN_IF_ERROR(
-            SelectionTupleList(params.pool, per_dim[s.attr_col], s, &list));
+        PARADISE_RETURN_IF_ERROR(SelectionTupleList(
+            pool, join_index_roots[d][s.attr_col], s, &list));
         if (first) {
           qualifying = std::move(list);
           first = false;
@@ -80,62 +63,23 @@ Result<query::GroupedResult> BTreeSelectConsolidate(
       }
     }
   }
-  if (params.result_tuples != nullptr) {
-    *params.result_tuples = qualifying.size();
-  }
+  if (result_tuples != nullptr) *result_tuples = qualifying.size();
 
   // Phase 2: group-by probe tables for the grouped dimensions.
-  std::vector<std::unordered_map<int32_t, int32_t>> group_tables(n);
-  std::vector<std::string> group_columns;
-  {
-    ScopedPhase phase(params.timer, "build");
-    for (size_t i = 0; i < n; ++i) {
-      if (!q.dims[i].group_by_col.has_value()) continue;
-      const DimensionTable& dim = *params.dims[i];
-      const size_t col = *q.dims[i].group_by_col;
-      auto& table = group_tables[i];
-      table.reserve(dim.num_rows());
-      for (uint32_t row = 0; row < dim.num_rows(); ++row) {
-        PARADISE_ASSIGN_OR_RETURN(int32_t code, dim.RowAttrCode(row, col));
-        table.emplace(dim.rows()[row].GetInt32(0), code);
-      }
-      group_columns.push_back(dim.name() + "." +
-                              dim.schema().column(col).name);
-    }
-  }
+  PARADISE_ASSIGN_OR_RETURN(FactAggregator agg,
+                            FactAggregator::Build(in, ProbeMode::kGroupOnly));
 
   // Phase 3: fetch the qualifying tuples (ascending => page locality) and
   // aggregate.
-  std::unordered_map<std::vector<int32_t>, query::AggState, GroupVectorHash>
-      groups;
   {
-    ScopedPhase phase(params.timer, "fetch+aggregate");
-    const Schema& fs = *params.fact_schema;
-    std::vector<char> record(fs.record_size());
+    ScopedPhase phase(in.timer, "fetch+aggregate");
+    std::vector<char> record(in.fact_schema->record_size());
     for (uint64_t tuple : qualifying) {
-      PARADISE_RETURN_IF_ERROR(params.fact->Get(tuple, record.data()));
-      TupleRef t(&fs, record.data());
-      std::vector<int32_t> group;
-      group.reserve(group_columns.size());
-      for (size_t i = 0; i < n; ++i) {
-        if (!q.dims[i].group_by_col.has_value()) continue;
-        auto it = group_tables[i].find(t.GetInt32(i));
-        if (it == group_tables[i].end()) {
-          return Status::Corruption("fact tuple references unknown key " +
-                                    std::to_string(t.GetInt32(i)));
-        }
-        group.push_back(it->second);
-      }
-      groups[std::move(group)].Add(t.GetInt64(measure_col));
+      PARADISE_RETURN_IF_ERROR(in.fact->Get(tuple, record.data()));
+      PARADISE_RETURN_IF_ERROR(agg.Add(tuple, record.data()));
     }
   }
-
-  query::GroupedResult result(std::move(group_columns));
-  for (auto& [group, agg] : groups) {
-    result.Add(query::ResultRow{group, agg});
-  }
-  result.SortCanonical();
-  return result;
+  return agg.Finish();
 }
 
 }  // namespace paradise

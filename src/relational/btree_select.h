@@ -6,40 +6,26 @@
 // and fetches the survivors through the fact file.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/result.h"
-#include "common/status.h"
-#include "common/stopwatch.h"
-#include "index/btree.h"
-#include "query/query.h"
 #include "query/result.h"
-#include "relational/dimension_table.h"
-#include "relational/fact_file.h"
-#include "relational/schema.h"
+#include "relational/group_by.h"
 #include "storage/buffer_pool.h"
+#include "storage/page.h"
 
 namespace paradise {
 
-struct BTreeSelectParams {
-  const FactFile* fact = nullptr;
-  const Schema* fact_schema = nullptr;
-  std::vector<const DimensionTable*> dims;
-  /// join_index_roots[dim][col]: root page of the value → tuple-number
-  /// B-tree, or kInvalidPageId where none was built. Every selected
-  /// attribute must have one.
-  const std::vector<std::vector<PageId>>* join_index_roots = nullptr;
-  BufferPool* pool = nullptr;
-  const query::ConsolidationQuery* query = nullptr;
-  PhaseTimer* timer = nullptr;
-
-  /// Output: qualifying tuples after all intersections.
-  uint64_t* result_tuples = nullptr;
-};
-
-/// Runs the B-tree join-index plan. Requires at least one selection;
-/// semantics match the other consolidation operators.
+/// Runs the B-tree join-index plan; semantics match the other consolidation
+/// operators. `join_index_roots[dim][col]` is the root page of the value →
+/// tuple-number B-tree in `pool`; the query has at least one selection and
+/// every selected attribute has a tree (CheckEngineAccepts).
+/// `result_tuples` (optional) receives the qualifying tuples after all
+/// intersections.
 Result<query::GroupedResult> BTreeSelectConsolidate(
-    const BTreeSelectParams& params);
+    const RelationalInput& in,
+    const std::vector<std::vector<PageId>>& join_index_roots,
+    BufferPool* pool, uint64_t* result_tuples);
 
 }  // namespace paradise

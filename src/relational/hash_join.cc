@@ -1,9 +1,5 @@
 #include "relational/hash_join.h"
 
-#include <unordered_map>
-
-#include "relational/star_join.h"
-
 namespace paradise {
 
 namespace {
@@ -19,29 +15,15 @@ struct JoinRow {
 }  // namespace
 
 Result<query::GroupedResult> LeftDeepJoinConsolidate(
-    const LeftDeepJoinParams& params) {
-  using star_join_internal::BuildDimTable;
-  using star_join_internal::DimProbe;
-  const query::ConsolidationQuery& q = *params.query;
-  const size_t n = params.dims.size();
-  if (q.dims.size() != n) {
-    return Status::InvalidArgument("query/dimension count mismatch");
-  }
+    const RelationalInput& in, uint64_t* intermediate_rows) {
+  const query::ConsolidationQuery& q = *in.query;
+  const size_t n = in.dims.size();
   const size_t measure_col = n + q.measure;
-  if (measure_col >= params.fact_schema->num_columns()) {
-    return Status::InvalidArgument("measure index out of range");
-  }
 
   std::vector<size_t> joined_dims;
-  std::vector<std::string> group_columns;
   for (size_t i = 0; i < n; ++i) {
     if (q.dims[i].group_by_col.has_value() || !q.dims[i].selections.empty()) {
       joined_dims.push_back(i);
-    }
-    if (q.dims[i].group_by_col.has_value()) {
-      group_columns.push_back(
-          params.dims[i]->name() + "." +
-          params.dims[i]->schema().column(*q.dims[i].group_by_col).name);
     }
   }
 
@@ -50,11 +32,13 @@ Result<query::GroupedResult> LeftDeepJoinConsolidate(
   // Stage 0: scan the fact file into the first materialized intermediate.
   std::vector<JoinRow> current;
   {
-    ScopedPhase phase(params.timer, "fact-scan");
-    current.reserve(params.fact->num_tuples());
-    const Schema& fs = *params.fact_schema;
-    PARADISE_RETURN_IF_ERROR(params.fact->ScanAll(
-        [&](uint64_t /*tuple*/, const char* record) -> Status {
+    ScopedPhase phase(in.timer, "fact-scan");
+    current.reserve(in.fact->num_tuples());
+    const Schema& fs = *in.fact_schema;
+    PagePoll poll(in);
+    PARADISE_RETURN_IF_ERROR(in.fact->ScanAll(
+        [&](uint64_t tuple, const char* record) -> Status {
+          PARADISE_RETURN_IF_ERROR(poll(tuple));
           TupleRef t(&fs, record);
           JoinRow row;
           row.pending_keys.reserve(joined_dims.size());
@@ -69,20 +53,19 @@ Result<query::GroupedResult> LeftDeepJoinConsolidate(
   // One pipeline stage per joined dimension: probe, filter, extend the
   // group vector, materialize the next intermediate.
   for (size_t stage = 0; stage < joined_dims.size(); ++stage) {
-    ScopedPhase phase(params.timer,
-                      "join-" + params.dims[joined_dims[stage]]->name());
     const size_t d = joined_dims[stage];
-    using ProbeTable = std::unordered_map<int32_t, DimProbe>;
-    PARADISE_ASSIGN_OR_RETURN(ProbeTable table,
-                              BuildDimTable(*params.dims[d], q.dims[d]));
+    const DimensionTable& dim = *in.dims[d];
+    ScopedPhase phase(in.timer, "join-" + dim.name());
+    PARADISE_RETURN_IF_ERROR(in.CheckCancel());
+    PARADISE_ASSIGN_OR_RETURN(
+        ProbeTable table,
+        BuildProbeTable(dim, q.dims[d], ProbeMode::kSelectAndGroup));
     std::vector<JoinRow> next;
     next.reserve(current.size());
     for (JoinRow& row : current) {
-      auto it = table.find(row.pending_keys[stage]);
-      if (it == table.end()) {
-        return Status::Corruption("fact tuple references unknown key of " +
-                                  params.dims[d]->name());
-      }
+      const int32_t fk = row.pending_keys[stage];
+      auto it = table.find(fk);
+      if (it == table.end()) return UnknownKey(fk, dim);
       if (!it->second.passes) continue;
       JoinRow out = std::move(row);
       if (q.dims[d].group_by_col.has_value()) {
@@ -95,24 +78,16 @@ Result<query::GroupedResult> LeftDeepJoinConsolidate(
   }
 
   // Final hash aggregation over the last intermediate.
-  std::unordered_map<std::vector<int32_t>, query::AggState, GroupVectorHash>
-      groups;
+  GroupMap groups;
   {
-    ScopedPhase phase(params.timer, "aggregate");
+    ScopedPhase phase(in.timer, "aggregate");
+    PARADISE_RETURN_IF_ERROR(in.CheckCancel());
     for (const JoinRow& row : current) {
       groups[row.group].Add(row.measure);
     }
   }
-  if (params.intermediate_rows != nullptr) {
-    *params.intermediate_rows = intermediates;
-  }
-
-  query::GroupedResult result(std::move(group_columns));
-  for (auto& [group, agg] : groups) {
-    result.Add(query::ResultRow{group, agg});
-  }
-  result.SortCanonical();
-  return result;
+  if (intermediate_rows != nullptr) *intermediate_rows = intermediates;
+  return EmitGroups(GroupColumnNames(in), groups);
 }
 
 }  // namespace paradise

@@ -5,35 +5,20 @@
 // fused StarJoinConsolidation closes.
 #pragma once
 
-#include <vector>
+#include <cstdint>
 
 #include "common/result.h"
-#include "common/status.h"
-#include "common/stopwatch.h"
-#include "query/query.h"
 #include "query/result.h"
-#include "relational/dimension_table.h"
-#include "relational/fact_file.h"
-#include "relational/schema.h"
+#include "relational/group_by.h"
 
 namespace paradise {
 
-struct LeftDeepJoinParams {
-  const FactFile* fact = nullptr;
-  const Schema* fact_schema = nullptr;
-  std::vector<const DimensionTable*> dims;
-  const query::ConsolidationQuery* query = nullptr;
-  PhaseTimer* timer = nullptr;
-
-  /// Output: total intermediate rows materialized across all join stages
-  /// (the cost driver this baseline demonstrates).
-  uint64_t* intermediate_rows = nullptr;
-};
-
 /// Joins the fact table with each joined dimension one stage at a time,
 /// materializing the intermediate result between stages, then hash-
-/// aggregates. Semantics match StarJoinConsolidate.
+/// aggregates. Semantics match StarJoinConsolidate. `intermediate_rows`
+/// (optional) receives the total rows materialized across all stages — the
+/// cost driver this baseline demonstrates.
 Result<query::GroupedResult> LeftDeepJoinConsolidate(
-    const LeftDeepJoinParams& params);
+    const RelationalInput& in, uint64_t* intermediate_rows);
 
 }  // namespace paradise

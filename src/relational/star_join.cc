@@ -1,128 +1,24 @@
 #include "relational/star_join.h"
 
-#include <unordered_map>
-#include <unordered_set>
-
 namespace paradise {
 
-namespace star_join_internal {
-
-Result<std::unordered_map<int32_t, DimProbe>> BuildDimTable(
-    const DimensionTable& dim, const query::DimensionQuery& dq) {
-  // Normalize the selected values per attribute into code sets once.
-  std::vector<std::pair<size_t, std::unordered_set<int32_t>>> selections;
-  for (const query::Selection& s : dq.selections) {
-    std::unordered_set<int32_t> codes;
-    for (const query::Literal& lit : s.values) {
-      Result<int32_t> code =
-          dim.ValueCode(s.attr_col, query::NormalizeLiteral(lit));
-      if (code.ok()) {
-        codes.insert(*code);
-      }  // A value that never occurs simply selects nothing.
-    }
-    selections.emplace_back(s.attr_col, std::move(codes));
-  }
-
-  std::unordered_map<int32_t, DimProbe> table;
-  table.reserve(dim.num_rows());
-  for (uint32_t row = 0; row < dim.num_rows(); ++row) {
-    DimProbe probe;
-    for (const auto& [col, codes] : selections) {
-      PARADISE_ASSIGN_OR_RETURN(int32_t c, dim.RowAttrCode(row, col));
-      if (!codes.contains(c)) {
-        probe.passes = false;
-        break;
-      }
-    }
-    if (dq.group_by_col.has_value()) {
-      PARADISE_ASSIGN_OR_RETURN(probe.group_code,
-                                dim.RowAttrCode(row, *dq.group_by_col));
-    }
-    table.emplace(dim.rows()[row].GetInt32(0), probe);
-  }
-  return table;
-}
-
-}  // namespace star_join_internal
-
-Result<query::GroupedResult> StarJoinConsolidate(
-    const StarJoinParams& params) {
-  using star_join_internal::DimProbe;
-  const query::ConsolidationQuery& q = *params.query;
-  const size_t n = params.dims.size();
-  if (q.dims.size() != n) {
-    return Status::InvalidArgument("query/dimension count mismatch");
-  }
-  if (params.fact_schema->num_columns() <= n) {
-    return Status::InvalidArgument(
-        "fact schema must be n keys + p measures");
-  }
-  const size_t measure_col = n + q.measure;
-  if (measure_col >= params.fact_schema->num_columns()) {
-    return Status::InvalidArgument("measure index out of range");
-  }
-
-  // Phase 1: build one hash table per dimension that is joined (grouped or
-  // selected); purely-collapsed unselected dimensions need no join at all.
-  std::vector<std::unordered_map<int32_t, DimProbe>> tables(n);
-  std::vector<bool> joined(n, false);
-  std::vector<std::string> group_columns;
-  {
-    ScopedPhase phase(params.timer, "build");
-    for (size_t i = 0; i < n; ++i) {
-      const query::DimensionQuery& dq = q.dims[i];
-      if (dq.group_by_col.has_value() || !dq.selections.empty()) {
-        joined[i] = true;
-        PARADISE_ASSIGN_OR_RETURN(
-            tables[i],
-            star_join_internal::BuildDimTable(*params.dims[i], dq));
-      }
-      if (dq.group_by_col.has_value()) {
-        group_columns.push_back(
-            params.dims[i]->name() + "." +
-            params.dims[i]->schema().column(*dq.group_by_col).name);
-      }
-    }
-  }
+Result<query::GroupedResult> StarJoinConsolidate(const RelationalInput& in) {
+  // Phase 1: one hash table per dimension that is grouped or selected;
+  // purely-collapsed unselected dimensions need no join at all.
+  PARADISE_ASSIGN_OR_RETURN(
+      FactAggregator agg,
+      FactAggregator::Build(in, ProbeMode::kSelectAndGroup));
 
   // Phase 2: scan the fact file once; probe, filter, and aggregate
   // value-based into the aggregation hash table.
-  std::unordered_map<std::vector<int32_t>, query::AggState, GroupVectorHash>
-      groups;
   {
-    ScopedPhase phase(params.timer, "scan+aggregate");
-    std::vector<int32_t> key(n);
-    const Schema& fs = *params.fact_schema;
-    PARADISE_RETURN_IF_ERROR(params.fact->ScanAll(
-        [&](uint64_t /*tuple*/, const char* record) -> Status {
-          TupleRef t(&fs, record);
-          std::vector<int32_t> group;
-          group.reserve(group_columns.size());
-          for (size_t i = 0; i < n; ++i) {
-            if (!joined[i]) continue;
-            const int32_t fk = t.GetInt32(i);
-            auto it = tables[i].find(fk);
-            if (it == tables[i].end()) {
-              return Status::Corruption(
-                  "fact tuple references unknown key " + std::to_string(fk) +
-                  " of dimension " + params.dims[i]->name());
-            }
-            if (!it->second.passes) return Status::OK();  // filtered out
-            if (q.dims[i].group_by_col.has_value()) {
-              group.push_back(it->second.group_code);
-            }
-          }
-          groups[std::move(group)].Add(t.GetInt64(measure_col));
-          return Status::OK();
+    ScopedPhase phase(in.timer, "scan+aggregate");
+    PARADISE_RETURN_IF_ERROR(in.fact->ScanAll(
+        [&](uint64_t tuple, const char* record) {
+          return agg.Add(tuple, record);
         }));
   }
-
-  query::GroupedResult result(std::move(group_columns));
-  for (auto& [group, agg] : groups) {
-    result.Add(query::ResultRow{group, agg});
-  }
-  result.SortCanonical();
-  return result;
+  return agg.Finish();
 }
 
 }  // namespace paradise

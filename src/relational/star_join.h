@@ -5,57 +5,15 @@
 // OLAP Array consolidation is compared against.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "common/result.h"
-#include "common/status.h"
-#include "common/stopwatch.h"
-#include "query/query.h"
 #include "query/result.h"
-#include "relational/dimension_table.h"
-#include "relational/fact_file.h"
-#include "relational/schema.h"
+#include "relational/group_by.h"
 
 namespace paradise {
-
-/// Hash functor for dense group-code vectors (FNV-1a over the codes).
-struct GroupVectorHash {
-  size_t operator()(const std::vector<int32_t>& v) const {
-    uint64_t h = 1469598103934665603ULL;
-    for (int32_t c : v) {
-      h ^= static_cast<uint64_t>(static_cast<uint32_t>(c));
-      h *= 1099511628211ULL;
-    }
-    return static_cast<size_t>(h);
-  }
-};
-
-struct StarJoinParams {
-  const FactFile* fact = nullptr;
-  const Schema* fact_schema = nullptr;          // n int32 keys + int64 measure
-  std::vector<const DimensionTable*> dims;      // in fact-column order
-  const query::ConsolidationQuery* query = nullptr;
-  PhaseTimer* timer = nullptr;                  // optional phase breakdown
-};
 
 /// Runs the star-join consolidation. Selections are honored by filtering in
 /// the per-dimension hash tables (the plain-relational selection baseline;
 /// the bitmap algorithm in bitmap_select.h is the paper's optimized one).
-Result<query::GroupedResult> StarJoinConsolidate(const StarJoinParams& params);
+Result<query::GroupedResult> StarJoinConsolidate(const RelationalInput& in);
 
-namespace star_join_internal {
-
-/// Per-dimension probe table entry: whether the key passes this dimension's
-/// selections and, if the dimension is grouped, its group code.
-struct DimProbe {
-  bool passes = true;
-  int32_t group_code = 0;
-};
-
-/// Builds the key → DimProbe table for one dimension under `dq`.
-Result<std::unordered_map<int32_t, DimProbe>> BuildDimTable(
-    const DimensionTable& dim, const query::DimensionQuery& dq);
-
-}  // namespace star_join_internal
 }  // namespace paradise

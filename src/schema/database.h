@@ -121,7 +121,8 @@ class Database {
 
   /// True once any ingest commit ever landed. The relational fact file is
   /// stale from then on, so the relational engines are gated off with a
-  /// typed error and the planner always picks the array.
+  /// typed error and the planner always picks the array. One atomic load:
+  /// it never waits for a commit in flight (IngestManager::ingested).
   bool ingested() const;
 
   /// An (epoch, OLAP-array snapshot) pair captured atomically against

@@ -2,6 +2,7 @@
 // consolidation, the bitmap+fact-file plan and the left-deep baseline must
 // all produce identical GroupedResults — and match the brute-force reference
 // — across randomized cubes, densities and query shapes.
+#include <atomic>
 #include <map>
 #include <regex>
 #include <string>
@@ -107,6 +108,60 @@ TEST(EngineTest, BitmapRequiresSelection) {
   EXPECT_TRUE(RunQuery(db.get(), EngineKind::kBitmap, gen::Query1(3))
                   .status()
                   .IsInvalidArgument());
+}
+
+TEST(EngineTest, RelationalEnginesStopMidQueryOnAFiredToken) {
+  // A cube spanning ~15 fact pages; the token fires on the third page read
+  // of a cold run, well before the last page.
+  TempFile file("engine_cancel");
+  gen::GenConfig config = TinyConfig(/*valid=*/3000, /*seed=*/19);
+  const uint32_t sizes[3] = {12, 16, 20};
+  for (size_t d = 0; d < 3; ++d) config.dims[d].size = sizes[d];
+  ASSERT_OK_AND_ASSIGN(gen::SyntheticDataset data, gen::Generate(config));
+  DatabaseOptions options = SmallDbOptions();
+  options.build_btree_join_indexes = true;
+  paradise::testing::HookedDisk* disk = nullptr;
+  paradise::testing::HookedDisk::Install(&options.storage, &disk);
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<Database> db,
+      BuildDatabaseFromDataset(file.path(), data, options));
+  ASSERT_NE(disk, nullptr);
+  ASSERT_GE(db->fact()->used_data_pages(), 10u);
+
+  // Two of dim0's three level-1 values: qualifying tuples on every page.
+  query::ConsolidationQuery q;
+  q.dims.resize(3);
+  q.dims[0].selections.push_back(query::Selection{
+      1,
+      {query::Literal{gen::AttrValue(0, 1, 0)},
+       query::Literal{gen::AttrValue(0, 1, 1)}}});
+  q.dims[1].group_by_col = 1;
+  q.dims[2].group_by_col = 2;
+  const query::GroupedResult expected = BruteForce(data, q);
+  constexpr int kFireOnRead = 3;
+
+  for (EngineKind kind : {EngineKind::kStarJoin, EngineKind::kLeftDeep,
+                          EngineKind::kBitmap, EngineKind::kBTreeSelect}) {
+    SCOPED_TRACE(std::string(EngineKindToString(kind)));
+    CancellationToken token;
+    std::atomic<int> reads{0};
+    disk->set_on_read([&token, &reads] {
+      if (reads.fetch_add(1) + 1 == kFireOnRead) token.RequestCancel();
+    });
+    RunQueryOptions cancellable;
+    cancellable.cancel = &token;
+    Result<Execution> r = RunQuery(db.get(), kind, q, cancellable);
+    disk->set_on_read(nullptr);
+    EXPECT_TRUE(token.cancel_requested()) << "only " << reads << " reads";
+    ASSERT_FALSE(r.ok()) << "finished after the token fired";
+    EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
+
+    // The abandoned run leaves nothing behind: a clean cold rerun reads
+    // past the firing point and answers exactly.
+    ASSERT_OK_AND_ASSIGN(Execution clean, RunQuery(db.get(), kind, q));
+    EXPECT_GT(clean.stats.io.disk_reads, uint64_t{kFireOnRead});
+    EXPECT_TRUE(clean.result.SameAs(expected));
+  }
 }
 
 TEST(EngineTest, ColdRunsDoDiskReads) {

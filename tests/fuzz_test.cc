@@ -362,11 +362,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CachedFuzzTest,
                          ::testing::Range(uint64_t{1}, uint64_t{13}));
 
 /// Cancellation fuzzing (DESIGN.md choice 13): random workloads run under
-/// CancellationTokens fired before, during and never. The invariant is
-/// all-or-nothing: a query either completes with the exact brute-force
-/// result or fails with the token's typed Status — and a cancelled query
-/// retried on a fresh token reproduces the brute-force result bit for bit
-/// (no torn state survives the abandoned run).
+/// CancellationTokens fired before, during and never, on every engine that
+/// accepts the query. The invariant is all-or-nothing: a query either
+/// completes with the exact brute-force result or fails with the token's
+/// typed Status — and a cancelled query retried on a fresh token reproduces
+/// the brute-force result bit for bit (no torn state survives the abandoned
+/// run).
 class CancelFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CancelFuzzTest, CancelledQueriesAreAllOrNothingAndRetryable) {
@@ -376,69 +377,77 @@ TEST_P(CancelFuzzTest, CancelledQueriesAreAllOrNothingAndRetryable) {
   TempFile file("cancelfuzz" + std::to_string(GetParam()));
   const gen::GenConfig config = RandomConfig(&rng);
   ASSERT_OK_AND_ASSIGN(gen::SyntheticDataset data, gen::Generate(config));
+  DatabaseOptions db_options = SmallDbOptions();
+  db_options.build_btree_join_indexes = true;
   ASSERT_OK_AND_ASSIGN(
       std::unique_ptr<Database> db,
-      BuildDatabaseFromDataset(file.path(), data, SmallDbOptions()));
+      BuildDatabaseFromDataset(file.path(), data, db_options));
 
   for (int round = 0; round < 3; ++round) {
     const query::ConsolidationQuery q = RandomQuery(config, &rng);
     const query::GroupedResult expected = BruteForce(data, q);
     const size_t threads = 1 + rng.Uniform(4);
+    for (EngineKind kind :
+         {EngineKind::kArray, EngineKind::kStarJoin, EngineKind::kBitmap,
+          EngineKind::kLeftDeep, EngineKind::kBTreeSelect}) {
+      if (!CheckEngineAccepts(*db, kind, q).ok()) continue;
+      SCOPED_TRACE(std::string(EngineKindToString(kind)));
 
-    // Pre-fired tokens short-circuit before touching storage.
-    {
-      CancellationToken cancelled;
-      cancelled.RequestCancel();
-      RunQueryOptions options;
-      options.cold = false;
-      options.num_threads = threads;
-      options.cancel = &cancelled;
-      auto r = RunQuery(db.get(), EngineKind::kArray, q, options);
-      ASSERT_FALSE(r.ok());
-      EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
-    }
-    {
-      CancellationToken expired;
-      expired.set_deadline(std::chrono::steady_clock::now() -
-                           std::chrono::milliseconds(1));
-      RunQueryOptions options;
-      options.cold = false;
-      options.num_threads = threads;
-      options.cancel = &expired;
-      auto r = RunQuery(db.get(), EngineKind::kArray, q, options);
-      ASSERT_FALSE(r.ok());
-      EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status().ToString();
-    }
-
-    // Mid-run cancel racing real execution: either the query won (exact
-    // result) or the token won (typed status) — nothing in between.
-    {
-      CancellationToken token;
-      std::thread canceller([&token, delay_us = rng.Uniform(500)] {
-        std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-        token.RequestCancel();
-      });
-      RunQueryOptions options;
-      options.cold = false;
-      options.num_threads = threads;
-      options.cancel = &token;
-      auto r = RunQuery(db.get(), EngineKind::kArray, q, options);
-      canceller.join();
-      if (r.ok()) {
-        ASSERT_TRUE(r.value().result.SameAs(expected))
-            << "query that outran its cancel diverged, seed " << seed;
-      } else {
+      // Pre-fired tokens short-circuit before touching storage.
+      {
+        CancellationToken cancelled;
+        cancelled.RequestCancel();
+        RunQueryOptions options;
+        options.cold = false;
+        options.num_threads = threads;
+        options.cancel = &cancelled;
+        auto r = RunQuery(db.get(), kind, q, options);
+        ASSERT_FALSE(r.ok());
         EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
       }
-      // The retry on a clean token must see no trace of the abandoned run.
-      RunQueryOptions clean;
-      clean.cold = false;
-      clean.num_threads = threads;
-      ASSERT_OK_AND_ASSIGN(Execution retried,
-                           RunQuery(db.get(), EngineKind::kArray, q, clean));
-      ASSERT_TRUE(retried.result.SameAs(expected))
-          << "retry after cancel diverged, seed " << seed << " round "
-          << round;
+      {
+        CancellationToken expired;
+        expired.set_deadline(std::chrono::steady_clock::now() -
+                             std::chrono::milliseconds(1));
+        RunQueryOptions options;
+        options.cold = false;
+        options.num_threads = threads;
+        options.cancel = &expired;
+        auto r = RunQuery(db.get(), kind, q, options);
+        ASSERT_FALSE(r.ok());
+        EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status().ToString();
+      }
+
+      // Mid-run cancel racing real execution: either the query won (exact
+      // result) or the token won (typed status) — nothing in between.
+      {
+        CancellationToken token;
+        std::thread canceller([&token, delay_us = rng.Uniform(500)] {
+          std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+          token.RequestCancel();
+        });
+        RunQueryOptions options;
+        options.cold = false;
+        options.num_threads = threads;
+        options.cancel = &token;
+        auto r = RunQuery(db.get(), kind, q, options);
+        canceller.join();
+        if (r.ok()) {
+          ASSERT_TRUE(r.value().result.SameAs(expected))
+              << "query that outran its cancel diverged, seed " << seed;
+        } else {
+          EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
+        }
+        // The retry on a clean token must see no trace of the abandoned run.
+        RunQueryOptions clean;
+        clean.cold = false;
+        clean.num_threads = threads;
+        ASSERT_OK_AND_ASSIGN(Execution retried,
+                             RunQuery(db.get(), kind, q, clean));
+        ASSERT_TRUE(retried.result.SameAs(expected))
+            << "retry after cancel diverged, seed " << seed << " round "
+            << round;
+      }
     }
   }
 }

@@ -8,7 +8,9 @@
 // fresh database that contained the merged data all along.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -637,6 +639,60 @@ TEST(IngestTest, RelationalEnginesGateAfterIngest) {
   ASSERT_OK_AND_ASSIGN(
       Execution exec, RunQuery(db.get(), choice.engine, q));
   EXPECT_TRUE(exec.result.SameAs(BruteForce(Merged(data, upserts), q)));
+}
+
+TEST(IngestTest, PlanningDoesNotWaitForACommitInItsFsync) {
+  TempFile file("ingest_latch");
+  ASSERT_OK_AND_ASSIGN(gen::SyntheticDataset data,
+                       gen::Generate(TinyConfig(120, 23)));
+  DatabaseOptions options = SmallDbOptions();
+  paradise::testing::HookedDisk* disk = nullptr;
+  paradise::testing::HookedDisk::Install(&options.storage, &disk);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
+                       BuildDatabaseFromDataset(file.path(), data, options));
+  ASSERT_NE(disk, nullptr);
+
+  // The commit's first fsync announces itself, then holds until released
+  // (bounded, so a regression fails the test instead of hanging it).
+  std::promise<void> in_sync;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> armed{true};
+  disk->set_on_sync([&] {
+    if (!armed.exchange(false)) return;
+    in_sync.set_value();
+    released.wait_for(std::chrono::seconds(30));
+  });
+  WriteUpserts(db.get(), data, MakeUpserts(data, 1, 1, 31));
+  Status commit_status;
+  std::thread writer([&] { commit_status = db->ingest()->Commit(); });
+  const bool held = in_sync.get_future().wait_for(std::chrono::seconds(30)) ==
+                    std::future_status::ready;
+
+  // While that commit sits in its fsync, planning and the relational gate
+  // answer at once: the commit raised ingested() before publishing.
+  const query::ConsolidationQuery q = SelectQuery();
+  auto probe = std::async(std::launch::async, [&] {
+    Result<PlanChoice> choice = ChoosePlan(*db, q, {});
+    RunQueryOptions warm;
+    warm.cold = false;
+    Status gate = RunQuery(db.get(), EngineKind::kStarJoin, q, warm).status();
+    return std::make_pair(std::move(choice), std::move(gate));
+  });
+  const bool answered =
+      probe.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  release.set_value();
+  writer.join();
+  disk->set_on_sync(nullptr);
+
+  EXPECT_TRUE(held) << "Commit() never reached an fsync";
+  EXPECT_TRUE(answered) << "planning waited for the commit's fsync";
+  auto [choice, gate] = probe.get();
+  ASSERT_OK(choice.status());
+  EXPECT_EQ(choice->engine, EngineKind::kArray);
+  EXPECT_EQ(choice->reason, "ingested data: only the array reflects it");
+  EXPECT_TRUE(gate.IsNotSupported()) << gate.ToString();
+  ASSERT_OK(commit_status);
 }
 
 }  // namespace

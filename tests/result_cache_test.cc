@@ -442,21 +442,99 @@ TEST_F(ResultCacheDbTest, CommitEpochChurnInvalidatesAcrossReload) {
   ASSERT_TRUE(reloaded.result.SameAs(after.result));
 }
 
-TEST_F(ResultCacheDbTest, CachedModeStillRejectsUnservableQueries) {
+TEST_F(ResultCacheDbTest, RunPinnedBehindTheCurrentEpochKeepsTheSnapshot) {
   ConsolidationResultCache cache;
   RunQueryOptions cached;
   cached.cache = &cache;
+  const ConsolidationQuery q = ThreeDimQuery();
+  const CanonicalQuery canon = CanonicalQuery::From(q);
+  ASSERT_OK_AND_ASSIGN(Execution first,
+                       RunQuery(db_.get(), EngineKind::kArray, q, cached));
+  const uint64_t old_epoch = db_->commit_epoch();
 
-  // Seed the cache with a selection-free query via an engine that allows it.
-  ConsolidationQuery q = ThreeDimQuery();
-  ASSERT_OK(RunQuery(db_.get(), EngineKind::kStarJoin, q, cached).status());
-  // The bitmap engine rejects selection-free queries; a cache hit must not
-  // mask that error.
-  EXPECT_FALSE(RunQuery(db_.get(), EngineKind::kBitmap, q, cached).ok());
-  // Same for a structurally invalid query.
-  ConsolidationQuery bad = ThreeDimQuery();
-  bad.dims[0].group_by_col = 9;
-  EXPECT_FALSE(RunQuery(db_.get(), EngineKind::kArray, bad, cached).ok());
+  const std::vector<int32_t> keys = data_.CellKeys(data_.cell_global_indices[0]);
+  ASSERT_OK_AND_ASSIGN(std::optional<int64_t> old_value,
+                       db_->olap()->ReadCellByKeys(keys));
+  ASSERT_TRUE(old_value.has_value());
+  ASSERT_OK(db_->olap()->WriteCellByKeys(keys, *old_value + 1000));
+  ASSERT_OK(db_->storage()->Checkpoint());
+  ASSERT_GT(db_->commit_epoch(), old_epoch);
+
+  // A session pinned at the old epoch whose run pinned the newer array (a
+  // commit published between its epoch check and PinArray) gets the new
+  // answer without touching the cache, so the old epoch's entry still
+  // serves that session's snapshot.
+  RunQueryOptions pinned = cached;
+  pinned.cache_pin_epoch = old_epoch;
+  ASSERT_OK_AND_ASSIGN(Execution racing,
+                       RunQuery(db_.get(), EngineKind::kArray, q, pinned));
+  EXPECT_EQ(racing.stats.cache_outcome, CacheOutcome::kOff);
+  EXPECT_EQ(racing.result.TotalSum(), first.result.TotalSum() + 1000);
+  std::shared_ptr<const GroupedResult> snapshot =
+      cache.Peek(db_->CacheScope(), old_epoch, canon);
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_TRUE(snapshot->SameAs(first.result));
+}
+
+TEST_F(ResultCacheDbTest, CachedModeStillRejectsUnservableQueries) {
+  // A cube without bitmap or B-tree join indexes, so both index plans can
+  // be handed a selection they hold no index for.
+  TempFile bare_file("result_cache_bare");
+  DatabaseOptions options = SmallDbOptions();
+  options.build_bitmap_indexes = false;
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<Database> bare,
+      BuildDatabaseFromDataset(bare_file.path(), data_, options));
+
+  const ConsolidationQuery plain = ThreeDimQuery();
+  ConsolidationQuery selected = ThreeDimQuery();
+  selected.dims[1].selections.push_back(Sel(1, {1}));
+  ConsolidationQuery bad_measure = ThreeDimQuery();
+  bad_measure.measure = 5;
+  ConsolidationQuery bad_group = ThreeDimQuery();
+  bad_group.dims[0].group_by_col = 9;
+
+  struct Case {
+    EngineKind engine;
+    const ConsolidationQuery* query;
+    std::string message;  // after RunQuery's "engine <name>: " context
+  };
+  std::vector<Case> cases = {
+      {EngineKind::kBitmap, &plain,
+       "bitmap algorithm requires at least one selection"},
+      {EngineKind::kBTreeSelect, &plain,
+       "B-tree selection plan requires at least one selection"},
+      {EngineKind::kBitmap, &selected, "no bitmap index on dimension dim1 column 1"},
+      {EngineKind::kBTreeSelect, &selected,
+       "no B-tree join index on dimension dim1 column 1"},
+  };
+  for (EngineKind kind : {EngineKind::kArray, EngineKind::kStarJoin,
+                          EngineKind::kBitmap, EngineKind::kLeftDeep,
+                          EngineKind::kBTreeSelect}) {
+    cases.push_back({kind, &bad_measure, "measure index out of range"});
+    cases.push_back({kind, &bad_group, "bad group-by column 9 on dimension 0"});
+  }
+
+  ConsolidationResultCache cache;
+  RunQueryOptions cached;
+  cached.cache = &cache;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(EngineKindToString(c.engine)) + ": " + c.message);
+    // Seed the cache through the star join wherever it accepts the query: a
+    // cache hit must not mask the engine's error.
+    (void)RunQuery(bare.get(), EngineKind::kStarJoin, *c.query, cached);
+    const Status uncached_st =
+        RunQuery(bare.get(), c.engine, *c.query).status();
+    const Status cached_st =
+        RunQuery(bare.get(), c.engine, *c.query, cached).status();
+    EXPECT_TRUE(uncached_st.IsInvalidArgument()) << uncached_st.ToString();
+    EXPECT_EQ(uncached_st.message(), "engine " +
+                                         std::string(EngineKindToString(
+                                             c.engine)) +
+                                         ": " + c.message);
+    EXPECT_EQ(cached_st.code(), uncached_st.code());
+    EXPECT_EQ(cached_st.message(), uncached_st.message());
+  }
 }
 
 TEST_F(ResultCacheDbTest, ExecutionStatsJsonCarriesCacheOutcome) {

@@ -4,8 +4,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,7 @@
 #include "gen/datasets.h"
 #include "query/result.h"
 #include "schema/loader.h"
+#include "storage/disk_manager.h"
 
 namespace paradise::testing {
 
@@ -56,6 +60,101 @@ class TempFile {
 
  private:
   std::string path_;
+};
+
+/// A forwarding Disk decorator with two hooks, installed through
+/// StorageOptions::wrap_disk (see Install). `on_read` runs after every page
+/// read; `on_sync` runs at the start of every durability barrier, before the
+/// inner fsync, so a test can fire a token on the Nth read of a query or
+/// hold a commit inside its fsync. Hooks may be swapped while other threads
+/// do I/O.
+class HookedDisk final : public Disk {
+ public:
+  using Hook = std::function<void()>;
+
+  explicit HookedDisk(std::unique_ptr<Disk> inner) : inner_(std::move(inner)) {}
+
+  /// Sets `options.wrap_disk` to build a HookedDisk; `*out` receives it.
+  static void Install(StorageOptions* options, HookedDisk** out) {
+    options->wrap_disk = [out](std::unique_ptr<Disk> inner) {
+      auto hooked = std::make_unique<HookedDisk>(std::move(inner));
+      *out = hooked.get();
+      return std::unique_ptr<Disk>(std::move(hooked));
+    };
+  }
+
+  void set_on_read(Hook hook) { Set(&on_read_, std::move(hook)); }
+  void set_on_sync(Hook hook) { Set(&on_sync_, std::move(hook)); }
+
+  Status Create(const std::string& path,
+                const StorageOptions& options) override {
+    return inner_->Create(path, options);
+  }
+  Status Open(const std::string& path, const StorageOptions& options) override {
+    return inner_->Open(path, options);
+  }
+  Status Close() override { return inner_->Close(); }
+  void Abandon() override { inner_->Abandon(); }
+  Status Flush() override { return inner_->Flush(); }
+  bool is_open() const override { return inner_->is_open(); }
+  size_t page_size() const override { return inner_->page_size(); }
+  uint64_t page_count() const override { return inner_->page_count(); }
+  const std::string& path() const override { return inner_->path(); }
+  uint32_t format_version() const override { return inner_->format_version(); }
+  uint64_t PhysicalPageOffset(PageId id) const override {
+    return inner_->PhysicalPageOffset(id);
+  }
+  Status ReadPage(PageId id, char* buf) override {
+    Status st = inner_->ReadPage(id, buf);
+    Run(on_read_);
+    return st;
+  }
+  Status WritePage(PageId id, const char* buf) override {
+    return inner_->WritePage(id, buf);
+  }
+  Result<PageId> AllocatePage() override { return inner_->AllocatePage(); }
+  Result<PageId> AllocateContiguous(uint64_t n) override {
+    return inner_->AllocateContiguous(n);
+  }
+  Status FreePage(PageId id) override { return inner_->FreePage(id); }
+  ObjectId catalog_oid() const override { return inner_->catalog_oid(); }
+  void set_catalog_oid(ObjectId oid) override { inner_->set_catalog_oid(oid); }
+  PageId free_list_head() const override { return inner_->free_list_head(); }
+  uint32_t load_state() const override { return inner_->load_state(); }
+  void set_load_state(uint32_t state) override {
+    inner_->set_load_state(state);
+  }
+  Status Sync() override {
+    Run(on_sync_);
+    return inner_->Sync();
+  }
+  Status Commit() override { return inner_->Commit(); }
+  uint64_t commit_epoch() const override { return inner_->commit_epoch(); }
+  uint64_t reads_performed() const override {
+    return inner_->reads_performed();
+  }
+  uint64_t writes_performed() const override {
+    return inner_->writes_performed();
+  }
+
+ private:
+  void Set(Hook* slot, Hook hook) {
+    std::lock_guard<std::mutex> lk(mu_);
+    *slot = std::move(hook);
+  }
+  void Run(const Hook& slot) {
+    Hook hook;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      hook = slot;
+    }
+    if (hook) hook();
+  }
+
+  std::unique_ptr<Disk> inner_;
+  std::mutex mu_;  // guards the hooks, not the calls
+  Hook on_read_;
+  Hook on_sync_;
 };
 
 /// A tiny 3-dimensional cube config for fast unit tests: dims 6x8x10, two
