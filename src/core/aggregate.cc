@@ -52,12 +52,13 @@ std::vector<int32_t> GroupSpec::Decode(uint64_t flat) const {
 query::GroupedResult FlatToGroupedResult(
     const GroupSpec& spec, const std::vector<query::AggState>& flat,
     std::vector<std::string> columns) {
+  // The flat index is row-major over the grouped dimensions, so walking it
+  // in order emits the rows already in SortCanonical's lexicographic order.
   query::GroupedResult result(std::move(columns));
   for (uint64_t i = 0; i < flat.size(); ++i) {
     if (flat[i].count == 0) continue;
     result.Add(query::ResultRow{spec.Decode(i), flat[i]});
   }
-  result.SortCanonical();
   return result;
 }
 

@@ -22,21 +22,23 @@ struct AggState {
   int64_t max = std::numeric_limits<int64_t>::min();
 
   // Sums wrap modulo 2^64 (done in uint64_t, so overflow is defined):
-  // bit-identical to int64 addition whenever nothing overflows.
+  // bit-identical to int64 addition whenever nothing overflows. min and max
+  // are stored unconditionally, so the update compiles to conditional moves
+  // instead of two data-dependent branches that mispredict on shuffled data.
   void Add(int64_t v) {
     sum = static_cast<int64_t>(static_cast<uint64_t>(sum) +
                                static_cast<uint64_t>(v));
     ++count;
-    if (v < min) min = v;
-    if (v > max) max = v;
+    min = v < min ? v : min;
+    max = v > max ? v : max;
   }
 
   void Merge(const AggState& o) {
     sum = static_cast<int64_t>(static_cast<uint64_t>(sum) +
                                static_cast<uint64_t>(o.sum));
     count += o.count;
-    if (o.min < min) min = o.min;
-    if (o.max > max) max = o.max;
+    min = o.min < min ? o.min : min;
+    max = o.max > max ? o.max : max;
   }
 
   /// The requested aggregate as a double (AVG is fractional).
