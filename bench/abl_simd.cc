@@ -11,16 +11,18 @@
 //                   Query 2 serial. Every ISA's GroupedResult must be SameAs
 //                   the scalar one; a mismatch exits 1.
 //   stage           the §4.1 kernel of Query 1 on the same cubes split into
-//                   its four steps, ns per cell: KernelTables::Build,
-//                   UnpackRange (copied out of its batches), offset->flat
-//                   decode and ScatterBatch, each over a whole chunk before
-//                   the next; `kernel` is Build + the fused AggregateView
-//                   over the same chunks. The staged answer must equal the
-//                   fused one and the executor's.
+//                   its four steps, ns per cell: KernelTables::Build, the
+//                   dispatched block unpacker writing straight into the
+//                   staging arrays (encodings without blocks: UnpackRange's
+//                   batches, copied), offset->flat decode and ScatterBatch,
+//                   each over a whole chunk before the next; `kernel` is
+//                   Build + the fused AggregateView over the same chunks.
+//                   The staged answer must equal the fused one and the
+//                   executor's.
 //
 // Writes BENCH_simd.json (shared bench schema) with a speedup_vs_scalar
-// extra per array/decode run and ns_per_cell and cells_per_chunk extras per
-// stage run.
+// extra per array/decode run and ns_per_cell, cells_per_chunk and
+// outer_builds (the pass's outer-table rebuilds) extras per stage run.
 #include <algorithm>
 #include <chrono>
 #include <random>
@@ -135,10 +137,32 @@ LoadedChunks LoadChunks(const OlapArray& olap) {
   return out;
 }
 
+/// The kernel's unpack step over a whole chunk into `offsets` / `values`
+/// (each sized num_valid): packed chunks block by block through the
+/// dispatched unpacker, other encodings through UnpackRange's batches.
+void UnpackChunk(const ChunkView& view, uint32_t* offsets, int64_t* values) {
+  if (view.sparse() && view.encoding() != ChunkEncoding::kSparse) {
+    const kernels::UnpackBlockFn unpack = kernels::ActiveUnpackBlock();
+    for (uint32_t b = 0; b < view.num_blocks(); ++b) {
+      unpack(view, b, offsets + b * kPackedChunkBlock,
+             values + b * kPackedChunkBlock);
+    }
+    return;
+  }
+  size_t k = 0;
+  kernels::UnpackRange(view, 0, kernels::PositionCount(view),
+                       [&](const uint32_t* off, const int64_t* v, size_t m) {
+                         std::copy(off, off + m, offsets + k);
+                         std::copy(v, v + m, values + k);
+                         k += m;
+                       });
+}
+
 /// Summed seconds of each kernel step over one pass of every chunk.
 struct StageSeconds {
   double build = 0, unpack = 0, decode = 0, scatter = 0, kernel = 0;
   uint64_t cells = 0, chunks = 0;
+  uint64_t outer_builds = 0;  // KernelTables::Build calls that rebuilt outer
 };
 
 /// One pass of the §4.1 kernel over `chunks`, each step timed apart, then
@@ -164,13 +188,7 @@ StageSeconds TimeStages(const OlapArray& olap, const GroupSpec& spec,
     const double t0 = Now();
     tables.Build(olap, spec, chunks.chunk_no[i]);
     const double t1 = Now();
-    size_t k = 0;
-    kernels::UnpackRange(view, 0, kernels::PositionCount(view),
-                         [&](const uint32_t* off, const int64_t* v, size_t m) {
-                           std::copy(off, off + m, offsets.data() + k);
-                           std::copy(v, v + m, values.data() + k);
-                           k += m;
-                         });
+    UnpackChunk(view, offsets.data(), values.data());
     const double t2 = Now();
     for (size_t b = 0; b < n; b += kernels::kBatch) {
       decode(offsets.data() + b, std::min<size_t>(kernels::kBatch, n - b), tables,
@@ -193,6 +211,7 @@ StageSeconds TimeStages(const OlapArray& olap, const GroupSpec& spec,
     s.cells += n;
     ++s.chunks;
   }
+  s.outer_builds = tables.outer_builds();
   if (staged != fused) Die("staged kernel disagrees with AggregateView");
   *result = FlatToGroupedResult(spec, staged, spec.GroupColumnNames(olap));
   return s;
@@ -339,6 +358,7 @@ int main() {
         best.kernel = std::min(best.kernel, s.kernel);
         best.cells = s.cells;
         best.chunks = s.chunks;
+        best.outer_builds = s.outer_builds;
       }
       kernels::ForceIsa(std::nullopt);
       stage_rows.push_back({cube.name, Name(isa), best});
@@ -346,7 +366,7 @@ int main() {
   }
 
   std::printf("# §4.1 kernel steps, Query 1, warm, ns per cell (best of 3)\n");
-  std::printf("stage,cube,isa,ns_per_cell,cells_per_chunk\n");
+  std::printf("stage,cube,isa,ns_per_cell,cells_per_chunk,outer_builds\n");
   for (const StageRow& row : stage_rows) {
     const std::pair<const char*, double> stages[] = {
         {"table_build", row.s.build},   {"unpack", row.s.unpack},
@@ -356,8 +376,9 @@ int main() {
                                    static_cast<double>(row.s.chunks);
     for (const auto& [stage, seconds] : stages) {
       const double ns = seconds * 1e9 / static_cast<double>(row.s.cells);
-      std::printf("%s,%s,%s,%.3f,%.0f\n", stage, row.cube.c_str(),
-                  row.isa.c_str(), ns, cells_per_chunk);
+      std::printf("%s,%s,%s,%.3f,%.0f,%llu\n", stage, row.cube.c_str(),
+                  row.isa.c_str(), ns, cells_per_chunk,
+                  static_cast<unsigned long long>(row.s.outer_builds));
       ExecutionStats stats;
       stats.seconds = seconds;
       stats.kernel_isa = row.isa;
@@ -366,7 +387,9 @@ int main() {
                   {"cube", row.cube},
                   {"isa", row.isa}},
                  "kernel", 0, stats,
-                 {{"ns_per_cell", ns}, {"cells_per_chunk", cells_per_chunk}});
+                 {{"ns_per_cell", ns},
+                  {"cells_per_chunk", cells_per_chunk},
+                  {"outer_builds", static_cast<double>(row.s.outer_builds)}});
     }
   }
 

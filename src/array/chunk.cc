@@ -410,27 +410,43 @@ uint32_t ChunkView::DecodeBlockOffsets(uint32_t b, uint32_t* offsets) const {
   const uint32_t start = b * kPackedChunkBlock;
   const uint32_t n = std::min(kPackedChunkBlock, num_valid_ - start);
   offsets[0] = BlockFirstOffset(b);
-  if (encoding_ == ChunkEncoding::kBitPacked) {
-    UnpackBits(stream1_, values_, start + 1, width1_, n - 1, offsets + 1);
-    return n;
-  }
-  // Diff-sequence: unpack the block's n - 1 gaps, then prefix-sum them onto
-  // the anchor.
-  UnpackBits(stream1_, values_, uint64_t{b} * (kPackedChunkBlock - 1),
-             width1_, n - 1, offsets + 1);
-  for (uint32_t k = 1; k < n; ++k) offsets[k] += offsets[k - 1] + 1;
+  DecodeBlockOffsetsFrom(b, 1, n, offsets);
   return n;
+}
+
+void ChunkView::DecodeBlockOffsetsFrom(uint32_t b, uint32_t from, uint32_t n,
+                                       uint32_t* offsets) const {
+  if (from >= n) return;
+  if (encoding_ == ChunkEncoding::kBitPacked) {
+    UnpackBits(stream1_, values_, uint64_t{b} * kPackedChunkBlock + from,
+               width1_, n - from, offsets + from);
+    return;
+  }
+  // Diff-sequence: unpack the gaps of entries [from, n) — entry j >= 1 of
+  // block b has gap slot b * (kPackedChunkBlock - 1) + j - 1 — then
+  // prefix-sum them onto offsets[from - 1].
+  UnpackBits(stream1_, values_,
+             uint64_t{b} * (kPackedChunkBlock - 1) + from - 1, width1_,
+             n - from, offsets + from);
+  for (uint32_t k = from; k < n; ++k) offsets[k] += offsets[k - 1] + 1;
+}
+
+void ChunkView::DecodeBlockValuesFrom(uint32_t b, uint32_t from, uint32_t n,
+                                      int64_t* values) const {
+  if (from >= n) return;
+  UnpackBits(values_, end_, uint64_t{b} * kPackedChunkBlock + from, val_bits_,
+             n - from, values + from);
+  // Two's-complement bias add in uint64, as in PackedValue.
+  const uint64_t bias = static_cast<uint64_t>(val_min_);
+  for (uint32_t k = from; k < n; ++k) {
+    values[k] = static_cast<int64_t>(static_cast<uint64_t>(values[k]) + bias);
+  }
 }
 
 uint32_t ChunkView::DecodeBlock(uint32_t b, uint32_t* offsets,
                                 int64_t* values) const {
   const uint32_t n = DecodeBlockOffsets(b, offsets);
-  UnpackBits(values_, end_, b * kPackedChunkBlock, val_bits_, n, values);
-  // Two's-complement bias add in uint64, as in PackedValue.
-  const uint64_t bias = static_cast<uint64_t>(val_min_);
-  for (uint32_t k = 0; k < n; ++k) {
-    values[k] = static_cast<int64_t>(static_cast<uint64_t>(values[k]) + bias);
-  }
+  DecodeBlockValuesFrom(b, 0, n, values);
   return n;
 }
 

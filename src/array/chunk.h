@@ -153,8 +153,20 @@ class ChunkView {
   /// Packed encodings (kDiffSeq/kBitPacked): decodes block `b` — entries
   /// [b*kPackedChunkBlock, min(num_valid, (b+1)*kPackedChunkBlock)) — into
   /// `offsets`/`values` (each sized >= kPackedChunkBlock) and returns the
-  /// number of entries decoded. The batch kernels' unpack step.
+  /// number of entries decoded. The portable reference unpacker: ForEach
+  /// reads through it, and the kernels' dispatched one
+  /// (kernels::ActiveUnpackBlock) must match it.
   uint32_t DecodeBlock(uint32_t b, uint32_t* offsets, int64_t* values) const;
+
+  /// Packed encodings: the rest of DecodeBlock from entry `from` on —
+  /// entries [from, n) of block `b`'s offsets (given offsets[from - 1];
+  /// 1 <= from) or values, n being the block's entry count. DecodeBlock is
+  /// offsets[0] = BlockFirstOffset(b), the offsets from 1 and the values
+  /// from 0; the kernels' vector unpacker hands them the fields it leaves.
+  void DecodeBlockOffsetsFrom(uint32_t b, uint32_t from, uint32_t n,
+                              uint32_t* offsets) const;
+  void DecodeBlockValuesFrom(uint32_t b, uint32_t from, uint32_t n,
+                             int64_t* values) const;
 
   /// Packed encodings: the number of blocks, ceil(num_valid /
   /// kPackedChunkBlock), and the first offset of block `b` (its anchor /
@@ -165,12 +177,22 @@ class ChunkView {
   /// Raw serialized regions for the batch kernels (core/kernels/), which
   /// extract whole runs of cells without per-cell accessor calls. Layouts
   /// are documented at the top of chunk.cc; only valid for the matching
-  /// encoding() (packed encodings go through DecodeBlock instead).
+  /// encoding().
   const char* SparseEntriesData() const { return data_ + 9; }
   const char* DenseBitmapData() const { return data_ + 5; }
   const char* DenseValuesData() const {
     return data_ + 5 + (static_cast<size_t>(capacity_) + 7) / 8;
   }
+  /// Packed encodings: the gap (kDiffSeq) / offset (kBitPacked) stream,
+  /// which ends where the value stream starts, the value stream, which ends
+  /// at PackedEnd(), and the header's field widths and value bias — what
+  /// DecodeBlock reads, for the kernels' block unpackers.
+  const char* PackedStream1Data() const { return stream1_; }
+  const char* PackedValuesData() const { return values_; }
+  const char* PackedEnd() const { return end_; }
+  unsigned width1() const { return width1_; }
+  unsigned val_bits() const { return val_bits_; }
+  int64_t val_min() const { return val_min_; }
 
   /// Invokes `fn(offset, value)` for every valid cell in offset order.
   template <typename Fn>

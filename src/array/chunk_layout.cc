@@ -109,12 +109,20 @@ CellCoords ChunkLayout::ChunkBase(uint64_t chunk) const {
 }
 
 CellCoords ChunkLayout::ChunkDims(uint64_t chunk) const {
-  CellCoords base = ChunkBase(chunk);
+  CellCoords base(dims_.size());
   CellCoords d(dims_.size());
-  for (size_t i = 0; i < d.size(); ++i) {
-    d[i] = std::min(chunk_extents_[i], dims_[i] - base[i]);
-  }
+  ChunkBox(chunk, base.data(), d.data());
   return d;
+}
+
+void ChunkLayout::ChunkBox(uint64_t chunk, uint32_t* base,
+                           uint32_t* dims) const {
+  for (size_t i = dims_.size(); i > 0; --i) {
+    base[i - 1] = static_cast<uint32_t>(chunk % chunks_per_dim_[i - 1]) *
+                  chunk_extents_[i - 1];
+    chunk /= chunks_per_dim_[i - 1];
+    dims[i - 1] = std::min(chunk_extents_[i - 1], dims_[i - 1] - base[i - 1]);
+  }
 }
 
 uint32_t ChunkLayout::ChunkCellCount(uint64_t chunk) const {

@@ -61,6 +61,10 @@ class ChunkLayout {
   /// Actual dimensions of a chunk (smaller at array borders).
   CellCoords ChunkDims(uint64_t chunk) const;
 
+  /// ChunkBase and ChunkDims of `chunk` at once, into `base` and `dims`
+  /// (num_dims() entries each), without allocating.
+  void ChunkBox(uint64_t chunk, uint32_t* base, uint32_t* dims) const;
+
   /// Number of cells in a chunk.
   uint32_t ChunkCellCount(uint64_t chunk) const;
 

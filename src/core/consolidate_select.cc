@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "common/coding.h"
+#include "core/kernels/consolidate_kernel.h"
 
 namespace paradise {
 
@@ -146,9 +147,10 @@ uint32_t Gallop(uint32_t lo, uint32_t end, Below below) {
 /// arrive in increasing offset order, so the probe is a merge of two sorted
 /// streams (the difference sequence read forward, as Szépkúti reads it):
 /// - offset-compressed chunks gallop over the stored entries in place;
-/// - packed chunks keep one block decoded and step through it; a candidate
-///   past the block's last offset jumps by the block anchors, so a block
-///   whose anchor range holds no candidate is never decoded;
+/// - packed chunks keep one block decoded, by the dispatched unpacker the
+///   §4.1 scan uses, and step through it; a candidate past the block's last
+///   offset jumps by the block anchors, so a block whose anchor range holds
+///   no candidate is never decoded;
 /// - dense chunks index the candidate directly.
 class BaseCursor {
  public:
@@ -156,7 +158,8 @@ class BaseCursor {
   explicit BaseCursor(const ChunkView* view)
       : view_(view),
         num_valid_(view == nullptr ? 0 : view->num_valid()),
-        sparse_(view == nullptr || view->sparse()) {}
+        sparse_(view == nullptr || view->sparse()),
+        unpack_(kernels::ActiveUnpackBlock()) {}
 
   /// The base value at `offset`, if valid. Offsets must not decrease from
   /// call to call, and `view` must be non-null.
@@ -208,7 +211,7 @@ class BaseCursor {
       next_ = Gallop(next_, blocks, [&](uint32_t b) {
         return view_->BlockFirstOffset(b) <= offset;
       });
-      n_ = view_->DecodeBlock(next_ - 1, offsets_, values_);
+      n_ = unpack_(*view_, next_ - 1, offsets_, values_);
       k_ = 0;
     }
     while (k_ < n_ && offsets_[k_] < offset) ++k_;
@@ -220,6 +223,8 @@ class BaseCursor {
   const ChunkView* view_;
   uint32_t num_valid_;
   bool sparse_;
+  // The dispatched block unpacker, the one the §4.1 scan uses.
+  kernels::UnpackBlockFn unpack_;
   // Index of the first entry at or past the last offset sought.
   uint32_t pos_ = 0;
   // Packed encodings: block next_ - 1 is decoded into offsets_/values_ with

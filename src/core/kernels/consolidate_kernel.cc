@@ -59,64 +59,109 @@ uint64_t detail::LoadBitmapWord(const char* bitmap, uint32_t word_base,
 void KernelTables::Build(const OlapArray& array, const GroupSpec& spec,
                          uint64_t chunk_no) {
   const ChunkLayout& layout = array.layout();
-  const CellCoords base = layout.ChunkBase(chunk_no);
-  const CellCoords cdims = layout.ChunkDims(chunk_no);
   const size_t n = layout.num_dims();
-  chunk_dims_.assign(cdims.begin(), cdims.end());
+  chunk_base_.resize(n);
+  chunk_dims_.resize(n);
+  layout.ChunkBox(chunk_no, chunk_base_.data(), chunk_dims_.data());
   dim_table_.assign(n, nullptr);
+  SetSource(&array, &spec);
+  ChooseSplit(std::nullopt);
 
   const size_t num_groups = spec.grouped_dims.size();
-  if (contribution_.size() < num_groups) contribution_.resize(num_groups);
+  if (contribution_.size() < num_groups) {
+    contribution_.resize(num_groups);
+    contribution_key_.resize(num_groups, {0, 0});
+  }
+  bool outer_stale = false;
   for (size_t g = 0; g < num_groups; ++g) {
     const size_t d = spec.grouped_dims[g];
-    const IndexToIndexArray& i2i = array.i2i(d);
     std::vector<uint64_t>& contrib = contribution_[g];
-    contrib.resize(cdims[d]);
-    for (uint32_t local = 0; local < cdims[d]; ++local) {
-      contrib[local] =
-          static_cast<uint64_t>(
-              i2i.Map(spec.group_cols[g], base[d] + local)) *
-          spec.strides[g];
+    if (ContributionStale(g, chunk_base_[d], chunk_dims_[d])) {
+      const IndexToIndexArray& i2i = array.i2i(d);
+      contrib.resize(chunk_dims_[d]);
+      for (uint32_t local = 0; local < chunk_dims_[d]; ++local) {
+        contrib[local] =
+            static_cast<uint64_t>(
+                i2i.Map(spec.group_cols[g], chunk_base_[d] + local)) *
+            spec.strides[g];
+      }
+      outer_stale |= d < split_;
     }
     dim_table_[d] = contrib.data();
   }
-  Finish(std::nullopt);
+  Finish(outer_stale);
 }
 
 void KernelTables::BuildRaw(
     const std::vector<uint32_t>& chunk_dims,
     const std::vector<std::pair<size_t, std::vector<uint64_t>>>& grouped,
-    std::optional<size_t> split) {
+    std::optional<size_t> split, const std::vector<uint32_t>* chunk_base) {
   chunk_dims_ = chunk_dims;
   dim_table_.assign(chunk_dims.size(), nullptr);
-  if (contribution_.size() < grouped.size()) contribution_.resize(grouped.size());
-  for (size_t g = 0; g < grouped.size(); ++g) {
-    contribution_[g] = grouped[g].second;
-    dim_table_[grouped[g].first] = contribution_[g].data();
+  ChooseSplit(split);
+  if (chunk_base == nullptr) {
+    Forget();
+  } else {
+    SetSource(nullptr, nullptr);
   }
-  Finish(split);
+  if (contribution_.size() < grouped.size()) {
+    contribution_.resize(grouped.size());
+    contribution_key_.resize(grouped.size(), {0, 0});
+  }
+  bool outer_stale = chunk_base == nullptr;
+  for (size_t g = 0; g < grouped.size(); ++g) {
+    const size_t d = grouped[g].first;
+    contribution_[g] = grouped[g].second;
+    if (chunk_base != nullptr &&
+        ContributionStale(g, (*chunk_base)[d], chunk_dims[d])) {
+      outer_stale |= d < split_;
+    }
+    dim_table_[d] = contribution_[g].data();
+  }
+  Finish(outer_stale);
+  if (chunk_base == nullptr) Forget();
 }
 
-void KernelTables::Finish(std::optional<size_t> split) {
-  const size_t n = chunk_dims_.size();
-  flat_base_ = 0;
-  for (size_t d = 0; d < n; ++d) {
-    if (dim_table_[d] != nullptr && chunk_dims_[d] == 1) {
-      flat_base_ += dim_table_[d][0];
-    }
-  }
+void KernelTables::Forget() {
+  keyed_ = false;
+  std::fill(contribution_key_.begin(), contribution_key_.end(),
+            std::pair<uint32_t, uint32_t>{0, 0});
+  outer_valid_ = false;
+}
 
+void KernelTables::SetSource(const void* array, const void* spec) {
+  if (keyed_ && source_[0] == array && source_[1] == spec) return;
+  Forget();
+  keyed_ = true;
+  source_[0] = array;
+  source_[1] = spec;
+}
+
+bool KernelTables::ContributionStale(size_t g, uint32_t base,
+                                     uint32_t extent) {
+  const std::pair<uint32_t, uint32_t> key{base, extent};
+  if (contribution_key_[g] == key) return false;
+  contribution_key_[g] = key;
+  return true;
+}
+
+void KernelTables::ChooseSplit(std::optional<size_t> split) {
   // The split with the smallest outer + inner tables whose inner block holds
   // at least two cells (a divisor of 1 has no 64-bit reciprocal); split 0
   // when there is none, i.e. for a one-cell chunk. The chunk capacity is
-  // < 2^32, so every block size fits in 32 bits.
-  uint64_t capacity = 1;
-  for (const uint32_t e : chunk_dims_) capacity *= e;
+  // < 2^32, so every block size fits in 32 bits. inner_cells_at_[k] is the
+  // inner block's size at split k, filled back to front without a division.
+  const size_t n = chunk_dims_.size();
+  inner_cells_at_.resize(n + 1);
+  inner_cells_at_[n] = 1;
+  for (size_t k = n; k-- > 0;) {
+    inner_cells_at_[k] = inner_cells_at_[k + 1] * chunk_dims_[k];
+  }
   split_ = 0;
   uint64_t best_size = ~uint64_t{0};
   uint64_t outer_cells = 1;
   for (size_t k = 0; k < n; outer_cells *= chunk_dims_[k], ++k) {
-    const uint64_t inner_cells = capacity / outer_cells;
+    const uint64_t inner_cells = inner_cells_at_[k];
     if (inner_cells < 2) break;
     if (split.has_value() ? *split == k
                           : outer_cells + inner_cells < best_size) {
@@ -124,23 +169,56 @@ void KernelTables::Finish(std::optional<size_t> split) {
       best_size = outer_cells + inner_cells;
     }
   }
-
-  Expand(0, split_, flat_base_, &outer_);
-  Expand(split_, n, 0, &inner_);
-  inner_cells_ = static_cast<uint32_t>(inner_.size());
-  magic_inner_ = MagicReciprocal(inner_cells_);
 }
 
-void KernelTables::Expand(size_t first, size_t last, uint64_t base,
-                          std::vector<uint64_t>* table) const {
-  table->assign(1, base);
+void KernelTables::Finish(bool outer_stale) {
+  const uint32_t* dims = chunk_dims_.data();
+  if (outer_stale || !outer_valid_ ||
+      !std::equal(dims, dims + split_, outer_dims_.begin(),
+                  outer_dims_.end())) {
+    outer_cells_ = Expand(0, split_, &outer_);
+    outer_dims_.assign(dims, dims + split_);
+    outer_valid_ = true;
+    ++outer_builds_;
+  }
+  const auto inner_cells =
+      static_cast<uint32_t>(Expand(split_, chunk_dims_.size(), &inner_));
+  if (inner_cells != inner_cells_) {
+    inner_cells_ = inner_cells;
+    magic_inner_ = MagicReciprocal(inner_cells);
+  }
+}
+
+uint64_t KernelTables::flat_base() const {
+  uint64_t base = 0;
+  for (size_t d = 0; d < chunk_dims_.size(); ++d) {
+    if (dim_table_[d] != nullptr && chunk_dims_[d] == 1) {
+      base += dim_table_[d][0];
+    }
+  }
+  return base;
+}
+
+size_t KernelTables::Expand(size_t first, size_t last,
+                            std::vector<uint64_t>* table) const {
+  uint64_t base = 0;
+  size_t cells = 1;
+  for (size_t d = first; d < last; ++d) {
+    if (dim_table_[d] != nullptr && chunk_dims_[d] == 1) {
+      base += dim_table_[d][0];
+    }
+    cells *= chunk_dims_[d];
+  }
+  // The table only grows, so a chunk does not pay for zero-filling it;
+  // entries past `cells` are stale and never read.
+  if (table->size() < cells) table->resize(cells);
+  uint64_t* t = table->data();
+  t[0] = base;
+  size_t size = 1;
   for (size_t d = first; d < last; ++d) {
     const uint32_t extent = chunk_dims_[d];
-    if (extent == 1) continue;  // local coordinate 0; folded into flat_base
+    if (extent == 1) continue;  // local coordinate 0; folded into base
     const uint64_t* contrib = dim_table_[d];
-    const size_t size = table->size();
-    table->resize(size * extent);
-    uint64_t* t = table->data();
     // Back to front, so each prefix entry is read before it is overwritten.
     for (size_t j = size; j-- > 0;) {
       const uint64_t prefix = t[j];
@@ -151,7 +229,9 @@ void KernelTables::Expand(size_t first, size_t last, uint64_t base,
         for (uint32_t l = 0; l < extent; ++l) row[l] = prefix + contrib[l];
       }
     }
+    size *= extent;
   }
+  return cells;
 }
 
 uint64_t AggregateRange(const ChunkView& view, uint32_t begin, uint32_t end,

@@ -1,19 +1,23 @@
-// Batch-shaped consolidation kernels for the §4.1/§5.5.1 hot loop: decode a
-// run of chunk offsets into flat result indexes and add each cell into the
-// AggState array. The paper's "map each valid cell through the IndexToIndex
-// arrays" becomes, per chunk, two contribution tables: the chunk's row-major
-// dimensions split into an outer and an inner block, each table holding the
-// summed flat-index contribution of its block's grouped dimensions, so a cell
-// costs one magic-number reciprocal division and two loads.
+// Batch-shaped consolidation kernels for the §4.1/§5.5.1 hot loop: unpack a
+// chunk's cells, decode their offsets into flat result indexes and add each
+// cell into the AggState array. The paper's "map each valid cell through the
+// IndexToIndex arrays" becomes, per chunk, two contribution tables: the
+// chunk's row-major dimensions split into an outer and an inner block, each
+// table holding the summed flat-index contribution of its block's grouped
+// dimensions, so a cell costs one magic-number reciprocal division and two
+// loads.
 //
-// Two implementations of the offset-decode step are compiled from the same
-// template (decode_inl.h): a portable scalar one and an AVX2 one built in its
-// own translation unit with -mavx2 (CMake sets the flag per file, so vector
-// code never leaks into baseline objects). Which one runs is decided once at
-// startup by CPUID — overridable with PARADISE_DISABLE_SIMD=1 or ForceIsa()
-// — and both are bit-identical: the decode is pure integer arithmetic with
-// exact floor division (see MagicReciprocal), and the scatter is shared, so
-// a forced-scalar run and a dispatched run produce byte-equal GroupedResults.
+// Two ISA-specific steps sit behind one dispatch: the offset decode, compiled
+// from one template (decode_inl.h), and the packed-block unpack, whose
+// portable form is ChunkView::DecodeBlock. The AVX2 versions live in their
+// own translation unit built with -mavx2 (CMake sets the flag per file, so
+// vector code never leaks into baseline objects). Which ISA runs is decided
+// once at startup by CPUID — overridable with PARADISE_DISABLE_SIMD=1 or
+// ForceIsa() — and both are bit-identical: the unpack is exact bit
+// extraction with wrapping integer sums, the decode pure integer arithmetic
+// with exact floor division (see MagicReciprocal), and the scatter is
+// shared, so a forced-scalar run and a dispatched run produce byte-equal
+// GroupedResults.
 #pragma once
 
 #include <algorithm>
@@ -74,7 +78,15 @@ inline uint32_t MagicDivide(uint32_t n, uint64_t magic) {
 /// two tables' total size (400 + 200 entries for a 20x20x20x10 chunk). An
 /// offset is q * inner_cells + r, and its flat index is outer[q] + inner[r]:
 /// each table entry is the summed contribution of its block's grouped
-/// dimensions, flat_base folded into the outer table.
+/// dimensions, each block's extent-1 dimensions folded into its own table.
+///
+/// Build keeps what the previous Build for the same array and spec computed
+/// while its inputs match: a grouped dimension's contribution is keyed on
+/// the chunk's base coordinate and extent in that dimension, and the outer
+/// table on the split, the outer extents and its dimensions' contributions.
+/// Consecutive chunks in row-major order differ in the last chunk
+/// coordinate, inside the inner block, so a scan rebuilds the outer table
+/// once per outer block of chunks rather than once per chunk.
 class KernelTables {
  public:
   /// Rebuilds the tables for `chunk_no`. A grouped dimension's contribution
@@ -87,15 +99,19 @@ class KernelTables {
   /// `grouped` maps dimension index -> that dimension's contribution table
   /// (size == extent). No OlapArray needed. `split`, when set, forces the
   /// inner block to start at that dimension (< chunk_dims.size(), and the
-  /// inner block must hold >= 2 cells).
+  /// inner block must hold >= 2 cells). `chunk_base`, when set, gives the
+  /// chunk's base coordinates and keys the outer table as Build does across
+  /// BuildRaw calls with a base: the caller then promises that each
+  /// contribution table is a function of base + local coordinate.
   void BuildRaw(const std::vector<uint32_t>& chunk_dims,
                 const std::vector<std::pair<size_t, std::vector<uint64_t>>>&
                     grouped,
-                std::optional<size_t> split = std::nullopt);
+                std::optional<size_t> split = std::nullopt,
+                const std::vector<uint32_t>* chunk_base = nullptr);
 
   /// Sum of contributions of grouped dimensions whose chunk extent is 1
-  /// (their local coordinate is always 0); folded into outer().
-  uint64_t flat_base() const { return flat_base_; }
+  /// (their local coordinate is always 0).
+  uint64_t flat_base() const;
 
   /// The first inner-block dimension, the inner block's cell count (the
   /// inner table's size), its MagicReciprocal, and the two tables. A
@@ -106,29 +122,59 @@ class KernelTables {
   uint64_t magic_inner() const { return magic_inner_; }
   const uint64_t* outer() const { return outer_.data(); }
   const uint64_t* inner() const { return inner_.data(); }
-  size_t outer_size() const { return outer_.size(); }
+  size_t outer_size() const { return outer_cells_; }
+
+  /// How many builds rebuilt the outer table rather than keeping it.
+  uint64_t outer_builds() const { return outer_builds_; }
 
  private:
-  // Builds the tables from chunk_dims_ and dim_table_ (filled by
-  // Build/BuildRaw); `split` as in BuildRaw.
-  void Finish(std::optional<size_t> split);
+  // Drops every kept contribution and the outer table.
+  void Forget();
+  // Forget()s unless the kept state came from `array` and `spec` (both
+  // null for BuildRaw with a base).
+  void SetSource(const void* array, const void* spec);
+  // Sets split_ from chunk_dims_; `split` as in BuildRaw.
+  void ChooseSplit(std::optional<size_t> split);
+  // True, and records the new key, unless grouped dimension g's kept
+  // contribution was computed at this chunk base coordinate and extent.
+  bool ContributionStale(size_t g, uint32_t base, uint32_t extent);
   // Fills `table` with every combination of dimensions [first, last):
-  // base + the summed contributions, row-major.
-  void Expand(size_t first, size_t last, uint64_t base,
-              std::vector<uint64_t>* table) const;
+  // the block's extent-1 contributions plus the summed contributions,
+  // row-major; returns the number of entries.
+  size_t Expand(size_t first, size_t last,
+                std::vector<uint64_t>* table) const;
+  // Rebuilds the inner table from chunk_dims_ and dim_table_, and the outer
+  // one too when `outer_stale` (an outer contribution changed) or the split
+  // or an outer extent did.
+  void Finish(bool outer_stale);
 
-  uint64_t flat_base_ = 0;
   size_t split_ = 0;
+  size_t outer_cells_ = 1;
   uint32_t inner_cells_ = 1;
   uint64_t magic_inner_ = 0;
+  uint64_t outer_builds_ = 0;
+  // The tables; each only grows, its first outer_cells_ / inner_cells_
+  // entries are the current chunk's.
   std::vector<uint64_t> outer_;
   std::vector<uint64_t> inner_;
-  // Per-chunk inputs, reused across Build calls: the chunk's extents, each
-  // dimension's contribution table (null when ungrouped), and the backing
-  // store of the grouped dimensions' tables.
+  // ChooseSplit's scratch: the inner block's size at each split.
+  std::vector<uint64_t> inner_cells_at_;
+  // Per-chunk inputs, reused across Build calls: the chunk's base
+  // coordinates (Build only) and extents, each dimension's contribution
+  // table (null when ungrouped), and the backing store of the grouped
+  // dimensions' tables.
+  std::vector<uint32_t> chunk_base_;
   std::vector<uint32_t> chunk_dims_;
   std::vector<const uint64_t*> dim_table_;
   std::vector<std::vector<uint64_t>> contribution_;
+  // What the kept state was computed for: its source (keyed_ false: none),
+  // each grouped dimension's (base coordinate, extent) (extent 0: none),
+  // and the outer extents of the outer table (outer_valid_ false: none).
+  bool keyed_ = false;
+  const void* source_[2] = {nullptr, nullptr};
+  std::vector<std::pair<uint32_t, uint32_t>> contribution_key_;
+  bool outer_valid_ = false;
+  std::vector<uint32_t> outer_dims_;
 };
 
 /// Decodes `n` chunk offsets into flat result indexes. One symbol per ISA
@@ -142,6 +188,22 @@ void DecodeBatchAvx2(const uint32_t* offsets, size_t n,
                      const KernelTables& tables, uint64_t* flat_idx);
 
 DecodeBatchFn ActiveDecodeBatch();
+
+/// Unpacks block `b` of a packed `view` into `offsets`/`values` (each sized
+/// >= kPackedChunkBlock) and returns its entry count, exactly as
+/// ChunkView::DecodeBlock does. One symbol per ISA; ActiveUnpackBlock()
+/// picks at run time. The scalar one is DecodeBlock; the AVX2 one unpacks
+/// diff-sequence blocks eight fields per step and hands every other packed
+/// encoding to DecodeBlock.
+using UnpackBlockFn = uint32_t (*)(const ChunkView& view, uint32_t b,
+                                   uint32_t* offsets, int64_t* values);
+
+uint32_t UnpackBlockScalar(const ChunkView& view, uint32_t b,
+                           uint32_t* offsets, int64_t* values);
+uint32_t UnpackBlockAvx2(const ChunkView& view, uint32_t b, uint32_t* offsets,
+                         int64_t* values);
+
+UnpackBlockFn ActiveUnpackBlock();
 
 /// Cells per kernel batch: large enough to amortize the dispatch-function
 /// call and keep the vector loop busy, small enough that the three scratch
@@ -181,14 +243,16 @@ void UnpackRange(const ChunkView& view, uint32_t begin, uint32_t end,
 
   if (view.sparse()) {
     // Packed codecs (diff-sequence / bit-packed): unpack one block at a
-    // time (kPackedChunkBlock <= kBatch). A range boundary mid-block decodes
-    // the whole block and hands on only its [lo, hi) slice, so every morsel
-    // schedule sees identical cell sequences.
+    // time (kPackedChunkBlock <= kBatch) with the dispatched unpacker. A
+    // range boundary mid-block decodes the whole block and hands on only its
+    // [lo, hi) slice, so every morsel schedule sees identical cell
+    // sequences.
     static_assert(kPackedChunkBlock <= kBatch);
+    const UnpackBlockFn unpack = ActiveUnpackBlock();
     for (uint32_t i = begin; i < end;) {
       const uint32_t b = i / kPackedChunkBlock;
       const uint32_t block_start = b * kPackedChunkBlock;
-      const uint32_t block_n = view.DecodeBlock(b, offsets, values);
+      const uint32_t block_n = unpack(view, b, offsets, values);
       const uint32_t lo = i - block_start;
       const uint32_t hi = std::min<uint32_t>(block_n, end - block_start);
       fn(offsets + lo, values + lo, hi - lo);

@@ -1,5 +1,5 @@
-// Runtime ISA selection for the decode kernels. Detection runs once (first
-// query): the AVX2 unit must have been built with real intrinsics
+// Runtime ISA selection for the unpack and decode kernels. Detection runs
+// once (first query): the AVX2 unit must have been built with real intrinsics
 // (PARADISE_KERNEL_HAVE_AVX2, set by CMake alongside the per-file -mavx2),
 // the CPU must report the feature, and the operator must not have forced the
 // portable path with PARADISE_DISABLE_SIMD=1. Tests and benches pin the
@@ -56,6 +56,10 @@ void ForceIsa(std::optional<Isa> isa) {
 
 DecodeBatchFn ActiveDecodeBatch() {
   return ActiveIsa() == Isa::kAvx2 ? DecodeBatchAvx2 : DecodeBatchScalar;
+}
+
+UnpackBlockFn ActiveUnpackBlock() {
+  return ActiveIsa() == Isa::kAvx2 ? UnpackBlockAvx2 : UnpackBlockScalar;
 }
 
 }  // namespace paradise::kernels

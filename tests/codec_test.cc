@@ -504,6 +504,13 @@ TEST(CodecFuzzTest, RandomChunksAgreeAcrossAllFormats) {
       ASSERT_OK(chunk.AppendSorted(static_cast<uint32_t>(off), v));
     }
     CheckChunkAcrossFormats(chunk, /*probe_all=*/capacity <= 2048);
+    // The kernels' dispatched block unpacker on both packed codecs.
+    for (const ChunkFormat packed :
+         {ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
+      const paradise::testing::ExactBlob blob(chunk.Serialize(packed));
+      ASSERT_OK_AND_ASSIGN(const ChunkView view, ChunkView::Make(blob.view()));
+      paradise::testing::ExpectUnpackMatchesDecodeBlock(view);
+    }
     if (HasFailure()) break;
   }
 }

@@ -7,8 +7,9 @@
 // morsel-scheduled results stay bit-identical to the single-thread run at
 // thread counts 1-16 and forced morsel sizes down to 1 cell, the
 // base+delta merge (KernelDeltaMerge) against the re-encoded merged chunk,
-// and the §4.2 probe's forward cursor (KernelProbeCursor) against brute
-// force and the per-candidate loop.
+// the §4.2 probe's forward cursor (KernelProbeCursor) against brute force
+// and the per-candidate loop, the dispatched block unpacker (KernelUnpack)
+// against ChunkView::DecodeBlock, and the outer table kept across builds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,12 +18,15 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "array/chunk.h"
 #include "array/delta_overlay.h"
 #include "common/metrics.h"
 #include "array/chunk_layout.h"
+#include "common/coding.h"
+#include "core/aggregate.h"
 #include "core/consolidate.h"
 #include "core/consolidate_select.h"
 #include "core/kernels/consolidate_kernel.h"
@@ -34,6 +38,8 @@ namespace {
 
 using paradise::testing::BruteForce;
 using paradise::testing::ConsolidateAt;
+using paradise::testing::ExactBlob;
+using paradise::testing::ExpectUnpackMatchesDecodeBlock;
 using paradise::testing::SmallDbOptions;
 using paradise::testing::TempFile;
 using paradise::testing::TinyConfig;
@@ -1326,6 +1332,253 @@ TEST(KernelProbeCursor, ExecutorMatchesBruteForceOnWideChunks) {
           EXPECT_EQ(stats.candidates, *sparse_candidates) << where;
         }
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The dispatched block unpacker (KernelUnpack) against the portable
+// ChunkView::DecodeBlock, under forced scalar and AVX2, on blobs held in
+// exactly-sized heap buffers.
+
+// A diff-sequence blob of `count` entries whose header declares `gap_bits`
+// and `val_bits`, with random anchors, value bias and stream bytes.
+// ChunkView::Make checks sizes, not contents, and the unpackers must agree
+// on any bytes: every field has all its bits random, and offset sums wrap
+// mod 2^32 alike.
+ExactBlob RandomDiffSeqBlob(uint32_t count, unsigned gap_bits,
+                            unsigned val_bits, std::mt19937_64* rng) {
+  const uint64_t nb = (count + kPackedChunkBlock - 1) / kPackedChunkBlock;
+  const uint64_t gap_bytes = ((count - nb) * gap_bits + 7) / 8;
+  const uint64_t val_bytes = (uint64_t{count} * val_bits + 7) / 8;
+  std::string blob(19 + 4 * nb + gap_bytes + val_bytes, '\0');
+  for (char& c : blob) c = static_cast<char>((*rng)());
+  blob[0] = 3;  // the diff-sequence tag
+  EncodeFixed32(blob.data() + 1, 0xFFFFFFFFu);
+  EncodeFixed32(blob.data() + 5, count);
+  blob[9] = static_cast<char>(gap_bits);
+  blob[10] = static_cast<char>(val_bits);
+  return ExactBlob(blob);
+}
+
+void ExpectRandomBlobUnpacks(uint32_t count, unsigned gap_bits,
+                             unsigned val_bits, std::mt19937_64* rng) {
+  SCOPED_TRACE("count " + std::to_string(count) + " gap_bits " +
+               std::to_string(gap_bits) + " val_bits " +
+               std::to_string(val_bits));
+  const ExactBlob blob = RandomDiffSeqBlob(count, gap_bits, val_bits, rng);
+  ASSERT_OK_AND_ASSIGN(const ChunkView view, ChunkView::Make(blob.view()));
+  ASSERT_EQ(view.encoding(), ChunkEncoding::kDiffSeq);
+  ExpectUnpackMatchesDecodeBlock(view);
+}
+
+// Nine blocks, the last of nine entries: widths above 25 bits take the
+// portable path, as do the fields at each stream's end.
+TEST(KernelUnpack, EveryGapAndValueWidth) {
+  std::mt19937_64 rng(2101);
+  for (unsigned gap_bits = 0; gap_bits <= 32; ++gap_bits) {
+    for (unsigned val_bits = 0; val_bits <= 64; ++val_bits) {
+      ExpectRandomBlobUnpacks(8 * kPackedChunkBlock + 9, gap_bits, val_bits,
+                              &rng);
+      if (HasFailure()) return;
+    }
+  }
+}
+
+// Gap block b starts at bit b * 127 * w of the gap stream, so for an odd
+// width its first eight blocks start at all eight bit phases; even widths
+// reach the even phases, or phase 0.
+TEST(KernelUnpack, EveryGapBlockPhase) {
+  std::mt19937_64 rng(2102);
+  for (unsigned gap_bits = 1; gap_bits <= 25; ++gap_bits) {
+    std::set<uint64_t> phases;
+    for (uint64_t b = 0; b < 8; ++b) {
+      phases.insert(b * (kPackedChunkBlock - 1) * gap_bits % 8);
+    }
+    const size_t reachable = gap_bits % 2 == 1   ? 8
+                             : gap_bits % 4 == 2 ? 4
+                             : gap_bits % 8 == 4 ? 2
+                                                 : 1;
+    EXPECT_EQ(phases.size(), reachable) << "gap_bits " << gap_bits;
+    for (const unsigned val_bits : {0u, 7u, 25u, 26u}) {
+      ExpectRandomBlobUnpacks(8 * kPackedChunkBlock, gap_bits, val_bits,
+                              &rng);
+    }
+  }
+}
+
+TEST(KernelUnpack, BlockSizes) {
+  std::mt19937_64 rng(2103);
+  for (const uint32_t last : {1u, 2u, 7u, 8u, 9u, 127u, 128u}) {
+    for (const uint32_t blocks : {1u, 9u}) {
+      for (const unsigned gap_bits : {0u, 1u, 5u, 8u, 13u, 24u, 25u, 26u, 32u}) {
+        for (const unsigned val_bits : {0u, 1u, 8u, 17u, 25u, 26u, 33u, 64u}) {
+          ExpectRandomBlobUnpacks((blocks - 1) * kPackedChunkBlock + last,
+                                  gap_bits, val_bits, &rng);
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+// 904 entries in 8 blocks leave 896 gaps: with 13-bit gaps and 21-bit values
+// both streams end exactly on their last field's final byte, so the tail
+// rule must stop each vector step short of the stream end.
+TEST(KernelUnpack, LastFieldEndsOnStreamsFinalByte) {
+  constexpr uint32_t kCount = 904;
+  std::mt19937_64 rng(2104);
+  Chunk chunk(1u << 24);
+  uint32_t off = 0;
+  for (uint32_t i = 0; i < kCount; ++i) {
+    off += 1 + (i == 5 ? (1u << 13) - 1 : static_cast<uint32_t>(rng() % 4096));
+    const int64_t value =
+        i == 9 ? -1000000 + (1 << 21) - 1
+               : -1000000 + static_cast<int64_t>(rng() % (1 << 21));
+    ASSERT_OK(chunk.AppendSorted(off, value));
+  }
+  const ExactBlob blob(chunk.Serialize(ChunkFormat::kDiffSequence));
+  ASSERT_OK_AND_ASSIGN(const ChunkView view, ChunkView::Make(blob.view()));
+  ASSERT_EQ(view.encoding(), ChunkEncoding::kDiffSeq);
+  ASSERT_EQ(view.width1(), 13u);
+  ASSERT_EQ(view.val_bits(), 21u);
+  ASSERT_EQ((kCount - view.num_blocks()) * view.width1() % 8, 0u);
+  ASSERT_EQ(kCount * view.val_bits() % 8, 0u);
+  ExpectUnpackMatchesDecodeBlock(view);
+  // And through the kernel: every cell, in order, under both ISAs.
+  IsaGuard guard;
+  for (const kernels::Isa isa : {kernels::Isa::kScalar, DetectedIsa()}) {
+    kernels::ForceIsa(isa);
+    size_t i = 0;
+    kernels::UnpackRange(view, 0, kCount,
+                         [&](const uint32_t* o, const int64_t* v, size_t n) {
+                           for (size_t k = 0; k < n; ++k, ++i) {
+                             ASSERT_EQ(o[k], chunk.entries()[i].offset);
+                             ASSERT_EQ(v[k], chunk.entries()[i].value);
+                           }
+                         });
+    EXPECT_EQ(i, kCount) << kernels::IsaName(isa);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Outer-table reuse: KernelTables keeps the outer table across builds while
+// the split, the outer extents and the outer contributions match.
+
+TEST(KernelKat, OuterTableReuseKeysOnExtents) {
+  // Contribution of dimension d at global coordinate c, the same function
+  // for every chunk, as Build's IndexToIndex lookups are.
+  const std::vector<uint64_t> strides = {25, 5, 1};
+  const auto grouped_at = [&](const std::vector<uint32_t>& dims,
+                              const std::vector<uint32_t>& base) {
+    Grouped grouped;
+    for (size_t d = 0; d < dims.size(); ++d) {
+      std::vector<uint64_t> contribution(dims[d]);
+      for (uint32_t l = 0; l < dims[d]; ++l) {
+        contribution[l] = (base[d] + l) * (d + 2) % 5 * strides[d];
+      }
+      grouped.push_back({d, std::move(contribution)});
+    }
+    return grouped;
+  };
+  // Two chunks with the same base whose outer blocks (dims 0 and 1 at
+  // split 2) differ only in dim 1's extent, then one that differs from the
+  // first only in its inner base coordinate.
+  const std::vector<uint32_t> full = {4, 6, 5};
+  const std::vector<uint32_t> edge = {4, 3, 5};
+  const std::vector<uint32_t> base = {8, 12, 0};
+  const std::vector<uint32_t> next_inner = {8, 12, 5};
+  struct Step {
+    const std::vector<uint32_t>* dims;
+    const std::vector<uint32_t>* base;
+    bool rebuilds;
+  };
+  const Step steps[] = {{&full, &base, true},  {&edge, &base, true},
+                        {&full, &base, true},  {&full, &next_inner, false},
+                        {&edge, &base, true},  {&edge, &base, false}};
+  IsaGuard guard;
+  for (const kernels::Isa isa : {kernels::Isa::kScalar, DetectedIsa()}) {
+    kernels::ForceIsa(isa);
+    kernels::KernelTables tables;
+    uint64_t builds = 0;
+    for (size_t i = 0; i < std::size(steps); ++i) {
+      const Step& step = steps[i];
+      const std::string where = "step " + std::to_string(i) + " isa " +
+                                std::string(kernels::IsaName(isa));
+      const Grouped grouped = grouped_at(*step.dims, *step.base);
+      const uint32_t capacity = Capacity(*step.dims);
+      const TestChunk c(capacity, EveryNth(capacity, 1, static_cast<uint32_t>(40 + i)),
+                        ChunkFormat::kDiffSequence);
+      tables.BuildRaw(*step.dims, grouped, 2, step.base);
+      builds += step.rebuilds ? 1 : 0;
+      EXPECT_EQ(tables.outer_builds(), builds) << where;
+      std::vector<query::AggState> got(125);
+      kernels::AggregateView(*c.view, tables, got.data());
+      EXPECT_EQ(got, ReferenceAggregate(*c.view, *step.dims, grouped, 125))
+          << where;
+    }
+  }
+}
+
+// The same through Build on a cube whose last chunk row and column are
+// partial, so the split and the outer extents change from chunk to chunk;
+// visited in row-major order (mostly reusing the outer table) and
+// alternating between the first and the last chunks.
+TEST(KernelKat, OuterTableReuseOnPartialEdgeChunks) {
+  gen::GenConfig config;
+  config.dims.resize(3);
+  const uint32_t sizes[3] = {10, 14, 9};
+  for (size_t d = 0; d < 3; ++d) {
+    config.dims[d].name = "dim" + std::to_string(d);
+    config.dims[d].size = sizes[d];
+    config.dims[d].level_cardinalities = {4, 2};
+  }
+  config.num_valid_cells = 700;
+  config.seed = 23;
+  config.chunk_extents = {4, 5, 3};
+  ASSERT_OK_AND_ASSIGN(gen::SyntheticDataset data, gen::Generate(config));
+  TempFile file("outer_reuse");
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<Database> db,
+      BuildDatabaseFromDataset(file.path(), data, SmallDbOptions()));
+  const OlapArray& olap = *db->olap();
+  const ChunkedArray& array = olap.array(0);
+  query::ConsolidationQuery q;
+  q.dims.resize(3);
+  for (size_t d = 0; d < 3; ++d) q.dims[d].group_by_col = 1;
+  const query::GroupedResult truth = BruteForce(data, q);
+  ASSERT_OK_AND_ASSIGN(const GroupSpec spec, GroupSpec::Make(olap, q));
+
+  std::vector<uint64_t> in_order;
+  for (uint64_t c = 0; c < array.layout().num_chunks(); ++c) {
+    if (!array.ChunkIsEmpty(c)) in_order.push_back(c);
+  }
+  std::vector<uint64_t> alternating;
+  for (size_t i = 0, j = in_order.size(); i < j; ++i) {
+    alternating.push_back(in_order[i]);
+    if (i < --j) alternating.push_back(in_order[j]);
+  }
+  IsaGuard guard;
+  for (const kernels::Isa isa : {kernels::Isa::kScalar, DetectedIsa()}) {
+    kernels::ForceIsa(isa);
+    for (const std::vector<uint64_t>* order : {&in_order, &alternating}) {
+      const std::string where =
+          std::string(order == &in_order ? "row-major" : "alternating") +
+          " isa " + std::string(kernels::IsaName(isa));
+      kernels::KernelTables tables;
+      std::vector<query::AggState> flat(spec.num_groups);
+      for (const uint64_t c : *order) {
+        ASSERT_OK_AND_ASSIGN(const std::string blob, array.ReadChunkBlob(c));
+        ASSERT_OK_AND_ASSIGN(const ChunkView view, ChunkView::Make(blob));
+        tables.Build(olap, spec, c);
+        kernels::AggregateView(view, tables, flat.data());
+      }
+      if (order == &in_order) {
+        EXPECT_LT(tables.outer_builds(), order->size()) << where;
+      }
+      EXPECT_TRUE(FlatToGroupedResult(spec, flat, spec.GroupColumnNames(olap))
+                      .SameAs(truth))
+          << where;
     }
   }
 }

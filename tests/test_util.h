@@ -1,19 +1,25 @@
 // Shared gtest helpers: temp-file management and small database builders.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "array/chunk.h"
 #include "common/status.h"
 #include "core/consolidate.h"
+#include "core/kernels/consolidate_kernel.h"
 #include "gen/datasets.h"
 #include "query/result.h"
 #include "schema/loader.h"
@@ -266,6 +272,56 @@ inline query::GroupedResult BruteForce(const gen::SyntheticDataset& data,
   }
   result.SortCanonical();
   return result;
+}
+
+// A serialized chunk copied into a heap buffer of exactly its size, so a
+// sanitizer flags any read past its last byte (a std::string keeps a
+// terminator and often spare capacity behind it).
+struct ExactBlob {
+  std::unique_ptr<char[]> bytes;
+  size_t size = 0;
+
+  explicit ExactBlob(std::string_view blob)
+      : bytes(new char[blob.size()]), size(blob.size()) {
+    std::memcpy(bytes.get(), blob.data(), blob.size());
+  }
+  std::string_view view() const { return {bytes.get(), size}; }
+};
+
+// Asserts that the dispatched block unpacker, under forced scalar and (when
+// the CPU has it) AVX2, returns exactly ChunkView::DecodeBlock's entries for
+// every block of the packed `view` and writes nothing past them.
+inline void ExpectUnpackMatchesDecodeBlock(const ChunkView& view) {
+  kernels::ForceIsa(std::nullopt);
+  std::vector<kernels::Isa> isas = {kernels::Isa::kScalar};
+  if (kernels::ActiveIsa() != kernels::Isa::kScalar) {
+    isas.push_back(kernels::ActiveIsa());
+  }
+  constexpr uint32_t kFillOffset = 0xA5A5A5A5u;
+  constexpr int64_t kFillValue = 0x5A5A5A5A5A5A5A5A;
+  for (uint32_t b = 0; b < view.num_blocks(); ++b) {
+    uint32_t want_off[kPackedChunkBlock];
+    int64_t want_val[kPackedChunkBlock];
+    const uint32_t n = view.DecodeBlock(b, want_off, want_val);
+    for (const kernels::Isa isa : isas) {
+      kernels::ForceIsa(isa);
+      const kernels::UnpackBlockFn unpack = kernels::ActiveUnpackBlock();
+      kernels::ForceIsa(std::nullopt);
+      uint32_t off[kPackedChunkBlock];
+      int64_t val[kPackedChunkBlock];
+      std::fill_n(off, kPackedChunkBlock, kFillOffset);
+      std::fill_n(val, kPackedChunkBlock, kFillValue);
+      const std::string where = "block " + std::to_string(b) + " isa " +
+                                std::string(kernels::IsaName(isa));
+      ASSERT_EQ(unpack(view, b, off, val), n) << where;
+      for (uint32_t k = 0; k < kPackedChunkBlock; ++k) {
+        ASSERT_EQ(off[k], k < n ? want_off[k] : kFillOffset)
+            << where << " entry " << k;
+        ASSERT_EQ(val[k], k < n ? want_val[k] : kFillValue)
+            << where << " entry " << k;
+      }
+    }
+  }
 }
 
 }  // namespace paradise::testing
