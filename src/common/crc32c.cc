@@ -1,6 +1,11 @@
 #include "common/crc32c.h"
 
-#include <array>
+#include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define PARADISE_CRC32C_HAVE_SSE42 1
+#endif
 
 namespace paradise {
 
@@ -35,9 +40,7 @@ const Crc32cTables& Tables() {
   return tables;
 }
 
-}  // namespace
-
-uint32_t Crc32cExtend(uint32_t crc, const char* data, size_t n) {
+uint32_t ExtendPortable(uint32_t crc, const char* data, size_t n) {
   const auto& tb = Tables();
   const auto* p = reinterpret_cast<const unsigned char*>(data);
   uint32_t c = crc ^ 0xffffffffu;
@@ -57,8 +60,55 @@ uint32_t Crc32cExtend(uint32_t crc, const char* data, size_t n) {
   return c ^ 0xffffffffu;
 }
 
+#ifdef PARADISE_CRC32C_HAVE_SSE42
+// The only function built for SSE4.2: the rest of the library stays runnable
+// on baseline x86-64, and this one is called only when CPUID reports the
+// instruction.
+__attribute__((target("sse4.2"))) uint32_t ExtendSse42(uint32_t crc,
+                                                       const char* data,
+                                                       size_t n) {
+  uint64_t c = crc ^ 0xffffffffu;
+  while (n >= 8) {
+    uint64_t word;
+    std::memcpy(&word, data, sizeof(word));
+    c = _mm_crc32_u64(c, word);
+    data += 8;
+    n -= 8;
+  }
+  auto c32 = static_cast<uint32_t>(c);
+  while (n-- > 0) {
+    c32 = _mm_crc32_u8(c32, static_cast<unsigned char>(*data++));
+  }
+  return c32 ^ 0xffffffffu;
+}
+#endif
+
+using ExtendFn = uint32_t (*)(uint32_t, const char*, size_t);
+
+ExtendFn ActiveExtend() {
+  static const ExtendFn fn = [] {
+#ifdef PARADISE_CRC32C_HAVE_SSE42
+    if (__builtin_cpu_supports("sse4.2")) return &ExtendSse42;
+#endif
+    return &ExtendPortable;
+  }();
+  return fn;
+}
+
+}  // namespace
+
+uint32_t Crc32cExtend(uint32_t crc, const char* data, size_t n) {
+  return ActiveExtend()(crc, data, n);
+}
+
 uint32_t Crc32c(const char* data, size_t n) {
   return Crc32cExtend(0, data, n);
 }
+
+uint32_t Crc32cPortable(const char* data, size_t n) {
+  return ExtendPortable(0, data, n);
+}
+
+bool Crc32cHardwareAccelerated() { return ActiveExtend() != &ExtendPortable; }
 
 }  // namespace paradise

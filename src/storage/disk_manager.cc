@@ -1,5 +1,8 @@
 #include "storage/disk_manager.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -16,6 +19,30 @@ namespace paradise {
 namespace {
 std::string ErrnoMessage(const std::string& what, const std::string& path) {
   return what + " '" + path + "': " + std::strerror(errno);
+}
+
+// `n` bytes at `offset`, followed (when `trailer` is set) by the page's
+// checksum trailer, in one preadv/pwritev. Returns the bytes moved, or -1
+// with errno set; a short count is left to the caller to report.
+ssize_t TransferAt(int fd, char* data, size_t n, char* trailer,
+                   uint64_t offset, bool write) {
+  iovec iov[2] = {{data, n}, {trailer, page_header::kPageTrailerBytes}};
+  const int iovcnt = trailer != nullptr ? 2 : 1;
+  const auto at = static_cast<off_t>(offset);
+  ssize_t moved;
+  do {
+    moved = write ? ::pwritev(fd, iov, iovcnt, at)
+                  : ::preadv(fd, iov, iovcnt, at);
+  } while (moved < 0 && errno == EINTR);
+  return moved;
+}
+ssize_t ReadAt(int fd, char* data, size_t n, char* trailer, uint64_t offset) {
+  return TransferAt(fd, data, n, trailer, offset, false);
+}
+ssize_t WriteAt(int fd, const char* data, size_t n, const char* trailer,
+                uint64_t offset) {
+  return TransferAt(fd, const_cast<char*>(data), n,
+                    const_cast<char*>(trailer), offset, true);
 }
 
 bool AllZero(const char* buf, size_t n) {
@@ -38,7 +65,7 @@ DiskManager::~DiskManager() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   // Best-effort close; errors are already reported via the Status API when
   // callers Close() explicitly.
-  if (file_ != nullptr) (void)Close();
+  if (fd_ >= 0) (void)Close();
 }
 
 uint32_t DiskManager::PageCrc(PageId id, const char* buf) const {
@@ -51,20 +78,20 @@ Status DiskManager::Create(const std::string& path,
                            const StorageOptions& options) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   PARADISE_RETURN_IF_ERROR(options.Validate());
-  if (file_ != nullptr) {
+  if (fd_ >= 0) {
     return Status::InvalidArgument("DiskManager already open");
   }
   if (options.read_only) {
     return Status::InvalidArgument("cannot create a database read-only");
   }
-  if (!options.allow_overwrite) {
-    if (std::FILE* probe = std::fopen(path.c_str(), "rb")) {
-      std::fclose(probe);
+  fd_ = ::open(path.c_str(),
+               O_RDWR | O_CREAT | O_CLOEXEC |
+                   (options.allow_overwrite ? O_TRUNC : O_EXCL),
+               0644);
+  if (fd_ < 0) {
+    if (errno == EEXIST) {
       return Status::AlreadyExists("database file exists: " + path);
     }
-  }
-  file_ = std::fopen(path.c_str(), "wb+");
-  if (file_ == nullptr) {
     return Status::IOError(ErrnoMessage("cannot create", path));
   }
   path_ = path;
@@ -108,12 +135,12 @@ Status DiskManager::Open(const std::string& path,
                          const StorageOptions& options) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   PARADISE_RETURN_IF_ERROR(options.Validate());
-  if (file_ != nullptr) {
+  if (fd_ >= 0) {
     return Status::InvalidArgument("DiskManager already open");
   }
   read_only_ = options.read_only;
-  file_ = std::fopen(path.c_str(), read_only_ ? "rb" : "rb+");
-  if (file_ == nullptr) {
+  fd_ = ::open(path.c_str(), (read_only_ ? O_RDONLY : O_RDWR) | O_CLOEXEC);
+  if (fd_ < 0) {
     return Status::IOError(ErrnoMessage("cannot open", path));
   }
   path_ = path;
@@ -133,8 +160,8 @@ Status DiskManager::Open(const std::string& path,
   reusable_.clear();
   Status st = ReadHeader();
   if (!st.ok()) {
-    std::fclose(file_);
-    file_ = nullptr;
+    ::close(fd_);
+    fd_ = -1;
     return st;
   }
   // A crash between the data fsync and the metadata commit leaves fully
@@ -143,15 +170,14 @@ Status DiskManager::Open(const std::string& path,
   // floor so those orphaned pages stay addressable (in-place-updated
   // structures may already reference them) and, crucially, are never handed
   // out a second time by a later allocation.
-  if (std::fseek(file_, 0, SEEK_END) == 0) {
-    const long end = std::ftell(file_);
-    if (end > 0) {
-      const uint64_t physical = static_cast<uint64_t>(end) / stride_;
-      if (physical > page_count_) {
-        page_count_ = physical;
-        // The manifest under-counts; record the corrected count next commit.
-        if (!read_only_) dirty_since_commit_ = true;
-      }
+  struct stat file_stat;
+  if (::fstat(fd_, &file_stat) == 0 && file_stat.st_size > 0) {
+    const uint64_t physical =
+        static_cast<uint64_t>(file_stat.st_size) / stride_;
+    if (physical > page_count_) {
+      page_count_ = physical;
+      // The manifest under-counts; record the corrected count next commit.
+      if (!read_only_) dirty_since_commit_ = true;
     }
   }
   return Status::OK();
@@ -159,7 +185,7 @@ Status DiskManager::Open(const std::string& path,
 
 Status DiskManager::Close() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (file_ == nullptr) return Status::OK();
+  if (fd_ < 0) return Status::OK();
   // Commit current metadata (manifest on v3, header rewrite on v1/v2), then
   // release the handle. Every failure mode is propagated, but the handle is
   // released regardless, so Close() stays idempotent.
@@ -179,26 +205,24 @@ Status DiskManager::Close() {
     }
     if (st.ok()) st = Commit();
   }
-  if (std::fclose(file_) != 0 && st.ok()) {
+  if (::close(fd_) != 0 && st.ok()) {
     st = Status::IOError(ErrnoMessage("close failed", path_));
   }
-  file_ = nullptr;
+  fd_ = -1;
   return st;
 }
 
 void DiskManager::Abandon() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (file_ == nullptr) return;
-  std::fclose(file_);
-  file_ = nullptr;
+  if (fd_ < 0) return;
+  ::close(fd_);
+  fd_ = -1;
 }
 
 Status DiskManager::Flush() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (file_ == nullptr) return Status::InvalidArgument("DiskManager not open");
-  if (std::fflush(file_) != 0) {
-    return Status::IOError(ErrnoMessage("flush failed", path_));
-  }
+  if (fd_ < 0) return Status::InvalidArgument("DiskManager not open");
+  // Every transfer is a positional system call: nothing is buffered here.
   return Status::OK();
 }
 
@@ -212,7 +236,7 @@ Status DiskManager::CheckPageId(PageId id) const {
 }
 
 Status DiskManager::CheckWritable() const {
-  if (file_ == nullptr) return Status::InvalidArgument("DiskManager not open");
+  if (fd_ < 0) return Status::InvalidArgument("DiskManager not open");
   if (read_only_) {
     return Status::InvalidArgument("database opened read-only: " + path_);
   }
@@ -221,22 +245,20 @@ Status DiskManager::CheckWritable() const {
 
 Status DiskManager::ReadPage(PageId id, char* buf) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (file_ == nullptr) return Status::InvalidArgument("DiskManager not open");
+  if (fd_ < 0) return Status::InvalidArgument("DiskManager not open");
   PARADISE_RETURN_IF_ERROR(CheckPageId(id));
   const int64_t t0 = h_read_micros_ != nullptr ? MicrosNow() : 0;
-  const uint64_t offset = id * stride_;
-  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
-    return Status::IOError(ErrnoMessage("seek failed", path_));
-  }
-  if (std::fread(buf, 1, page_size_, file_) != page_size_) {
-    std::clearerr(file_);
+  const bool checksummed = format_version_ >= page_header::kFormatChecksummed;
+  char trailer[page_header::kPageTrailerBytes];
+  const ssize_t got = ReadAt(fd_, buf, page_size_,
+                             checksummed ? trailer : nullptr, id * stride_);
+  if (got < 0) return Status::IOError(ErrnoMessage("read failed", path_));
+  if (static_cast<size_t>(got) < page_size_) {
     return Status::IOError("short read of page " + std::to_string(id) +
                            " in " + path_);
   }
-  if (format_version_ >= page_header::kFormatChecksummed) {
-    char trailer[page_header::kPageTrailerBytes];
-    if (std::fread(trailer, 1, sizeof(trailer), file_) != sizeof(trailer)) {
-      std::clearerr(file_);
+  if (checksummed) {
+    if (static_cast<size_t>(got) < page_size_ + sizeof(trailer)) {
       return Status::IOError("short trailer read of page " +
                              std::to_string(id) + " in " + path_);
     }
@@ -270,21 +292,16 @@ Status DiskManager::WritePage(PageId id, const char* buf) {
   PARADISE_RETURN_IF_ERROR(CheckWritable());
   PARADISE_RETURN_IF_ERROR(CheckPageId(id));
   const int64_t t0 = h_write_micros_ != nullptr ? MicrosNow() : 0;
-  const uint64_t offset = id * stride_;
-  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
-    return Status::IOError(ErrnoMessage("seek failed", path_));
-  }
-  if (std::fwrite(buf, 1, page_size_, file_) != page_size_) {
+  const bool checksummed = format_version_ >= page_header::kFormatChecksummed;
+  char trailer[page_header::kPageTrailerBytes] = {};
+  if (checksummed) EncodeFixed32(trailer, MaskCrc32c(PageCrc(id, buf)));
+  const size_t want = page_size_ + (checksummed ? sizeof(trailer) : 0);
+  const ssize_t put = WriteAt(fd_, buf, page_size_,
+                              checksummed ? trailer : nullptr, id * stride_);
+  if (put < 0) return Status::IOError(ErrnoMessage("write failed", path_));
+  if (static_cast<size_t>(put) != want) {
     return Status::IOError("short write of page " + std::to_string(id) +
                            " in " + path_);
-  }
-  if (format_version_ >= page_header::kFormatChecksummed) {
-    char trailer[page_header::kPageTrailerBytes] = {};
-    EncodeFixed32(trailer, MaskCrc32c(PageCrc(id, buf)));
-    if (std::fwrite(trailer, 1, sizeof(trailer), file_) != sizeof(trailer)) {
-      return Status::IOError("short trailer write of page " +
-                             std::to_string(id) + " in " + path_);
-    }
   }
   ++writes_;
   dirty_since_commit_ = true;
@@ -419,26 +436,18 @@ Status DiskManager::WriteHeader() {
   EncodeFixed64(buf.data() + page_header::kPageCountOffset, page_count_);
   EncodeFixed64(buf.data() + page_header::kFreeListOffset, free_list_head_);
   EncodeFixed64(buf.data() + page_header::kCatalogOffset, catalog_oid_);
-  if (format_version_ >= page_header::kFormatChecksummed) {
+  const bool checksummed = format_version_ >= page_header::kFormatChecksummed;
+  char trailer[page_header::kPageTrailerBytes] = {};
+  if (checksummed) {
     EncodeFixed32(buf.data() + page_header::kVersionOffset, format_version_);
+    EncodeFixed32(trailer, MaskCrc32c(PageCrc(0, buf.data())));
   }
-  if (std::fseek(file_, 0, SEEK_SET) != 0) {
-    return Status::IOError(ErrnoMessage("seek failed", path_));
-  }
-  if (std::fwrite(buf.data(), 1, page_size_, file_) != page_size_) {
+  const size_t want = page_size_ + (checksummed ? sizeof(trailer) : 0);
+  if (WriteAt(fd_, buf.data(), page_size_, checksummed ? trailer : nullptr,
+              0) != static_cast<ssize_t>(want)) {
     return Status::IOError("failed to write header of " + path_);
   }
-  if (format_version_ >= page_header::kFormatChecksummed) {
-    char trailer[page_header::kPageTrailerBytes] = {};
-    EncodeFixed32(trailer, MaskCrc32c(PageCrc(0, buf.data())));
-    if (std::fwrite(trailer, 1, sizeof(trailer), file_) != sizeof(trailer)) {
-      return Status::IOError("failed to write header trailer of " + path_);
-    }
-  }
   ++writes_;
-  if (std::fflush(file_) != 0) {
-    return Status::IOError(ErrnoMessage("flush failed", path_));
-  }
   return Status::OK();
 }
 
@@ -446,10 +455,8 @@ Status DiskManager::ReadHeader() {
   // Read only the fixed-size header prefix so a page-size mismatch is
   // reported as InvalidArgument rather than a short read.
   std::vector<char> buf(page_header::kHeaderBytes);
-  if (std::fseek(file_, 0, SEEK_SET) != 0) {
-    return Status::IOError(ErrnoMessage("seek failed", path_));
-  }
-  if (std::fread(buf.data(), 1, buf.size(), file_) != buf.size()) {
+  if (ReadAt(fd_, buf.data(), buf.size(), nullptr, 0) !=
+      static_cast<ssize_t>(buf.size())) {
     return Status::Corruption("database file too small: " + path_);
   }
   ++reads_;
@@ -487,11 +494,8 @@ Status DiskManager::ReadHeader() {
     // free list and catalog pointers.
     std::vector<char> page(page_size_);
     char trailer[page_header::kPageTrailerBytes];
-    if (std::fseek(file_, 0, SEEK_SET) != 0) {
-      return Status::IOError(ErrnoMessage("seek failed", path_));
-    }
-    if (std::fread(page.data(), 1, page_size_, file_) != page_size_ ||
-        std::fread(trailer, 1, sizeof(trailer), file_) != sizeof(trailer)) {
+    if (ReadAt(fd_, page.data(), page_size_, trailer, 0) !=
+        static_cast<ssize_t>(page_size_ + sizeof(trailer))) {
       return Status::Corruption("database file truncated in header: " +
                                 path_);
     }
@@ -528,11 +532,8 @@ Status DiskManager::LoadManifest() {
   // falls back to the other slot.
   std::vector<char> buf(page_size_);
   for (PageId sid : ph::kManifestSlotPages) {
-    if (std::fseek(file_, static_cast<long>(sid * stride_), SEEK_SET) != 0) {
-      continue;
-    }
-    if (std::fread(buf.data(), 1, page_size_, file_) != page_size_) {
-      std::clearerr(file_);
+    if (ReadAt(fd_, buf.data(), page_size_, nullptr, sid * stride_) !=
+        static_cast<ssize_t>(page_size_)) {
       continue;
     }
     ++reads_;
@@ -604,10 +605,7 @@ Status DiskManager::CommitManifest() {
 
 Status DiskManager::SyncFile() {
   const int64_t t0 = h_sync_micros_ != nullptr ? MicrosNow() : 0;
-  if (std::fflush(file_) != 0) {
-    return Status::IOError(ErrnoMessage("flush failed", path_));
-  }
-  if (::fsync(fileno(file_)) != 0) {
+  if (::fsync(fd_) != 0) {
     return Status::IOError(ErrnoMessage("fsync failed", path_));
   }
   if (h_sync_micros_ != nullptr) {
@@ -618,7 +616,7 @@ Status DiskManager::SyncFile() {
 
 Status DiskManager::Sync() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (file_ == nullptr) return Status::InvalidArgument("DiskManager not open");
+  if (fd_ < 0) return Status::InvalidArgument("DiskManager not open");
   if (read_only_) return Status::OK();
   return SyncFile();
 }
@@ -656,14 +654,14 @@ Status DiskManager::Commit() {
 }
 
 Result<StorageOptions> ProbeStorageOptions(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IOError(ErrnoMessage("cannot open", path));
   }
   char buf[page_header::kHeaderBytes];
-  const size_t got = std::fread(buf, 1, sizeof(buf), f);
-  std::fclose(f);
-  if (got != sizeof(buf)) {
+  const ssize_t got = ReadAt(fd, buf, sizeof(buf), nullptr, 0);
+  ::close(fd);
+  if (got != static_cast<ssize_t>(sizeof(buf))) {
     return Status::Corruption("database file too small: " + path);
   }
   if (std::memcmp(buf + page_header::kMagicOffset, page_header::kMagic,

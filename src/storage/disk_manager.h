@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <mutex>
 #include <string>
 #include <unordered_set>
@@ -57,7 +56,8 @@ class Disk {
   virtual void Abandon() = 0;
 
   /// Pushes buffered writes to the operating system (no durability barrier;
-  /// see Sync()).
+  /// see Sync()). DiskManager buffers nothing in user space, so for it this
+  /// only checks that the file is open.
   virtual Status Flush() = 0;
 
   virtual bool is_open() const = 0;
@@ -142,7 +142,7 @@ class DiskManager final : public Disk {
 
   bool is_open() const override {
     std::lock_guard<std::recursive_mutex> lock(mu_);
-    return file_ != nullptr;
+    return fd_ >= 0;
   }
   size_t page_size() const override { return page_size_; }
   uint64_t page_count() const override {
@@ -219,15 +219,16 @@ class DiskManager final : public Disk {
   /// page written to the wrong slot also fails verification.
   uint32_t PageCrc(PageId id, const char* buf) const;
 
-  /// Serializes every file operation and all mutable metadata: the stdio
-  /// handle seeks before each transfer, so concurrent page I/O from the
-  /// sharded buffer pool and the background read-ahead pool must take turns
-  /// here. Recursive because public operations compose (Close→Commit,
-  /// AllocatePage→ReadPage, FreePage→WritePage). The mutex is a leaf in the
-  /// lock order: no code path calls back up into the pool while holding it.
+  /// Serializes every file operation and all mutable metadata. Page
+  /// transfers are positional (preadv/pwritev), so they share no file offset;
+  /// they still run under the lock, which also guards the page count they
+  /// are checked against and the I/O counters. Recursive because public
+  /// operations compose (Close→Commit, AllocatePage→ReadPage,
+  /// FreePage→WritePage). The mutex is a leaf in the lock order: no code
+  /// path calls back up into the pool while holding it.
   mutable std::recursive_mutex mu_;
 
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
   std::string path_;
   size_t page_size_ = 0;
   uint32_t format_version_ = page_header::kFormatChecksummed;

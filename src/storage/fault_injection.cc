@@ -98,8 +98,9 @@ Status FaultInjectingDiskManager::Flush() {
   PARADISE_RETURN_IF_ERROR(GateOp());
   ++ops_seen_;
   RecordOp("flush");
-  // fflush moves data into OS buffers only — it is NOT a durability barrier,
-  // so pre-images survive it and a power loss still rolls the writes back.
+  // A flush moves data into OS buffers only — it is NOT a durability
+  // barrier, so pre-images survive it and a power loss still rolls the
+  // writes back.
   return inner_->Flush();
 }
 
@@ -252,8 +253,8 @@ void FaultInjectingDiskManager::SimulatePowerLoss() {
   CountInjected();
   RecordOp("power_loss");
   if (inner_->is_open() && !preimages_.empty()) {
-    // Flush the inner manager's stdio buffers first so none of its pending
-    // writes can land on top of the rollback below.
+    // Flush the inner manager's buffered writes, if it keeps any, first so
+    // none of them can land on top of the rollback below.
     (void)inner_->Flush();
     if (std::FILE* f = std::fopen(inner_->path().c_str(), "rb+")) {
       for (const auto& [id, bytes] : preimages_) {

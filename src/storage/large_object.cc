@@ -38,6 +38,93 @@ size_t DirIdCapacity(size_t page_size) {
   return (page_size - kDirIdsStart) / 8;
 }
 
+// Walks an object's page-id directory one directory page at a time: the
+// header first, then the overflow chain. Every count read from disk is
+// checked before an id is decoded: a page lists no more ids than it can hold,
+// an overflow page lists at least one, and the directory never lists more
+// pages than the header's total. So a damaged directory is Corruption, never
+// a read past the page frame or an endless walk round a cyclic chain. The
+// current directory page stays pinned until the walk is destroyed.
+class DirectoryWalk {
+ public:
+  static Result<DirectoryWalk> Start(BufferPool* pool, ObjectId oid) {
+    PARADISE_ASSIGN_OR_RETURN(PageGuard header, pool->FetchPage(oid));
+    const char* h = header.data();
+    if (std::memcmp(h + kHeaderMagic, kLobMagic, sizeof(kLobMagic)) != 0) {
+      return Status::Corruption("not a large object: page " +
+                                std::to_string(oid));
+    }
+    DirectoryWalk walk(pool, oid, std::move(header));
+    walk.length_ = DecodeFixed64(h + kHeaderLength);
+    walk.total_pages_ = DecodeFixed32(h + kHeaderPageCount);
+    walk.next_ = DecodeFixed64(h + kHeaderNextDir);
+    walk.count_ = DecodeFixed32(h + kHeaderIdCount);
+    walk.ids_ = h + kHeaderIdsStart;
+    const size_t page_size = pool->page_size();
+    const uint64_t pages_for_length =
+        walk.length_ / page_size + (walk.length_ % page_size != 0 ? 1 : 0);
+    if (pages_for_length != walk.total_pages_) {
+      return Status::Corruption(
+          "large object " + std::to_string(oid) + " of " +
+          std::to_string(walk.length_) + " bytes claims " +
+          std::to_string(walk.total_pages_) + " data pages");
+    }
+    PARADISE_RETURN_IF_ERROR(
+        walk.CheckCount(oid, HeaderIdCapacity(page_size), 0));
+    return walk;
+  }
+
+  uint64_t length() const { return length_; }
+  uint32_t total_pages() const { return total_pages_; }
+  /// The directory page the walk stands on.
+  PageId page() const { return guard_.page_id(); }
+  /// Object-wide index of the first data page this directory page lists.
+  uint64_t first() const { return first_; }
+  /// Number of data-page ids this directory page lists.
+  uint32_t count() const { return count_; }
+  /// Id of the data page with object-wide index `first() + i`.
+  PageId id(uint32_t i) const { return DecodeFixed64(ids_ + i * 8); }
+  bool at_end() const { return next_ == kInvalidPageId; }
+
+  /// Moves to the next overflow directory page; at_end() must be false.
+  Status Next() {
+    PARADISE_ASSIGN_OR_RETURN(guard_, pool_->FetchPage(next_));
+    const char* p = guard_.data();
+    first_ += count_;
+    next_ = DecodeFixed64(p + kDirNext);
+    count_ = DecodeFixed32(p + kDirIdCount);
+    ids_ = p + kDirIdsStart;
+    return CheckCount(guard_.page_id(), DirIdCapacity(pool_->page_size()), 1);
+  }
+
+ private:
+  DirectoryWalk(BufferPool* pool, ObjectId oid, PageGuard header)
+      : pool_(pool), oid_(oid), guard_(std::move(header)) {}
+
+  Status CheckCount(PageId dir, size_t capacity, uint32_t min_count) const {
+    if (count_ < min_count || count_ > capacity ||
+        count_ > total_pages_ - first_) {
+      return Status::Corruption(
+          "large object " + std::to_string(oid_) + " directory page " +
+          std::to_string(dir) + " lists " + std::to_string(count_) +
+          " page ids (page holds " + std::to_string(capacity) + ", " +
+          std::to_string(total_pages_ - first_) + " of the object's " +
+          std::to_string(total_pages_) + " pages left to list)");
+    }
+    return Status::OK();
+  }
+
+  BufferPool* pool_;
+  ObjectId oid_;
+  PageGuard guard_;
+  uint64_t length_ = 0;
+  uint32_t total_pages_ = 0;
+  uint64_t first_ = 0;
+  uint32_t count_ = 0;
+  const char* ids_ = nullptr;
+  PageId next_ = kInvalidPageId;
+};
+
 }  // namespace
 
 Result<ObjectId> LargeObjectStore::Create(std::string_view data) {
@@ -118,40 +205,24 @@ Status LargeObjectStore::CollectPages(
     std::vector<PageId>* directory_pages) const {
   data_pages->clear();
   if (directory_pages != nullptr) directory_pages->clear();
-  uint32_t total_pages = 0;
-  PageId next_dir = kInvalidPageId;
-  {
-    PARADISE_ASSIGN_OR_RETURN(PageGuard header, pool_->FetchPage(oid));
-    const char* h = header.data();
-    if (std::memcmp(h + kHeaderMagic, kLobMagic, sizeof(kLobMagic)) != 0) {
-      return Status::Corruption("not a large object: page " +
-                                std::to_string(oid));
+  PARADISE_ASSIGN_OR_RETURN(DirectoryWalk walk,
+                            DirectoryWalk::Start(pool_, oid));
+  *length = walk.length();
+  data_pages->reserve(walk.total_pages());
+  for (;;) {
+    for (uint32_t i = 0; i < walk.count(); ++i) {
+      data_pages->push_back(walk.id(i));
     }
-    *length = DecodeFixed64(h + kHeaderLength);
-    total_pages = DecodeFixed32(h + kHeaderPageCount);
-    next_dir = DecodeFixed64(h + kHeaderNextDir);
-    const uint32_t in_header = DecodeFixed32(h + kHeaderIdCount);
-    data_pages->reserve(total_pages);
-    for (uint32_t i = 0; i < in_header; ++i) {
-      data_pages->push_back(DecodeFixed64(h + kHeaderIdsStart + i * 8));
-    }
+    if (walk.at_end()) break;
+    PARADISE_RETURN_IF_ERROR(walk.Next());
+    if (directory_pages != nullptr) directory_pages->push_back(walk.page());
   }
-  while (next_dir != kInvalidPageId) {
-    if (directory_pages != nullptr) directory_pages->push_back(next_dir);
-    PARADISE_ASSIGN_OR_RETURN(PageGuard g, pool_->FetchPage(next_dir));
-    const char* p = g.data();
-    const uint32_t in_page = DecodeFixed32(p + kDirIdCount);
-    for (uint32_t i = 0; i < in_page; ++i) {
-      data_pages->push_back(DecodeFixed64(p + kDirIdsStart + i * 8));
-    }
-    next_dir = DecodeFixed64(p + kDirNext);
-  }
-  if (data_pages->size() != total_pages) {
+  if (data_pages->size() != walk.total_pages()) {
     return Status::Corruption("large object " + std::to_string(oid) +
                               " directory lists " +
                               std::to_string(data_pages->size()) +
                               " pages, header says " +
-                              std::to_string(total_pages));
+                              std::to_string(walk.total_pages()));
   }
   return Status::OK();
 }
@@ -174,27 +245,44 @@ Result<std::string> LargeObjectStore::Read(ObjectId oid) const {
 
 Result<std::string> LargeObjectStore::ReadRange(ObjectId oid, uint64_t offset,
                                                 uint64_t read_len) const {
-  uint64_t length = 0;
-  std::vector<PageId> data_pages;
-  PARADISE_RETURN_IF_ERROR(CollectPages(oid, &length, &data_pages, nullptr));
-  if (offset + read_len > length) {
-    return Status::OutOfRange("read [" + std::to_string(offset) + ", " +
-                              std::to_string(offset + read_len) +
-                              ") beyond object of " + std::to_string(length) +
-                              " bytes");
-  }
   const size_t page_size = pool_->page_size();
+  // Ids of the data pages the range covers, read from the directory pages
+  // that list them and no others; the walk's pin ends with this block.
+  std::vector<PageId> range_pages;
+  {
+    PARADISE_ASSIGN_OR_RETURN(DirectoryWalk walk,
+                              DirectoryWalk::Start(pool_, oid));
+    const uint64_t length = walk.length();
+    if (offset > length || read_len > length - offset) {
+      return Status::OutOfRange("read of " + std::to_string(read_len) +
+                                " bytes at " + std::to_string(offset) +
+                                " beyond object of " + std::to_string(length) +
+                                " bytes");
+    }
+    if (read_len == 0) return std::string();
+    const uint64_t first_page = offset / page_size;
+    const uint64_t last_page = (offset + read_len - 1) / page_size;
+    range_pages.reserve(last_page - first_page + 1);
+    for (uint64_t p = first_page; p <= last_page; ++p) {
+      while (p - walk.first() >= walk.count()) {
+        if (walk.at_end()) {
+          return Status::Corruption("large object " + std::to_string(oid) +
+                                    " directory ends before data page " +
+                                    std::to_string(p));
+        }
+        PARADISE_RETURN_IF_ERROR(walk.Next());
+      }
+      range_pages.push_back(walk.id(static_cast<uint32_t>(p - walk.first())));
+    }
+  }
   std::string out;
   out.resize(read_len);
   uint64_t written = 0;
-  while (written < read_len) {
-    const uint64_t pos = offset + written;
-    const uint64_t page_idx = pos / page_size;
-    const uint64_t in_page = pos % page_size;
+  for (const PageId page : range_pages) {
+    const uint64_t in_page = (offset + written) % page_size;
     const uint64_t n = std::min<uint64_t>(page_size - in_page,
                                           read_len - written);
-    PARADISE_ASSIGN_OR_RETURN(PageGuard g,
-                              pool_->FetchPage(data_pages[page_idx]));
+    PARADISE_ASSIGN_OR_RETURN(PageGuard g, pool_->FetchPage(page));
     std::memcpy(out.data() + written, g.data() + in_page, n);
     written += n;
   }

@@ -28,6 +28,9 @@ class LargeObjectStore {
   Result<std::string> Read(ObjectId oid) const;
 
   /// Reads `length` bytes starting at `offset`. Out-of-range reads fail.
+  /// Decodes only the directory entries of the pages the range covers,
+  /// following the overflow chain no further than the page listing the
+  /// range's last id.
   Result<std::string> ReadRange(ObjectId oid, uint64_t offset,
                                 uint64_t length) const;
 
@@ -47,6 +50,7 @@ class LargeObjectStore {
 
  private:
   /// Collects the data-page ids and directory-page ids of an object.
+  /// Directory counts that overrun their page or the object are Corruption.
   Status CollectPages(ObjectId oid, uint64_t* length,
                       std::vector<PageId>* data_pages,
                       std::vector<PageId>* directory_pages) const;

@@ -263,6 +263,35 @@ TEST(Crc32cTest, ExtendMatchesOneShot) {
   }
 }
 
+TEST(Crc32cTest, DispatchedMatchesPortable) {
+  EXPECT_EQ(Crc32cPortable("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(Crc32cPortable("", 0), 0u);
+  if (!Crc32cHardwareAccelerated()) {
+    GTEST_SKIP() << "no SSE4.2: Crc32c is the portable implementation";
+  }
+  Random rng(17);
+  std::string bytes(8192 + 16 + 8, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.Uniform(256));
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (size_t n = 8192; n <= 8192 + 16; ++n) lengths.push_back(n);
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t n : lengths) {
+      const char* p = bytes.data() + start;
+      ASSERT_EQ(Crc32c(p, n), Crc32cPortable(p, n))
+          << "start " << start << ", length " << n;
+    }
+  }
+  const std::string hundred = bytes.substr(0, 100);
+  const uint32_t whole = Crc32cPortable(hundred.data(), hundred.size());
+  for (size_t split = 0; split <= hundred.size(); ++split) {
+    EXPECT_EQ(Crc32cExtend(Crc32c(hundred.data(), split),
+                           hundred.data() + split, hundred.size() - split),
+              whole)
+        << "split at " << split;
+  }
+}
+
 TEST(Crc32cTest, MaskRoundTripsAndDiffers) {
   const uint32_t crc = Crc32c("123456789", 9);
   EXPECT_NE(MaskCrc32c(crc), crc);

@@ -2,6 +2,7 @@
 // extent allocator, large objects and the StorageManager facade.
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -137,6 +138,20 @@ TEST(DiskManagerTest, ReadBeyondEofFails) {
   std::vector<char> buf(SmallOptions().page_size);
   EXPECT_TRUE(disk.ReadPage(99, buf.data()).IsOutOfRange());
   EXPECT_TRUE(disk.ReadPage(kInvalidPageId, buf.data()).IsOutOfRange());
+}
+
+TEST(DiskManagerTest, ReadSeesUnflushedWrite) {
+  TempFile file("disk_unflushed");
+  const StorageOptions options = SmallOptions();
+  DiskManager disk;
+  ASSERT_OK(disk.Create(file.path(), options));
+  ASSERT_OK_AND_ASSIGN(const PageId id, disk.AllocatePage());
+  std::vector<char> page(options.page_size);
+  for (size_t i = 0; i < page.size(); ++i) page[i] = static_cast<char>(i * 7);
+  ASSERT_OK(disk.WritePage(id, page.data()));
+  std::vector<char> readback(options.page_size);
+  ASSERT_OK(disk.ReadPage(id, readback.data()));
+  EXPECT_EQ(readback, page);
 }
 
 class BufferPoolTest : public ::testing::Test {
@@ -417,6 +432,141 @@ TEST_F(LargeObjectTest, ReadRange) {
   EXPECT_TRUE(store_->ReadRange(oid, big.size() - 5, 10)
                   .status()
                   .IsOutOfRange());
+  // offset + length wraps to 6, which a naive end check would accept.
+  EXPECT_TRUE(store_->ReadRange(oid, UINT64_MAX - 3, 10)
+                  .status()
+                  .IsOutOfRange());
+  EXPECT_TRUE(
+      store_->ReadRange(oid, big.size() + 1, 0).status().IsOutOfRange());
+}
+
+// A large-object store over 512-byte pages, where the header lists 60 data
+// page ids and each overflow directory page 62, so a ~200-page object spans
+// the header and three overflow pages.
+class TinyPageStore {
+ public:
+  TinyPageStore() : file_("lob_tiny") {
+    options_.page_size = 512;
+    options_.buffer_pool_pages = 32;
+    PARADISE_CHECK_OK(disk_.Create(file_.path(), options_));
+    pool_ = std::make_unique<BufferPool>(&disk_, options_);
+    store_ = std::make_unique<LargeObjectStore>(pool_.get());
+  }
+  BufferPool* pool() { return pool_.get(); }
+  LargeObjectStore* store() { return store_.get(); }
+
+ private:
+  TempFile file_;
+  StorageOptions options_;
+  DiskManager disk_;
+  std::unique_ptr<BufferPool> pool_;
+  std::unique_ptr<LargeObjectStore> store_;
+};
+
+// Byte offsets in the header and overflow pages (storage/large_object.cc).
+constexpr size_t kLobHeaderLength = 4;
+constexpr size_t kLobHeaderNextDir = 16;
+constexpr size_t kLobHeaderIdCount = 24;
+constexpr size_t kLobDirNext = 0;
+constexpr size_t kLobDirIdCount = 8;
+
+std::string PatternBytes(size_t n) {
+  std::string s(n, '\0');
+  for (size_t i = 0; i < n; ++i) s[i] = static_cast<char>((i * 131) ^ (i >> 9));
+  return s;
+}
+
+TEST_F(LargeObjectTest, ReadRangeAcrossDirectoryPages) {
+  TinyPageStore tiny;
+  const size_t kPage = 512;
+  const std::string big = PatternBytes(200 * kPage - 100);  // 200 data pages
+  ASSERT_OK_AND_ASSIGN(ObjectId oid, tiny.store()->Create(big));
+  ASSERT_OK_AND_ASSIGN(uint64_t footprint, tiny.store()->PageFootprint(oid));
+  EXPECT_EQ(footprint, 1u + 200u + 3u);  // header, data, overflow pages
+  ASSERT_OK_AND_ASSIGN(std::string whole, tiny.store()->Read(oid));
+  ASSERT_EQ(whole, big);
+  ASSERT_OK(tiny.pool()->FlushAndEvictAll());
+  struct Range {
+    uint64_t offset, length;
+  };
+  const Range ranges[] = {
+      {0, 1},                          // first byte
+      {1000, 3000},                    // inside the header's pages
+      {59 * kPage + 100, 600},         // header -> first overflow page
+      {121 * kPage + 500, 40},         // first -> second overflow page
+      {130 * kPage + 7, 2000},         // inside the second overflow page
+      {150 * kPage, 40 * kPage},       // second -> third overflow page
+      {0, big.size()},                 // everything
+      {big.size() - 1, 1},             // the last byte
+      {big.size(), 0},                 // zero length at the end
+  };
+  for (const Range& r : ranges) {
+    ASSERT_OK_AND_ASSIGN(std::string got,
+                         tiny.store()->ReadRange(oid, r.offset, r.length));
+    EXPECT_EQ(got, whole.substr(r.offset, r.length))
+        << "range [" << r.offset << ", +" << r.length << ")";
+  }
+  EXPECT_TRUE(tiny.store()->ReadRange(oid, big.size(), 1)
+                  .status()
+                  .IsOutOfRange());
+}
+
+TEST_F(LargeObjectTest, DirectoryCountsPastCapacityAreCorruption) {
+  // Each case rewrites one directory field through the pool, so the page's
+  // checksum stays valid, and expects every directory reader to refuse the
+  // object instead of decoding ids past the page frame.
+  struct Case {
+    const char* name;
+    bool overflow_page;  // edit the first overflow page, not the header
+    size_t field;
+    uint64_t value;
+    bool wide;  // 64-bit field
+  };
+  const Case cases[] = {
+      {"header id count past 60", false, kLobHeaderIdCount, 61, false},
+      {"header id count far past the page", false, kLobHeaderIdCount,
+       1u << 20, false},
+      {"overflow id count past 62", true, kLobDirIdCount, 63, false},
+      {"overflow page links to itself", true, kLobDirNext, 0, true},
+      {"length shorter than the data pages", false, kLobHeaderLength, 1,
+       true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TinyPageStore tiny;
+    const std::string big = PatternBytes(200 * 512 - 100);
+    ASSERT_OK_AND_ASSIGN(ObjectId oid, tiny.store()->Create(big));
+    PageId target = oid;
+    if (c.overflow_page) {
+      ASSERT_OK_AND_ASSIGN(PageGuard h, tiny.pool()->FetchPage(oid));
+      target = DecodeFixed64(h.data() + kLobHeaderNextDir);
+    }
+    {
+      ASSERT_OK_AND_ASSIGN(PageGuard g, tiny.pool()->FetchPage(target));
+      const uint64_t value = c.value == 0 ? target : c.value;
+      if (c.wide) {
+        EncodeFixed64(g.mutable_data() + c.field, value);
+      } else {
+        EncodeFixed32(g.mutable_data() + c.field,
+                      static_cast<uint32_t>(value));
+      }
+    }
+    ASSERT_OK(tiny.pool()->FlushAndEvictAll());
+    EXPECT_TRUE(tiny.store()->Read(oid).status().IsCorruption());
+    if (c.overflow_page) {
+      // A range inside the header's pages never reaches the damaged page.
+      ASSERT_OK_AND_ASSIGN(std::string head,
+                           tiny.store()->ReadRange(oid, 0, 100));
+      EXPECT_EQ(head, big.substr(0, 100));
+    } else {
+      EXPECT_TRUE(tiny.store()->ReadRange(oid, 0, 100).status().IsCorruption());
+    }
+    EXPECT_TRUE(tiny.store()->ReadRange(oid, big.size() - 1, 1)
+                    .status()
+                    .IsCorruption());
+    EXPECT_TRUE(tiny.store()->PageFootprint(oid).status().IsCorruption());
+    EXPECT_TRUE(tiny.store()->Free(oid).IsCorruption());
+  }
 }
 
 TEST_F(LargeObjectTest, OverwriteChangesSizeAndContent) {
