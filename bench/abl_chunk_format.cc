@@ -1,9 +1,9 @@
 // Codec ablation (DESIGN.md §4.3/§16): per-chunk storage format across the
 // Data Set 2 density sweep. The paper always uses chunk-offset compression;
-// we compare it against dense chunks, LZW-wrapped dense, the two v5
-// bit-packed codecs (kDiffSequence, kBitPacked) and the kAuto selector,
-// reporting stored bytes (absolute, per chunk, and the reduction against
-// the offset-compressed baseline), raw decode throughput over the stored
+// we compare it against dense chunks, LZW-wrapped dense, diff-sequence
+// compression (kDiffSequence) and the kAuto selector, reporting stored
+// bytes (absolute, per chunk, and the reduction against the
+// offset-compressed baseline), raw decode throughput over the stored
 // chunks, the Figure 4 (Query 1) / Figure 8 (Query 2, low selectivity)
 // scan times, and the warm serial §4.2 probe cost per cross-product
 // candidate on olapd's probe shape. Query results are asserted identical
@@ -121,7 +121,7 @@ int main() {
     for (ChunkFormat format :
          {ChunkFormat::kOffsetCompressed, ChunkFormat::kDense,
           ChunkFormat::kAuto, ChunkFormat::kLzwDense,
-          ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
+          ChunkFormat::kDiffSequence}) {
       DatabaseOptions options = PaperOptions();
       options.array.chunk_format = format;
       BenchFile file("abl_codec");

@@ -4,8 +4,8 @@
 // ~6.5 MB at 1 % density — our fact record is 24 B instead of their 20 B, so
 // absolute sizes shift, but the ratio and the break-even shape carry over).
 // Per-format array sizes come from Chunk::SerializedBytes — the same exact
-// closed-form arithmetic kAuto selects by — so the dense/diffseq/bitpacked
-// columns are what those codecs *would* store for this data, computed
+// closed-form arithmetic kAuto selects by — so the dense/diffseq columns
+// are what those codecs *would* store for this data, computed
 // without rebuilding the database per format. Also prints the §3.2
 // break-even prediction: an *uncompressed* array beats the table only when
 // density > p/(n+p).
@@ -28,13 +28,11 @@ void Report(const char* label, Database* db, double density) {
   }
   // Exact per-format sizes of this array's chunks, from the single
   // estimator the codec auto-selection uses.
-  uint64_t dense_bytes = 0, diffseq_bytes = 0, bitpacked_bytes = 0,
-           auto_bytes = 0;
+  uint64_t dense_bytes = 0, diffseq_bytes = 0, auto_bytes = 0;
   const Status scanned = db->olap()->array().ScanChunks(
       [&](uint64_t, const Chunk& chunk) {
         dense_bytes += chunk.SerializedBytes(ChunkFormat::kDense);
         diffseq_bytes += chunk.SerializedBytes(ChunkFormat::kDiffSequence);
-        bitpacked_bytes += chunk.SerializedBytes(ChunkFormat::kBitPacked);
         auto_bytes += chunk.SerializedBytes(ChunkFormat::kAuto);
         return Status::OK();
       });
@@ -43,13 +41,12 @@ void Report(const char* label, Database* db, double density) {
                  scanned.ToString().c_str());
     std::exit(1);
   }
-  std::printf("%s,%.3f,%llu,%llu,%llu,%llu,%llu,%llu,%llu\n", label,
+  std::printf("%s,%.3f,%llu,%llu,%llu,%llu,%llu,%llu\n", label,
               density * 100.0,
               static_cast<unsigned long long>(report->fact_file_bytes),
               static_cast<unsigned long long>(report->array_data_bytes),
               static_cast<unsigned long long>(dense_bytes),
               static_cast<unsigned long long>(diffseq_bytes),
-              static_cast<unsigned long long>(bitpacked_bytes),
               static_cast<unsigned long long>(auto_bytes),
               static_cast<unsigned long long>(report->file_bytes));
 }
@@ -61,8 +58,8 @@ int main() {
       "# Storage table — §3.2/§5.5.1: fact file vs compressed array size\n");
   std::printf(
       "dataset,density_percent,fact_file_bytes,stored_array_bytes,"
-      "dense_array_bytes,diffseq_array_bytes,bitpacked_array_bytes,"
-      "auto_array_bytes,db_file_bytes\n");
+      "dense_array_bytes,diffseq_array_bytes,auto_array_bytes,"
+      "db_file_bytes\n");
   for (double pct : {0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0}) {
     BenchFile file("tab_storage");
     std::unique_ptr<Database> db =
@@ -80,7 +77,7 @@ int main() {
       "# break-even (§3.2): uncompressed array beats table only when "
       "density > p/(n+p) = 1/(4+1) = 20%% by field count; chunk-offset "
       "compression moves the array below the fact file at every density "
-      "above, and the v5 packed codecs (diffseq/bitpacked columns) cut "
+      "above, and diff-sequence compression (diffseq column) cuts "
       "another ~75-85%% off the offset-compressed size.\n");
   return 0;
 }

@@ -11,8 +11,9 @@ namespace paradise {
 
 namespace {
 // Serialized layouts. Every unwrapped blob starts with:
-//   [0]     tag byte: 0 = dense, 1 = offset-compressed, 3 = diff-sequence,
-//           4 = bit-packed
+//   [0]     tag byte: 0 = dense, 1 = offset-compressed, 3 = diff-sequence
+//           (4 is reserved: it tagged a retired bit-packed codec and now
+//           reads as an unknown tag)
 //   [1,5)   capacity (cell count of the chunk)
 // Offset-compressed (§3.3): fixed32 valid count, then per valid cell
 // fixed32 offset + fixed64 value, in increasing offset order.
@@ -21,39 +22,31 @@ namespace {
 // LZW-wrapped (kLzwDense): tag byte 2 followed by the LZW stream of the
 // dense serialization. Unwrapped by UnwrapChunkBlob before any view/parse.
 //
-// The two packed codecs share a 19-byte header:
+// Diff-sequence (Szépkúti) has a 19-byte header:
 //   [5,9)   valid count (fixed32)
-//   [9]     width1: gap bits (diff-sequence) / offset bits (bit-packed)
+//   [9]     gap bits
 //   [10]    value bits (0..64)
 //   [11,19) value minimum (fixed64, two's complement int64)
 // then nb = ceil(count / kPackedChunkBlock) fixed32 block-first offsets
-// (the anchors / skip directory), then the codec's offset stream
-// (byte-aligned), then the value stream (byte-aligned): count fields of
-// val_bits holding (value - val_min) as unsigned.
-//
-// Diff-sequence (Szépkúti): each block's first entry is its anchor; the
-// remaining count - nb entries store (offset[i] - offset[i-1] - 1) in
-// gap_bits bits each. The gap slot of the j-th entry of block b (j >= 1) is
+// (the anchors), then the gap stream (byte-aligned), then the value stream
+// (byte-aligned): count fields of val_bits holding (value - val_min) as
+// unsigned. Each block's first entry is its anchor; the remaining
+// count - nb entries store (offset[i] - offset[i-1] - 1) in gap_bits bits
+// each. The gap slot of the j-th entry of block b (j >= 1) is
 // b*(kPackedChunkBlock-1) + j - 1. A run of adjacent cells has all-zero
 // gaps, so gap_bits is 0 and clustered chunks pay nothing per offset.
-//
-// Bit-packed: count absolute offsets of off_bits = bit_width(max offset)
-// bits each — O(1) random access per entry, so probes binary-search the
-// stream directly after a skip-directory lookup.
 constexpr uint8_t kDenseTag = 0;
 constexpr uint8_t kSparseTag = 1;
 constexpr uint8_t kLzwTag = 2;
 constexpr uint8_t kDiffSeqTag = 3;
-constexpr uint8_t kBitPackedTag = 4;
 
 constexpr size_t kPackedHeaderBytes = 19;
 
-/// Measured bit widths of one chunk's entries, shared by the packed
-/// serializers and the closed-form size arithmetic.
+/// Measured bit widths of one chunk's entries, shared by the diff-sequence
+/// serializer and the closed-form size arithmetic.
 struct PackedStats {
   uint32_t num_blocks = 0;
   unsigned gap_bits = 0;  // max width of (in-block delta - 1)
-  unsigned off_bits = 0;  // width of the largest (= last) offset
   unsigned val_bits = 0;  // width of (max value - min value)
   int64_t val_min = 0;
 };
@@ -64,7 +57,6 @@ PackedStats ComputePackedStats(const std::vector<ChunkEntry>& entries) {
   const size_t n = entries.size();
   s.num_blocks =
       static_cast<uint32_t>((n + kPackedChunkBlock - 1) / kPackedChunkBlock);
-  s.off_bits = BitWidth(entries.back().offset);
   int64_t lo = entries[0].value;
   int64_t hi = entries[0].value;
   for (size_t i = 0; i < n; ++i) {
@@ -83,41 +75,33 @@ PackedStats ComputePackedStats(const std::vector<ChunkEntry>& entries) {
   return s;
 }
 
-uint64_t PackedSerializedBytes(uint8_t tag, const PackedStats& s, size_t n) {
-  const uint64_t fields1 = tag == kDiffSeqTag ? n - s.num_blocks : n;
-  const unsigned w1 = tag == kDiffSeqTag ? s.gap_bits : s.off_bits;
+uint64_t DiffSeqSerializedBytes(const PackedStats& s, size_t n) {
   return kPackedHeaderBytes + uint64_t{4} * s.num_blocks +
-         (fields1 * w1 + 7) / 8 +
+         ((n - s.num_blocks) * s.gap_bits + 7) / 8 +
          (static_cast<uint64_t>(n) * s.val_bits + 7) / 8;
 }
 
-std::string SerializePacked(uint8_t tag, uint32_t capacity,
-                            const std::vector<ChunkEntry>& entries) {
+std::string SerializeDiffSeq(uint32_t capacity,
+                             const std::vector<ChunkEntry>& entries) {
   const PackedStats s = ComputePackedStats(entries);
   const size_t n = entries.size();
-  const unsigned w1 = tag == kDiffSeqTag ? s.gap_bits : s.off_bits;
-  std::string out(PackedSerializedBytes(tag, s, n), '\0');
-  out[0] = static_cast<char>(tag);
+  std::string out(DiffSeqSerializedBytes(s, n), '\0');
+  out[0] = static_cast<char>(kDiffSeqTag);
   EncodeFixed32(out.data() + 1, capacity);
   EncodeFixed32(out.data() + 5, static_cast<uint32_t>(n));
-  out[9] = static_cast<char>(w1);
+  out[9] = static_cast<char>(s.gap_bits);
   out[10] = static_cast<char>(s.val_bits);
   EncodeFixed64(out.data() + 11, static_cast<uint64_t>(s.val_min));
   char* anchors = out.data() + kPackedHeaderBytes;
-  char* stream1 = anchors + uint64_t{4} * s.num_blocks;
-  const uint64_t fields1 = tag == kDiffSeqTag ? n - s.num_blocks : n;
-  char* values = stream1 + (fields1 * w1 + 7) / 8;
+  char* gaps = anchors + uint64_t{4} * s.num_blocks;
+  char* values = gaps + ((n - s.num_blocks) * s.gap_bits + 7) / 8;
   for (size_t i = 0; i < n; ++i) {
-    const uint32_t j = static_cast<uint32_t>(i % kPackedChunkBlock);
-    if (j == 0) {
+    if (i % kPackedChunkBlock == 0) {
       EncodeFixed32(anchors + 4 * (i / kPackedChunkBlock), entries[i].offset);
-    } else if (tag == kDiffSeqTag) {
+    } else {
       const uint64_t slot = i - (i / kPackedChunkBlock + 1);
-      WriteBits(stream1, slot * w1, w1,
+      WriteBits(gaps, slot * s.gap_bits, s.gap_bits,
                 entries[i].offset - entries[i - 1].offset - 1);
-    }
-    if (tag == kBitPackedTag) {
-      WriteBits(stream1, static_cast<uint64_t>(i) * w1, w1, entries[i].offset);
     }
     WriteBits(values, static_cast<uint64_t>(i) * s.val_bits, s.val_bits,
               static_cast<uint64_t>(entries[i].value) -
@@ -180,11 +164,8 @@ uint64_t Chunk::SerializedBytes(ChunkFormat format) const {
     case ChunkFormat::kOffsetCompressed:
       return SparseBytes(num_valid());
     case ChunkFormat::kDiffSequence:
-      return PackedSerializedBytes(kDiffSeqTag, ComputePackedStats(entries_),
-                                   entries_.size());
-    case ChunkFormat::kBitPacked:
-      return PackedSerializedBytes(kBitPackedTag, ComputePackedStats(entries_),
-                                   entries_.size());
+      return DiffSeqSerializedBytes(ComputePackedStats(entries_),
+                                    entries_.size());
     case ChunkFormat::kAuto:
       return SerializedBytes(ResolveFormat(ChunkFormat::kAuto));
     case ChunkFormat::kLzwDense:
@@ -194,12 +175,12 @@ uint64_t Chunk::SerializedBytes(ChunkFormat format) const {
   return 0;
 }
 
-ChunkFormat Chunk::ResolveFormat(ChunkFormat format, bool allow_packed) const {
+ChunkFormat Chunk::ResolveFormat(ChunkFormat format) const {
   if (format != ChunkFormat::kAuto) return format;
   // Candidates in decode-cost order — a costlier-to-decode format must be
-  // STRICTLY smaller to win. This keeps the legacy sparse-vs-dense tie
-  // resolving to offset-compressed, and prefers bit-packed (O(1) entry
-  // access) over diff-sequence (block decode) at equal size.
+  // STRICTLY smaller to win. This keeps the sparse-vs-dense tie resolving
+  // to offset-compressed, and either of them over diff-sequence (block
+  // decode) at equal size.
   ChunkFormat best = ChunkFormat::kOffsetCompressed;
   uint64_t best_bytes = SerializedBytes(best);
   auto consider = [&](ChunkFormat f) {
@@ -210,25 +191,19 @@ ChunkFormat Chunk::ResolveFormat(ChunkFormat format, bool allow_packed) const {
     }
   };
   consider(ChunkFormat::kDense);
-  if (allow_packed) {
-    consider(ChunkFormat::kBitPacked);
-    consider(ChunkFormat::kDiffSequence);
-  }
+  consider(ChunkFormat::kDiffSequence);
   return best;
 }
 
-std::string Chunk::Serialize(ChunkFormat format, bool allow_packed) const {
+std::string Chunk::Serialize(ChunkFormat format) const {
   if (format == ChunkFormat::kLzwDense) {
     std::string out(1, static_cast<char>(kLzwTag));
     out.append(LzwCompress(Serialize(ChunkFormat::kDense)));
     return out;
   }
-  const ChunkFormat resolved = ResolveFormat(format, allow_packed);
+  const ChunkFormat resolved = ResolveFormat(format);
   if (resolved == ChunkFormat::kDiffSequence) {
-    return SerializePacked(kDiffSeqTag, capacity_, entries_);
-  }
-  if (resolved == ChunkFormat::kBitPacked) {
-    return SerializePacked(kBitPackedTag, capacity_, entries_);
+    return SerializeDiffSeq(capacity_, entries_);
   }
   std::string out;
   if (resolved == ChunkFormat::kOffsetCompressed) {
@@ -307,10 +282,11 @@ Result<Chunk> Chunk::Deserialize(std::string_view data) {
     }
     return chunk;
   }
-  if (tag == kDiffSeqTag || tag == kBitPackedTag) {
-    // Decode through the view so there is exactly one reader of the packed
-    // layouts; AppendSorted re-validates strict offset order and capacity
-    // bounds cell by cell, which is the deep check dbverify relies on.
+  if (tag == kDiffSeqTag) {
+    // Decode through the view so there is exactly one reader of the
+    // diff-sequence layout; AppendSorted re-validates strict offset order
+    // and capacity bounds cell by cell, which is the deep check dbverify
+    // relies on.
     PARADISE_ASSIGN_OR_RETURN(ChunkView view, ChunkView::Make(data));
     chunk.entries_.reserve(view.num_valid());
     Status st = Status::OK();
@@ -355,41 +331,38 @@ Result<ChunkView> ChunkView::Make(std::string_view blob) {
     view.num_valid_ = valid;
     return view;
   }
-  if (tag == kDiffSeqTag || tag == kBitPackedTag) {
-    const char* name = tag == kDiffSeqTag ? "diff-sequence" : "bit-packed";
+  if (tag == kDiffSeqTag) {
     if (blob.size() < kPackedHeaderBytes) {
-      return Status::Corruption(std::string(name) + " chunk truncated");
+      return Status::Corruption("diff-sequence chunk truncated");
     }
     const uint32_t count = DecodeFixed32(blob.data() + 5);
-    const unsigned width1 = static_cast<uint8_t>(blob[9]);
+    const unsigned gap_bits = static_cast<uint8_t>(blob[9]);
     const unsigned val_bits = static_cast<uint8_t>(blob[10]);
     if (count > capacity) {
-      return Status::Corruption(std::string(name) + " chunk count " +
+      return Status::Corruption("diff-sequence chunk count " +
                                 std::to_string(count) + " exceeds capacity " +
                                 std::to_string(capacity));
     }
-    if (width1 > 32 || val_bits > 64) {
-      return Status::Corruption(std::string(name) +
-                                " chunk field width out of range");
+    if (gap_bits > 32 || val_bits > 64) {
+      return Status::Corruption("diff-sequence chunk field width out of range");
     }
     const uint64_t nb = (count + kPackedChunkBlock - 1) / kPackedChunkBlock;
-    const uint64_t fields1 = tag == kDiffSeqTag ? count - nb : count;
+    const uint64_t fields1 = count - nb;
     const uint64_t expected = kPackedHeaderBytes + 4 * nb +
-                              (fields1 * width1 + 7) / 8 +
+                              (fields1 * gap_bits + 7) / 8 +
                               (static_cast<uint64_t>(count) * val_bits + 7) / 8;
     if (blob.size() != expected) {
-      return Status::Corruption(std::string(name) + " chunk size mismatch");
+      return Status::Corruption("diff-sequence chunk size mismatch");
     }
-    view.encoding_ = tag == kDiffSeqTag ? ChunkEncoding::kDiffSeq
-                                        : ChunkEncoding::kBitPacked;
+    view.encoding_ = ChunkEncoding::kDiffSeq;
     view.num_valid_ = count;
     view.num_blocks_ = static_cast<uint32_t>(nb);
-    view.width1_ = width1;
+    view.gap_bits_ = gap_bits;
     view.val_bits_ = val_bits;
     view.val_min_ = static_cast<int64_t>(DecodeFixed64(blob.data() + 11));
     view.anchors_ = blob.data() + kPackedHeaderBytes;
-    view.stream1_ = view.anchors_ + 4 * nb;
-    view.values_ = view.stream1_ + (fields1 * width1 + 7) / 8;
+    view.gaps_ = view.anchors_ + 4 * nb;
+    view.values_ = view.gaps_ + (fields1 * gap_bits + 7) / 8;
     view.end_ = blob.data() + blob.size();
     return view;
   }
@@ -417,16 +390,11 @@ uint32_t ChunkView::DecodeBlockOffsets(uint32_t b, uint32_t* offsets) const {
 void ChunkView::DecodeBlockOffsetsFrom(uint32_t b, uint32_t from, uint32_t n,
                                        uint32_t* offsets) const {
   if (from >= n) return;
-  if (encoding_ == ChunkEncoding::kBitPacked) {
-    UnpackBits(stream1_, values_, uint64_t{b} * kPackedChunkBlock + from,
-               width1_, n - from, offsets + from);
-    return;
-  }
-  // Diff-sequence: unpack the gaps of entries [from, n) — entry j >= 1 of
-  // block b has gap slot b * (kPackedChunkBlock - 1) + j - 1 — then
-  // prefix-sum them onto offsets[from - 1].
-  UnpackBits(stream1_, values_,
-             uint64_t{b} * (kPackedChunkBlock - 1) + from - 1, width1_,
+  // Unpack the gaps of entries [from, n) — entry j >= 1 of block b has gap
+  // slot b * (kPackedChunkBlock - 1) + j - 1 — then prefix-sum them onto
+  // offsets[from - 1].
+  UnpackBits(gaps_, values_,
+             uint64_t{b} * (kPackedChunkBlock - 1) + from - 1, gap_bits_,
              n - from, offsets + from);
   for (uint32_t k = from; k < n; ++k) offsets[k] += offsets[k - 1] + 1;
 }
@@ -457,18 +425,13 @@ ChunkEntry ChunkView::SparseEntry(uint32_t i) const {
       return ChunkEntry{DecodeFixed32(p),
                         static_cast<int64_t>(DecodeFixed64(p + 4))};
     }
-    case ChunkEncoding::kBitPacked: {
-      uint32_t off = 0;
-      UnpackBits(stream1_, values_, i, width1_, 1, &off);
-      return ChunkEntry{off, PackedValue(i)};
-    }
     case ChunkEncoding::kDiffSeq: {
       // Prefix-sum the j gaps before entry i onto its block's anchor.
       const uint32_t b = i / kPackedChunkBlock;
       const uint32_t j = i % kPackedChunkBlock;
       uint32_t gaps[kPackedChunkBlock];
-      UnpackBits(stream1_, values_, uint64_t{b} * (kPackedChunkBlock - 1),
-                 width1_, j, gaps);
+      UnpackBits(gaps_, values_, uint64_t{b} * (kPackedChunkBlock - 1),
+                 gap_bits_, j, gaps);
       uint32_t off = BlockFirstOffset(b);
       for (uint32_t k = 0; k < j; ++k) off += 1 + gaps[k];
       return ChunkEntry{off, PackedValue(i)};

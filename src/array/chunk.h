@@ -1,13 +1,11 @@
 // Chunk: the in-memory form of one array tile — the valid cells as
 // (offsetInChunk, value) pairs kept sorted by offset, exactly the order the
 // paper's chunk-offset compression stores and binary-searches (§3.3). A
-// chunk serializes to one of several formats: the offset-compressed layout,
-// a dense layout (all cells materialized plus a validity bitmap), an
-// LZW-wrapped dense layout, or the two bit-packed codecs added for storage
-// format v5 — kDiffSequence (delta-encoded sorted offsets with bit-packed
-// gaps, per Szépkúti) and kBitPacked (absolute offsets and values packed to
-// their measured bit widths). kAuto picks per chunk by measured serialized
-// size with a decode-cost tiebreak.
+// chunk serializes to one of four codecs: the offset-compressed layout, a
+// dense layout (all cells materialized plus a validity bitmap), an
+// LZW-wrapped dense layout, or kDiffSequence (delta-encoded sorted offsets
+// with bit-packed gaps, per Szépkúti). kAuto picks per chunk by measured
+// serialized size with a decode-cost tiebreak.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +30,10 @@ struct ChunkEntry {
   }
 };
 
-/// Entries per block of the packed codecs: every block starts at a fixed32
-/// anchor (kDiffSequence) or skip-directory entry (kBitPacked), so a reader
-/// can find the block holding an offset from the directory alone and decode
-/// only that block — the §4.2 probe walks the blocks forward this way.
+/// Entries per block of the diff-sequence codec: every block starts at a
+/// fixed32 anchor, so a reader can find the block holding an offset from
+/// the anchors alone and decode only that block — the §4.2 probe walks the
+/// blocks forward this way.
 inline constexpr uint32_t kPackedChunkBlock = 128;
 
 /// Concrete serialized encoding behind a ChunkView (the blob's tag byte, as
@@ -45,7 +43,6 @@ enum class ChunkEncoding : uint8_t {
   kDense = 0,
   kSparse = 1,      // offset-compressed (§3.3)
   kDiffSeq = 2,     // delta-encoded offsets, bit-packed gaps
-  kBitPacked = 3,   // bit-packed absolute offsets
 };
 
 class Chunk {
@@ -75,13 +72,11 @@ class Chunk {
   /// Marks the cell at `offset` invalid; no-op if it already is.
   void Erase(uint32_t offset);
 
-  /// Serializes in `format` (kAuto picks the smallest encoding; with
-  /// `allow_packed` false the kAuto choice is restricted to the legacy
-  /// dense/offset pair, for files at storage format < v5).
-  std::string Serialize(ChunkFormat format, bool allow_packed = true) const;
+  /// Serializes in `format` (kAuto picks the smallest encoding).
+  std::string Serialize(ChunkFormat format) const;
 
   /// The concrete format Serialize would emit for `format`.
-  ChunkFormat ResolveFormat(ChunkFormat format, bool allow_packed = true) const;
+  ChunkFormat ResolveFormat(ChunkFormat format) const;
 
   static Result<Chunk> Deserialize(std::string_view data);
 
@@ -91,8 +86,9 @@ class Chunk {
   /// serializing; kLzwDense compresses (its size is data-dependent).
   uint64_t SerializedBytes(ChunkFormat format) const;
 
-  /// Closed-form sizes of the two legacy encodings, for callers without a
-  /// materialized chunk (SerializedBytes is the per-chunk API).
+  /// Closed-form sizes of the offset-compressed and dense encodings, for
+  /// callers without a materialized chunk (SerializedBytes is the per-chunk
+  /// API).
   static uint64_t SparseBytes(uint32_t num_valid) {
     return 9 + static_cast<uint64_t>(num_valid) * 12;
   }
@@ -139,18 +135,18 @@ class ChunkView {
   std::optional<int64_t> Get(uint32_t offset) const;
 
   /// Sparse encodings: the i-th valid entry (i < num_valid()). O(1) for
-  /// kSparse and kBitPacked; decodes up to one block for kDiffSeq.
+  /// kSparse; decodes up to one block for kDiffSeq.
   ChunkEntry SparseEntry(uint32_t i) const;
 
   /// Sparse encodings: index of the first entry with offset >= `offset`,
   /// searching from entry `from`. A single random lookup (Get uses it):
-  /// on packed encodings each call binary-searches the block directory and
-  /// decodes a block. A run of rising offsets, like the §4.2 probe's
+  /// on kDiffSeq each call binary-searches the block anchors and decodes a
+  /// block. A run of rising offsets, like the §4.2 probe's
   /// candidates, walks the blocks forward instead (num_blocks,
   /// BlockFirstOffset, DecodeBlock) and decodes each block at most once.
   uint32_t SparseLowerBound(uint32_t offset, uint32_t from) const;
 
-  /// Packed encodings (kDiffSeq/kBitPacked): decodes block `b` — entries
+  /// kDiffSeq: decodes block `b` — entries
   /// [b*kPackedChunkBlock, min(num_valid, (b+1)*kPackedChunkBlock)) — into
   /// `offsets`/`values` (each sized >= kPackedChunkBlock) and returns the
   /// number of entries decoded. The portable reference unpacker: ForEach
@@ -158,7 +154,7 @@ class ChunkView {
   /// (kernels::ActiveUnpackBlock) must match it.
   uint32_t DecodeBlock(uint32_t b, uint32_t* offsets, int64_t* values) const;
 
-  /// Packed encodings: the rest of DecodeBlock from entry `from` on —
+  /// kDiffSeq: the rest of DecodeBlock from entry `from` on —
   /// entries [from, n) of block `b`'s offsets (given offsets[from - 1];
   /// 1 <= from) or values, n being the block's entry count. DecodeBlock is
   /// offsets[0] = BlockFirstOffset(b), the offsets from 1 and the values
@@ -168,9 +164,9 @@ class ChunkView {
   void DecodeBlockValuesFrom(uint32_t b, uint32_t from, uint32_t n,
                              int64_t* values) const;
 
-  /// Packed encodings: the number of blocks, ceil(num_valid /
-  /// kPackedChunkBlock), and the first offset of block `b` (its anchor /
-  /// skip-directory entry), read without decoding the block.
+  /// kDiffSeq: the number of blocks, ceil(num_valid / kPackedChunkBlock),
+  /// and the first offset of block `b` (its anchor), read without decoding
+  /// the block.
   uint32_t num_blocks() const { return num_blocks_; }
   uint32_t BlockFirstOffset(uint32_t b) const;
 
@@ -183,14 +179,14 @@ class ChunkView {
   const char* DenseValuesData() const {
     return data_ + 5 + (static_cast<size_t>(capacity_) + 7) / 8;
   }
-  /// Packed encodings: the gap (kDiffSeq) / offset (kBitPacked) stream,
-  /// which ends where the value stream starts, the value stream, which ends
-  /// at PackedEnd(), and the header's field widths and value bias — what
-  /// DecodeBlock reads, for the kernels' block unpackers.
-  const char* PackedStream1Data() const { return stream1_; }
+  /// kDiffSeq: the gap stream, which ends where the value stream starts,
+  /// the value stream, which ends at PackedEnd(), and the header's field
+  /// widths and value bias — what DecodeBlock reads, for the kernels' block
+  /// unpackers.
+  const char* PackedGapsData() const { return gaps_; }
   const char* PackedValuesData() const { return values_; }
   const char* PackedEnd() const { return end_; }
-  unsigned width1() const { return width1_; }
+  unsigned gap_bits() const { return gap_bits_; }
   unsigned val_bits() const { return val_bits_; }
   int64_t val_min() const { return val_min_; }
 
@@ -209,8 +205,7 @@ class ChunkView {
           if (DenseValid(off)) fn(off, DenseValue(off));
         }
         return;
-      case ChunkEncoding::kDiffSeq:
-      case ChunkEncoding::kBitPacked: {
+      case ChunkEncoding::kDiffSeq: {
         uint32_t offsets[kPackedChunkBlock];
         int64_t values[kPackedChunkBlock];
         const uint32_t blocks =
@@ -230,24 +225,24 @@ class ChunkView {
   bool DenseValid(uint32_t offset) const;
   int64_t DenseValue(uint32_t offset) const;
 
-  /// Packed encodings: block b's entries' offsets only (no value decode) —
-  /// the SparseLowerBound in-block search.
+  /// kDiffSeq: block b's entries' offsets only (no value decode) — the
+  /// SparseLowerBound in-block search.
   uint32_t DecodeBlockOffsets(uint32_t b, uint32_t* offsets) const;
 
-  /// Packed encodings: entry i's value.
+  /// kDiffSeq: entry i's value.
   int64_t PackedValue(uint32_t i) const;
 
   const char* data_ = nullptr;
   ChunkEncoding encoding_ = ChunkEncoding::kSparse;
   uint32_t capacity_ = 0;
   uint32_t num_valid_ = 0;
-  // Packed-encoding header fields, cached by Make.
+  // Diff-sequence header fields, cached by Make.
   uint32_t num_blocks_ = 0;
-  unsigned width1_ = 0;    // gap bits (kDiffSeq) or offset bits (kBitPacked)
+  unsigned gap_bits_ = 0;
   unsigned val_bits_ = 0;
   int64_t val_min_ = 0;
   const char* anchors_ = nullptr;  // num_blocks_ fixed32 block-first offsets
-  const char* stream1_ = nullptr;  // gap stream / absolute-offset stream
+  const char* gaps_ = nullptr;     // bit-packed (in-block delta - 1) stream
   const char* values_ = nullptr;   // bit-packed (value - val_min) stream
   const char* end_ = nullptr;      // end of the value stream (= blob end)
 };

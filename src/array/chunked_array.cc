@@ -7,7 +7,6 @@
 
 #include "common/coding.h"
 #include "storage/io_pool.h"
-#include "storage/page.h"
 
 namespace paradise {
 
@@ -25,16 +24,6 @@ constexpr size_t kDataOidOffset = 9;
 constexpr size_t kLayoutOffset = 17;
 constexpr size_t kDirEntryBytes = 20;
 
-bool StoragePermitsPackedCodecs(const StorageManager* storage) {
-  return storage != nullptr && storage->disk() != nullptr &&
-         storage->disk()->format_version() >= page_header::kFormatCodecs;
-}
-
-bool IsPackedFormat(ChunkFormat format) {
-  return format == ChunkFormat::kDiffSequence ||
-         format == ChunkFormat::kBitPacked;
-}
-
 Status CheckChunkNo(const ChunkLayout& layout, uint64_t chunk_no) {
   if (chunk_no < layout.num_chunks()) return Status::OK();
   return Status::OutOfRange("chunk " + std::to_string(chunk_no) + " beyond " +
@@ -48,8 +37,7 @@ ChunkedArray::ChunkedArray(StorageManager* storage, ObjectId meta,
                            std::vector<ChunkInfo> directory)
     : storage_(storage),
       layout_(std::move(layout)),
-      options_(options),
-      allow_packed_(StoragePermitsPackedCodecs(storage)) {
+      options_(options) {
   auto v = std::make_shared<Version>();
   v->meta_oid = meta;
   v->data_oid = data;
@@ -62,7 +50,6 @@ ChunkedArray::ChunkedArray(const ChunkedArray& o)
     : storage_(o.storage_),
       layout_(o.layout_),
       options_(o.options_),
-      allow_packed_(o.allow_packed_),
       version_(o.version()) {}
 
 ChunkedArray& ChunkedArray::operator=(const ChunkedArray& o) {
@@ -71,7 +58,6 @@ ChunkedArray& ChunkedArray::operator=(const ChunkedArray& o) {
   storage_ = o.storage_;
   layout_ = o.layout_;
   options_ = o.options_;
-  allow_packed_ = o.allow_packed_;
   StoreVersion(std::move(v));
   return *this;
 }
@@ -80,7 +66,6 @@ ChunkedArray::ChunkedArray(ChunkedArray&& o) noexcept
     : storage_(o.storage_),
       layout_(std::move(o.layout_)),
       options_(o.options_),
-      allow_packed_(o.allow_packed_),
       version_(o.version()) {}
 
 ChunkedArray& ChunkedArray::operator=(ChunkedArray&& o) noexcept {
@@ -89,7 +74,6 @@ ChunkedArray& ChunkedArray::operator=(ChunkedArray&& o) noexcept {
   storage_ = o.storage_;
   layout_ = std::move(o.layout_);
   options_ = o.options_;
-  allow_packed_ = o.allow_packed_;
   StoreVersion(std::move(v));
   return *this;
 }
@@ -121,32 +105,19 @@ Status ChunkedArray::Builder::PutGlobal(uint64_t global_index, int64_t value) {
 
 Result<ChunkedArray> ChunkedArray::Builder::Finish() {
   PARADISE_RETURN_IF_ERROR(options_.Validate());
-  const bool allow_packed = StoragePermitsPackedCodecs(storage_);
   // Test/CI hook: PARADISE_FORCE_CHUNK_FORMAT overrides the configured
   // format so the whole suite can run once per codec (the codec-matrix CI
-  // job). A forced packed format is dropped on a pre-v5 file rather than
-  // failing: the compat suites deliberately write old-format files, and
-  // those must keep meaning "legacy codecs" under any forced matrix value.
-  if (std::optional<ChunkFormat> forced = ForcedChunkFormatFromEnv()) {
-    if (allow_packed || !IsPackedFormat(*forced)) {
-      options_.chunk_format = *forced;
-    }
-  }
-  if (!allow_packed && IsPackedFormat(options_.chunk_format)) {
-    return Status::NotSupported(
-        std::string(ChunkFormatToString(options_.chunk_format)) +
-        " chunks require storage format v" +
-        std::to_string(page_header::kFormatCodecs) + ", file is v" +
-        std::to_string(storage_->disk()->format_version()));
-  }
+  // job); a value that names no codec fails the build.
+  PARADISE_ASSIGN_OR_RETURN(std::optional<ChunkFormat> forced,
+                            ForcedChunkFormatFromEnv());
+  if (forced) options_.chunk_format = *forced;
   std::vector<ChunkInfo> directory(layout_.num_chunks());
   // Pack chunks back-to-back in chunk-number order (std::map iterates keys
   // in order) so byte order matches logical order.
   std::string data;
   for (const auto& [chunk_no, chunk] : chunks_) {
     if (chunk.empty()) continue;
-    const std::string blob =
-        chunk.Serialize(options_.chunk_format, allow_packed);
+    const std::string blob = chunk.Serialize(options_.chunk_format);
     directory[chunk_no] =
         ChunkInfo{data.size(), blob.size(), chunk.num_valid()};
     data.append(blob);
@@ -204,18 +175,6 @@ Result<ChunkedArray> ChunkedArray::Open(StorageManager* storage,
         "chunked array " + std::to_string(meta) + " uses chunk format " +
         std::to_string(format_byte) + " but this build supports at most " +
         std::to_string(kMaxChunkFormat));
-  }
-  // A packed chunk format inside a pre-v5 file is a contradiction — no
-  // writer of this lineage produces it — so treat it as the same class of
-  // typed rejection rather than decoding data the file's version disclaims.
-  if (IsPackedFormat(static_cast<ChunkFormat>(format_byte)) &&
-      !StoragePermitsPackedCodecs(storage)) {
-    return Status::NotSupported(
-        "chunked array " + std::to_string(meta) + " uses chunk format " +
-        std::string(
-            ChunkFormatToString(static_cast<ChunkFormat>(format_byte))) +
-        " but the file predates storage format v" +
-        std::to_string(page_header::kFormatCodecs));
   }
   ArrayOptions options;
   options.chunk_format = static_cast<ChunkFormat>(format_byte);
@@ -285,7 +244,7 @@ Result<std::string> ChunkedArray::ReadChunkBlob(uint64_t chunk_no) const {
       std::string merged,
       MergeChunkBlob(parts.base, *parts.delta,
                      layout_.ChunkCellCount(chunk_no), options_.chunk_format,
-                     nullptr, allow_packed_));
+                     nullptr));
   return UnwrapChunkBlob(std::move(merged));
 }
 
@@ -373,9 +332,8 @@ Status ChunkedArray::PutCell(const CellCoords& coords, int64_t value) {
     PARADISE_ASSIGN_OR_RETURN(chunk, Chunk::Deserialize(blob));
   }
   PARADISE_RETURN_IF_ERROR(chunk.Put(layout_.CoordsToOffset(coords), value));
-  return RewriteChunk(
-      chunk_no, chunk.Serialize(options_.chunk_format, allow_packed_),
-      chunk.num_valid());
+  return RewriteChunk(chunk_no, chunk.Serialize(options_.chunk_format),
+                      chunk.num_valid());
 }
 
 Status ChunkedArray::EraseCell(const CellCoords& coords) {
@@ -390,9 +348,8 @@ Status ChunkedArray::EraseCell(const CellCoords& coords) {
   }
   chunk.Erase(layout_.CoordsToOffset(coords));
   if (chunk.empty()) return RewriteChunk(chunk_no, std::string(), 0);
-  return RewriteChunk(
-      chunk_no, chunk.Serialize(options_.chunk_format, allow_packed_),
-      chunk.num_valid());
+  return RewriteChunk(chunk_no, chunk.Serialize(options_.chunk_format),
+                      chunk.num_valid());
 }
 
 uint64_t ChunkedArray::num_valid_cells() const {
@@ -481,7 +438,7 @@ Result<ChunkedArray::Compaction> ChunkedArray::PrepareCompaction(
     }
     Result<std::string> blob_or =
         MergeChunkBlob(base, *delta, layout_.ChunkCellCount(c),
-                       options_.chunk_format, &slot.valid, allow_packed_);
+                       options_.chunk_format, &slot.valid);
     if (!blob_or.ok()) {
       slot.status = blob_or.status();
       abort.store(true, std::memory_order_relaxed);

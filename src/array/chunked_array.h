@@ -90,12 +90,6 @@ class ChunkedArray {
   const ArrayOptions& options() const { return options_; }
   ObjectId meta_oid() const;
 
-  /// True when the backing file's storage format admits the bit-packed
-  /// chunk codecs (page_header::kFormatCodecs, v5). Every re-encode path —
-  /// point updates, overlay merges, compaction — funnels this through to
-  /// Chunk::Serialize so a pre-v5 file never gains a packed chunk.
-  bool allow_packed_codecs() const { return allow_packed_; }
-
   /// Value of one cell, or nullopt if invalid. Reads only the pages of the
   /// containing chunk (plus the overlay, which is in memory).
   Result<std::optional<int64_t>> GetCell(const CellCoords& coords) const;
@@ -286,7 +280,6 @@ class ChunkedArray {
   StorageManager* storage_ = nullptr;
   ChunkLayout layout_;
   ArrayOptions options_;
-  bool allow_packed_ = false;  // storage format >= v5 (see allow_packed_codecs)
   mutable std::mutex version_mu_;  // guards only the version_ pointer swap
   VersionPtr version_;
 };

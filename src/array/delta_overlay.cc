@@ -35,12 +35,12 @@ Result<Chunk> MergeChunk(const std::string& base_blob,
 
 Result<std::string> MergeChunkBlob(const std::string& base_blob,
                                    const ChunkDelta& delta, uint32_t capacity,
-                                   ChunkFormat format, uint32_t* merged_valid,
-                                   bool allow_packed) {
+                                   ChunkFormat format,
+                                   uint32_t* merged_valid) {
   PARADISE_ASSIGN_OR_RETURN(Chunk chunk,
                             MergeChunk(base_blob, delta, capacity));
   if (merged_valid != nullptr) *merged_valid = chunk.num_valid();
-  return chunk.Serialize(format, allow_packed);
+  return chunk.Serialize(format);
 }
 
 }  // namespace paradise

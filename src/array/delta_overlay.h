@@ -70,13 +70,9 @@ Result<Chunk> MergeChunk(const std::string& base_blob, const ChunkDelta& delta,
 /// delta -> the merged chunk re-serialized in `format`, byte-identical to
 /// what a bulk load of the merged cells would pack. `capacity` is the
 /// chunk's cell count from the layout. Returns the merged blob and writes
-/// the merged valid-cell count to `merged_valid`. `allow_packed` false
-/// restricts a kAuto re-encode to the legacy dense/offset pair — the
-/// ChunkedArray passes its storage format v5 gate through so compaction
-/// never writes a packed chunk into a pre-v5 file.
+/// the merged valid-cell count to `merged_valid`.
 Result<std::string> MergeChunkBlob(const std::string& base_blob,
                                    const ChunkDelta& delta, uint32_t capacity,
-                                   ChunkFormat format, uint32_t* merged_valid,
-                                   bool allow_packed = true);
+                                   ChunkFormat format, uint32_t* merged_valid);
 
 }  // namespace paradise

@@ -2,8 +2,6 @@
 
 #include <cstdlib>
 
-#include "storage/page.h"
-
 namespace paradise {
 
 namespace {
@@ -22,16 +20,6 @@ Status StorageOptions::Validate() const {
   }
   if (pages_per_extent == 0) {
     return Status::InvalidArgument("pages_per_extent must be > 0");
-  }
-  if (format_version < 1 ||
-      format_version > page_header::kMaxSupportedFormat) {
-    // NotSupported (not InvalidArgument) so tooling can tell a file from a
-    // future format apart from a nonsense option value — the dbverify
-    // forward-compat tripwire keys on this code.
-    return Status::NotSupported(
-        "format_version must be between 1 and " +
-        std::to_string(page_header::kMaxSupportedFormat) + ", got " +
-        std::to_string(format_version));
   }
   if (read_only && allow_overwrite) {
     return Status::InvalidArgument(
@@ -77,8 +65,6 @@ std::string_view ChunkFormatToString(ChunkFormat format) {
       return "lzw-dense";
     case ChunkFormat::kDiffSequence:
       return "diff-sequence";
-    case ChunkFormat::kBitPacked:
-      return "bit-packed";
   }
   return "unknown";
 }
@@ -94,20 +80,22 @@ bool ChunkFormatFromString(std::string_view name, ChunkFormat* out) {
     *out = ChunkFormat::kLzwDense;
   } else if (name == "diffseq" || name == "diff-sequence") {
     *out = ChunkFormat::kDiffSequence;
-  } else if (name == "bitpacked" || name == "bit-packed") {
-    *out = ChunkFormat::kBitPacked;
   } else {
     return false;
   }
   return true;
 }
 
-std::optional<ChunkFormat> ForcedChunkFormatFromEnv() {
+Result<std::optional<ChunkFormat>> ForcedChunkFormatFromEnv() {
   const char* env = std::getenv("PARADISE_FORCE_CHUNK_FORMAT");
-  if (env == nullptr || env[0] == '\0') return std::nullopt;
+  if (env == nullptr || env[0] == '\0') return std::optional<ChunkFormat>();
   ChunkFormat format;
-  if (!ChunkFormatFromString(env, &format)) return std::nullopt;
-  return format;
+  if (!ChunkFormatFromString(env, &format)) {
+    return Status::InvalidArgument(
+        "PARADISE_FORCE_CHUNK_FORMAT='" + std::string(env) +
+        "' is not a chunk format (dense, offset, auto, lzw, diffseq)");
+  }
+  return std::optional<ChunkFormat>(format);
 }
 
 Status ArrayOptions::Validate() const {

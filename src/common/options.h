@@ -9,6 +9,7 @@
 #include <optional>
 #include <string>
 
+#include "common/result.h"
 #include "common/status.h"
 
 namespace paradise {
@@ -62,17 +63,6 @@ struct StorageOptions {
   /// If true, CreateDatabase() truncates an existing file.
   bool allow_overwrite = false;
 
-  /// On-disk page-format version written by Create(). Version 5 (default)
-  /// shares version 4's physical layout but marks the file as possibly
-  /// containing bit-packed chunk codecs (kDiffSequence / kBitPacked), which
-  /// pre-v5 readers must reject rather than misdecode; version 4 marks files
-  /// that may carry incremental-ingest delta state (src/ingest/); version 3
-  /// adds the dual-slot commit manifest used for crash-consistent commits;
-  /// version 2 appends a CRC32C trailer to every physical page; version 1 is
-  /// the legacy checksumless seed format, kept writable for compatibility
-  /// testing. Open() always auto-detects the file's version.
-  uint32_t format_version = 5;
-
   /// Open the file for reading only: Create() is rejected, all mutating page
   /// operations fail, and Close() releases the handle without committing.
   /// Used by verification tooling (dbverify) so that inspecting a damaged
@@ -113,39 +103,39 @@ enum class ChunkFormat : uint8_t {
   /// Chunk-offset compression (paper §3.3): sorted (offset, value) pairs for
   /// valid cells only.
   kOffsetCompressed = 1,
-  /// Pick per chunk whichever of the above serializes smaller.
+  /// Pick per chunk whichever of dense, offset-compressed and
+  /// diff-sequence serializes smallest (Chunk::ResolveFormat).
   kAuto = 2,
   /// LZW-compressed dense chunk — the generic Paradise tile compression the
   /// OLAP ADT replaced (paper §3.1); kept as an ablation.
   kLzwDense = 3,
   /// Difference-sequence compression (Szépkúti): the sorted offsets are
   /// delta-encoded and the gaps bit-packed to the chunk's measured gap
-  /// width, with per-block anchors so probes stay sub-linear. Requires
-  /// storage format v5 (page_header::kFormatCodecs).
+  /// width, with per-block anchors so probes stay sub-linear.
   kDiffSequence = 4,
-  /// Absolute offsets and values bit-packed to their measured widths, with
-  /// a per-block skip directory for O(log) probes. Requires storage format
-  /// v5 (page_header::kFormatCodecs).
-  kBitPacked = 5,
+  // 5 is reserved: it named a bit-packed codec that diff-sequence never
+  // serializes larger than, and is rejected like any unknown value.
 };
 
 /// Highest ChunkFormat value a reader of this build understands. A stored
 /// chunk-format byte above it is a corrupt or future-format file and must be
 /// rejected with a typed error, never cast and silently misdecoded.
 inline constexpr uint8_t kMaxChunkFormat =
-    static_cast<uint8_t>(ChunkFormat::kBitPacked);
+    static_cast<uint8_t>(ChunkFormat::kDiffSequence);
 
 std::string_view ChunkFormatToString(ChunkFormat format);
 
 /// Parses a chunk-format name ("dense", "offset", "offset-compressed",
-/// "auto", "lzw", "lzw-dense", "diffseq", "diff-sequence", "bitpacked",
-/// "bit-packed"). Returns true and sets *out on a match.
+/// "auto", "lzw", "lzw-dense", "diffseq", "diff-sequence"). Returns true and
+/// sets *out on a match.
 bool ChunkFormatFromString(std::string_view name, ChunkFormat* out);
 
 /// The chunk format forced by the PARADISE_FORCE_CHUNK_FORMAT environment
 /// variable (test/CI hook: the codec-matrix CI job runs the whole tier-1
-/// suite once per codec). nullopt when unset, empty, or unrecognized.
-std::optional<ChunkFormat> ForcedChunkFormatFromEnv();
+/// suite once per codec). nullopt when unset or empty; InvalidArgument
+/// naming the value when it is not a chunk-format name, so a stale value
+/// fails every build instead of silently running the default codec.
+Result<std::optional<ChunkFormat>> ForcedChunkFormatFromEnv();
 
 /// OLAP-array configuration.
 struct ArrayOptions {

@@ -168,7 +168,6 @@ class BaseCursor {
       case ChunkEncoding::kSparse:
         return SeekStored(offset);
       case ChunkEncoding::kDiffSeq:
-      case ChunkEncoding::kBitPacked:
         return SeekPacked(offset);
       case ChunkEncoding::kDense:
         break;

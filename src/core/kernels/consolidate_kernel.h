@@ -189,12 +189,11 @@ void DecodeBatchAvx2(const uint32_t* offsets, size_t n,
 
 DecodeBatchFn ActiveDecodeBatch();
 
-/// Unpacks block `b` of a packed `view` into `offsets`/`values` (each sized
-/// >= kPackedChunkBlock) and returns its entry count, exactly as
-/// ChunkView::DecodeBlock does. One symbol per ISA; ActiveUnpackBlock()
+/// Unpacks block `b` of a diff-sequence `view` into `offsets`/`values`
+/// (each sized >= kPackedChunkBlock) and returns its entry count, exactly
+/// as ChunkView::DecodeBlock does. One symbol per ISA; ActiveUnpackBlock()
 /// picks at run time. The scalar one is DecodeBlock; the AVX2 one unpacks
-/// diff-sequence blocks eight fields per step and hands every other packed
-/// encoding to DecodeBlock.
+/// eight fields per step.
 using UnpackBlockFn = uint32_t (*)(const ChunkView& view, uint32_t b,
                                    uint32_t* offsets, int64_t* values);
 
@@ -242,11 +241,10 @@ void UnpackRange(const ChunkView& view, uint32_t begin, uint32_t end,
   }
 
   if (view.sparse()) {
-    // Packed codecs (diff-sequence / bit-packed): unpack one block at a
-    // time (kPackedChunkBlock <= kBatch) with the dispatched unpacker. A
-    // range boundary mid-block decodes the whole block and hands on only its
-    // [lo, hi) slice, so every morsel schedule sees identical cell
-    // sequences.
+    // Diff-sequence: unpack one block at a time (kPackedChunkBlock <=
+    // kBatch) with the dispatched unpacker. A range boundary mid-block
+    // decodes the whole block and hands on only its [lo, hi) slice, so every
+    // morsel schedule sees identical cell sequences.
     static_assert(kPackedChunkBlock <= kBatch);
     const UnpackBlockFn unpack = ActiveUnpackBlock();
     for (uint32_t i = begin; i < end;) {

@@ -143,9 +143,9 @@ inline __m256i PrefixSum8(__m256i x) {
 /// for the portable tail.
 uint32_t UnpackOffsets8(const ChunkView& view, uint32_t b, uint32_t n,
                         uint32_t* offsets) {
-  const unsigned w = view.width1();
+  const unsigned w = view.gap_bits();
   if (w == 0 || w > kMaxLaneBits) return 1;
-  const char* stream = view.PackedStream1Data();
+  const char* stream = view.PackedGapsData();
   const size_t stream_bytes =
       static_cast<size_t>(view.PackedValuesData() - stream);
   const uint64_t bit = uint64_t{b} * (kPackedChunkBlock - 1) * w;
@@ -231,14 +231,11 @@ void DecodeBatchAvx2(const uint32_t* offsets, size_t n,
   }
 }
 
-/// Diff-sequence blocks eight fields per step; fields wider than
-/// kMaxLaneBits, width 0, and the fields whose windows would cross their
-/// stream's end take the portable tails. Other encodings: DecodeBlock.
+/// Eight fields per step; fields wider than kMaxLaneBits, width 0, and the
+/// fields whose windows would cross their stream's end take the portable
+/// tails.
 uint32_t UnpackBlockAvx2(const ChunkView& view, uint32_t b, uint32_t* offsets,
                          int64_t* values) {
-  if (view.encoding() != ChunkEncoding::kDiffSeq) {
-    return view.DecodeBlock(b, offsets, values);
-  }
   const uint32_t start = b * kPackedChunkBlock;
   const uint32_t n = view.num_valid() - start < kPackedChunkBlock
                          ? view.num_valid() - start

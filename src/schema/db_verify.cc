@@ -58,8 +58,7 @@ Result<VerifyReport> VerifyDatabase(const std::string& path,
     PARADISE_RETURN_IF_ERROR(ScrubStorage(&storage, &report.scrub));
     report.page_count = storage.disk()->page_count();
     report.catalog_entries = storage.catalog().size();
-    const PageId first_user =
-        page_header::FirstUserPage(storage.disk()->format_version());
+    const PageId first_user = page_header::kFirstUserPage;
     // Every catalog root is a PageId or ObjectId (the PageId of an object
     // header), so all of them must land inside the file's user area.
     for (const auto& [name, value] : storage.catalog()) {
@@ -82,8 +81,7 @@ Result<VerifyReport> VerifyDatabase(const std::string& path,
   }
   Database* db = db_or.value().get();
   const uint64_t page_count = db->storage()->disk()->page_count();
-  const PageId first_user =
-      page_header::FirstUserPage(db->storage()->disk()->format_version());
+  const PageId first_user = page_header::kFirstUserPage;
 
   std::map<PageId, std::string> claims;
   auto claim = [&](PageId id, const std::string& what) {
@@ -324,8 +322,8 @@ Result<VerifyReport> VerifyDatabase(const std::string& path,
 Result<VerifyReport> VerifyDatabaseFile(const std::string& path) {
   Result<StorageOptions> storage_or = ProbeStorageOptions(path);
   if (!storage_or.ok()) {
-    // A recognizable paradise header carrying a page-format version newer
-    // than kMaxSupportedFormat (NotSupported) is itself a finding: dbverify
+    // A recognizable paradise header carrying a page-format version other
+    // than kFormatVersion (NotSupported) is itself a finding: dbverify
     // reports the typed rejection instead of ever opening a file it might
     // misread. Anything else — missing file, truncation, wrong magic — is
     // not a paradise database at all, so the tool fails rather than report.

@@ -45,6 +45,17 @@ ssize_t WriteAt(int fd, const char* data, size_t n, const char* trailer,
                     const_cast<char*>(trailer), offset, true);
 }
 
+// Any header version but the one this build writes is a typed rejection:
+// NotSupported, naming the field, so tooling can tell a file of another
+// format apart from a damaged one.
+Status CheckFormatVersion(uint32_t version, const std::string& path) {
+  if (version == page_header::kFormatVersion) return Status::OK();
+  return Status::NotSupported(
+      "database file " + path + " has format_version " +
+      std::to_string(version) + "; this build reads only version " +
+      std::to_string(page_header::kFormatVersion));
+}
+
 bool AllZero(const char* buf, size_t n) {
   return std::all_of(buf, buf + n, [](char c) { return c == 0; });
 }
@@ -96,14 +107,13 @@ Status DiskManager::Create(const std::string& path,
   }
   path_ = path;
   page_size_ = options.page_size;
-  format_version_ = options.format_version;
   if (options.metrics_enabled) {
     MetricsRegistry& reg = MetricsRegistry::Default();
     h_read_micros_ = reg.GetHistogram("disk.read_micros");
     h_write_micros_ = reg.GetHistogram("disk.write_micros");
     h_sync_micros_ = reg.GetHistogram("disk.sync_micros");
   }
-  stride_ = page_header::PhysicalStride(format_version_, page_size_);
+  stride_ = page_header::PhysicalStride(page_size_);
   free_list_head_ = kInvalidPageId;
   catalog_oid_ = kInvalidObjectId;
   load_state_ = page_header::kLoadCommitted;
@@ -114,21 +124,16 @@ Status DiskManager::Create(const std::string& path,
   fresh_free_pages_ = 0;
   pending_reuse_.clear();
   reusable_.clear();
-  if (format_version_ >= page_header::kFormatManifest) {
-    // Header + the two manifest slot pages. The header is immutable from
-    // here on; all mutable metadata lives in the manifest.
-    page_count_ = 3;
-    PARADISE_RETURN_IF_ERROR(WriteHeader());
-    std::vector<char> zeros(page_size_, 0);
-    PARADISE_RETURN_IF_ERROR(
-        WritePage(page_header::kManifestSlotPages[0], zeros.data()));
-    // Commits epoch 1 into slot page 2 and fsyncs, so even a freshly created
-    // empty file recovers cleanly.
-    return Commit();
-  }
-  page_count_ = 1;  // header page
+  // Header + the two manifest slot pages. The header is immutable from here
+  // on; all mutable metadata lives in the manifest.
+  page_count_ = page_header::kFirstUserPage;
   PARADISE_RETURN_IF_ERROR(WriteHeader());
-  return SyncFile();
+  std::vector<char> zeros(page_size_, 0);
+  PARADISE_RETURN_IF_ERROR(
+      WritePage(page_header::kManifestSlotPages[0], zeros.data()));
+  // Commits epoch 1 into slot page 2 and fsyncs, so even a freshly created
+  // empty file recovers cleanly.
+  return Commit();
 }
 
 Status DiskManager::Open(const std::string& path,
@@ -186,9 +191,9 @@ Status DiskManager::Open(const std::string& path,
 Status DiskManager::Close() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (fd_ < 0) return Status::OK();
-  // Commit current metadata (manifest on v3, header rewrite on v1/v2), then
-  // release the handle. Every failure mode is propagated, but the handle is
-  // released regardless, so Close() stays idempotent.
+  // Commit current metadata, then release the handle. Every failure mode
+  // is propagated, but the handle is released regardless, so Close() stays
+  // idempotent.
   Status st = read_only_ ? Status::OK() : Commit();
   if (st.ok() && !read_only_ && !reusable_.empty()) {
     // Staged-for-reuse pages are referenced by no durable state: their ids
@@ -248,36 +253,32 @@ Status DiskManager::ReadPage(PageId id, char* buf) {
   if (fd_ < 0) return Status::InvalidArgument("DiskManager not open");
   PARADISE_RETURN_IF_ERROR(CheckPageId(id));
   const int64_t t0 = h_read_micros_ != nullptr ? MicrosNow() : 0;
-  const bool checksummed = format_version_ >= page_header::kFormatChecksummed;
   char trailer[page_header::kPageTrailerBytes];
-  const ssize_t got = ReadAt(fd_, buf, page_size_,
-                             checksummed ? trailer : nullptr, id * stride_);
+  const ssize_t got = ReadAt(fd_, buf, page_size_, trailer, id * stride_);
   if (got < 0) return Status::IOError(ErrnoMessage("read failed", path_));
   if (static_cast<size_t>(got) < page_size_) {
     return Status::IOError("short read of page " + std::to_string(id) +
                            " in " + path_);
   }
-  if (checksummed) {
-    if (static_cast<size_t>(got) < page_size_ + sizeof(trailer)) {
-      return Status::IOError("short trailer read of page " +
-                             std::to_string(id) + " in " + path_);
+  if (static_cast<size_t>(got) < page_size_ + sizeof(trailer)) {
+    return Status::IOError("short trailer read of page " +
+                           std::to_string(id) + " in " + path_);
+  }
+  if (AllZero(trailer, sizeof(trailer))) {
+    // Allocated-but-never-written page (sparse extent tail): all-zero data
+    // with an all-zero trailer is accepted as an uninitialized page.
+    if (!AllZero(buf, page_size_)) {
+      return Status::Corruption("checksum missing on non-empty page " +
+                                std::to_string(id) + " in " + path_);
     }
-    if (AllZero(trailer, sizeof(trailer))) {
-      // Allocated-but-never-written page (sparse extent tail): all-zero data
-      // with an all-zero trailer is accepted as an uninitialized page.
-      if (!AllZero(buf, page_size_)) {
-        return Status::Corruption("checksum missing on non-empty page " +
-                                  std::to_string(id) + " in " + path_);
-      }
-    } else {
-      const uint32_t stored = UnmaskCrc32c(DecodeFixed32(trailer));
-      const uint32_t computed = PageCrc(id, buf);
-      if (stored != computed) {
-        return Status::Corruption(
-            "checksum mismatch on page " + std::to_string(id) + " in " +
-            path_ + " (stored " + std::to_string(stored) + ", computed " +
-            std::to_string(computed) + ")");
-      }
+  } else {
+    const uint32_t stored = UnmaskCrc32c(DecodeFixed32(trailer));
+    const uint32_t computed = PageCrc(id, buf);
+    if (stored != computed) {
+      return Status::Corruption(
+          "checksum mismatch on page " + std::to_string(id) + " in " +
+          path_ + " (stored " + std::to_string(stored) + ", computed " +
+          std::to_string(computed) + ")");
     }
   }
   ++reads_;
@@ -292,14 +293,11 @@ Status DiskManager::WritePage(PageId id, const char* buf) {
   PARADISE_RETURN_IF_ERROR(CheckWritable());
   PARADISE_RETURN_IF_ERROR(CheckPageId(id));
   const int64_t t0 = h_write_micros_ != nullptr ? MicrosNow() : 0;
-  const bool checksummed = format_version_ >= page_header::kFormatChecksummed;
   char trailer[page_header::kPageTrailerBytes] = {};
-  if (checksummed) EncodeFixed32(trailer, MaskCrc32c(PageCrc(id, buf)));
-  const size_t want = page_size_ + (checksummed ? sizeof(trailer) : 0);
-  const ssize_t put = WriteAt(fd_, buf, page_size_,
-                              checksummed ? trailer : nullptr, id * stride_);
+  EncodeFixed32(trailer, MaskCrc32c(PageCrc(id, buf)));
+  const ssize_t put = WriteAt(fd_, buf, page_size_, trailer, id * stride_);
   if (put < 0) return Status::IOError(ErrnoMessage("write failed", path_));
-  if (static_cast<size_t>(put) != want) {
+  if (static_cast<size_t>(put) != stride_) {
     return Status::IOError("short write of page " + std::to_string(id) +
                            " in " + path_);
   }
@@ -319,7 +317,7 @@ Result<PageId> DiskManager::PopFreeListHead() {
   const PageId next = DecodeFixed64(buf.data());
   if (next != kInvalidPageId &&
       (next == id || next >= page_count_ ||
-       next < page_header::FirstUserPage(format_version_))) {
+       next < page_header::kFirstUserPage)) {
     return Status::Corruption(
         "free list corrupted: free page " + std::to_string(id) +
         " links to invalid page " + std::to_string(next) + " in " + path_);
@@ -341,14 +339,11 @@ Status DiskManager::PushFreeListHead(PageId id) {
 Result<PageId> DiskManager::AllocatePage() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   PARADISE_RETURN_IF_ERROR(CheckWritable());
-  const bool manifest = format_version_ >= page_header::kFormatManifest;
   // Pages freed since the last commit sit at the head of the chain and no
-  // durable manifest references them: reuse them immediately. Legacy
-  // formats have no crash-safe manifest to protect, so they always pop.
-  if (free_list_head_ != kInvalidPageId &&
-      (!manifest || fresh_free_pages_ > 0)) {
+  // durable manifest references them: reuse them immediately.
+  if (free_list_head_ != kInvalidPageId && fresh_free_pages_ > 0) {
     PARADISE_ASSIGN_OR_RETURN(const PageId id, PopFreeListHead());
-    if (fresh_free_pages_ > 0) --fresh_free_pages_;
+    --fresh_free_pages_;
     session_freed_.erase(id);
     return id;
   }
@@ -409,7 +404,7 @@ Status DiskManager::FreePage(PageId id) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   PARADISE_RETURN_IF_ERROR(CheckWritable());
   PARADISE_RETURN_IF_ERROR(CheckPageId(id));
-  if (id < page_header::FirstUserPage(format_version_)) {
+  if (id < page_header::kFirstUserPage) {
     return Status::InvalidArgument(
         "cannot free reserved page " + std::to_string(id) +
         (id == 0 ? " (file header)" : " (commit manifest)"));
@@ -436,15 +431,12 @@ Status DiskManager::WriteHeader() {
   EncodeFixed64(buf.data() + page_header::kPageCountOffset, page_count_);
   EncodeFixed64(buf.data() + page_header::kFreeListOffset, free_list_head_);
   EncodeFixed64(buf.data() + page_header::kCatalogOffset, catalog_oid_);
-  const bool checksummed = format_version_ >= page_header::kFormatChecksummed;
+  EncodeFixed32(buf.data() + page_header::kVersionOffset,
+                page_header::kFormatVersion);
   char trailer[page_header::kPageTrailerBytes] = {};
-  if (checksummed) {
-    EncodeFixed32(buf.data() + page_header::kVersionOffset, format_version_);
-    EncodeFixed32(trailer, MaskCrc32c(PageCrc(0, buf.data())));
-  }
-  const size_t want = page_size_ + (checksummed ? sizeof(trailer) : 0);
-  if (WriteAt(fd_, buf.data(), page_size_, checksummed ? trailer : nullptr,
-              0) != static_cast<ssize_t>(want)) {
+  EncodeFixed32(trailer, MaskCrc32c(PageCrc(0, buf.data())));
+  if (WriteAt(fd_, buf.data(), page_size_, trailer, 0) !=
+      static_cast<ssize_t>(stride_)) {
     return Status::IOError("failed to write header of " + path_);
   }
   ++writes_;
@@ -471,47 +463,25 @@ Status DiskManager::ReadHeader() {
         "page size mismatch: file has " + std::to_string(stored_page_size) +
         ", options specify " + std::to_string(page_size_));
   }
-  // Legacy (seed) files end their header at byte 36 with the remainder of
-  // the page zeroed, so a zero version field means v1.
-  const uint32_t stored_version =
-      DecodeFixed32(buf.data() + page_header::kVersionOffset);
-  format_version_ =
-      stored_version == 0 ? page_header::kFormatLegacy : stored_version;
-  if (format_version_ > page_header::kMaxSupportedFormat) {
-    return Status::NotSupported("database file " + path_ +
-                                " has format version " +
-                                std::to_string(format_version_) +
-                                "; this build supports up to version " +
-                                std::to_string(
-                                    page_header::kMaxSupportedFormat));
+  PARADISE_RETURN_IF_ERROR(CheckFormatVersion(
+      DecodeFixed32(buf.data() + page_header::kVersionOffset), path_));
+  stride_ = page_header::PhysicalStride(page_size_);
+  // Verify the whole header page against its trailer before trusting it.
+  std::vector<char> page(page_size_);
+  char trailer[page_header::kPageTrailerBytes];
+  if (ReadAt(fd_, page.data(), page_size_, trailer, 0) !=
+      static_cast<ssize_t>(stride_)) {
+    return Status::Corruption("database file truncated in header: " + path_);
   }
-  stride_ = page_header::PhysicalStride(format_version_, page_size_);
-  page_count_ = DecodeFixed64(buf.data() + page_header::kPageCountOffset);
-  free_list_head_ = DecodeFixed64(buf.data() + page_header::kFreeListOffset);
-  catalog_oid_ = DecodeFixed64(buf.data() + page_header::kCatalogOffset);
-  if (format_version_ >= page_header::kFormatChecksummed) {
-    // Verify the whole header page against its trailer before trusting the
-    // free list and catalog pointers.
-    std::vector<char> page(page_size_);
-    char trailer[page_header::kPageTrailerBytes];
-    if (ReadAt(fd_, page.data(), page_size_, trailer, 0) !=
-        static_cast<ssize_t>(page_size_ + sizeof(trailer))) {
-      return Status::Corruption("database file truncated in header: " +
-                                path_);
-    }
-    const uint32_t stored = UnmaskCrc32c(DecodeFixed32(trailer));
-    const uint32_t computed = PageCrc(0, page.data());
-    if (stored != computed) {
-      return Status::Corruption("checksum mismatch on page 0 (header) in " +
-                                path_);
-    }
+  const uint32_t stored = UnmaskCrc32c(DecodeFixed32(trailer));
+  const uint32_t computed = PageCrc(0, page.data());
+  if (stored != computed) {
+    return Status::Corruption("checksum mismatch on page 0 (header) in " +
+                              path_);
   }
-  if (format_version_ >= page_header::kFormatManifest) {
-    // On v3 the header fields beyond page size/version are a snapshot from
-    // Create(); the committed manifest is authoritative.
-    return LoadManifest();
-  }
-  return Status::OK();
+  // The header fields beyond page size/version are a snapshot from
+  // Create(); the committed manifest is authoritative.
+  return LoadManifest();
 }
 
 Status DiskManager::LoadManifest() {
@@ -559,14 +529,14 @@ Status DiskManager::LoadManifest() {
         "no valid commit manifest in " + path_ +
         " (file was never committed, or both manifest slots are damaged)");
   }
-  if (best.page_count < ph::FirstUserPage(ph::kFormatManifest)) {
+  if (best.page_count < ph::kFirstUserPage) {
     return Status::Corruption("manifest in " + path_ +
                               " declares implausible page count " +
                               std::to_string(best.page_count));
   }
   if (best.free_list != kInvalidPageId &&
       (best.free_list >= best.page_count ||
-       best.free_list < ph::FirstUserPage(ph::kFormatManifest))) {
+       best.free_list < ph::kFirstUserPage)) {
     return Status::Corruption("manifest in " + path_ +
                               " has free-list head " +
                               std::to_string(best.free_list) +
@@ -624,31 +594,23 @@ Status DiskManager::Sync() {
 Status DiskManager::Commit() {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   PARADISE_RETURN_IF_ERROR(CheckWritable());
-  if (format_version_ >= page_header::kFormatManifest) {
-    // Nothing changed since the last commit: skipping keeps a read-only
-    // usage pattern (open, query, close) from churning the epoch — and
-    // guarantees a refused Open() leaves the file byte-identical.
-    if (!dirty_since_commit_ && epoch_ > 0) return Status::OK();
-    Status st = CommitManifest();
-    if (st.ok()) st = SyncFile();
-    // Every page still on the chain is now (or, on failure, may be)
-    // recorded by a durable manifest: its link bytes are frozen until a
-    // later commit advances past it.
-    fresh_free_pages_ = 0;
-    if (!st.ok()) return st;
-    // Pages staged by AllocatePage fell out of the chain just committed:
-    // no durable state references them any more, so they may be handed
-    // out and overwritten. (A crash from here on merely leaks them.)
-    reusable_.insert(reusable_.end(), pending_reuse_.begin(),
-                     pending_reuse_.end());
-    pending_reuse_.clear();
-    dirty_since_commit_ = false;
-    return Status::OK();
-  }
-  // Legacy formats have no manifest: the header is rewritten in place,
-  // which is not torn-write-safe (DESIGN.md documents this gap).
-  PARADISE_RETURN_IF_ERROR(WriteHeader());
-  PARADISE_RETURN_IF_ERROR(SyncFile());
+  // Nothing changed since the last commit: skipping keeps a read-only usage
+  // pattern (open, query, close) from churning the epoch — and guarantees a
+  // refused Open() leaves the file byte-identical.
+  if (!dirty_since_commit_ && epoch_ > 0) return Status::OK();
+  Status st = CommitManifest();
+  if (st.ok()) st = SyncFile();
+  // Every page still on the chain is now (or, on failure, may be) recorded
+  // by a durable manifest: its link bytes are frozen until a later commit
+  // advances past it.
+  fresh_free_pages_ = 0;
+  if (!st.ok()) return st;
+  // Pages staged by AllocatePage fell out of the chain just committed: no
+  // durable state references them any more, so they may be handed out and
+  // overwritten. (A crash from here on merely leaks them.)
+  reusable_.insert(reusable_.end(), pending_reuse_.begin(),
+                   pending_reuse_.end());
+  pending_reuse_.clear();
   dirty_since_commit_ = false;
   return Status::OK();
 }
@@ -670,12 +632,10 @@ Result<StorageOptions> ProbeStorageOptions(const std::string& path) {
   }
   StorageOptions options;
   options.page_size = DecodeFixed32(buf + page_header::kPageSizeOffset);
-  const uint32_t stored_version =
-      DecodeFixed32(buf + page_header::kVersionOffset);
-  options.format_version =
-      stored_version == 0 ? page_header::kFormatLegacy : stored_version;
-  PARADISE_RETURN_IF_ERROR(
-      options.Validate().WithContext("probing header of " + path));
+  Status st = CheckFormatVersion(
+      DecodeFixed32(buf + page_header::kVersionOffset), path);
+  if (st.ok()) st = options.Validate();
+  PARADISE_RETURN_IF_ERROR(st.WithContext("probing header of " + path));
   return options;
 }
 

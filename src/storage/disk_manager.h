@@ -4,11 +4,10 @@
 // their first 8 bytes; pages the committed manifest's chain references are
 // never handed out until a newer manifest stops referencing them, so a
 // crash can always walk the recovered chain), and performs raw page I/O
-// with per-page CRC32C
-// verification (format v2+; legacy v1 files are read without checksums).
-// Format v3 adds a dual-slot commit manifest (pages 1 and 2) so that commits
-// are atomic under power loss: Commit() writes the alternate slot and
-// fsyncs, and Open() adopts the newest slot whose CRC validates. All higher
+// with per-page CRC32C verification. A dual-slot commit manifest (pages 1
+// and 2) makes commits atomic under power loss: Commit() writes the
+// alternate slot and fsyncs, and Open() adopts the newest slot whose CRC
+// validates. All higher
 // layers access pages through the BufferPool, which talks to a Disk* — so a
 // FaultInjectingDiskManager (storage/fault_injection.h) can interpose on
 // every page transfer without the upper layers noticing.
@@ -35,12 +34,13 @@ class Disk {
   virtual ~Disk() = default;
 
   /// Creates a new database file (fails if it exists unless
-  /// options.allow_overwrite), writes a fresh header (and, on v3, the first
-  /// manifest), and makes the result durable.
+  /// options.allow_overwrite), writes a fresh header and the first
+  /// manifest, and makes the result durable.
   virtual Status Create(const std::string& path,
                         const StorageOptions& options) = 0;
 
-  /// Opens an existing database file, validates its header, and on v3 files
+  /// Opens an existing database file, validates its header (a format
+  /// version other than page_header::kFormatVersion is NotSupported), and
   /// recovers the newest valid manifest slot.
   virtual Status Open(const std::string& path,
                       const StorageOptions& options) = 0;
@@ -65,19 +65,16 @@ class Disk {
   virtual uint64_t page_count() const = 0;
   virtual const std::string& path() const = 0;
 
-  /// On-disk format version (page_header::kFormat*).
-  virtual uint32_t format_version() const = 0;
-
   /// Byte offset of page `id` in the file (checksum trailers included), for
   /// storage accounting and fault-injection tooling.
   virtual uint64_t PhysicalPageOffset(PageId id) const = 0;
 
-  /// Reads page `id` into `buf` (page_size() bytes), verifying its checksum
-  /// on v2+ files. A mismatch is kCorruption naming the page.
+  /// Reads page `id` into `buf` (page_size() bytes), verifying its checksum.
+  /// A mismatch is kCorruption naming the page.
   virtual Status ReadPage(PageId id, char* buf) = 0;
 
   /// Writes page `id` from `buf` (page_size() bytes), appending a fresh
-  /// checksum trailer on v2+ files.
+  /// checksum trailer.
   virtual Status WritePage(PageId id, const char* buf) = 0;
 
   /// Allocates one page, reusing the free list when possible. The page's
@@ -100,8 +97,7 @@ class Disk {
   /// Current free-list head (kInvalidPageId when empty), for scrub tooling.
   virtual PageId free_list_head() const = 0;
 
-  /// Load-state flag carried in the manifest (page_header::kLoad*); v1/v2
-  /// files have no durable slot for it and always report kLoadCommitted.
+  /// Load-state flag carried in the manifest (page_header::kLoad*).
   virtual uint32_t load_state() const = 0;
   virtual void set_load_state(uint32_t state) = 0;
 
@@ -110,15 +106,13 @@ class Disk {
   virtual Status Sync() = 0;
 
   /// Atomically commits current metadata (page count, free list, catalog
-  /// oid, load state) and makes it durable. On v3 this writes the alternate
-  /// manifest slot with the next epoch and fsyncs; a crash at any point
-  /// leaves the previous commit recoverable. On v1/v2 it rewrites the header
-  /// in place (not torn-write-safe; the legacy gap is documented in
-  /// DESIGN.md).
+  /// oid, load state) and makes it durable: writes the alternate manifest
+  /// slot with the next epoch and fsyncs; a crash at any point leaves the
+  /// previous commit recoverable.
   virtual Status Commit() = 0;
 
-  /// Epoch of the most recent commit (0 before any; Create() commits epoch 1
-  /// on v3 files).
+  /// Epoch of the most recent commit (0 before any; Create() commits
+  /// epoch 1).
   virtual uint64_t commit_epoch() const = 0;
 
   /// Number of physical page reads/writes performed (for I/O accounting).
@@ -150,7 +144,6 @@ class DiskManager final : public Disk {
     return page_count_;
   }
   const std::string& path() const override { return path_; }
-  uint32_t format_version() const override { return format_version_; }
   uint64_t PhysicalPageOffset(PageId id) const override {
     return id * stride_;
   }
@@ -231,7 +224,6 @@ class DiskManager final : public Disk {
   int fd_ = -1;
   std::string path_;
   size_t page_size_ = 0;
-  uint32_t format_version_ = page_header::kFormatChecksummed;
   uint64_t stride_ = 0;  // physical bytes per page (page_size_ + trailer)
   uint64_t page_count_ = 0;
   PageId free_list_head_ = kInvalidPageId;
@@ -240,7 +232,7 @@ class DiskManager final : public Disk {
   uint64_t epoch_ = 0;
   bool read_only_ = false;
   // True when any state the manifest covers (pages, free list, catalog oid,
-  // load state) changed since the last commit. A clean v3 Commit() is a
+  // load state) changed since the last commit. A clean Commit() is a
   // no-op, so a session that only reads never advances the epoch or touches
   // the file's manifest slots. Also set when recovery finds only one valid
   // slot, so the next commit restores dual-slot redundancy.
@@ -248,7 +240,7 @@ class DiskManager final : public Disk {
   // Pages freed since open and not yet re-allocated; a second FreePage() of
   // any of them would corrupt the free list, so it is rejected instead.
   std::unordered_set<PageId> session_freed_;
-  // Crash safety of the intrusive free list (manifest formats): the chain
+  // Crash safety of the intrusive free list: the chain
   // the durable manifest records must stay byte-intact until a newer
   // manifest commits, or post-crash recovery would walk next-links through
   // pages that were reallocated and overwritten with data. Pages freed
@@ -277,8 +269,9 @@ class DiskManager final : public Disk {
 };
 
 /// Reads the raw file header of `path` and returns StorageOptions matching
-/// the file (page size; format_version as stored). Lets tooling open a
-/// database file without knowing its page size in advance.
+/// the file (its page size). Lets tooling open a database file without
+/// knowing its page size in advance. A format version other than
+/// page_header::kFormatVersion is NotSupported.
 Result<StorageOptions> ProbeStorageOptions(const std::string& path);
 
 }  // namespace paradise

@@ -105,7 +105,6 @@ class FaultInjectingDiskManager final : public Disk {
   size_t page_size() const override { return inner_->page_size(); }
   uint64_t page_count() const override { return inner_->page_count(); }
   const std::string& path() const override { return inner_->path(); }
-  uint32_t format_version() const override { return inner_->format_version(); }
   uint64_t PhysicalPageOffset(PageId id) const override {
     return inner_->PhysicalPageOffset(id);
   }
@@ -144,7 +143,7 @@ class FaultInjectingDiskManager final : public Disk {
 
   /// Flips one bit of page `id` directly in the underlying file (below the
   /// checksum layer). `bit_index` is within the page's data bytes. The next
-  /// uncached read of the page fails checksum verification on v2+ files.
+  /// uncached read of the page fails checksum verification.
   Status FlipBitOnDisk(PageId id, uint64_t bit_index);
 
   /// Kills the disk now, as if power were cut: un-fsynced page writes are

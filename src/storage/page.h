@@ -26,8 +26,12 @@ namespace page_header {
 //   [12,20) page count (including the header page)
 //   [20,28) free-list head PageId (kInvalidPageId if empty)
 //   [28,36) root-catalog ObjectId (kInvalidObjectId if absent)
-//   [36,40) format version (v2+; zero on legacy v1 files, whose headers end
-//           at byte 36 with the rest of the page zeroed)
+//   [36,40) format version (always kFormatVersion; any other value is
+//           rejected with NotSupported)
+//
+// Only the header's magic, page size and version are read back: the page
+// count, free-list head and catalog oid are a snapshot from Create(), and
+// the committed manifest (below) is authoritative for all three.
 inline constexpr char kMagic[8] = {'P', 'R', 'D', 'S', 'A', 'R', 'R', 'Y'};
 inline constexpr size_t kMagicOffset = 0;
 inline constexpr size_t kPageSizeOffset = 8;
@@ -37,43 +41,26 @@ inline constexpr size_t kCatalogOffset = 28;
 inline constexpr size_t kVersionOffset = 36;
 inline constexpr size_t kHeaderBytes = 40;
 
-/// Format versions. v1 (the seed format) stores bare pages; v2 appends a
-/// kPageTrailerBytes trailer to every physical page holding a masked CRC32C
-/// of the page contents and its PageId (DESIGN.md "Page format v2"); v3
-/// additionally reserves pages 1 and 2 as a dual-slot commit manifest and
-/// treats the page-0 header as immutable after Create (DESIGN.md "Crash
-/// consistency").
-inline constexpr uint32_t kFormatLegacy = 1;
-inline constexpr uint32_t kFormatChecksummed = 2;
-inline constexpr uint32_t kFormatManifest = 3;
-/// v4 keeps v3's physical layout (per-page CRC trailers + dual-slot
-/// manifest) unchanged; the bump marks files that may carry incremental
-/// ingest state ("ingest.*" catalog roots holding spilled delta
-/// generations, src/ingest/). Pre-v4 readers reject them instead of
-/// silently ignoring uncompacted deltas.
-inline constexpr uint32_t kFormatIngest = 4;
-/// v5 keeps v4's physical layout unchanged; the bump marks files whose OLAP
-/// arrays may store chunks in the bit-packed codecs (ChunkFormat
-/// kDiffSequence / kBitPacked, array/chunk.cc). Pre-v5 readers reject them
-/// instead of tripping over unknown chunk tags mid-scan; this build never
-/// writes a packed chunk into a file created at version < 5.
-inline constexpr uint32_t kFormatCodecs = 5;
-inline constexpr uint32_t kMaxSupportedFormat = kFormatCodecs;
+/// The one on-disk format this build reads and writes. Every physical page
+/// carries a kPageTrailerBytes CRC trailer (DESIGN.md "Page format"), pages
+/// 1 and 2 are the dual-slot commit manifest (DESIGN.md "Crash
+/// consistency"), the catalog may hold incremental-ingest roots
+/// (src/ingest/) and OLAP arrays may store diff-sequence chunks
+/// (array/chunk.cc). The number is 5 because four earlier formats shared
+/// this header; none of them is readable any more.
+inline constexpr uint32_t kFormatVersion = 5;
 
-// v2 per-page trailer, appended after the page's page_size data bytes:
+// Per-page trailer, appended after the page's page_size data bytes:
 //   [0,4)  masked CRC32C over (data bytes || fixed64 PageId)
 //   [4,8)  reserved, written as zero
 inline constexpr size_t kPageTrailerBytes = 8;
 
 /// Distance in bytes between the starts of consecutive physical pages.
-inline constexpr uint64_t PhysicalStride(uint32_t format_version,
-                                         size_t page_size) {
-  return format_version >= kFormatChecksummed
-             ? page_size + kPageTrailerBytes
-             : page_size;
+inline constexpr uint64_t PhysicalStride(size_t page_size) {
+  return page_size + kPageTrailerBytes;
 }
 
-// v3 dual-slot commit manifest. Pages 1 and 2 each hold one manifest record;
+// Dual-slot commit manifest. Pages 1 and 2 each hold one manifest record;
 // a commit with epoch E writes slot page ManifestSlotPage(E), so successive
 // commits alternate slots and a torn manifest write can only damage the slot
 // being written, never the previously committed one. Open() parses both
@@ -111,11 +98,9 @@ inline constexpr PageId ManifestSlotPage(uint64_t epoch) {
 inline constexpr uint32_t kLoadCommitted = 0;
 inline constexpr uint32_t kLoadBuilding = 1;
 
-/// First PageId the allocator may hand out for the given format (v3 reserves
-/// the two manifest slot pages after the header).
-inline constexpr PageId FirstUserPage(uint32_t format_version) {
-  return format_version >= kFormatManifest ? 3 : 1;
-}
+/// First PageId the allocator may hand out: the header and the two manifest
+/// slot pages come first.
+inline constexpr PageId kFirstUserPage = 3;
 
 }  // namespace page_header
 

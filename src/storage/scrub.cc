@@ -16,11 +16,10 @@ Status ScrubStorage(StorageManager* storage, ScrubReport* report) {
   }
   Disk* disk = storage->disk();
   const uint64_t page_count = disk->page_count();
-  const PageId first_user =
-      page_header::FirstUserPage(disk->format_version());
+  const PageId first_user = page_header::kFirstUserPage;
   std::vector<char> buf(disk->page_size());
 
-  // Pass 1: every page must read back (checksum-clean on v2+). The header
+  // Pass 1: every page must read back (checksum-clean). The header
   // (page 0) was already validated at Open; manifest slots are exempt from
   // page checksums (they are self-validating and torn slots are legal), so
   // the walk starts at the first user page.

@@ -1,5 +1,5 @@
 // Storage scrub: a read-only consistency pass over an open StorageManager.
-// Walks every physical page (verifying checksums on v2+ files), walks the
+// Walks every physical page (verifying checksums), walks the
 // free list detecting cycles and out-of-range links, and checks the
 // manifest-level invariants (load state, pointer bounds). Used by the
 // optional StorageOptions::scrub_on_open startup pass and by the dbverify

@@ -140,8 +140,8 @@ Status StorageManager::FlushAndEvictAll() {
 }
 
 uint64_t StorageManager::FileSizeBytes() const {
-  // PhysicalPageOffset(page_count) accounts for per-page checksum trailers
-  // on format-v2 files, which page_count * page_size would under-report.
+  // PhysicalPageOffset(page_count) accounts for the per-page checksum
+  // trailers, which page_count * page_size would under-report.
   return disk_->PhysicalPageOffset(disk_->page_count());
 }
 

@@ -90,8 +90,7 @@ class StorageManager {
   Status FlushAndEvictAll();
 
   /// Load-state flag stored in the commit manifest (page_header::kLoad*);
-  /// persisted by the next Checkpoint()/Close(). On v1/v2 files the flag
-  /// has no durable slot and reads back kLoadCommitted.
+  /// persisted by the next Checkpoint()/Close().
   uint32_t load_state() const { return disk_->load_state(); }
   void set_load_state(uint32_t state) { disk_->set_load_state(state); }
 

@@ -3,6 +3,8 @@
 // compression, and the persistent ChunkedArray.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "array/chunk.h"
 #include "array/chunk_layout.h"
 #include "array/chunked_array.h"
@@ -246,40 +248,42 @@ TEST(ChunkTest, DenseSerializeRoundTrip) {
 }
 
 TEST(ChunkTest, AutoPicksSmallerFormat) {
-  // With the packed codecs off the table (pre-v5 files), kAuto is the
-  // legacy sparse-vs-dense rule, ties to offset-compressed.
+  // One cell: the 21-byte sparse layout undercuts diff-sequence's 23-byte
+  // header + anchor floor.
   Chunk sparse(1000);
   ASSERT_OK(sparse.Put(3, 1));
-  EXPECT_EQ(sparse.ResolveFormat(ChunkFormat::kAuto, /*allow_packed=*/false),
+  EXPECT_EQ(sparse.ResolveFormat(ChunkFormat::kAuto),
             ChunkFormat::kOffsetCompressed);
 
+  // Every cell valid, values spanning the whole int64 range: diff-sequence
+  // packs nothing, so the dense layout is smallest.
   Chunk dense(10);
-  for (uint32_t i = 0; i < 10; ++i) ASSERT_OK(dense.Put(i, i));
-  EXPECT_EQ(dense.ResolveFormat(ChunkFormat::kAuto, /*allow_packed=*/false),
-            ChunkFormat::kDense);
+  for (uint32_t i = 0; i < 10; ++i) {
+    ASSERT_OK(dense.Put(i, static_cast<int64_t>(i) - 5));
+  }
+  ASSERT_OK(dense.Put(0, std::numeric_limits<int64_t>::min()));
+  ASSERT_OK(dense.Put(9, std::numeric_limits<int64_t>::max()));
+  EXPECT_EQ(dense.ResolveFormat(ChunkFormat::kAuto), ChunkFormat::kDense);
   // Auto serialization round-trips either way.
-  ASSERT_OK_AND_ASSIGN(
-      Chunk back,
-      Chunk::Deserialize(dense.Serialize(ChunkFormat::kAuto,
-                                         /*allow_packed=*/false)));
+  ASSERT_OK_AND_ASSIGN(Chunk back,
+                       Chunk::Deserialize(dense.Serialize(ChunkFormat::kAuto)));
   EXPECT_TRUE(back == dense);
 }
 
 TEST(ChunkTest, AutoPrefersPackedFormatsWhenSmaller) {
-  // Both example chunks bit-pack far below the legacy encodings, so the
-  // full kAuto rule picks a packed codec — and never one that is larger
-  // than what the legacy rule would have chosen. (A near-empty chunk is
-  // different: below ~2 cells the packed header + anchor floor of 23 bytes
-  // exceeds the 9+12n sparse layout and kAuto keeps the legacy pick.)
+  // Both example chunks bit-pack far below the offset and dense layouts,
+  // so kAuto picks diff-sequence — never a format larger than another.
+  // (A near-empty chunk is different: below ~2 cells the packed header +
+  // anchor floor of 23 bytes exceeds the 9+12n sparse layout and kAuto
+  // keeps offset compression.)
   Chunk sparse(1000);
   for (uint32_t off = 3; off < 1000; off += 20) ASSERT_OK(sparse.Put(off, 1));
   const ChunkFormat picked = sparse.ResolveFormat(ChunkFormat::kAuto);
-  EXPECT_TRUE(picked == ChunkFormat::kBitPacked ||
-              picked == ChunkFormat::kDiffSequence)
+  EXPECT_EQ(picked, ChunkFormat::kDiffSequence)
       << ChunkFormatToString(picked);
   for (ChunkFormat f :
        {ChunkFormat::kDense, ChunkFormat::kOffsetCompressed,
-        ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
+        ChunkFormat::kDiffSequence}) {
     EXPECT_LE(sparse.SerializedBytes(picked), sparse.SerializedBytes(f));
   }
   const std::string blob = sparse.Serialize(ChunkFormat::kAuto);
@@ -503,7 +507,7 @@ TEST_F(ChunkedArrayTest, DenseAndSparseFormatsAgree) {
   // Dense chunks are bigger for this sparse data — unless a forced global
   // format (the CI codec-matrix job) has collapsed both arrays onto one
   // codec, in which case the sizes are legitimately equal.
-  if (!ForcedChunkFormatFromEnv().has_value()) {
+  if (!ForcedChunkFormatFromEnv().value_or(std::nullopt).has_value()) {
     EXPECT_LT(sparse.TotalDataBytes(), dense.TotalDataBytes());
   }
 }

@@ -1,7 +1,7 @@
-// Tests for the page-format-v2 CRC32C checksum layer: round-tripping
-// checksummed pages, auto-detecting and reading legacy (seed-format) v1
-// files, and detecting single-bit corruption anywhere in a built database
-// file — chunk blobs, B-tree nodes, bitmap pages and the catalog alike.
+// Tests for the per-page CRC32C checksum layer: round-tripping checksummed
+// pages, rejecting other format versions, and detecting single-bit
+// corruption anywhere in a built database file — chunk blobs, B-tree nodes,
+// bitmap pages and the catalog alike.
 #include <cstdio>
 #include <filesystem>
 
@@ -44,15 +44,11 @@ void FlipByteInFile(const std::string& path, uint64_t offset, char mask) {
 
 TEST(ChecksumTest, RoundTripChecksummedPages) {
   TempFile file("crc_roundtrip");
-  StorageOptions options = SmallOptions();
-  // Pin v2: this test covers the plain checksummed layout without the v3
-  // manifest pages.
-  options.format_version = page_header::kFormatChecksummed;
+  const StorageOptions options = SmallOptions();
   std::vector<PageId> ids;
   {
     DiskManager disk;
     ASSERT_OK(disk.Create(file.path(), options));
-    EXPECT_EQ(disk.format_version(), page_header::kFormatChecksummed);
     for (int i = 0; i < 5; ++i) {
       ASSERT_OK_AND_ASSIGN(PageId id, disk.AllocatePage());
       std::vector<char> page(options.page_size,
@@ -64,7 +60,6 @@ TEST(ChecksumTest, RoundTripChecksummedPages) {
   }
   DiskManager disk;
   ASSERT_OK(disk.Open(file.path(), options));
-  EXPECT_EQ(disk.format_version(), page_header::kFormatChecksummed);
   for (size_t i = 0; i < ids.size(); ++i) {
     std::vector<char> readback(options.page_size);
     ASSERT_OK(disk.ReadPage(ids[i], readback.data()));
@@ -116,33 +111,6 @@ TEST(ChecksumTest, DetectsCorruptHeaderAtOpen) {
   EXPECT_NE(st.ToString().find("header"), std::string::npos) << st.ToString();
 }
 
-TEST(ChecksumTest, WritesLegacyV1FormatWhenRequested) {
-  TempFile file("crc_v1");
-  StorageOptions options = SmallOptions();
-  options.format_version = page_header::kFormatLegacy;
-  PageId id = kInvalidPageId;
-  {
-    DiskManager disk;
-    ASSERT_OK(disk.Create(file.path(), options));
-    EXPECT_EQ(disk.format_version(), page_header::kFormatLegacy);
-    ASSERT_OK_AND_ASSIGN(id, disk.AllocatePage());
-    std::vector<char> page(options.page_size, 'y');
-    ASSERT_OK(disk.WritePage(id, page.data()));
-    ASSERT_OK(disk.Close());
-  }
-  // A v1 file is laid out without per-page trailers, exactly page-sized.
-  EXPECT_EQ(std::filesystem::file_size(file.path()),
-            2 * options.page_size);
-  // Open auto-detects the version regardless of what options request.
-  options.format_version = page_header::kFormatChecksummed;
-  DiskManager disk;
-  ASSERT_OK(disk.Open(file.path(), options));
-  EXPECT_EQ(disk.format_version(), page_header::kFormatLegacy);
-  std::vector<char> readback(options.page_size);
-  ASSERT_OK(disk.ReadPage(id, readback.data()));
-  EXPECT_EQ(readback, std::vector<char>(options.page_size, 'y'));
-}
-
 TEST(ChecksumTest, RejectsFutureFormatVersions) {
   TempFile file("crc_future");
   const StorageOptions options = SmallOptions();
@@ -156,7 +124,7 @@ TEST(ChecksumTest, RejectsFutureFormatVersions) {
   {
     std::FILE* f = std::fopen(file.path().c_str(), "rb+");
     ASSERT_NE(f, nullptr);
-    char version[4] = {page_header::kMaxSupportedFormat + 1, 0, 0, 0};
+    char version[4] = {page_header::kFormatVersion + 1, 0, 0, 0};
     ASSERT_EQ(std::fseek(f, page_header::kVersionOffset, SEEK_SET), 0);
     ASSERT_EQ(std::fwrite(version, 1, 4, f), 4u);
     ASSERT_EQ(std::fclose(f), 0);
@@ -179,36 +147,6 @@ TEST(ChecksumTest, FileSizeAccountsForTrailers) {
   EXPECT_EQ(sm.FileSizeBytes(), expected_bytes);
   ASSERT_OK(sm.Close());
   EXPECT_EQ(std::filesystem::file_size(file.path()), expected_bytes);
-}
-
-/// A database written in the seed's pre-checksum format must keep opening
-/// and answering queries correctly with this build.
-TEST(ChecksumTest, SeedFormatDatabaseOpensAndQueries) {
-  TempFile file("crc_seed_compat");
-  const gen::GenConfig config = TinyConfig(90, 11);
-  ASSERT_OK_AND_ASSIGN(gen::SyntheticDataset data, gen::Generate(config));
-  DatabaseOptions options = SmallDbOptions();
-  options.storage.format_version = page_header::kFormatLegacy;
-  options.build_btree_join_indexes = true;
-  {
-    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
-                         BuildDatabaseFromDataset(file.path(), data, options));
-    EXPECT_EQ(db->storage()->disk()->format_version(),
-              page_header::kFormatLegacy);
-  }
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
-                       Database::Open(file.path(), SmallDbOptions()));
-  EXPECT_EQ(db->storage()->disk()->format_version(),
-            page_header::kFormatLegacy);
-  const query::ConsolidationQuery q = gen::Query3(3, 2);
-  const query::GroupedResult expected = BruteForce(data, q);
-  for (EngineKind kind :
-       {EngineKind::kArray, EngineKind::kStarJoin, EngineKind::kBitmap,
-        EngineKind::kLeftDeep}) {
-    ASSERT_OK_AND_ASSIGN(Execution exec, RunQuery(db.get(), kind, q));
-    EXPECT_TRUE(exec.result.SameAs(expected))
-        << EngineKindToString(kind) << " diverges on a v1 file";
-  }
 }
 
 /// Sweeps a single-bit flip across every page of a fully built database

@@ -3,10 +3,8 @@
 // ChunkFormat, and ChunkView probing (Get), iteration (ForEach), monotone
 // lower-bound walks, and the batch aggregation kernels must produce results
 // cell-for-cell identical to the kOffsetCompressed baseline. A seeded fuzz
-// mode sweeps random shapes, checked-in golden byte fixtures pin the
-// serialized layouts, and the compat tests prove pre-v5 files keep the
-// legacy encodings (and reject the packed ones) exactly as PR 1/2 wrote
-// them.
+// mode sweeps random shapes, and checked-in golden byte fixtures pin the
+// serialized layouts.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -30,7 +28,6 @@
 #include "common/random.h"
 #include "core/kernels/consolidate_kernel.h"
 #include "query/result.h"
-#include "storage/page.h"
 #include "storage/storage_manager.h"
 #include "test_util.h"
 
@@ -43,7 +40,7 @@ using paradise::testing::TempFile;
 const std::vector<ChunkFormat> kAllFormats = {
     ChunkFormat::kDense,        ChunkFormat::kOffsetCompressed,
     ChunkFormat::kAuto,         ChunkFormat::kLzwDense,
-    ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked,
+    ChunkFormat::kDiffSequence,
 };
 
 // The concrete (storable) formats used for golden fixtures — kAuto and
@@ -51,7 +48,6 @@ const std::vector<ChunkFormat> kAllFormats = {
 const std::vector<ChunkFormat> kConcreteFormats = {
     ChunkFormat::kDense,        ChunkFormat::kOffsetCompressed,
     ChunkFormat::kLzwDense,     ChunkFormat::kDiffSequence,
-    ChunkFormat::kBitPacked,
 };
 
 std::string FormatTag(ChunkFormat f) {
@@ -61,7 +57,6 @@ std::string FormatTag(ChunkFormat f) {
     case ChunkFormat::kAuto: return "auto";
     case ChunkFormat::kLzwDense: return "lzw";
     case ChunkFormat::kDiffSequence: return "diffseq";
-    case ChunkFormat::kBitPacked: return "bitpacked";
   }
   return "unknown";
 }
@@ -90,8 +85,8 @@ std::vector<NamedChunk> AdversarialChunks() {
   cases.push_back({"single_cell_cap1", MakeChunk(1, {{0, -7}})});
   cases.push_back({"single_at_max_offset", MakeChunk(100, {{99, 1234567}})});
   {
-    // Every cell valid: the dense encoding's home turf; the packed codecs
-    // must still reproduce it (gap bits collapse to zero under diffseq).
+    // Every cell valid: the dense encoding's home turf; diff-sequence must
+    // still reproduce it (its gap bits collapse to zero).
     Chunk full(64);
     for (uint32_t i = 0; i < 64; ++i) {
       EXPECT_OK(full.AppendSorted(i, static_cast<int64_t>(i) * 3 - 50));
@@ -309,17 +304,18 @@ TEST(CodecConformanceTest, AutoResolvesToTheSmallestConcreteFormat) {
     const uint64_t picked_bytes = c.chunk.SerializedBytes(picked);
     for (ChunkFormat fmt :
          {ChunkFormat::kDense, ChunkFormat::kOffsetCompressed,
-          ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
+          ChunkFormat::kDiffSequence}) {
       EXPECT_LE(picked_bytes, c.chunk.SerializedBytes(fmt))
           << "kAuto picked " << FormatTag(picked) << " but "
           << FormatTag(fmt) << " is smaller";
     }
-    // Legacy-restricted kAuto (pre-v5 files) never picks a packed codec.
-    const ChunkFormat legacy =
-        c.chunk.ResolveFormat(ChunkFormat::kAuto, /*allow_packed=*/false);
-    EXPECT_TRUE(legacy == ChunkFormat::kDense ||
-                legacy == ChunkFormat::kOffsetCompressed);
   }
+  // Two cells whose last offset is <= 127: the shape where the retired
+  // bit-packed codec tied diff-sequence at 25 bytes and won the tie. It now
+  // resolves to diff-sequence at the same length, so no stored chunk grew.
+  const Chunk tie = MakeChunk(4096, {{0, 7}, {3, -7}});
+  EXPECT_EQ(tie.ResolveFormat(ChunkFormat::kAuto), ChunkFormat::kDiffSequence);
+  EXPECT_EQ(tie.SerializedBytes(ChunkFormat::kAuto), 25u);
 }
 
 TEST(CodecConformanceTest, PackedFormatsRejectTruncationAndBadHeaders) {
@@ -327,35 +323,38 @@ TEST(CodecConformanceTest, PackedFormatsRejectTruncationAndBadHeaders) {
   for (uint32_t off = 0; off < 4096; off += 9) {
     ASSERT_OK(chunk.AppendSorted(off, static_cast<int64_t>(off)));
   }
-  for (ChunkFormat fmt :
-       {ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
-    SCOPED_TRACE(FormatTag(fmt));
-    const std::string blob = chunk.Serialize(fmt);
-    // Every proper prefix must be rejected cleanly, never read past the
-    // end or crash — dbverify feeds exactly these bytes through here.
-    for (size_t len : {size_t{0}, size_t{1}, size_t{10}, size_t{18},
-                       size_t{19}, blob.size() / 2, blob.size() - 1}) {
-      Result<ChunkView> view = ChunkView::Make(blob.substr(0, len));
-      EXPECT_FALSE(view.ok()) << "prefix of " << len << " bytes accepted";
-    }
-    // Count beyond capacity (count is the fixed32 at bytes [5, 9)).
-    std::string bad = blob;
-    bad[5] = static_cast<char>(0xff);
-    bad[6] = static_cast<char>(0xff);
-    EXPECT_FALSE(ChunkView::Make(bad).ok());
-    EXPECT_FALSE(Chunk::Deserialize(bad).ok());
-    // Absurd field widths.
-    bad = blob;
-    bad[9] = static_cast<char>(64);
-    EXPECT_FALSE(ChunkView::Make(bad).ok());
+  const std::string blob = chunk.Serialize(ChunkFormat::kDiffSequence);
+  // Every proper prefix must be rejected cleanly, never read past the end
+  // or crash — dbverify feeds exactly these bytes through here.
+  for (size_t len : {size_t{0}, size_t{1}, size_t{10}, size_t{18},
+                     size_t{19}, blob.size() / 2, blob.size() - 1}) {
+    Result<ChunkView> view = ChunkView::Make(blob.substr(0, len));
+    EXPECT_FALSE(view.ok()) << "prefix of " << len << " bytes accepted";
   }
-  // An unknown tag byte is a typed rejection.
-  std::string unknown(32, '\0');
-  unknown[0] = static_cast<char>(0x7f);
-  Result<ChunkView> view = ChunkView::Make(unknown);
-  ASSERT_FALSE(view.ok());
-  EXPECT_NE(view.status().ToString().find("unknown chunk format tag"),
-            std::string::npos);
+  // Count beyond capacity (count is the fixed32 at bytes [5, 9)).
+  std::string bad = blob;
+  bad[5] = static_cast<char>(0xff);
+  bad[6] = static_cast<char>(0xff);
+  EXPECT_FALSE(ChunkView::Make(bad).ok());
+  EXPECT_FALSE(Chunk::Deserialize(bad).ok());
+  // Absurd field widths.
+  bad = blob;
+  bad[9] = static_cast<char>(64);
+  EXPECT_FALSE(ChunkView::Make(bad).ok());
+  // An unknown tag byte is a typed rejection — including 4, the retired
+  // bit-packed codec's tag.
+  for (const char tag : {char{4}, char{0x7f}}) {
+    SCOPED_TRACE("tag " + std::to_string(tag));
+    bad = blob;
+    bad[0] = tag;
+    Result<ChunkView> view = ChunkView::Make(bad);
+    ASSERT_FALSE(view.ok());
+    EXPECT_TRUE(view.status().IsCorruption()) << view.status().ToString();
+    EXPECT_NE(view.status().ToString().find("unknown chunk format tag"),
+              std::string::npos);
+    const Status st = Chunk::Deserialize(bad).status();
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -392,10 +391,11 @@ TEST(CodecUnpackTest, MatchesReadBitsForEveryWidthStartAndCount) {
   }
 }
 
-// Decodes `chunk` in `fmt` from an exact-size copy of its blob through every
-// packed-view reader and checks each against the chunk's entries.
-void CheckPackedDecodeInBounds(const Chunk& chunk, ChunkFormat fmt) {
-  const std::string blob = chunk.Serialize(fmt);
+// Decodes `chunk` as diff-sequence from an exact-size copy of its blob
+// through every packed-view reader and checks each against the chunk's
+// entries.
+void CheckPackedDecodeInBounds(const Chunk& chunk) {
+  const std::string blob = chunk.Serialize(ChunkFormat::kDiffSequence);
   std::unique_ptr<char[]> buf(new char[blob.size()]);
   std::memcpy(buf.get(), blob.data(), blob.size());
   ASSERT_OK_AND_ASSIGN(ChunkView view,
@@ -446,14 +446,10 @@ TEST(CodecUnpackTest, LastFieldOnTheBlobsFinalByteDecodesInBounds) {
           static_cast<int64_t>(static_cast<uint64_t>(lo) + delta)));
       ++k;
     }
-    for (ChunkFormat fmt :
-         {ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
-      SCOPED_TRACE(FormatTag(fmt));
-      CheckPackedDecodeInBounds(chunk, fmt);
-    }
+    CheckPackedDecodeInBounds(chunk);
   }
-  // Constant values (zero value bits): the offset stream ends the blob, so
-  // its own tail takes the fallback. Sweep every offset width.
+  // Constant values (zero value bits): the gap stream ends the blob, so its
+  // own tail takes the fallback. Sweep every offset width.
   for (unsigned w = 1; w <= 31; ++w) {
     SCOPED_TRACE("offset width " + std::to_string(w));
     const uint32_t capacity = uint32_t{1} << w;
@@ -464,11 +460,7 @@ TEST(CodecUnpackTest, LastFieldOnTheBlobsFinalByteDecodesInBounds) {
     for (uint64_t off : offs) {
       ASSERT_OK(chunk.AppendSorted(static_cast<uint32_t>(off), 7));
     }
-    for (ChunkFormat fmt :
-         {ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
-      SCOPED_TRACE(FormatTag(fmt));
-      CheckPackedDecodeInBounds(chunk, fmt);
-    }
+    CheckPackedDecodeInBounds(chunk);
   }
 }
 
@@ -504,13 +496,11 @@ TEST(CodecFuzzTest, RandomChunksAgreeAcrossAllFormats) {
       ASSERT_OK(chunk.AppendSorted(static_cast<uint32_t>(off), v));
     }
     CheckChunkAcrossFormats(chunk, /*probe_all=*/capacity <= 2048);
-    // The kernels' dispatched block unpacker on both packed codecs.
-    for (const ChunkFormat packed :
-         {ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
-      const paradise::testing::ExactBlob blob(chunk.Serialize(packed));
-      ASSERT_OK_AND_ASSIGN(const ChunkView view, ChunkView::Make(blob.view()));
-      paradise::testing::ExpectUnpackMatchesDecodeBlock(view);
-    }
+    // The kernels' dispatched block unpacker.
+    const paradise::testing::ExactBlob blob(
+        chunk.Serialize(ChunkFormat::kDiffSequence));
+    ASSERT_OK_AND_ASSIGN(const ChunkView view, ChunkView::Make(blob.view()));
+    paradise::testing::ExpectUnpackMatchesDecodeBlock(view);
     if (HasFailure()) break;
   }
 }
@@ -612,87 +602,20 @@ TEST(CodecGoldenTest, SerializedBytesMatchCheckedInFixtures) {
 }
 
 // ---------------------------------------------------------------------------
-// Storage-format compatibility: packed codecs are v5-only; v2-v4 files keep
-// the exact legacy behavior.
-
-class CodecCompatTest : public ::testing::TestWithParam<uint32_t> {};
-
-TEST_P(CodecCompatTest, PreV5FilesKeepLegacyEncodings) {
-  if (std::optional<ChunkFormat> forced = ForcedChunkFormatFromEnv();
-      forced && *forced != ChunkFormat::kDiffSequence &&
-      *forced != ChunkFormat::kBitPacked) {
-    GTEST_SKIP() << "a forced legacy format bypasses the packed-codec "
-                    "version gate this test exercises";
-  }
-  const uint32_t version = GetParam();
-  TempFile file("codec_compat_v" + std::to_string(version));
-  StorageManager storage;
-  StorageOptions sopt;
-  sopt.page_size = 4096;
-  sopt.buffer_pool_pages = 64;
-  sopt.format_version = version;
-  ASSERT_OK(storage.Create(file.path(), sopt));
-
-  ASSERT_OK_AND_ASSIGN(ChunkLayout layout, ChunkLayout::Make({4096}, {4096}));
-  // So sparse that v5 kAuto would pick a packed codec; a pre-v5 file must
-  // restrict the choice to the legacy dense/offset pair.
-  ArrayOptions aopt;
-  aopt.chunk_format = ChunkFormat::kAuto;
-  ChunkedArray::Builder builder(&storage, layout, aopt);
-  ASSERT_OK(builder.Put({10}, 7));
-  ASSERT_OK(builder.Put({2000}, -7));
-  ASSERT_OK_AND_ASSIGN(ChunkedArray array, builder.Finish());
-  EXPECT_FALSE(array.allow_packed_codecs());
-
-  ASSERT_OK_AND_ASSIGN(std::string blob, array.ReadChunkBlob(0));
-  ASSERT_FALSE(blob.empty());
-  EXPECT_LE(static_cast<uint8_t>(blob[0]), 2u)
-      << "packed tag written into a v" << version << " file";
-
-  // In-place updates must stay legacy too.
-  ASSERT_OK(array.PutCell({30}, 9));
-  ASSERT_OK_AND_ASSIGN(blob, array.ReadChunkBlob(0));
-  EXPECT_LE(static_cast<uint8_t>(blob[0]), 2u);
-
-  // Explicitly requesting a packed codec on a pre-v5 file is a typed error,
-  // not silent corruption.
-  for (ChunkFormat fmt :
-       {ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
-    ArrayOptions packed;
-    packed.chunk_format = fmt;
-    ChunkedArray::Builder bad(&storage, layout, packed);
-    ASSERT_OK(bad.Put({1}, 1));
-    const Status st = bad.Finish().status();
-    EXPECT_TRUE(st.IsNotSupported()) << st.ToString();
-  }
-
-  // Reopen: data intact, format byte still legacy.
-  ASSERT_OK(array.Sync());
-  const ObjectId meta = array.meta_oid();
-  ASSERT_OK(storage.FlushAndEvictAll());
-  ASSERT_OK_AND_ASSIGN(ChunkedArray reopened,
-                       ChunkedArray::Open(&storage, meta));
-  ASSERT_OK_AND_ASSIGN(std::optional<int64_t> v, reopened.GetCell({2000}));
-  EXPECT_EQ(v, std::optional<int64_t>(-7));
-  ASSERT_OK(storage.Close());
-}
-
-INSTANTIATE_TEST_SUITE_P(Versions, CodecCompatTest,
-                         ::testing::Values(2u, 3u, 4u));
+// Storage: kAuto writes diff-sequence chunks into a database file, and the
+// codec-matrix hook parses every spelling.
 
 TEST(CodecCompatV5Test, V5FilesUsePackedCodecsUnderAuto) {
-  if (std::optional<ChunkFormat> forced = ForcedChunkFormatFromEnv();
-      forced && *forced != ChunkFormat::kDiffSequence &&
-      *forced != ChunkFormat::kBitPacked) {
-    GTEST_SKIP() << "a forced legacy format keeps kAuto from picking a packed "
-                    "codec on this v5 file";
+  if (std::optional<ChunkFormat> forced =
+          ForcedChunkFormatFromEnv().value_or(std::nullopt);
+      forced && *forced != ChunkFormat::kDiffSequence) {
+    GTEST_SKIP() << "a forced format keeps kAuto from picking diff-sequence";
   }
   TempFile file("codec_v5");
   StorageManager storage;
   StorageOptions sopt;
   sopt.page_size = 4096;
   sopt.buffer_pool_pages = 64;
-  ASSERT_EQ(sopt.format_version, page_header::kFormatCodecs);
   ASSERT_OK(storage.Create(file.path(), sopt));
   ASSERT_OK_AND_ASSIGN(ChunkLayout layout, ChunkLayout::Make({4096}, {4096}));
   ArrayOptions aopt;
@@ -701,11 +624,10 @@ TEST(CodecCompatV5Test, V5FilesUsePackedCodecsUnderAuto) {
   ASSERT_OK(builder.Put({10}, 7));
   ASSERT_OK(builder.Put({2000}, -7));
   ASSERT_OK_AND_ASSIGN(ChunkedArray array, builder.Finish());
-  EXPECT_TRUE(array.allow_packed_codecs());
   ASSERT_OK_AND_ASSIGN(std::string blob, array.ReadChunkBlob(0));
   ASSERT_FALSE(blob.empty());
-  EXPECT_GE(static_cast<uint8_t>(blob[0]), 3u)
-      << "two cells in 4096 should pick a packed codec under kAuto";
+  EXPECT_EQ(static_cast<uint8_t>(blob[0]), 3u)
+      << "two cells in 4096 should pick diff-sequence under kAuto";
   ASSERT_OK_AND_ASSIGN(std::optional<int64_t> v, array.GetCell({2000}));
   EXPECT_EQ(v, std::optional<int64_t>(-7));
   ASSERT_OK(storage.Close());
@@ -721,8 +643,6 @@ TEST(CodecCompatTestEnv, ForcedChunkFormatEnvParsesAllSpellings) {
       {"lzw-dense", ChunkFormat::kLzwDense},
       {"diffseq", ChunkFormat::kDiffSequence},
       {"diff-sequence", ChunkFormat::kDiffSequence},
-      {"bitpacked", ChunkFormat::kBitPacked},
-      {"bit-packed", ChunkFormat::kBitPacked},
   };
   for (const auto& [name, want] : spellings) {
     ChunkFormat got;
@@ -732,14 +652,33 @@ TEST(CodecCompatTestEnv, ForcedChunkFormatEnvParsesAllSpellings) {
   ChunkFormat ignored;
   EXPECT_FALSE(ChunkFormatFromString("zstd", &ignored));
   EXPECT_FALSE(ChunkFormatFromString("", &ignored));
+  EXPECT_FALSE(ChunkFormatFromString("bitpacked", &ignored));
 
   ::setenv("PARADISE_FORCE_CHUNK_FORMAT", "diffseq", 1);
-  EXPECT_EQ(ForcedChunkFormatFromEnv(),
+  EXPECT_EQ(ForcedChunkFormatFromEnv().value_or(std::nullopt),
             std::optional<ChunkFormat>(ChunkFormat::kDiffSequence));
-  ::setenv("PARADISE_FORCE_CHUNK_FORMAT", "nonsense", 1);
-  EXPECT_EQ(ForcedChunkFormatFromEnv(), std::nullopt);
+  // A value that names no codec (a retired one included) fails every array
+  // build with an error naming it, instead of silently running kAuto.
+  for (const char* stale : {"nonsense", "bitpacked"}) {
+    SCOPED_TRACE(stale);
+    ::setenv("PARADISE_FORCE_CHUNK_FORMAT", stale, 1);
+    EXPECT_TRUE(ForcedChunkFormatFromEnv().status().IsInvalidArgument());
+    TempFile file("codec_forced_stale");
+    StorageManager storage;
+    StorageOptions sopt;
+    sopt.page_size = 4096;
+    sopt.buffer_pool_pages = 64;
+    ASSERT_OK(storage.Create(file.path(), sopt));
+    ASSERT_OK_AND_ASSIGN(ChunkLayout layout, ChunkLayout::Make({64}, {64}));
+    ChunkedArray::Builder builder(&storage, layout, ArrayOptions());
+    ASSERT_OK(builder.Put({1}, 1));
+    const Status st = builder.Finish().status();
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.ToString().find(stale), std::string::npos) << st.ToString();
+    ASSERT_OK(storage.Close());
+  }
   ::unsetenv("PARADISE_FORCE_CHUNK_FORMAT");
-  EXPECT_EQ(ForcedChunkFormatFromEnv(), std::nullopt);
+  EXPECT_EQ(ForcedChunkFormatFromEnv().value_or(std::nullopt), std::nullopt);
 }
 
 }  // namespace

@@ -223,16 +223,6 @@ TEST(OptionsTest, StorageValidation) {
   o.pages_per_extent = 0;
   EXPECT_TRUE(o.Validate().IsInvalidArgument());
   o.pages_per_extent = 32;
-  o.format_version = 0;
-  EXPECT_TRUE(o.Validate().IsNotSupported());
-  o.format_version = page_header::kMaxSupportedFormat + 1;
-  EXPECT_TRUE(o.Validate().IsNotSupported());
-  o.format_version = 4;
-  EXPECT_OK(o.Validate());
-  o.format_version = 3;
-  EXPECT_OK(o.Validate());
-  o.format_version = 1;
-  EXPECT_OK(o.Validate());
   o.read_only = true;
   o.allow_overwrite = true;
   EXPECT_TRUE(o.Validate().IsInvalidArgument());

@@ -1,9 +1,10 @@
 // Tests for the dbverify library (schema/db_verify.h): clean committed
 // databases verify with zero findings and zero file mutation, every
 // corrupted fixture — bit flip, truncation, garbage — produces findings (the
-// tool's non-zero exit), legacy v1 files verify, chunks carrying ingest
-// deltas get the same exact checks, and the read-only storage mode
-// underpinning it all rejects writes and never commits.
+// tool's non-zero exit), files of any other format version are typed
+// rejections, chunks carrying ingest deltas get the same exact checks, and
+// the read-only storage mode underpinning it all rejects writes and never
+// commits.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "array/chunked_array.h"
 #include "common/coding.h"
 #include "common/options.h"
 #include "ingest/ingest.h"
@@ -74,8 +76,7 @@ TEST(DbVerifyTest, CleanDatabaseVerifiesWithoutFindings) {
   EXPECT_EQ(report.fact_tuples, data.cell_global_indices.size());
   EXPECT_GT(report.chunks_verified, 0u);
   EXPECT_EQ(report.scrub.pages_scanned,
-            report.page_count -
-                page_header::FirstUserPage(page_header::kFormatManifest));
+            report.page_count - page_header::kFirstUserPage);
   EXPECT_EQ(report.scrub.pages_corrupt, 0u);
 }
 
@@ -98,7 +99,7 @@ TEST(DbVerifyTest, FlagsASingleBitFlip) {
   const StorageOptions storage = SmallDbOptions().storage;
   const uint64_t stride = storage.page_size + page_header::kPageTrailerBytes;
   // Any user page: the first one past the header and the manifest slots.
-  const PageId victim = page_header::FirstUserPage(page_header::kFormatManifest);
+  const PageId victim = page_header::kFirstUserPage;
   FlipByteInFile(file.path(), victim * stride + 700, 0x08);
 
   ASSERT_OK_AND_ASSIGN(VerifyReport report, VerifyDatabaseFile(file.path()));
@@ -142,20 +143,6 @@ TEST(DbVerifyTest, MissingFileCannotBeVerified) {
   ASSERT_FALSE(r.ok());
 }
 
-TEST(DbVerifyTest, LegacyV1DatabaseVerifiesClean) {
-  TempFile file("dbverify_v1");
-  gen::SyntheticDataset data;
-  DatabaseOptions options = SmallDbOptions();
-  options.storage.format_version = page_header::kFormatLegacy;
-  BuildTinyDb(file.path(), &data, options);
-
-  ASSERT_OK_AND_ASSIGN(VerifyReport report, VerifyDatabaseFile(file.path()));
-  EXPECT_TRUE(report.clean())
-      << (report.AllIssues().empty() ? std::string("?")
-                                     : report.AllIssues().front());
-  EXPECT_EQ(report.fact_tuples, data.cell_global_indices.size());
-}
-
 /// The read-only storage mode dbverify relies on: writes are rejected at the
 /// disk layer and Close never commits, so the epoch cannot move.
 TEST(DbVerifyTest, ReadOnlyStorageRejectsWritesAndNeverCommits) {
@@ -175,7 +162,7 @@ TEST(DbVerifyTest, ReadOnlyStorageRejectsWritesAndNeverCommits) {
     StorageManager sm;
     ASSERT_OK(sm.Open(file.path(), options));
     EXPECT_FALSE(sm.disk()->WritePage(
-        page_header::FirstUserPage(sm.disk()->format_version()),
+        page_header::kFirstUserPage,
         std::string(options.page_size, 'x').data()).ok());
     EXPECT_FALSE(sm.disk()->AllocatePage().ok());
     ASSERT_OK(sm.Close());
@@ -194,78 +181,115 @@ TEST(DbVerifyTest, ReadOnlyStorageRejectsWritesAndNeverCommits) {
   EXPECT_TRUE(create_st.IsInvalidArgument()) << create_st.ToString();
 }
 
-/// Forward-compat tripwire: a file whose header carries a page-format
-/// version newer than this build understands must be REJECTED with a typed
-/// NotSupported — both by a direct open and by dbverify, which turns the
-/// rejection into a finding instead of misreading pages it cannot decode.
+/// Version tripwire: a file whose header carries any page-format version
+/// but the one this build writes — a far-future one, or one of the retired
+/// formats 1-4 (0 is how the seed format's zeroed field reads) — must be
+/// REJECTED with a typed NotSupported by every opener, and dbverify turns
+/// the rejection into a finding instead of misreading pages it cannot
+/// decode. No opener may touch the file.
 TEST(DbVerifyTest, UnknownPageFormatVersionIsATypedRejection) {
-  TempFile file("dbverify_future_version");
+  TempFile file("dbverify_other_version");
   gen::SyntheticDataset data;
   BuildTinyDb(file.path(), &data);
-  // The version lives as a fixed32 at a fixed header offset; flipping a high
-  // bit of its low byte fabricates a far-future format.
-  FlipByteInFile(file.path(), page_header::kVersionOffset, 0x40);
-
-  StorageManager sm;
-  const Status open_st = sm.Open(file.path(), SmallDbOptions().storage);
-  EXPECT_TRUE(open_st.IsNotSupported()) << open_st.ToString();
-
-  ASSERT_OK_AND_ASSIGN(VerifyReport report, VerifyDatabaseFile(file.path()));
-  EXPECT_FALSE(report.clean());
-  bool typed = false;
-  for (const std::string& issue : report.AllIssues()) {
-    if (issue.find("file header rejected") != std::string::npos &&
-        issue.find("format_version") != std::string::npos) {
-      typed = true;
+  // The version lives as a fixed32 at a fixed header offset; the page CRC is
+  // left stale, since the version check comes first. A high bit of the low
+  // byte fabricates a far-future format.
+  for (const uint32_t version :
+       {0u, 1u, 2u, 3u, 4u, page_header::kFormatVersion ^ 0x40u}) {
+    SCOPED_TRACE("format version " + std::to_string(version));
+    {
+      std::FILE* f = std::fopen(file.path().c_str(), "rb+");
+      ASSERT_NE(f, nullptr);
+      char field[4];
+      EncodeFixed32(field, version);
+      ASSERT_EQ(std::fseek(f, page_header::kVersionOffset, SEEK_SET), 0);
+      ASSERT_EQ(std::fwrite(field, 1, 4, f), 4u);
+      ASSERT_EQ(std::fclose(f), 0);
     }
+    const std::string before = ReadWholeFile(file.path());
+
+    DiskManager disk;
+    const Status disk_st = disk.Open(file.path(), SmallDbOptions().storage);
+    EXPECT_TRUE(disk_st.IsNotSupported()) << disk_st.ToString();
+    const Status probe_st = ProbeStorageOptions(file.path()).status();
+    EXPECT_TRUE(probe_st.IsNotSupported()) << probe_st.ToString();
+    StorageManager sm;
+    const Status open_st = sm.Open(file.path(), SmallDbOptions().storage);
+    EXPECT_TRUE(open_st.IsNotSupported()) << open_st.ToString();
+    const Status db_st = Database::Open(file.path(), SmallDbOptions()).status();
+    EXPECT_TRUE(db_st.IsNotSupported()) << db_st.ToString();
+
+    ASSERT_OK_AND_ASSIGN(VerifyReport report,
+                         VerifyDatabaseFile(file.path()));
+    EXPECT_FALSE(report.clean());
+    bool typed = false;
+    for (const std::string& issue : report.AllIssues()) {
+      if (issue.find("file header rejected") != std::string::npos &&
+          issue.find("format_version") != std::string::npos) {
+        typed = true;
+      }
+    }
+    EXPECT_TRUE(typed) << "no finding carries the typed version rejection";
+    EXPECT_EQ(ReadWholeFile(file.path()), before)
+        << "a rejected open modified the file";
   }
-  EXPECT_TRUE(typed) << "no finding carries the typed version rejection";
 }
 
 /// Same tripwire one layer down: a chunk-format byte above kMaxChunkFormat
-/// in the array meta must surface as a typed rejection, never be cast into
-/// ChunkFormat and misdecoded. The corruption is planted through the object
-/// store so every page checksum stays valid — only the format byte lies.
+/// in the array meta — the retired bit-packed codec's 5, or one this build
+/// has never heard of — must surface as a typed rejection, never be cast
+/// into ChunkFormat and misdecoded. The corruption is planted through the
+/// object store so every page checksum stays valid — only the format byte
+/// lies.
 TEST(DbVerifyTest, UnknownChunkFormatIsATypedRejection) {
   TempFile file("dbverify_chunk_format");
   gen::SyntheticDataset data;
   BuildTinyDb(file.path(), &data);
-  {
-    StorageManager sm;
-    ASSERT_OK(sm.Open(file.path(), SmallDbOptions().storage));
-    std::string olap_root;
-    for (const auto& [name, value] : sm.catalog()) {
-      if (name.rfind("olap_array.", 0) == 0) olap_root = name;
+  for (const char format_byte : {char{5}, char{0x7f}}) {
+    SCOPED_TRACE("chunk format byte " + std::to_string(format_byte));
+    {
+      StorageManager sm;
+      ASSERT_OK(sm.Open(file.path(), SmallDbOptions().storage));
+      std::string olap_root;
+      for (const auto& [name, value] : sm.catalog()) {
+        if (name.rfind("olap_array.", 0) == 0) olap_root = name;
+      }
+      ASSERT_FALSE(olap_root.empty());
+      ASSERT_OK_AND_ASSIGN(uint64_t meta_oid, sm.GetRoot(olap_root));
+      ASSERT_OK_AND_ASSIGN(std::string meta, sm.objects()->Read(meta_oid));
+      // The ADT meta ends with fixed32 measure-count + fixed64 per-measure
+      // chunked-array meta oid; the tiny cube has exactly one measure.
+      ASSERT_GE(meta.size(), 12u);
+      ASSERT_EQ(DecodeFixed32(meta.data() + meta.size() - 12), 1u);
+      const uint64_t chunk_meta_oid =
+          DecodeFixed64(meta.data() + meta.size() - 8);
+      ASSERT_OK_AND_ASSIGN(std::string chunk_meta,
+                           sm.objects()->Read(chunk_meta_oid));
+      ASSERT_GE(chunk_meta.size(), 5u);
+      ASSERT_EQ(chunk_meta.substr(0, 4), "CARR");
+      chunk_meta[4] = format_byte;
+      ASSERT_OK(sm.objects()->Overwrite(chunk_meta_oid, chunk_meta));
+      const Status array_st =
+          ChunkedArray::Open(&sm, chunk_meta_oid).status();
+      EXPECT_TRUE(array_st.IsNotSupported()) << array_st.ToString();
+      ASSERT_OK(sm.Close());
     }
-    ASSERT_FALSE(olap_root.empty());
-    ASSERT_OK_AND_ASSIGN(uint64_t meta_oid, sm.GetRoot(olap_root));
-    ASSERT_OK_AND_ASSIGN(std::string meta, sm.objects()->Read(meta_oid));
-    // The ADT meta ends with fixed32 measure-count + fixed64 per-measure
-    // chunked-array meta oid; the tiny cube has exactly one measure.
-    ASSERT_GE(meta.size(), 12u);
-    ASSERT_EQ(DecodeFixed32(meta.data() + meta.size() - 12), 1u);
-    const uint64_t chunk_meta_oid =
-        DecodeFixed64(meta.data() + meta.size() - 8);
-    ASSERT_OK_AND_ASSIGN(std::string chunk_meta,
-                         sm.objects()->Read(chunk_meta_oid));
-    ASSERT_GE(chunk_meta.size(), 5u);
-    ASSERT_EQ(chunk_meta.substr(0, 4), "CARR");
-    chunk_meta[4] = 0x7f;  // a chunk format this build has never heard of
-    ASSERT_OK(sm.objects()->Overwrite(chunk_meta_oid, chunk_meta));
-    ASSERT_OK(sm.Close());
-  }
 
-  auto opened = Database::Open(file.path(), SmallDbOptions());
-  ASSERT_FALSE(opened.ok());
-  EXPECT_TRUE(opened.status().IsNotSupported()) << opened.status().ToString();
+    auto opened = Database::Open(file.path(), SmallDbOptions());
+    ASSERT_FALSE(opened.ok());
+    EXPECT_TRUE(opened.status().IsNotSupported())
+        << opened.status().ToString();
 
-  ASSERT_OK_AND_ASSIGN(VerifyReport report, VerifyDatabaseFile(file.path()));
-  EXPECT_FALSE(report.clean());
-  bool typed = false;
-  for (const std::string& issue : report.AllIssues()) {
-    if (issue.find("chunk format") != std::string::npos) typed = true;
+    ASSERT_OK_AND_ASSIGN(VerifyReport report,
+                         VerifyDatabaseFile(file.path()));
+    EXPECT_FALSE(report.clean());
+    bool typed = false;
+    for (const std::string& issue : report.AllIssues()) {
+      if (issue.find("chunk format") != std::string::npos) typed = true;
+    }
+    EXPECT_TRUE(typed)
+        << "no finding carries the typed chunk-format rejection";
   }
-  EXPECT_TRUE(typed) << "no finding carries the typed chunk-format rejection";
 }
 
 /// Opens the file, walks the catalog to the OLAP array's packed data
@@ -328,7 +352,8 @@ TEST(DbVerifyTest, UnknownChunkCodecIdIsAFinding) {
 /// lengths (the shape a truncation or torn write produces) must become a
 /// size-mismatch finding, never an out-of-bounds decode.
 TEST(DbVerifyTest, TruncatedDiffSequenceChunkIsAFinding) {
-  if (std::optional<ChunkFormat> forced = ForcedChunkFormatFromEnv();
+  if (std::optional<ChunkFormat> forced =
+          ForcedChunkFormatFromEnv().value_or(std::nullopt);
       forced && *forced != ChunkFormat::kDiffSequence) {
     GTEST_SKIP() << "corruption fixture requires diff-sequence encoding, but "
                     "PARADISE_FORCE_CHUNK_FORMAT selects another codec";
@@ -430,8 +455,7 @@ TEST(DbVerifyTest, ScrubOnOpenRefusesACorruptFile) {
   BuildTinyDb(file.path(), &data);
   const StorageOptions storage = SmallDbOptions().storage;
   const uint64_t stride = storage.page_size + page_header::kPageTrailerBytes;
-  const PageId victim =
-      page_header::FirstUserPage(page_header::kFormatManifest) + 1;
+  const PageId victim = page_header::kFirstUserPage + 1;
   FlipByteInFile(file.path(), victim * stride + 900, 0x04);
 
   StorageOptions scrubbed = storage;

@@ -116,8 +116,7 @@ TEST(ExtentRecoveryTest, AllocateCrashReopenSweep) {
     StorageManager sm;
     ASSERT_OK(sm.Open(file.path(), ExtOptions()));
     const uint64_t page_count = sm.disk()->page_count();
-    const PageId first_user =
-        page_header::FirstUserPage(sm.disk()->format_version());
+    const PageId first_user = page_header::kFirstUserPage;
     if (sm.HasRoot("extents")) {
       ASSERT_OK_AND_ASSIGN(uint64_t root, sm.GetRoot("extents"));
       ExtentAllocator ext(sm.pool(), sm.disk());
@@ -179,7 +178,7 @@ TEST(ExtentRecoveryTest, ReservedPagesCannotBeFreed) {
   const StorageOptions options = ExtOptions();
   DiskManager disk;
   ASSERT_OK(disk.Create(file.path(), options));
-  const PageId first_user = page_header::FirstUserPage(disk.format_version());
+  const PageId first_user = page_header::kFirstUserPage;
   for (PageId id = 0; id < first_user; ++id) {
     const Status st = disk.FreePage(id);
     EXPECT_TRUE(st.IsInvalidArgument()) << "page " << id << ": "

@@ -455,10 +455,10 @@ TEST_P(CancelFuzzTest, CancelledQueriesAreAllOrNothingAndRetryable) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CancelFuzzTest,
                          ::testing::Range(uint64_t{1}, uint64_t{9}));
 
-/// Codec sweep (storage format v5): the chunk codec must be invisible to
-/// every query path. Each random cube is materialized once per ChunkFormat
-/// (forced via PARADISE_FORCE_CHUNK_FORMAT, the same knob the CI codec
-/// matrix uses), and the identical workload — serial, 4-thread parallel,
+/// Codec sweep: the chunk codec must be invisible to every query path.
+/// Each random cube is materialized once per ChunkFormat (forced via
+/// PARADISE_FORCE_CHUNK_FORMAT, the same knob the CI codec matrix uses),
+/// and the identical workload — serial, 4-thread parallel,
 /// cached, and over-the-wire through OlapServer — must produce results
 /// bit-identical to the kOffsetCompressed baseline build.
 class CodecSweepFuzzTest : public ::testing::TestWithParam<uint64_t> {};
@@ -497,7 +497,7 @@ TEST_P(CodecSweepFuzzTest, QueryResultsAreBitIdenticalAcrossChunkFormats) {
   const std::vector<std::pair<std::string, std::optional<uint8_t>>> formats = {
       {"offset", uint8_t{1}},   {"dense", uint8_t{0}},
       {"auto", std::nullopt},   {"lzw", uint8_t{0}},
-      {"diffseq", uint8_t{3}},  {"bitpacked", uint8_t{4}},
+      {"diffseq", uint8_t{3}},
   };
   std::vector<FormatRun> runs;
   for (const auto& [name, want_tag] : formats) {

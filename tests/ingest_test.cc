@@ -256,7 +256,7 @@ void ExpectOverlaidSelectionMatchesFreshLoad(
   const gen::SyntheticDataset merged = Merged(data, upserts);
   for (const ChunkFormat f :
        {ChunkFormat::kDense, ChunkFormat::kOffsetCompressed,
-        ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
+        ChunkFormat::kDiffSequence}) {
     const std::string label(ChunkFormatToString(f));
     DatabaseOptions options = SmallDbOptions();
     options.array.chunk_format = f;

@@ -92,7 +92,7 @@ TEST(IntegrationTest, LoadProtocolErrors) {
 TEST(IntegrationTest, StorageReportTracksDensity) {
   // §3.2: dense arrays beat the fact file; very sparse uncompressed arrays
   // would not, but chunk-offset compression keeps the array small.
-  if (ForcedChunkFormatFromEnv().has_value()) {
+  if (ForcedChunkFormatFromEnv().value_or(std::nullopt).has_value()) {
     GTEST_SKIP() << "size expectations assume the configured per-density "
                     "formats, not a PARADISE_FORCE_CHUNK_FORMAT override";
   }

@@ -304,7 +304,7 @@ TEST(KernelKat, FullCollapseAndUngroupedDims) {
 
 const std::vector<ChunkFormat> kStoredFormats = {
     ChunkFormat::kOffsetCompressed, ChunkFormat::kDense,
-    ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked};
+    ChunkFormat::kDiffSequence};
 
 // Dimension d grouped into cards[d] groups (index i -> group i % cards[d]),
 // ungrouped where cards[d] == 0; row-major result strides.
@@ -610,7 +610,7 @@ void ExpectDeltaMergeMatchesReencode(const Cells& base_cells,
   }
   for (const ChunkFormat f :
        {ChunkFormat::kDense, ChunkFormat::kOffsetCompressed,
-        ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
+        ChunkFormat::kDiffSequence}) {
     // The base as the directory stores it: no bytes when it has no cells.
     Chunk base_chunk(kCap1085);
     for (const auto& [off, value] : base_cells) {
@@ -711,7 +711,7 @@ TEST(KernelEmit, RowsStrictlyIncreasingForEveryRollUpShape) {
   for (const ChunkFormat f :
        {ChunkFormat::kOffsetCompressed, ChunkFormat::kDense,
         ChunkFormat::kAuto, ChunkFormat::kLzwDense,
-        ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
+        ChunkFormat::kDiffSequence}) {
     TempFile file("emit_order");
     DatabaseOptions options = SmallDbOptions();
     options.array.chunk_format = f;
@@ -1068,7 +1068,7 @@ void ExpectProbeMatchesReference(const ProbeCase& c) {
     const ProbeOutcome truth = BruteForceProbe(c, g, with_delta);
     for (const ChunkFormat f :
          {ChunkFormat::kOffsetCompressed, ChunkFormat::kDense,
-          ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
+          ChunkFormat::kDiffSequence}) {
       Chunk chunk(static_cast<uint32_t>(capacity));
       for (const auto& [off, value] : c.base) ASSERT_OK(chunk.Put(off, value));
       const std::string blob =
@@ -1304,7 +1304,7 @@ TEST(KernelProbeCursor, ExecutorMatchesBruteForceOnWideChunks) {
   std::optional<uint64_t> sparse_candidates;
   for (const ChunkFormat f :
        {ChunkFormat::kOffsetCompressed, ChunkFormat::kDense,
-        ChunkFormat::kDiffSequence, ChunkFormat::kBitPacked}) {
+        ChunkFormat::kDiffSequence}) {
     TempFile file("probe_cursor");
     DatabaseOptions options = SmallDbOptions();
     options.array.chunk_format = f;
@@ -1440,9 +1440,9 @@ TEST(KernelUnpack, LastFieldEndsOnStreamsFinalByte) {
   const ExactBlob blob(chunk.Serialize(ChunkFormat::kDiffSequence));
   ASSERT_OK_AND_ASSIGN(const ChunkView view, ChunkView::Make(blob.view()));
   ASSERT_EQ(view.encoding(), ChunkEncoding::kDiffSeq);
-  ASSERT_EQ(view.width1(), 13u);
+  ASSERT_EQ(view.gap_bits(), 13u);
   ASSERT_EQ(view.val_bits(), 21u);
-  ASSERT_EQ((kCount - view.num_blocks()) * view.width1() % 8, 0u);
+  ASSERT_EQ((kCount - view.num_blocks()) * view.gap_bits() % 8, 0u);
   ASSERT_EQ(kCount * view.val_bits() % 8, 0u);
   ExpectUnpackMatchesDecodeBlock(view);
   // And through the kernel: every cell, in order, under both ISAs.

@@ -145,7 +145,7 @@ TEST(LzwChunkFormatTest, DatabaseWithLzwChunksAnswersQueriesCorrectly) {
 }
 
 TEST(LzwChunkFormatTest, LzwSmallerThanDenseOnSparseData) {
-  if (ForcedChunkFormatFromEnv().has_value()) {
+  if (ForcedChunkFormatFromEnv().value_or(std::nullopt).has_value()) {
     GTEST_SKIP() << "PARADISE_FORCE_CHUNK_FORMAT overrides the per-array "
                     "formats this size comparison depends on";
   }

@@ -446,6 +446,7 @@ class ServerMalformedInputTest : public ::testing::Test {
   }
 
   void TearDown() override {
+    if (server_ == nullptr) return;  // SetUp failed before starting it
     server_->Stop();
     EXPECT_EQ(server_->stats().queries_failed, 0u);
   }

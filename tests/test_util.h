@@ -106,7 +106,6 @@ class HookedDisk final : public Disk {
   size_t page_size() const override { return inner_->page_size(); }
   uint64_t page_count() const override { return inner_->page_count(); }
   const std::string& path() const override { return inner_->path(); }
-  uint32_t format_version() const override { return inner_->format_version(); }
   uint64_t PhysicalPageOffset(PageId id) const override {
     return inner_->PhysicalPageOffset(id);
   }

@@ -65,6 +65,7 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "server/wire.h"
+#include "storage/page.h"
 
 namespace paradise {
 namespace {
@@ -265,8 +266,7 @@ Status Run(const Args& args) {
   w.KV("path", args.path);
   w.KV("page_size",
        static_cast<uint64_t>(db->storage()->disk()->page_size()));
-  w.KV("format_version",
-       static_cast<uint64_t>(db->storage()->disk()->format_version()));
+  w.KV("format_version", uint64_t{page_header::kFormatVersion});
   w.KV("page_count", db->storage()->disk()->page_count());
   w.EndObject();
 
