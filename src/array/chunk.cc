@@ -150,13 +150,6 @@ std::optional<int64_t> Chunk::Get(uint32_t offset) const {
   return std::nullopt;
 }
 
-void Chunk::Erase(uint32_t offset) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), offset,
-      [](const ChunkEntry& e, uint32_t o) { return e.offset < o; });
-  if (it != entries_.end() && it->offset == offset) entries_.erase(it);
-}
-
 uint64_t Chunk::SerializedBytes(ChunkFormat format) const {
   switch (format) {
     case ChunkFormat::kDense:

@@ -69,9 +69,6 @@ class Chunk {
   /// selection algorithm uses.
   std::optional<int64_t> Get(uint32_t offset) const;
 
-  /// Marks the cell at `offset` invalid; no-op if it already is.
-  void Erase(uint32_t offset);
-
   /// Serializes in `format` (kAuto picks the smallest encoding).
   std::string Serialize(ChunkFormat format) const;
 

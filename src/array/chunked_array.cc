@@ -96,13 +96,6 @@ Status ChunkedArray::Builder::Put(const CellCoords& coords, int64_t value) {
   return it->second.Put(layout_.CoordsToOffset(coords), value);
 }
 
-Status ChunkedArray::Builder::PutGlobal(uint64_t global_index, int64_t value) {
-  if (global_index >= layout_.total_cells()) {
-    return Status::OutOfRange("global index beyond array");
-  }
-  return Put(layout_.GlobalToCoords(global_index), value);
-}
-
 Result<ChunkedArray> ChunkedArray::Builder::Finish() {
   PARADISE_RETURN_IF_ERROR(options_.Validate());
   // Test/CI hook: PARADISE_FORCE_CHUNK_FORMAT overrides the configured
@@ -294,64 +287,6 @@ Result<std::optional<int64_t>> ChunkedArray::GetCell(
   return view.Get(offset);
 }
 
-Status ChunkedArray::RewriteChunk(uint64_t chunk_no, const std::string& blob,
-                                  uint32_t new_valid) {
-  const VersionPtr v = version();
-  PARADISE_ASSIGN_OR_RETURN(std::string old_data,
-                            storage_->objects()->Read(v->data_oid));
-  auto nv = std::make_shared<Version>(*v);
-  std::string new_data;
-  new_data.reserve(old_data.size() + blob.size());
-  for (uint64_t c = 0; c < nv->directory.size(); ++c) {
-    ChunkInfo& info = nv->directory[c];
-    if (c == chunk_no) {
-      info = ChunkInfo{new_data.size(), blob.size(), new_valid};
-      new_data.append(blob);
-      continue;
-    }
-    if (info.num_valid == 0) continue;
-    const uint64_t offset = new_data.size();
-    new_data.append(old_data, info.offset, info.bytes);
-    info.offset = offset;
-  }
-  PARADISE_RETURN_IF_ERROR(
-      storage_->objects()->Overwrite(v->data_oid, new_data));
-  StoreVersion(std::move(nv));
-  return Status::OK();
-}
-
-Status ChunkedArray::PutCell(const CellCoords& coords, int64_t value) {
-  const VersionPtr v = version();
-  const uint64_t chunk_no = layout_.CoordsToChunk(coords);
-  // Point updates edit the BASE chunk (never the overlay — mixing the two
-  // write paths would fold overlay cells into the base silently).
-  PARADISE_ASSIGN_OR_RETURN(std::string blob,
-                            ReadBaseChunkBlobAt(*v, chunk_no));
-  Chunk chunk(layout_.ChunkCellCount(chunk_no));
-  if (!blob.empty()) {
-    PARADISE_ASSIGN_OR_RETURN(chunk, Chunk::Deserialize(blob));
-  }
-  PARADISE_RETURN_IF_ERROR(chunk.Put(layout_.CoordsToOffset(coords), value));
-  return RewriteChunk(chunk_no, chunk.Serialize(options_.chunk_format),
-                      chunk.num_valid());
-}
-
-Status ChunkedArray::EraseCell(const CellCoords& coords) {
-  const VersionPtr v = version();
-  const uint64_t chunk_no = layout_.CoordsToChunk(coords);
-  if (v->directory[chunk_no].num_valid == 0) return Status::OK();
-  PARADISE_ASSIGN_OR_RETURN(std::string blob,
-                            ReadBaseChunkBlobAt(*v, chunk_no));
-  Chunk chunk(layout_.ChunkCellCount(chunk_no));
-  if (!blob.empty()) {
-    PARADISE_ASSIGN_OR_RETURN(chunk, Chunk::Deserialize(blob));
-  }
-  chunk.Erase(layout_.CoordsToOffset(coords));
-  if (chunk.empty()) return RewriteChunk(chunk_no, std::string(), 0);
-  return RewriteChunk(chunk_no, chunk.Serialize(options_.chunk_format),
-                      chunk.num_valid());
-}
-
 uint64_t ChunkedArray::num_valid_cells() const {
   const VersionPtr v = version();
   uint64_t n = 0;
@@ -375,12 +310,6 @@ Result<uint64_t> ChunkedArray::TotalPages() const {
   PARADISE_ASSIGN_OR_RETURN(uint64_t data_pages,
                             storage_->objects()->PageFootprint(v->data_oid));
   return meta_pages + data_pages;
-}
-
-Status ChunkedArray::Sync() {
-  const VersionPtr v = version();
-  return storage_->objects()->Overwrite(v->meta_oid,
-                                        SerializeMeta(*v, layout_, options_));
 }
 
 void ChunkedArray::PublishOverlay(

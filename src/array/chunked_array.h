@@ -20,10 +20,8 @@
 // delta-only and delta-over-base chunks are indistinguishable from a
 // from-scratch load of the merged data.
 //
-// The array is optimized for bulk load + read (the paper's workload); point
-// updates (PutCell/EraseCell) rewrite the packed data object in place and
-// are O(array size) — load-era APIs, not safe against concurrent readers
-// (ingest writes go through src/ingest/ instead).
+// After Builder::Finish, a version changes only through PublishOverlay and
+// PublishCompaction, so cells change only through ingest (src/ingest/).
 #pragma once
 
 #include <cstdint>
@@ -60,9 +58,6 @@ class ChunkedArray {
     /// Sets the cell at `coords` (last write wins).
     Status Put(const CellCoords& coords, int64_t value);
 
-    /// Sets the cell at a row-major global index.
-    Status PutGlobal(uint64_t global_index, int64_t value);
-
     /// Writes data + meta and opens the resulting array.
     Result<ChunkedArray> Finish();
 
@@ -93,13 +88,6 @@ class ChunkedArray {
   /// Value of one cell, or nullopt if invalid. Reads only the pages of the
   /// containing chunk (plus the overlay, which is in memory).
   Result<std::optional<int64_t>> GetCell(const CellCoords& coords) const;
-
-  /// Writes one cell. Rewrites the packed data object; call Sync() after a
-  /// batch of updates to persist the directory.
-  Status PutCell(const CellCoords& coords, int64_t value);
-
-  /// Marks one cell invalid.
-  Status EraseCell(const CellCoords& coords);
 
   /// Reads one chunk's raw serialized bytes (empty string for an empty
   /// chunk), with any overlay deltas merged in: exactly the bytes a
@@ -156,9 +144,6 @@ class ChunkedArray {
 
   /// Pages occupied by the data object and the meta object.
   Result<uint64_t> TotalPages() const;
-
-  /// Persists the chunk directory to the meta object.
-  Status Sync();
 
   // --- incremental ingest (src/ingest/) ---
 
@@ -270,12 +255,6 @@ class ChunkedArray {
   /// The base chunk deserialized with the version's delta cells Put over
   /// it; nothing is re-encoded.
   Result<Chunk> ReadChunkAt(const Version& v, uint64_t chunk_no) const;
-
-  /// Replaces chunk `chunk_no` with `blob` (possibly empty), rewriting the
-  /// packed data object IN PLACE and storing a version with the re-based
-  /// directory (load-era point updates; not concurrent-reader safe).
-  Status RewriteChunk(uint64_t chunk_no, const std::string& blob,
-                      uint32_t new_valid);
 
   StorageManager* storage_ = nullptr;
   ChunkLayout layout_;

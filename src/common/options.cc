@@ -43,16 +43,6 @@ Status StorageOptions::Validate() const {
   return Status::OK();
 }
 
-std::string_view EvictionPolicyToString(EvictionPolicy policy) {
-  switch (policy) {
-    case EvictionPolicy::kClock:
-      return "clock";
-    case EvictionPolicy::kLru:
-      return "lru";
-  }
-  return "unknown";
-}
-
 std::string_view ChunkFormatToString(ChunkFormat format) {
   switch (format) {
     case ChunkFormat::kDense:

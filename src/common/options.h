@@ -16,23 +16,10 @@ namespace paradise {
 
 class Disk;
 
-/// Buffer-pool victim selection policy.
-enum class EvictionPolicy : uint8_t {
-  /// Second-chance clock (default; what most systems of the paper's era ran).
-  kClock = 0,
-  /// Exact least-recently-used (O(frames) victim scan; ablation).
-  kLru = 1,
-};
-
-std::string_view EvictionPolicyToString(EvictionPolicy policy);
-
 /// Storage-manager configuration.
 struct StorageOptions {
   /// Size of one disk page in bytes. Must be a power of two >= 512.
   size_t page_size = 8192;
-
-  /// Buffer-pool replacement policy.
-  EvictionPolicy eviction = EvictionPolicy::kClock;
 
   /// Buffer-pool capacity in pages. The paper's Paradise runs used a 16 MB
   /// pool; 2048 8 KiB pages matches that default.

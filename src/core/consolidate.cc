@@ -164,41 +164,6 @@ Result<query::GroupedResult> ArrayConsolidate(
   return FlatToGroupedResult(spec, flat, spec.GroupColumnNames(array));
 }
 
-Result<ChunkedArray> MaterializeConsolidation(
-    StorageManager* storage, const OlapArray& array,
-    const query::ConsolidationQuery& q, const ArrayOptions& options) {
-  if (q.HasSelection()) {
-    return Status::InvalidArgument(
-        "cannot materialize a consolidation with a selection");
-  }
-  PARADISE_ASSIGN_OR_RETURN(query::GroupedResult result,
-                            ArrayConsolidate(array, q));
-  PARADISE_ASSIGN_OR_RETURN(GroupSpec spec, GroupSpec::Make(array, q));
-  if (spec.grouped_dims.empty()) {
-    return Status::InvalidArgument(
-        "cannot materialize a fully-collapsed consolidation as an array");
-  }
-  std::vector<uint32_t> dims;
-  std::vector<uint32_t> extents;
-  for (int32_t c : spec.cardinalities) {
-    dims.push_back(static_cast<uint32_t>(c));
-    extents.push_back(std::max<uint32_t>(
-        1, std::min<uint32_t>(static_cast<uint32_t>(c),
-                              options.default_chunk_extent)));
-  }
-  PARADISE_ASSIGN_OR_RETURN(ChunkLayout layout,
-                            ChunkLayout::Make(dims, extents));
-  ChunkedArray::Builder builder(storage, layout, options);
-  for (const query::ResultRow& row : result.rows()) {
-    CellCoords coords(row.group.size());
-    for (size_t i = 0; i < row.group.size(); ++i) {
-      coords[i] = static_cast<uint32_t>(row.group[i]);
-    }
-    PARADISE_RETURN_IF_ERROR(builder.Put(coords, row.agg.sum));
-  }
-  return builder.Finish();
-}
-
 Result<OlapArray> ConsolidateToOlapArray(
     StorageManager* storage, const OlapArray& array,
     const std::vector<const DimensionTable*>& dims,

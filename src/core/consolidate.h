@@ -82,14 +82,6 @@ Result<query::GroupedResult> ArrayConsolidate(
     PhaseTimer* timer = nullptr, ArrayConsolidateStats* stats = nullptr,
     const ArrayConsolidateOptions& options = {});
 
-/// Materializes a consolidation's output as a new persistent OlapArray-style
-/// chunked array. Grouped dimensions become the result dimensions at their
-/// level cardinalities; the cell value is the SUM of the group. A query with
-/// a selection is rejected with InvalidArgument.
-Result<ChunkedArray> MaterializeConsolidation(
-    StorageManager* storage, const OlapArray& array,
-    const query::ConsolidationQuery& q, const ArrayOptions& options);
-
 /// The paper's full contract (§4.1): "the result of a consolidation
 /// operation on an instance of the OLAP Array ADT is another instance of the
 /// OLAP Array ADT", complete with its own dimension tables, B-trees and

@@ -124,16 +124,6 @@ Status OlapArray::Builder::PutByKeys(const std::vector<int32_t>& keys,
   return Status::OK();
 }
 
-Status OlapArray::Builder::PutByIndices(const CellCoords& coords,
-                                        int64_t value) {
-  if (!initialized_) return Status::InvalidArgument("call Init() first");
-  if (num_measures_ != 1) {
-    return Status::InvalidArgument(
-        "PutByIndices is single-measure; use PutByKeys for p > 1");
-  }
-  return array_builders_[0]->Put(coords, value);
-}
-
 Result<OlapArray> OlapArray::Builder::Finish() {
   if (!initialized_) return Status::InvalidArgument("call Init() first");
   std::vector<ChunkedArray> arrays;
@@ -315,28 +305,6 @@ Result<std::optional<int64_t>> OlapArray::ReadCellByKeys(
     coords[d] = *idx;
   }
   return arrays_[m].GetCell(coords);
-}
-
-Status OlapArray::WriteCellByKeys(const std::vector<int32_t>& keys,
-                                  int64_t value, size_t m) {
-  if (keys.size() != num_dims()) {
-    return Status::InvalidArgument("key arity mismatch");
-  }
-  if (m >= arrays_.size()) {
-    return Status::InvalidArgument("bad measure index " + std::to_string(m));
-  }
-  CellCoords coords(keys.size());
-  for (size_t d = 0; d < keys.size(); ++d) {
-    PARADISE_ASSIGN_OR_RETURN(std::optional<uint32_t> idx,
-                              KeyToIndex(d, keys[d]));
-    if (!idx.has_value()) {
-      return Status::NotFound("key " + std::to_string(keys[d]) +
-                              " not in dimension " + dim_names_[d]);
-    }
-    coords[d] = *idx;
-  }
-  PARADISE_RETURN_IF_ERROR(arrays_[m].PutCell(coords, value));
-  return arrays_[m].Sync();
 }
 
 }  // namespace paradise

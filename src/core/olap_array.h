@@ -6,8 +6,10 @@
 //   * one IndexToIndexArray per dimension (hierarchy roll-up maps), and
 //   * the dimension schemas/names, persisted together in one meta object
 //     registered in the database catalog.
-// The ADT functions of §3.5 — cell read/write, subset summation, slicing,
-// consolidation — live here and in consolidate*.cc / slice.cc.
+// The ADT functions of §3.5 — cell read, subset summation, slicing,
+// consolidation — live here and in consolidate*.cc / slice.cc; the Write
+// function is IngestManager::Write + Commit (src/ingest/), the only way a
+// loaded cube's cells change.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +54,6 @@ class OlapArray {
     /// Adds the cell's p measure values.
     Status PutByKeys(const std::vector<int32_t>& keys,
                      const std::vector<int64_t>& values);
-
-    /// Adds the cell addressed by base array indices directly.
-    Status PutByIndices(const CellCoords& coords, int64_t value);
 
     /// Writes the arrays, the meta object, and the catalog entry.
     Result<OlapArray> Finish();
@@ -110,11 +109,7 @@ class OlapArray {
   Result<std::optional<int64_t>> ReadCellByKeys(
       const std::vector<int32_t>& keys, size_t m = 0) const;
 
-  /// ADT Write function: sets measure `m` at the cell addressed by keys.
-  Status WriteCellByKeys(const std::vector<int32_t>& keys, int64_t value,
-                         size_t m = 0);
-
-  /// Mutable access for the write path.
+  /// Mutable access for ingest and compaction, which publish new versions.
   ChunkedArray* mutable_array(size_t m = 0) { return &arrays_[m]; }
 
   /// Re-serializes the ADT meta (embedding the measures' CURRENT array meta

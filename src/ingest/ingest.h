@@ -24,10 +24,13 @@
 // (the pre-compaction array versions) go to a graveyard and are freed once
 // their version refcount shows no reader can reach them.
 //
-// Scope: ingest targets the OLAP array only and requires existing dimension
-// keys. The relational fact file is NOT maintained, so once any ingest
-// commit lands the relational engines are permanently gated off with a
-// typed error (see query/engine.cc) — the array is the paper's protagonist.
+// Scope: after load, Write + Commit is the only way a cube's cells change
+// (it is the §3.5 ADT Write function), so ingested() tells completely
+// whether the array has moved past the fact file. Ingest targets the OLAP
+// array only and requires existing dimension keys. The relational fact file
+// is NOT maintained, so once any ingest commit lands the relational engines
+// are permanently gated off with a typed error (see query/engine.cc) — the
+// array is the paper's protagonist.
 #pragma once
 
 #include <atomic>

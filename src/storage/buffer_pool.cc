@@ -58,8 +58,7 @@ BufferPool::BufferPool(Disk* disk, const StorageOptions& options)
       page_size_(options.page_size),
       capacity_(options.buffer_pool_pages),
       read_retry_limit_(options.read_retry_limit),
-      read_retry_backoff_micros_(options.read_retry_backoff_micros),
-      eviction_(options.eviction) {
+      read_retry_backoff_micros_(options.read_retry_backoff_micros) {
   if (options.metrics_enabled) {
     MetricsRegistry& reg = MetricsRegistry::Default();
     mirror_.hits = reg.GetCounter("bufferpool.hits");
@@ -124,25 +123,6 @@ Result<size_t> BufferPool::PickClockVictim(Shard& s) {
       " frames of the page's shard pinned");
 }
 
-Result<size_t> BufferPool::PickLruVictim(Shard& s) {
-  size_t victim = s.frames.size();
-  uint64_t oldest = UINT64_MAX;
-  for (size_t i = 0; i < s.frames.size(); ++i) {
-    const Frame& f = s.frames[i];
-    if (f.pin_count > 0) continue;
-    if (f.last_used < oldest) {
-      oldest = f.last_used;
-      victim = i;
-    }
-  }
-  if (victim == s.frames.size()) {
-    return Status::ResourceExhausted(
-        "buffer pool exhausted: all " + std::to_string(s.frames.size()) +
-        " frames of the page's shard pinned");
-  }
-  return victim;
-}
-
 Result<size_t> BufferPool::AcquireFrame(Shard& s) {
   if (!s.free_frames.empty()) {
     const size_t idx = s.free_frames.back();
@@ -150,9 +130,7 @@ Result<size_t> BufferPool::AcquireFrame(Shard& s) {
     if (s.frames[idx].data.empty()) s.frames[idx].data.resize(page_size_);
     return idx;
   }
-  PARADISE_ASSIGN_OR_RETURN(size_t idx, eviction_ == EvictionPolicy::kLru
-                                            ? PickLruVictim(s)
-                                            : PickClockVictim(s));
+  PARADISE_ASSIGN_OR_RETURN(size_t idx, PickClockVictim(s));
   Frame& f = s.frames[idx];
   if (f.dirty) {
     // Write-back under the shard latch: only this shard stalls, and the
@@ -209,7 +187,6 @@ Result<PageGuard> BufferPool::FetchPage(PageId id) {
     if (mirror_.hits != nullptr) mirror_.hits->Increment();
     ++f.pin_count;
     f.referenced = true;
-    f.last_used = ++s.tick;
     return PageGuard(this, shard_index, it->second, id);
   }
   PARADISE_ASSIGN_OR_RETURN(size_t idx, AcquireFrame(s));
@@ -222,7 +199,6 @@ Result<PageGuard> BufferPool::FetchPage(PageId id) {
   f.dirty = false;
   f.referenced = true;
   f.io_in_progress = true;
-  f.last_used = ++s.tick;
   s.page_table[id] = idx;
   lock.unlock();
 
@@ -262,7 +238,6 @@ Result<PageGuard> BufferPool::NewPage() {
   f.dirty = true;
   f.referenced = true;
   f.io_in_progress = false;
-  f.last_used = ++s.tick;
   s.page_table[id] = idx;
   return PageGuard(this, shard_index, idx, id);
 }

@@ -177,7 +177,6 @@ class BufferPool {
     /// Set while the owning fetch reads the page from disk outside the shard
     /// latch; concurrent fetches of the same page wait on `io_cv`.
     bool io_in_progress = false;
-    uint64_t last_used = 0;  // LRU timestamp
     std::vector<char> data;
   };
 
@@ -189,7 +188,6 @@ class BufferPool {
     std::vector<size_t> free_frames;
     std::unordered_map<PageId, size_t> page_table;
     size_t clock_hand = 0;
-    uint64_t tick = 0;
     BufferPoolStats stats;
   };
 
@@ -204,10 +202,9 @@ class BufferPool {
   /// Called with the shard latch held.
   Result<size_t> AcquireFrame(Shard& s);
 
-  /// Victim selection under each policy; returns the frame index or an
+  /// Second-chance clock victim selection; returns the frame index or an
   /// error when every frame is pinned. Shard latch held.
   Result<size_t> PickClockVictim(Shard& s);
-  Result<size_t> PickLruVictim(Shard& s);
 
   void Unpin(size_t shard_index, size_t frame_index);
   const char* FrameData(size_t shard_index, size_t frame_index) const;
@@ -228,7 +225,6 @@ class BufferPool {
   size_t capacity_;
   size_t read_retry_limit_;
   uint64_t read_retry_backoff_micros_;
-  EvictionPolicy eviction_;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Global last-read page for seq/rand classification; atomic so the
   /// classification stays exact for serial workloads and merely approximate

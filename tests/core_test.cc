@@ -9,6 +9,8 @@
 #include "core/olap_array.h"
 #include "core/slice.h"
 #include "gen/datasets.h"
+#include "ingest/ingest.h"
+#include "query/engine.h"
 #include "schema/loader.h"
 #include "test_util.h"
 
@@ -99,12 +101,62 @@ TEST_F(CoreTest, ReadCellByKeysMatchesData) {
       db_->olap()->ReadCellByKeys({0, 0, 0, 0}).status().IsInvalidArgument());
 }
 
+// The §3.5 ADT Write function is an ingest Write + Commit, the only way a
+// loaded cube's cells change. Every answering path must agree on the write:
+// the array-side readers see it, the relational engines (which read the
+// now-stale fact file) refuse with a typed error, and a registered aggregate
+// built before the write no longer answers.
 TEST_F(CoreTest, WriteCellByKeysUpdatesArray) {
-  const std::vector<int32_t> keys = {1, 2, 3};
-  ASSERT_OK(db_->olap()->WriteCellByKeys(keys, 4242));
+  const std::vector<int32_t> keys =
+      data_.CellKeys(data_.cell_global_indices[0]);
+  const int64_t old_value = data_.measures[0];
+  const int64_t new_value = old_value + 1000;
+  const query::ConsolidationQuery q = gen::Query1(3);
+  IndexBox box;
+  for (uint32_t size : db_->olap()->layout().dims()) box.push_back({0, size});
+
+  ASSERT_OK(db_->MaterializeAggregate(q, "agg0", ArrayOptions{}).status());
+  ASSERT_OK_AND_ASSIGN(Execution before, RunQuery(db_.get(),
+                                                  EngineKind::kArray, q));
+  EXPECT_EQ(before.stats.aggregate, "agg0");
+  ASSERT_OK_AND_ASSIGN(std::vector<SliceCell> slice_before,
+                       ArraySlice(*db_->olap(), 0, keys[0]));
+  ASSERT_OK_AND_ASSIGN(query::AggState box_before,
+                       ArraySumSubset(*db_->olap(), box));
+  const uint64_t epoch_before = db_->storage()->commit_epoch();
+
+  ASSERT_OK(db_->ingest()->Write(keys, {new_value}));
+  ASSERT_OK(db_->ingest()->Commit());
+  EXPECT_TRUE(db_->ingest()->ingested());
+  EXPECT_GT(db_->storage()->commit_epoch(), epoch_before);
+
   ASSERT_OK_AND_ASSIGN(std::optional<int64_t> v,
                        db_->olap()->ReadCellByKeys(keys));
-  EXPECT_EQ(v, std::optional<int64_t>(4242));
+  EXPECT_EQ(v, std::optional<int64_t>(new_value));
+
+  ASSERT_OK_AND_ASSIGN(std::vector<SliceCell> slice_after,
+                       ArraySlice(*db_->olap(), 0, keys[0]));
+  ASSERT_EQ(slice_after.size(), slice_before.size());
+  int64_t slice_delta = 0;
+  for (size_t i = 0; i < slice_after.size(); ++i) {
+    EXPECT_EQ(slice_after[i].coords, slice_before[i].coords);
+    slice_delta += slice_after[i].value - slice_before[i].value;
+  }
+  EXPECT_EQ(slice_delta, 1000);
+
+  ASSERT_OK_AND_ASSIGN(query::AggState box_after,
+                       ArraySumSubset(*db_->olap(), box));
+  EXPECT_EQ(box_after.sum, box_before.sum + 1000);
+  EXPECT_EQ(box_after.count, box_before.count);
+
+  ASSERT_OK_AND_ASSIGN(Execution after, RunQuery(db_.get(),
+                                                 EngineKind::kArray, q));
+  EXPECT_EQ(after.stats.aggregate, "");
+  EXPECT_EQ(after.result.TotalSum(), before.result.TotalSum() + 1000);
+  EXPECT_FALSE(db_->FindAggregate(q).has_value());
+
+  const Status star = RunQuery(db_.get(), EngineKind::kStarJoin, q).status();
+  EXPECT_TRUE(star.IsNotSupported()) << star.ToString();
 }
 
 TEST_F(CoreTest, ConsolidateMatchesBruteForce) {
@@ -284,26 +336,6 @@ TEST_F(CoreTest, SumSubsetWholeArrayIsGrandTotal) {
   EXPECT_EQ(agg.count, data_.measures.size());
   EXPECT_TRUE(ArraySumSubset(*db_->olap(), {{0, 1}}).status()
                   .IsInvalidArgument());
-}
-
-TEST_F(CoreTest, MaterializeConsolidationWritesResultArray) {
-  const query::ConsolidationQuery q = gen::Query1(3);
-  ASSERT_OK_AND_ASSIGN(
-      ChunkedArray result,
-      MaterializeConsolidation(db_->storage(), *db_->olap(), q,
-                               ArrayOptions{}));
-  ASSERT_OK_AND_ASSIGN(query::GroupedResult expected,
-                       ArrayConsolidate(*db_->olap(), q));
-  EXPECT_EQ(result.num_valid_cells(), expected.num_groups());
-  for (const query::ResultRow& row : expected.rows()) {
-    CellCoords coords(row.group.size());
-    for (size_t i = 0; i < row.group.size(); ++i) {
-      coords[i] = static_cast<uint32_t>(row.group[i]);
-    }
-    ASSERT_OK_AND_ASSIGN(std::optional<int64_t> v, result.GetCell(coords));
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, row.agg.sum);
-  }
 }
 
 TEST_F(CoreTest, OlapArrayReopens) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "ingest/ingest.h"
 #include "query/planner.h"
 #include "query/sql.h"
 #include "test_util.h"
@@ -173,8 +174,9 @@ TEST_F(MultiMeasureTest, AdtCellFunctionsPerMeasure) {
   ASSERT_TRUE(revenue.has_value());
   EXPECT_EQ(*volume, facts_[0][2]);
   EXPECT_EQ(*revenue, facts_[0][3]);
-  // Write one measure without disturbing the other.
-  ASSERT_OK(db_->olap()->WriteCellByKeys(keys, 999, 1));
+  // Write revenue through ingest, carrying volume over unchanged.
+  ASSERT_OK(db_->ingest()->Write(keys, {*volume, 999}));
+  ASSERT_OK(db_->ingest()->Commit());
   ASSERT_OK_AND_ASSIGN(revenue, db_->olap()->ReadCellByKeys(keys, 1));
   EXPECT_EQ(*revenue, 999);
   ASSERT_OK_AND_ASSIGN(volume, db_->olap()->ReadCellByKeys(keys, 0));

@@ -422,7 +422,12 @@ TEST_F(ResultCacheDbTest, CommitEpochChurnInvalidatesAcrossReload) {
   ASSERT_OK_AND_ASSIGN(std::optional<int64_t> old_value,
                        db_->olap()->ReadCellByKeys(keys));
   ASSERT_TRUE(old_value.has_value());
-  ASSERT_OK(db_->olap()->WriteCellByKeys(keys, *old_value + 1000));
+  ASSERT_OK(db_->ingest()->Write(keys, {*old_value + 1000}));
+  ASSERT_OK(db_->ingest()->Commit());
+  // The commit frees the objects it superseded only after its manifest
+  // lands; that free-list update rides in the next commit, which would
+  // otherwise be the close below. Publish it now so the reload that
+  // follows opens exactly the file this epoch names.
   ASSERT_OK(db_->storage()->Checkpoint());
   ASSERT_GT(db_->commit_epoch(), epoch_before);
 
@@ -456,8 +461,8 @@ TEST_F(ResultCacheDbTest, RunPinnedBehindTheCurrentEpochKeepsTheSnapshot) {
   ASSERT_OK_AND_ASSIGN(std::optional<int64_t> old_value,
                        db_->olap()->ReadCellByKeys(keys));
   ASSERT_TRUE(old_value.has_value());
-  ASSERT_OK(db_->olap()->WriteCellByKeys(keys, *old_value + 1000));
-  ASSERT_OK(db_->storage()->Checkpoint());
+  ASSERT_OK(db_->ingest()->Write(keys, {*old_value + 1000}));
+  ASSERT_OK(db_->ingest()->Commit());
   ASSERT_GT(db_->commit_epoch(), old_epoch);
 
   // A session pinned at the old epoch whose run pinned the newer array (a

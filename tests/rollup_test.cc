@@ -200,10 +200,6 @@ TEST_F(RollupTest, RejectsSelection) {
                                      ArrayOptions{})
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(MaterializeConsolidation(db_->storage(), *db_->olap(), q,
-                                       ArrayOptions{})
-                  .status()
-                  .IsInvalidArgument());
   EXPECT_TRUE(db_->MaterializeAggregate(q, "filtered", ArrayOptions{})
                   .status()
                   .IsInvalidArgument());

@@ -264,8 +264,8 @@ TEST_F(ServerConcurrencyTest, EpochPinnedSessionSurvivesEpochBump) {
   ASSERT_OK_AND_ASSIGN(std::optional<int64_t> old_value,
                        db_->olap()->ReadCellByKeys(keys));
   ASSERT_TRUE(old_value.has_value());
-  ASSERT_OK(db_->olap()->WriteCellByKeys(keys, *old_value + 1000));
-  ASSERT_OK(db_->storage()->Checkpoint());
+  ASSERT_OK(db_->ingest()->Write(keys, {*old_value + 1000}));
+  ASSERT_OK(db_->ingest()->Commit());
   ASSERT_GT(db_->commit_epoch(), old_epoch);
 
   // The pinned session keeps reading its snapshot: same query, same bytes,
