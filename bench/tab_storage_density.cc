@@ -26,20 +26,19 @@ void Report(const char* label, Database* db, double density) {
                  report.status().ToString().c_str());
     std::exit(1);
   }
-  // Exact per-format sizes of this array's chunks, from the single
-  // estimator the codec auto-selection uses.
+  // Exact per-format sizes of this array's chunks (one pinned version), from
+  // the single estimator the codec auto-selection uses.
+  const ChunkedArray array = db->olap()->array();
   uint64_t dense_bytes = 0, diffseq_bytes = 0, auto_bytes = 0;
-  const Status scanned = db->olap()->array().ScanChunks(
-      [&](uint64_t, const Chunk& chunk) {
-        dense_bytes += chunk.SerializedBytes(ChunkFormat::kDense);
-        diffseq_bytes += chunk.SerializedBytes(ChunkFormat::kDiffSequence);
-        auto_bytes += chunk.SerializedBytes(ChunkFormat::kAuto);
-        return Status::OK();
-      });
-  if (!scanned.ok()) {
-    std::fprintf(stderr, "chunk scan failed: %s\n",
-                 scanned.ToString().c_str());
-    std::exit(1);
+  for (uint64_t c = 0; c < array.layout().num_chunks(); ++c) {
+    if (array.ChunkIsEmpty(c)) continue;
+    Result<std::string> blob = array.ReadChunkBlob(c);
+    PARADISE_CHECK_OK(blob.status());
+    Result<Chunk> chunk = Chunk::Deserialize(*blob);
+    PARADISE_CHECK_OK(chunk.status());
+    dense_bytes += chunk->SerializedBytes(ChunkFormat::kDense);
+    diffseq_bytes += chunk->SerializedBytes(ChunkFormat::kDiffSequence);
+    auto_bytes += chunk->SerializedBytes(ChunkFormat::kAuto);
   }
   std::printf("%s,%.3f,%llu,%llu,%llu,%llu,%llu,%llu\n", label,
               density * 100.0,

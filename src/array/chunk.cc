@@ -234,62 +234,20 @@ Result<std::string> UnwrapChunkBlob(std::string blob) {
 }
 
 Result<Chunk> Chunk::Deserialize(std::string_view data) {
-  if (!data.empty() && static_cast<uint8_t>(data[0]) == kLzwTag) {
-    PARADISE_ASSIGN_OR_RETURN(std::string dense,
-                              UnwrapChunkBlob(std::string(data)));
-    return Deserialize(dense);
-  }
-  if (data.size() < 5) return Status::Corruption("chunk blob too small");
-  const uint8_t tag = static_cast<uint8_t>(data[0]);
-  const uint32_t capacity = DecodeFixed32(data.data() + 1);
-  Chunk chunk(capacity);
-  if (tag == kSparseTag) {
-    if (data.size() < 9) return Status::Corruption("sparse chunk truncated");
-    const uint32_t count = DecodeFixed32(data.data() + 5);
-    if (data.size() != 9 + static_cast<size_t>(count) * 12) {
-      return Status::Corruption("sparse chunk size mismatch");
-    }
-    chunk.entries_.reserve(count);
-    const char* p = data.data() + 9;
-    for (uint32_t i = 0; i < count; ++i) {
-      const uint32_t offset = DecodeFixed32(p);
-      const int64_t value = static_cast<int64_t>(DecodeFixed64(p + 4));
-      p += 12;
-      PARADISE_RETURN_IF_ERROR(chunk.AppendSorted(offset, value));
-    }
-    return chunk;
-  }
-  if (tag == kDenseTag) {
-    const size_t bitmap_bytes = (static_cast<size_t>(capacity) + 7) / 8;
-    if (data.size() != 5 + bitmap_bytes + static_cast<size_t>(capacity) * 8) {
-      return Status::Corruption("dense chunk size mismatch");
-    }
-    const char* bitmap = data.data() + 5;
-    const char* values = data.data() + 5 + bitmap_bytes;
-    for (uint32_t off = 0; off < capacity; ++off) {
-      if ((static_cast<uint8_t>(bitmap[off / 8]) >> (off % 8)) & 1) {
-        PARADISE_RETURN_IF_ERROR(chunk.AppendSorted(
-            off, static_cast<int64_t>(
-                     DecodeFixed64(values + static_cast<size_t>(off) * 8))));
-      }
-    }
-    return chunk;
-  }
-  if (tag == kDiffSeqTag) {
-    // Decode through the view so there is exactly one reader of the
-    // diff-sequence layout; AppendSorted re-validates strict offset order
-    // and capacity bounds cell by cell, which is the deep check dbverify
-    // relies on.
-    PARADISE_ASSIGN_OR_RETURN(ChunkView view, ChunkView::Make(data));
-    chunk.entries_.reserve(view.num_valid());
-    Status st = Status::OK();
-    view.ForEach([&](uint32_t offset, int64_t value) {
-      if (st.ok()) st = chunk.AppendSorted(offset, value);
-    });
-    PARADISE_RETURN_IF_ERROR(st);
-    return chunk;
-  }
-  return Status::Corruption("unknown chunk format tag " + std::to_string(tag));
+  // Decode through the view so each layout has exactly one reader;
+  // AppendSorted re-validates strict offset order and capacity bounds cell
+  // by cell, which is the deep check dbverify relies on.
+  PARADISE_ASSIGN_OR_RETURN(std::string plain,
+                            UnwrapChunkBlob(std::string(data)));
+  PARADISE_ASSIGN_OR_RETURN(ChunkView view, ChunkView::Make(plain));
+  Chunk chunk(view.capacity());
+  chunk.entries_.reserve(view.num_valid());
+  Status st = Status::OK();
+  view.ForEach([&](uint32_t offset, int64_t value) {
+    if (st.ok()) st = chunk.AppendSorted(offset, value);
+  });
+  PARADISE_RETURN_IF_ERROR(st);
+  return chunk;
 }
 
 Result<ChunkView> ChunkView::Make(std::string_view blob) {

@@ -75,6 +75,8 @@ class Chunk {
   /// The concrete format Serialize would emit for `format`.
   ChunkFormat ResolveFormat(ChunkFormat format) const;
 
+  /// Materializes a serialized chunk (LZW-wrapped or not), read through
+  /// ChunkView; fails on a malformed blob or out-of-order cells.
   static Result<Chunk> Deserialize(std::string_view data);
 
   /// Exact serialized size of this chunk in `format` — the single estimator

@@ -214,17 +214,6 @@ Result<ChunkedArray::ChunkParts> ChunkedArray::ReadChunkPartsAt(
   return parts;
 }
 
-Result<Chunk> ChunkedArray::ReadChunkAt(const Version& v,
-                                        uint64_t chunk_no) const {
-  PARADISE_ASSIGN_OR_RETURN(ChunkParts parts, ReadChunkPartsAt(v, chunk_no));
-  const uint32_t capacity = layout_.ChunkCellCount(chunk_no);
-  if (parts.delta != nullptr) {
-    return MergeChunk(parts.base, *parts.delta, capacity);
-  }
-  if (parts.base.empty()) return Chunk(capacity);
-  return Chunk::Deserialize(parts.base);
-}
-
 Result<std::string> ChunkedArray::ReadChunkBlob(uint64_t chunk_no) const {
   PARADISE_RETURN_IF_ERROR(CheckChunkNo(layout_, chunk_no));
   const VersionPtr v = version();  // keeps parts.delta alive
@@ -247,14 +236,11 @@ Result<ChunkedArray::ChunkParts> ChunkedArray::ReadChunkParts(
   return ReadChunkPartsAt(*version(), chunk_no);
 }
 
-Result<Chunk> ChunkedArray::ReadChunk(uint64_t chunk_no) const {
-  PARADISE_RETURN_IF_ERROR(CheckChunkNo(layout_, chunk_no));
-  return ReadChunkAt(*version(), chunk_no);
-}
-
 bool ChunkedArray::ChunkIsEmpty(uint64_t chunk_no) const {
   if (chunk_no >= layout_.num_chunks()) return true;
-  return ChunkIsEmptyAt(*version(), chunk_no);
+  const VersionPtr v = version();
+  return v->directory[chunk_no].num_valid == 0 &&
+         (v->overlay == nullptr || v->overlay->Find(chunk_no) == nullptr);
 }
 
 uint32_t ChunkedArray::ChunkValidCount(uint64_t chunk_no) const {

@@ -14,11 +14,13 @@
 // lifetime — the query engines copy the array at query start, so a whole
 // query sees one consistent version while ingest commits and compactions
 // publish new ones underneath. Publishing swaps one pointer; readers never
-// block. The array executor reads a chunk as its base bytes plus the
-// version's sorted delta (ReadChunkParts) and merges the two inside the scan
-// kernel; ReadChunk and ReadChunkBlob hand out the merged chunk, so
-// delta-only and delta-over-base chunks are indistinguishable from a
-// from-scratch load of the merged data.
+// block. Every walk over stored cells — the array executor, the §3.5 slice
+// and subset-sum functions — copies the array once and reads each chunk as
+// its base bytes plus the version's sorted delta (ReadChunkParts), merging
+// the two as it goes (ForEachMergedCell, or the scan kernel's vector form).
+// ReadChunkBlob hands out the merged chunk re-encoded, so delta-only and
+// delta-over-base chunks are indistinguishable from a from-scratch load of
+// the merged data.
 //
 // After Builder::Finish, a version changes only through PublishOverlay and
 // PublishCompaction, so cells change only through ingest (src/ingest/).
@@ -109,9 +111,6 @@ class ChunkedArray {
   };
   Result<ChunkParts> ReadChunkParts(uint64_t chunk_no) const;
 
-  /// Reads and materializes one chunk, overlay deltas applied.
-  Result<Chunk> ReadChunk(uint64_t chunk_no) const;
-
   /// True if the chunk has no valid cells — neither base cells in the
   /// directory nor overlay deltas.
   bool ChunkIsEmpty(uint64_t chunk_no) const;
@@ -120,19 +119,6 @@ class ChunkedArray {
   /// reading it; overlay deltas are not counted (ReadChunkParts returns
   /// them). Equals the merged count on overlay-free arrays.
   uint32_t ChunkValidCount(uint64_t chunk_no) const;
-
-  /// Invokes `fn(chunk_no, const Chunk&)` for every non-empty chunk in
-  /// chunk-number order. The whole scan reads one pinned version.
-  template <typename Fn>
-  Status ScanChunks(Fn&& fn) const {
-    const VersionPtr v = version();
-    for (uint64_t c = 0; c < layout_.num_chunks(); ++c) {
-      if (ChunkIsEmptyAt(*v, c)) continue;
-      PARADISE_ASSIGN_OR_RETURN(Chunk chunk, ReadChunkAt(*v, c));
-      PARADISE_RETURN_IF_ERROR(fn(c, chunk));
-    }
-    return Status::OK();
-  }
 
   /// Total valid cells across all BASE chunks (directory sum; overlay
   /// deltas not counted — see DeltaOverlay::total_cells for those).
@@ -241,20 +227,12 @@ class ChunkedArray {
   static std::string SerializeMeta(const Version& v, const ChunkLayout& layout,
                                    const ArrayOptions& options);
 
-  bool ChunkIsEmptyAt(const Version& v, uint64_t chunk_no) const {
-    return v.directory[chunk_no].num_valid == 0 &&
-           (v.overlay == nullptr || v.overlay->Find(chunk_no) == nullptr);
-  }
-
   /// Base bytes only, no overlay merge.
   Result<std::string> ReadBaseChunkBlobAt(const Version& v,
                                           uint64_t chunk_no) const;
   /// Base bytes plus `v`'s delta for the chunk (see ReadChunkParts).
   Result<ChunkParts> ReadChunkPartsAt(const Version& v,
                                       uint64_t chunk_no) const;
-  /// The base chunk deserialized with the version's delta cells Put over
-  /// it; nothing is re-encoded.
-  Result<Chunk> ReadChunkAt(const Version& v, uint64_t chunk_no) const;
 
   StorageManager* storage_ = nullptr;
   ChunkLayout layout_;

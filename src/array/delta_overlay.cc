@@ -1,6 +1,6 @@
 #include "array/delta_overlay.h"
 
-#include <algorithm>
+#include <optional>
 
 namespace paradise {
 
@@ -21,24 +21,21 @@ void DeltaOverlay::Apply(uint64_t chunk_no,
   }
 }
 
-Result<Chunk> MergeChunk(const std::string& base_blob,
-                         const ChunkDelta& delta, uint32_t capacity) {
-  Chunk chunk(capacity);
-  if (!base_blob.empty()) {
-    PARADISE_ASSIGN_OR_RETURN(chunk, Chunk::Deserialize(base_blob));
-  }
-  for (const ChunkEntry& e : delta.cells) {
-    PARADISE_RETURN_IF_ERROR(chunk.Put(e.offset, e.value));
-  }
-  return chunk;
-}
-
 Result<std::string> MergeChunkBlob(const std::string& base_blob,
                                    const ChunkDelta& delta, uint32_t capacity,
                                    ChunkFormat format,
                                    uint32_t* merged_valid) {
-  PARADISE_ASSIGN_OR_RETURN(Chunk chunk,
-                            MergeChunk(base_blob, delta, capacity));
+  std::optional<ChunkView> base;
+  if (!base_blob.empty()) {
+    PARADISE_ASSIGN_OR_RETURN(base, ChunkView::Make(base_blob));
+  }
+  Chunk chunk(capacity);
+  Status st = Status::OK();
+  ForEachMergedCell(base ? &*base : nullptr, &delta,
+                    [&](uint32_t offset, int64_t value) {
+                      if (st.ok()) st = chunk.AppendSorted(offset, value);
+                    });
+  PARADISE_RETURN_IF_ERROR(st);
   if (merged_valid != nullptr) *merged_valid = chunk.num_valid();
   return chunk.Serialize(format);
 }

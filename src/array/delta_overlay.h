@@ -1,17 +1,17 @@
 // DeltaOverlay: the in-memory read-side of incremental ingest. Committed
 // ingest generations (src/ingest/) fold down to one immutable per-measure
 // overlay — for each chunk, the sorted (offsetInChunk, value) upserts that
-// supersede the packed base chunk. Readers never rebuild a chunk: the array
-// executor takes the base chunk's bytes plus its ChunkDelta and merges the
-// two sorted offset lists inside the scan kernel and the §4.2 probe (a delta
-// cell wins on an equal offset), GetCell checks the delta before the base,
-// and ReadChunk Puts the delta cells over the deserialized base. Only
-// compaction and the public ChunkedArray::ReadChunkBlob re-serialize a
-// merged chunk (MergeChunkBlob), byte-identical to a from-scratch load of
-// the merged data. Overlays are
-// immutable and shared by shared_ptr: publishing a new one never blocks or
-// tears in-flight readers, which keep the overlay (and base version) they
-// pinned at query start.
+// supersede the packed base chunk. Readers never rebuild a chunk: they take
+// the base chunk's bytes plus its ChunkDelta (ChunkedArray::ReadChunkParts)
+// and merge the two sorted offset lists, a delta cell winning on an equal
+// offset. ForEachMergedCell states that rule once, cell by cell; the scan
+// kernel (DropSuperseded) and the §4.2 probe apply it in their vector paths,
+// and GetCell checks the delta before the base. Only compaction and the
+// public ChunkedArray::ReadChunkBlob re-serialize a merged chunk
+// (MergeChunkBlob), byte-identical to a from-scratch load of the merged
+// data. Overlays are immutable and shared by shared_ptr: publishing a new
+// one never blocks or tears in-flight readers, which keep the overlay (and
+// base version) they pinned at query start.
 #pragma once
 
 #include <cstdint>
@@ -60,17 +60,39 @@ class DeltaOverlay {
   std::map<uint64_t, ChunkDelta> chunks_;
 };
 
-/// Materialized merge: the base chunk (serialized, LZW unwrapped; empty
-/// string = empty base chunk) with every delta cell Put over it. `capacity`
-/// is the chunk's cell count from the layout.
-Result<Chunk> MergeChunk(const std::string& base_blob, const ChunkDelta& delta,
-                         uint32_t capacity);
+/// The base chunk's cells (null = empty base) with `delta`'s upserts (null =
+/// none) merged in: calls `fn(offset, value)` for every merged cell in
+/// increasing offset order, a delta cell replacing the base cell at the same
+/// offset.
+template <typename Fn>
+void ForEachMergedCell(const ChunkView* base, const ChunkDelta* delta,
+                       Fn&& fn) {
+  const ChunkEntry* next = delta == nullptr ? nullptr : delta->cells.data();
+  const ChunkEntry* const end =
+      delta == nullptr ? nullptr : next + delta->cells.size();
+  if (base != nullptr) {
+    base->ForEach([&](uint32_t offset, int64_t value) {
+      for (; next != end && next->offset < offset; ++next) {
+        fn(next->offset, next->value);
+      }
+      if (next != end && next->offset == offset) {
+        fn(offset, next->value);
+        ++next;
+        return;
+      }
+      fn(offset, value);
+    });
+  }
+  for (; next != end; ++next) fn(next->offset, next->value);
+}
 
-/// Serialized merge: base chunk bytes (empty string = empty base chunk) +
-/// delta -> the merged chunk re-serialized in `format`, byte-identical to
-/// what a bulk load of the merged cells would pack. `capacity` is the
-/// chunk's cell count from the layout. Returns the merged blob and writes
-/// the merged valid-cell count to `merged_valid`.
+/// Serialized merge: base chunk bytes (LZW unwrapped; empty string = empty
+/// base chunk) + delta -> the merged chunk re-serialized in `format`,
+/// byte-identical to what a bulk load of the merged cells would pack, in one
+/// linear pass (ForEachMergedCell). `capacity` is the chunk's cell count
+/// from the layout; a cell at or beyond it fails with OutOfRange. Returns
+/// the merged blob and writes the merged valid-cell count to
+/// `merged_valid`.
 Result<std::string> MergeChunkBlob(const std::string& base_blob,
                                    const ChunkDelta& delta, uint32_t capacity,
                                    ChunkFormat format, uint32_t* merged_valid);

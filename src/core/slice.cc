@@ -1,6 +1,6 @@
 #include "core/slice.h"
 
-#include <algorithm>
+#include <optional>
 
 namespace paradise {
 
@@ -19,15 +19,19 @@ Status ValidateBox(const ChunkLayout& layout, const IndexBox& box) {
   return Status::OK();
 }
 
-/// Visits every valid cell inside `box`, skipping chunks outside it.
-/// `fn(const CellCoords&, int64_t)` returns Status.
+/// Visits every valid cell inside `box`, skipping chunks outside it. The
+/// walk reads one pinned version: each chunk is its base bytes with the
+/// version's delta merged in. `fn(const CellCoords&, int64_t)` returns
+/// Status.
 template <typename Fn>
 Status VisitBox(const OlapArray& array, const IndexBox& box, Fn&& fn) {
   const ChunkLayout& layout = array.layout();
   PARADISE_RETURN_IF_ERROR(ValidateBox(layout, box));
+  const ChunkedArray data = array.array();  // pins one version
   const size_t n = layout.num_dims();
+  CellCoords coords(n);
   for (uint64_t chunk_no = 0; chunk_no < layout.num_chunks(); ++chunk_no) {
-    if (array.array().ChunkIsEmpty(chunk_no)) continue;
+    if (data.ChunkIsEmpty(chunk_no)) continue;
     const CellCoords base = layout.ChunkBase(chunk_no);
     const CellCoords cdims = layout.ChunkDims(chunk_no);
     bool overlaps = true;
@@ -38,23 +42,30 @@ Status VisitBox(const OlapArray& array, const IndexBox& box, Fn&& fn) {
       }
     }
     if (!overlaps) continue;
-    PARADISE_ASSIGN_OR_RETURN(Chunk chunk, array.array().ReadChunk(chunk_no));
-    CellCoords coords(n);
-    for (const ChunkEntry& e : chunk.entries()) {
-      // Decode the offset into coordinates and test the box.
-      uint32_t offset = e.offset;
-      bool inside = true;
-      for (size_t i = n; i > 0; --i) {
-        const size_t d = i - 1;
-        coords[d] = base[d] + offset % cdims[d];
-        offset /= cdims[d];
-        if (coords[d] < box[d].first || coords[d] >= box[d].second) {
-          inside = false;
-        }
-      }
-      if (!inside) continue;
-      PARADISE_RETURN_IF_ERROR(fn(coords, e.value));
+    PARADISE_ASSIGN_OR_RETURN(ChunkedArray::ChunkParts parts,
+                              data.ReadChunkParts(chunk_no));
+    std::optional<ChunkView> view;
+    if (!parts.base.empty()) {
+      PARADISE_ASSIGN_OR_RETURN(view, ChunkView::Make(parts.base));
     }
+    Status st = Status::OK();
+    ForEachMergedCell(
+        view ? &*view : nullptr, parts.delta,
+        [&](uint32_t offset, int64_t value) {
+          if (!st.ok()) return;
+          // Decode the offset into coordinates and test the box.
+          bool inside = true;
+          for (size_t i = n; i > 0; --i) {
+            const size_t d = i - 1;
+            coords[d] = base[d] + offset % cdims[d];
+            offset /= cdims[d];
+            if (coords[d] < box[d].first || coords[d] >= box[d].second) {
+              inside = false;
+            }
+          }
+          if (inside) st = fn(coords, value);
+        });
+    PARADISE_RETURN_IF_ERROR(st);
   }
   return Status::OK();
 }

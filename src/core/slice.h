@@ -1,6 +1,9 @@
 // The remaining §3.5 ADT functions: slicing (fix one dimension to a member)
 // and subset summation over a coordinate box. Both walk only the chunks that
-// intersect the requested region.
+// intersect the requested region, and, like the array executor, read one
+// pinned version of the array for the whole call: each chunk is its base
+// cells with that version's ingest delta merged in, so a concurrent commit
+// or compaction never tears an answer.
 #pragma once
 
 #include <cstdint>

@@ -563,10 +563,12 @@ TEST(KernelMorsel, SparseRangesSplitEntries) {
 }
 
 // ---------------------------------------------------------------------------
-// Delta merge: AggregateRange over a base chunk with the ingest delta
-// superseding, plus AggregateDelta once, must equal AggregateView over the
-// chunk MergeChunkBlob re-encodes — under every stored codec, both ISAs, and
-// a split of the base positions at every point (a two-morsel schedule).
+// Delta merge: MergeChunkBlob must re-encode exactly the bytes a bulk load
+// of the merged cells packs, and AggregateRange over a base chunk with the
+// ingest delta superseding, plus AggregateDelta once, must equal
+// AggregateView over that chunk — under every codec (LZW included), both
+// ISAs, and a split of the base positions at every point (a two-morsel
+// schedule).
 
 // 10x8x5 chunk grouped on dims 0 and 2: 400 cells, so a well-filled base
 // spans several 128-entry packed blocks.
@@ -608,20 +610,34 @@ void ExpectDeltaMergeMatchesReencode(const Cells& base_cells,
     kernels::ForceIsa(std::nullopt);
     detected = kernels::ActiveIsa();
   }
+  // The merged cells a bulk load would pack: base, then delta over it.
+  std::map<uint32_t, int64_t> merged_cells(base_cells.begin(),
+                                           base_cells.end());
+  for (const auto& [off, value] : delta_cells) merged_cells[off] = value;
+  Chunk want_chunk(kCap1085);
+  for (const auto& [off, value] : merged_cells) {
+    ASSERT_OK(want_chunk.AppendSorted(off, value));
+  }
   for (const ChunkFormat f :
        {ChunkFormat::kDense, ChunkFormat::kOffsetCompressed,
-        ChunkFormat::kDiffSequence}) {
-    // The base as the directory stores it: no bytes when it has no cells.
+        ChunkFormat::kDiffSequence, ChunkFormat::kLzwDense}) {
+    // The base as the directory stores it, LZW unwrapped as ReadChunkParts
+    // hands it out: no bytes when it has no cells.
     Chunk base_chunk(kCap1085);
     for (const auto& [off, value] : base_cells) {
       ASSERT_OK(base_chunk.Put(off, value));
     }
-    const std::string base =
-        base_chunk.empty() ? std::string() : base_chunk.Serialize(f);
+    std::string base;
+    if (!base_chunk.empty()) {
+      ASSERT_OK_AND_ASSIGN(base, UnwrapChunkBlob(base_chunk.Serialize(f)));
+    }
     uint32_t merged_valid = 0;
     ASSERT_OK_AND_ASSIGN(std::string merged,
                          MergeChunkBlob(base, delta, kCap1085, f,
                                         &merged_valid));
+    ASSERT_EQ(merged, want_chunk.Serialize(f)) << ChunkFormatToString(f);
+    ASSERT_EQ(merged_valid, want_chunk.num_valid());
+    ASSERT_OK_AND_ASSIGN(merged, UnwrapChunkBlob(std::move(merged)));
     ASSERT_OK_AND_ASSIGN(ChunkView merged_view, ChunkView::Make(merged));
     std::optional<ChunkView> base_view;
     if (!base.empty()) {
@@ -676,6 +692,26 @@ TEST(KernelDeltaMerge, UpsertsFirstAndLastBaseCell) {
 TEST(KernelDeltaMerge, DeltaPastLastBaseOffset) {
   const Cells base = HoleyBase(300, 12);
   ExpectDeltaMergeMatchesReencode(base, {{300, 9}, {351, -9}, {399, 99}});
+}
+
+TEST(KernelDeltaMerge, DeltaBeyondCapacityIsOutOfRange) {
+  const Cells base = HoleyBase(kCap1085, 14);
+  Chunk base_chunk(kCap1085);
+  for (const auto& [off, value] : base) ASSERT_OK(base_chunk.Put(off, value));
+  for (const Cells& delta_cells :
+       {Cells{{kCap1085, 1}}, Cells{{3, 1}, {kCap1085 + 7, 2}}}) {
+    ChunkDelta delta;
+    for (const auto& [off, value] : delta_cells) {
+      delta.cells.push_back(ChunkEntry{off, value});
+    }
+    for (const std::string& b :
+         {std::string(), base_chunk.Serialize(ChunkFormat::kDiffSequence)}) {
+      EXPECT_TRUE(MergeChunkBlob(b, delta, kCap1085,
+                                 ChunkFormat::kOffsetCompressed, nullptr)
+                      .status()
+                      .IsOutOfRange());
+    }
+  }
 }
 
 TEST(KernelDeltaMerge, DeltaCoversEveryBaseCell) {
