@@ -65,7 +65,6 @@ std::vector<std::string> Goldens(Database* db,
   for (const std::string& sql : workload) {
     Result<SqlExecution> exec = RunSql(db, sql);
     if (!exec.ok()) Die(exec.status());
-    exec->execution.result.SortCanonical();
     std::string bytes;
     server::AppendGroupedResult(exec->execution.result, &bytes);
     goldens.push_back(std::move(bytes));

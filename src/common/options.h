@@ -33,15 +33,9 @@ struct StorageOptions {
   /// preserves the exact eviction order the single-threaded pool had).
   size_t pool_shards = 8;
 
-  /// Chunk read-ahead depth: scan-shaped algorithms keep up to this many
-  /// chunk blobs in flight ahead of the consuming thread(s) via the storage
-  /// manager's background I/O pool. 0 disables read-ahead (all chunk reads
-  /// happen synchronously on the consuming thread).
-  size_t prefetch_depth = 4;
-
   /// Worker threads in the background I/O pool that serves chunk read-ahead.
-  /// 0 disables the pool (and with it all read-ahead) regardless of
-  /// prefetch_depth.
+  /// 0 disables the pool and with it all read-ahead: every chunk read then
+  /// happens synchronously on the consuming thread.
   size_t io_pool_threads = 2;
 
   /// Pages per extent for extent-based files (the fact file).

@@ -62,4 +62,44 @@ query::GroupedResult FlatToGroupedResult(
   return result;
 }
 
+std::optional<query::GroupedResult> RollUp(
+    const query::GroupedResult& finer, const std::vector<RollUpColumn>& columns,
+    const GroupSpec& target, std::vector<std::string> names) {
+  // Each target column takes exactly one finer column, so a flat index built
+  // from in-range codes stays below num_groups.
+  std::vector<bool> covered(target.grouped_dims.size(), false);
+  size_t landed = 0;
+  for (const RollUpColumn& column : columns) {
+    if (!column.target.has_value()) continue;
+    if (*column.target >= covered.size() || covered[*column.target]) {
+      return std::nullopt;
+    }
+    covered[*column.target] = true;
+    ++landed;
+  }
+  if (landed != covered.size()) return std::nullopt;
+  std::vector<query::AggState> flat(target.num_groups);
+  for (const query::ResultRow& row : finer.rows()) {
+    if (row.group.size() != columns.size()) return std::nullopt;
+    uint64_t at = 0;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      const RollUpColumn& column = columns[c];
+      if (!column.target.has_value()) continue;
+      int32_t code = row.group[c];
+      if (!column.map.empty()) {
+        if (code < 0 || static_cast<size_t>(code) >= column.map.size()) {
+          return std::nullopt;
+        }
+        code = column.map[static_cast<size_t>(code)];
+      }
+      if (code < 0 || code >= target.cardinalities[*column.target]) {
+        return std::nullopt;
+      }
+      at += static_cast<uint64_t>(code) * target.strides[*column.target];
+    }
+    flat[at].Merge(row.agg);
+  }
+  return FlatToGroupedResult(target, flat, std::move(names));
+}
+
 }  // namespace paradise

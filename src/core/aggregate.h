@@ -2,10 +2,13 @@
 // are grouped, at which hierarchy level, the level cardinalities, and the
 // row-major strides of the flat result array the array engine aggregates
 // into position-based (paper §4.1: "each element of the result array is a
-// 'group'").
+// 'group'"). RollUp re-aggregates a finer result into a coarser grouping
+// through the same kind of flat array, so it too emits canonical order
+// without a sort.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,5 +43,27 @@ struct GroupSpec {
 query::GroupedResult FlatToGroupedResult(const GroupSpec& spec,
                                          const std::vector<query::AggState>& flat,
                                          std::vector<std::string> columns);
+
+/// Where one group column of a finer result lands in a coarser grouping.
+struct RollUpColumn {
+  /// Index into the target GroupSpec's grouped columns; nullopt drops the
+  /// column (the target collapses its dimension).
+  std::optional<size_t> target;
+  /// Finer code -> coarser code (IndexToIndexArray::FunctionalRollUp);
+  /// empty when the code passes through unchanged.
+  std::vector<int32_t> map;
+};
+
+/// Re-aggregates `finer` into `target`'s grouping by position: each row's
+/// kept (and mapped) codes name one cell of a flat array of
+/// target.num_groups states, the row merges there, and FlatToGroupedResult
+/// emits the cells in canonical order — no hashing, no sort. `columns` has
+/// one entry per finer group column and must land on every target column
+/// exactly once. Returns nullopt, having written nothing outside the array,
+/// when a row's width is not columns.size(), a code lies outside its map, or
+/// a kept code is >= its target cardinality.
+std::optional<query::GroupedResult> RollUp(
+    const query::GroupedResult& finer, const std::vector<RollUpColumn>& columns,
+    const GroupSpec& target, std::vector<std::string> names);
 
 }  // namespace paradise

@@ -14,8 +14,8 @@
 // so reading a column coarser than the stored level is only exact when the
 // base cube's hierarchy is functionally dependent there (finer level
 // determines coarser). ChooseAggregate checks that on the base cube's
-// IndexToIndexArray — the test RollUpCachedResult applies — and refuses the
-// rewrite otherwise.
+// IndexToIndexArray — the test the result cache's roll-up derivation
+// applies — and refuses the rewrite otherwise.
 #pragma once
 
 #include <map>

@@ -16,6 +16,10 @@ namespace paradise {
 
 namespace {
 
+/// Chunk blobs a multi-worker scan keeps in flight ahead of its claim cursor
+/// on the storage manager's background I/O pool (array/chunk_prefetcher.h).
+constexpr size_t kReadAheadDepth = 4;
+
 /// Adds one worker's work counters into the query's.
 void AddWorkStats(const ArrayConsolidateStats& w, ArrayConsolidateStats* to) {
   to->chunks_read += w.chunks_read;
@@ -81,7 +85,7 @@ Result<query::GroupedResult> ArrayConsolidate(
     // steal the pieces.
     StorageManager* storage = array.storage();
     ChunkReadAhead cursor(&data, std::move(chunks),
-                          threads == 1 ? 0 : storage->options().prefetch_depth,
+                          threads == 1 ? 0 : kReadAheadDepth,
                           storage->io_pool(), storage->pool());
     MorselPool pool(&cursor, plan ? &work : nullptr,
                     threads == 1 ? UINT32_MAX : options.min_cells,

@@ -1,7 +1,8 @@
 #include "core/cube.h"
 
-#include <algorithm>
 #include <bit>
+#include <optional>
+#include <string>
 
 #include "core/aggregate.h"
 #include "core/consolidate.h"
@@ -34,36 +35,31 @@ Result<std::vector<Cuboid>> ArrayCube(const OlapArray& array,
     PARADISE_ASSIGN_OR_RETURN(specs[mask],
                               GroupSpec::Make(array, cuboid_query(mask)));
   }
-  std::vector<std::vector<query::AggState>> flats(full_mask + 1);
 
+  // Cuboids in emit order: decreasing popcount, then ascending mask — the
+  // lattice's own order, since every parent is finer than its children.
+  // slot[mask] is the cuboid's index in `out`.
+  std::vector<Cuboid> out;
+  out.reserve(full_mask + 1);
+  std::vector<size_t> slot(full_mask + 1);
   uint64_t aggregate_ops = 0;
 
   // Phase 1: the finest cuboid straight from the chunked array (the §4.1
   // consolidation, position-based).
   {
     ScopedPhase phase(timer, "base-cuboid");
-    const query::ConsolidationQuery q = cuboid_query(full_mask);
-    flats[full_mask].assign(specs[full_mask].num_groups, query::AggState{});
     ArrayConsolidateStats base_stats;
-    // Reuse the consolidation executor's chunk pass by running it and
-    // copying its grouped result into the flat array.
     PARADISE_ASSIGN_OR_RETURN(query::GroupedResult base,
-                              ArrayConsolidate(array, q, nullptr,
-                                               &base_stats));
+                              ArrayConsolidate(array, cuboid_query(full_mask),
+                                               nullptr, &base_stats));
     if (stats != nullptr) stats->chunks_read = base_stats.chunks_read;
     aggregate_ops += base_stats.cells_scanned;
-    for (const query::ResultRow& row : base.rows()) {
-      uint64_t flat = 0;
-      for (size_t g = 0; g < row.group.size(); ++g) {
-        flat += static_cast<uint64_t>(row.group[g]) *
-                specs[full_mask].strides[g];
-      }
-      flats[full_mask][flat] = row.agg;
-    }
+    slot[full_mask] = out.size();
+    out.push_back(Cuboid{full_mask, std::move(base)});
   }
 
-  // Phase 2: every coarser cuboid from its smallest parent (one extra
-  // grouped dimension), in decreasing popcount order.
+  // Phase 2: every coarser cuboid rolled up from its smallest parent (one
+  // extra grouped dimension), in decreasing popcount order.
   {
     ScopedPhase phase(timer, "lattice");
     for (int pc = static_cast<int>(n) - 1; pc >= 0; --pc) {
@@ -81,53 +77,31 @@ Result<std::vector<Cuboid>> ArrayCube(const OlapArray& array,
             parent = candidate;
           }
         }
+        // The child keeps a subset of the parent's grouped dimensions at the
+        // same level: each parent column lands in the child's column for the
+        // same dimension, or is dropped.
         const GroupSpec& ps = specs[parent];
         const GroupSpec& cs = specs[mask];
-        // Child strides aligned to the parent's grouped-dim list: the child
-        // keeps a subset of the parent's dims.
-        std::vector<uint64_t> child_stride_in_parent(ps.grouped_dims.size(),
-                                                     0);
+        std::vector<RollUpColumn> columns(ps.grouped_dims.size());
         for (size_t pg = 0, cg = 0; pg < ps.grouped_dims.size(); ++pg) {
           if (cg < cs.grouped_dims.size() &&
               cs.grouped_dims[cg] == ps.grouped_dims[pg]) {
-            child_stride_in_parent[pg] = cs.strides[cg];
-            ++cg;
+            columns[pg].target = cg++;
           }
         }
-        std::vector<query::AggState>& child = flats[mask];
-        child.assign(cs.num_groups, query::AggState{});
-        const std::vector<query::AggState>& parent_flat = flats[parent];
-        for (uint64_t p = 0; p < parent_flat.size(); ++p) {
-          if (parent_flat[p].count == 0) continue;
-          uint64_t c = 0;
-          uint64_t rest = p;
-          for (size_t pg = 0; pg < ps.grouped_dims.size(); ++pg) {
-            const uint64_t coord = rest / ps.strides[pg];
-            rest %= ps.strides[pg];
-            c += coord * child_stride_in_parent[pg];
-          }
-          child[c].Merge(parent_flat[p]);
-          ++aggregate_ops;
+        const query::GroupedResult& parent_result = out[slot[parent]].result;
+        std::optional<query::GroupedResult> child =
+            RollUp(parent_result, columns, cs, cs.GroupColumnNames(array));
+        if (!child.has_value()) {
+          return Status::Internal("cuboid " + std::to_string(mask) +
+                                  " does not roll up from cuboid " +
+                                  std::to_string(parent));
         }
+        aggregate_ops += parent_result.num_groups();
+        slot[mask] = out.size();
+        out.push_back(Cuboid{mask, std::move(*child)});
       }
     }
-  }
-
-  // Phase 3: emit, finest first.
-  ScopedPhase phase(timer, "emit");
-  std::vector<Cuboid> out;
-  out.reserve(full_mask + 1);
-  std::vector<uint32_t> masks;
-  for (uint32_t mask = 0; mask <= full_mask; ++mask) masks.push_back(mask);
-  std::sort(masks.begin(), masks.end(), [](uint32_t a, uint32_t b) {
-    const int pa = std::popcount(a), pb = std::popcount(b);
-    return pa != pb ? pa > pb : a < b;
-  });
-  for (uint32_t mask : masks) {
-    const GroupSpec& spec = specs[mask];
-    out.push_back(Cuboid{mask, FlatToGroupedResult(
-                                   spec, flats[mask],
-                                   spec.GroupColumnNames(array))});
   }
   if (stats != nullptr) stats->aggregate_ops = aggregate_ops;
   return out;

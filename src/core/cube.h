@@ -3,11 +3,12 @@
 // simultaneous multi-dimensional aggregation of the authors' companion
 // paper [ZDN97], which §1 cites as the previous work this ADT generalizes.
 //
-// Algorithm: the finest cuboid (all dimensions grouped) is aggregated
-// directly from the chunked array exactly like ArrayConsolidate; every
-// coarser cuboid is then aggregated not from the base data but from its
-// *smallest parent* in the cuboid lattice, the key cost-saving idea of
-// [ZDN97]. All intermediate cuboids are position-based flat arrays.
+// Algorithm: the finest cuboid (all dimensions grouped) is ArrayConsolidate's
+// result for that grouping; every coarser cuboid is then aggregated not from
+// the base data but from its *smallest parent* in the cuboid lattice, the
+// key cost-saving idea of [ZDN97]: RollUp (core/aggregate.h) merges each of
+// the parent's rows at its position in the child's flat result array — the
+// same positional roll-up the result cache derives coarser answers with.
 #pragma once
 
 #include <cstdint>

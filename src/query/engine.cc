@@ -72,6 +72,41 @@ Status CheckSelectionsIndexed(const Database& db,
   return Status::OK();
 }
 
+/// The RollUp plan that answers `target` from a cached result of the same
+/// selection family grouped as `source`: per source group column, the
+/// target column it lands in (none where the target collapses the
+/// dimension) and, where the level changes, the finer→coarser IndexToIndex
+/// map. nullopt when `target` groups a dimension `source` does not, or a
+/// level change is not functional (the data would not derive exactly).
+std::optional<std::vector<RollUpColumn>> CachedRollUpColumns(
+    const OlapArray& olap, const query::CanonicalQuery& source,
+    const query::CanonicalQuery& target) {
+  if (source.dims.size() != target.dims.size() ||
+      olap.num_dims() != target.dims.size()) {
+    return std::nullopt;
+  }
+  std::vector<RollUpColumn> columns;
+  size_t target_pos = 0;
+  for (size_t d = 0; d < target.dims.size(); ++d) {
+    const std::optional<size_t>& from = source.dims[d].group_by_col;
+    const std::optional<size_t>& to = target.dims[d].group_by_col;
+    if (!from.has_value()) {
+      if (to.has_value()) return std::nullopt;  // can't refine
+      continue;
+    }
+    RollUpColumn& column = columns.emplace_back();
+    if (!to.has_value()) continue;
+    column.target = target_pos++;
+    if (*to != *from) {
+      std::optional<std::vector<int32_t>> map =
+          olap.i2i(d).FunctionalRollUp(*from, *to);
+      if (!map.has_value()) return std::nullopt;
+      column.map = std::move(*map);
+    }
+  }
+  return columns;
+}
+
 }  // namespace
 
 Status CheckEngineAccepts(const Database& db, EngineKind kind,
@@ -175,21 +210,19 @@ Result<Execution> RunQueryImpl(Database* db, EngineKind kind,
       // cheapest-first, so the first one past the cost gate that proves
       // functional wins; a too-expensive candidate ends the scan.
       ScopedPhase phase(&exec.stats.phases, "cache-derive");
-      std::vector<const IndexToIndexArray*> i2i;
-      for (size_t d = 0; d < db->olap()->num_dims(); ++d) {
-        i2i.push_back(&db->olap()->i2i(d));
-      }
+      const Result<GroupSpec> spec = GroupSpec::Make(*db->olap(), q);
       for (const query::ConsolidationResultCache::Candidate& cand :
            cache->DerivationCandidates(cache_scope, cache_epoch, canon)) {
         const DeriveDecision decision = ChooseDeriveOrScan(
             *db, cand.result->num_groups(), cache->options().derive_row_cost);
-        if (!decision.derive) break;
-        Result<GroupSpec> spec = GroupSpec::Make(*db->olap(), q);
-        if (!spec.ok()) break;
+        if (!decision.derive || !spec.ok()) break;
+        std::optional<std::vector<RollUpColumn>> columns =
+            CachedRollUpColumns(*db->olap(), cand.canon, canon);
+        if (!columns.has_value()) continue;  // not functional at this level
         std::optional<query::GroupedResult> derived =
-            query::RollUpCachedResult(canon, cand, i2i,
-                                      spec->GroupColumnNames(*db->olap()));
-        if (!derived.has_value()) continue;  // not functional at this level
+            RollUp(*cand.result, *columns, *spec,
+                   spec->GroupColumnNames(*db->olap()));
+        if (!derived.has_value()) continue;  // cached rows of another shape
         cache->NoteDerivedHit();
         auto shared = std::make_shared<const query::GroupedResult>(
             std::move(*derived));

@@ -48,9 +48,9 @@ struct PlannerOptions {
 /// The derive-vs-scan decision for the result cache: answer a query by
 /// re-aggregating a cached finer-level result of `candidate_rows` rows, or
 /// re-scan the base data. Deriving touches only the cached rows (each
-/// costing ~`derive_row_cost` cell-scan units: map lookups plus an ordered
-/// re-group); scanning touches every array cell (or fact tuple when no
-/// array was built). derive_row_cost == 0 forces derivation whenever it is
+/// costing ~`derive_row_cost` cell-scan units: map lookups plus a merge at
+/// the row's position in the target's flat array); scanning touches every
+/// array cell (or fact tuple when no array was built). derive_row_cost == 0 forces derivation whenever it is
 /// structurally possible — the equivalence tests use that to pin the path.
 struct DeriveDecision {
   bool derive = false;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "common/metrics.h"
 #include "common/stopwatch.h"
-#include "core/index_to_index.h"
 
 namespace paradise::query {
 
@@ -283,75 +281,6 @@ void ConsolidationResultCache::EraseLocked(LruList::iterator it,
   if (invalidation && m_invalidations_ != nullptr) {
     m_invalidations_->Increment();
   }
-}
-
-std::optional<GroupedResult> RollUpCachedResult(
-    const CanonicalQuery& target,
-    const ConsolidationResultCache::Candidate& candidate,
-    const std::vector<const IndexToIndexArray*>& i2i,
-    std::vector<std::string> columns) {
-  const CanonicalQuery& source = candidate.canon;
-  if (source.dims.size() != target.dims.size() ||
-      i2i.size() != target.dims.size()) {
-    return std::nullopt;
-  }
-  // For each source-grouped dimension: its position among the source's group
-  // columns, and how to remap its codes — keep (same level), roll up through
-  // a functional map, or drop (target collapses the dimension).
-  struct DimPlan {
-    size_t source_pos = 0;
-    bool kept = false;                    // contributes a target group column
-    std::vector<int32_t> rollup;          // empty when codes pass through
-  };
-  std::vector<DimPlan> plans;
-  size_t source_pos = 0;
-  for (size_t d = 0; d < target.dims.size(); ++d) {
-    const auto& src_col = source.dims[d].group_by_col;
-    const auto& tgt_col = target.dims[d].group_by_col;
-    if (!src_col.has_value()) {
-      if (tgt_col.has_value()) return std::nullopt;  // can't refine
-      continue;
-    }
-    DimPlan plan;
-    plan.source_pos = source_pos++;
-    if (tgt_col.has_value()) {
-      plan.kept = true;
-      if (*tgt_col != *src_col) {
-        if (i2i[d] == nullptr) return std::nullopt;
-        std::optional<std::vector<int32_t>> map =
-            i2i[d]->FunctionalRollUp(*src_col, *tgt_col);
-        if (!map.has_value()) return std::nullopt;  // not functional: rescan
-        plan.rollup = std::move(*map);
-      }
-    }
-    plans.push_back(std::move(plan));
-  }
-
-  // Re-aggregate through an ordered map so the derived result comes out in
-  // canonical (sorted) group order, exactly like FlatToGroupedResult.
-  std::map<std::vector<int32_t>, AggState> groups;
-  std::vector<int32_t> key;
-  for (const ResultRow& row : candidate.result->rows()) {
-    key.clear();
-    for (const DimPlan& plan : plans) {
-      if (!plan.kept) continue;
-      int32_t code = row.group[plan.source_pos];
-      if (!plan.rollup.empty()) {
-        if (code < 0 || static_cast<size_t>(code) >= plan.rollup.size()) {
-          return std::nullopt;  // cached row outside the map: stale shape
-        }
-        code = plan.rollup[code];
-      }
-      key.push_back(code);
-    }
-    groups[key].Merge(row.agg);
-  }
-
-  GroupedResult out(std::move(columns));
-  for (auto& [group, agg] : groups) {
-    out.Add(ResultRow{group, agg});
-  }
-  return out;
 }
 
 }  // namespace paradise::query

@@ -14,9 +14,12 @@
 //      answer any coarser group-by of the same selection/measure by
 //      re-aggregating its rows through the per-dimension IndexToIndex maps
 //      (paper §3.4), when the data satisfies the finer→coarser functional
-//      dependency (IndexToIndexArray::FunctionalRollUp). Because AggState
-//      carries SUM/COUNT/MIN/MAX exactly, derived results are bit-identical
-//      to a full scan.
+//      dependency (IndexToIndexArray::FunctionalRollUp). RunQuery does the
+//      re-aggregation with RollUp (core/aggregate.h): each row merges at its
+//      mapped position in the target's flat result array, so the derived
+//      result comes out in canonical order with no ordered map and no sort.
+//      Because AggState carries SUM/COUNT/MIN/MAX exactly, derived results
+//      are bit-identical to a full scan.
 //   3. Invalidation by commit epoch. Entries are scoped to a database
 //      identity string and the commit epoch of the manifest that was current
 //      when they were inserted (storage/page.h, PR 2). Any durable change
@@ -47,7 +50,6 @@ namespace paradise {
 class Counter;
 class Gauge;
 class Histogram;
-class IndexToIndexArray;
 }  // namespace paradise
 
 namespace paradise::query {
@@ -211,17 +213,5 @@ class ConsolidationResultCache {
   Gauge* m_entries_ = nullptr;
   Histogram* m_lookup_micros_ = nullptr;
 };
-
-/// Re-aggregates a cached finer-level result to answer `target`.
-/// `candidate` must come from DerivationCandidates for `target`; `i2i[d]`
-/// are the source cube's per-dimension IndexToIndex maps. Returns nullopt
-/// when some grouped dimension's finer→coarser map is not functional (the
-/// caller then falls back to a full scan). `columns` become the derived
-/// result's group column labels, in grouped-dimension order.
-std::optional<GroupedResult> RollUpCachedResult(
-    const CanonicalQuery& target,
-    const ConsolidationResultCache::Candidate& candidate,
-    const std::vector<const IndexToIndexArray*>& i2i,
-    std::vector<std::string> columns);
 
 }  // namespace paradise::query

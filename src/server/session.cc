@@ -460,9 +460,10 @@ bool Session::SendTokenStatus(const Status& st, bool shed_by_admission) {
 }
 
 bool Session::SendResult(ResultReply reply) {
-  // Replies are canonically sorted so the same query yields byte-identical
-  // frames regardless of engine, thread count or cache outcome.
-  reply.result.SortCanonical();
+  // Every producer already emits canonical order (FlatToGroupedResult,
+  // RollUp, EmitGroups; the cache stores their results), so the same query
+  // yields byte-identical frames regardless of engine, thread count or
+  // cache outcome.
   const std::string payload = EncodeResultReply(reply);
   if (payload.size() > kMaxFramePayload) {
     return SendError(WireError::kResultTooLarge, StatusCode::kOk,

@@ -212,7 +212,6 @@ TEST(ConcurrentBufferPool, SmallPoolsCollapseToOneShard) {
 TEST(ChunkReadAheadTest, ParallelRunRecordsPrefetches) {
   TempFile file("conc_prefetch");
   DatabaseOptions options = SmallDbOptions();
-  options.storage.prefetch_depth = 4;
   options.storage.io_pool_threads = 2;
   ASSERT_OK_AND_ASSIGN(gen::SyntheticDataset data,
                        gen::Generate(TinyConfig(400, 23)));

@@ -1,9 +1,13 @@
 // CUBE operator tests: every cuboid must equal the corresponding single
-// consolidation, across cubes and levels (parameterized).
+// consolidation, across cubes and levels (parameterized); and the
+// position-based RollUp both the lattice and the result cache's derivation
+// run through, against a brute-force regroup and its range guards.
 #include <bit>
+#include <map>
 
 #include <gtest/gtest.h>
 
+#include "core/aggregate.h"
 #include "core/consolidate.h"
 #include "core/cube.h"
 #include "test_util.h"
@@ -132,6 +136,130 @@ TEST(CubeTestStandalone, RejectsBadArguments) {
   CubeQuery key_level;
   key_level.level_cols = {0, 1, 1};
   EXPECT_TRUE(ArrayCube(*db->olap(), key_level).status().IsInvalidArgument());
+}
+
+// ------------------------------------------------------------- RollUp --
+
+// A two-column target: column 0 of 3 members, column 1 of 4.
+GroupSpec TwoColumnTarget() {
+  GroupSpec spec;
+  spec.grouped_dims = {0, 2};
+  spec.group_cols = {1, 1};
+  spec.cardinalities = {3, 4};
+  spec.strides = {4, 1};
+  spec.num_groups = 12;
+  return spec;
+}
+
+// Finer column 0 rolls up through a 5 -> 3 map into target column 0,
+// column 1 is dropped, column 2 passes through into target column 1.
+std::vector<RollUpColumn> ThreeColumnPlan() {
+  std::vector<RollUpColumn> columns(3);
+  columns[0].target = 0;
+  columns[0].map = {0, 0, 1, 1, 2};
+  columns[2].target = 1;
+  return columns;
+}
+
+query::ResultRow Row(std::vector<int32_t> group, int64_t value) {
+  query::ResultRow row{std::move(group), {}};
+  row.agg.Add(value);
+  row.agg.Add(-value / 2);
+  return row;
+}
+
+query::GroupedResult FinerResult() {
+  // Rows out of canonical order on purpose: the output order comes from
+  // the positions, not from the input.
+  query::GroupedResult finer({"a", "b", "c"});
+  int64_t value = 7;
+  for (int32_t c2 : {3, 0, 2, 1}) {
+    for (int32_t c0 = 4; c0 >= 0; --c0) {
+      for (int32_t c1 = 0; c1 < 3; ++c1) {
+        if ((c0 + c1 + c2) % 3 == 0) continue;  // some empty groups
+        finer.Add(Row({c0, c1, c2}, value));
+        value = value * 31 % 1009 - 400;
+      }
+    }
+  }
+  return finer;
+}
+
+TEST(CubeTestStandalone, RollUpMatchesABruteForceRegroup) {
+  const query::GroupedResult finer = FinerResult();
+  const std::vector<RollUpColumn> columns = ThreeColumnPlan();
+  std::map<std::vector<int32_t>, query::AggState> groups;
+  for (const query::ResultRow& row : finer.rows()) {
+    groups[{columns[0].map[row.group[0]], row.group[2]}].Merge(row.agg);
+  }
+  query::GroupedResult expected({"x", "y"});
+  for (const auto& [group, agg] : groups) {
+    expected.Add(query::ResultRow{group, agg});
+  }
+
+  std::optional<query::GroupedResult> got =
+      RollUp(finer, columns, TwoColumnTarget(), {"x", "y"});
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->group_columns(), expected.group_columns());
+  EXPECT_TRUE(got->SameAs(expected)) << "got:\n"
+                                     << got->ToString(query::AggFunc::kSum)
+                                     << "expected:\n"
+                                     << expected.ToString(query::AggFunc::kSum);
+  EXPECT_EQ(got->num_groups(), 12u);
+}
+
+TEST(CubeTestStandalone, RollUpCodeOutsideItsMapIsRejected) {
+  query::GroupedResult finer = FinerResult();
+  finer.Add(Row({5, 0, 0}, 1));
+  EXPECT_FALSE(RollUp(finer, ThreeColumnPlan(), TwoColumnTarget(), {"x", "y"})
+                   .has_value());
+  query::GroupedResult negative = FinerResult();
+  negative.Add(Row({-1, 0, 0}, 1));
+  EXPECT_FALSE(
+      RollUp(negative, ThreeColumnPlan(), TwoColumnTarget(), {"x", "y"})
+          .has_value());
+}
+
+TEST(CubeTestStandalone, RollUpKeptCodeBeyondTheTargetCardinalityIsRejected) {
+  // A passed-through code past the target's 4 members.
+  query::GroupedResult finer = FinerResult();
+  finer.Add(Row({0, 0, 4}, 1));
+  EXPECT_FALSE(RollUp(finer, ThreeColumnPlan(), TwoColumnTarget(), {"x", "y"})
+                   .has_value());
+  // A map whose image leaves the target's 3 members.
+  std::vector<RollUpColumn> columns = ThreeColumnPlan();
+  columns[0].map = {0, 0, 1, 1, 3};
+  EXPECT_FALSE(RollUp(FinerResult(), columns, TwoColumnTarget(), {"x", "y"})
+                   .has_value());
+}
+
+TEST(CubeTestStandalone, RollUpRowOfTheWrongWidthIsRejected) {
+  for (std::vector<int32_t> group :
+       {std::vector<int32_t>{0, 0}, std::vector<int32_t>{0, 0, 0, 0}}) {
+    query::GroupedResult finer = FinerResult();
+    finer.Add(Row(group, 1));
+    EXPECT_FALSE(
+        RollUp(finer, ThreeColumnPlan(), TwoColumnTarget(), {"x", "y"})
+            .has_value())
+        << group.size() << " codes";
+  }
+}
+
+TEST(CubeTestStandalone, RollUpPlanMustLandOnEveryTargetColumnOnce) {
+  std::vector<RollUpColumn> twice = ThreeColumnPlan();
+  twice[0].target = 1;  // columns 0 and 2 into target column 1, none in 0
+  EXPECT_FALSE(RollUp(FinerResult(), twice, TwoColumnTarget(), {"x", "y"})
+                   .has_value());
+  std::vector<RollUpColumn> short_of_one = ThreeColumnPlan();
+  short_of_one[2].target.reset();  // nothing lands in target column 1
+  EXPECT_FALSE(
+      RollUp(FinerResult(), short_of_one, TwoColumnTarget(), {"x", "y"})
+          .has_value());
+  std::vector<RollUpColumn> past_the_end = ThreeColumnPlan();
+  past_the_end[2].target = 2;
+  EXPECT_FALSE(
+      RollUp(FinerResult(), past_the_end, TwoColumnTarget(), {"x", "y"})
+          .has_value());
 }
 
 }  // namespace
