@@ -9,107 +9,142 @@
 namespace paradise {
 
 ChunkReadAhead::ChunkReadAhead(const ChunkedArray* array,
-                               std::vector<uint64_t> chunks, size_t depth,
-                               IoPool* io_pool, BufferPool* pool)
-    : state_(std::make_shared<State>()), depth_(depth), io_pool_(io_pool) {
-  state_->array = array;
-  state_->pool = pool;
-  state_->chunks = std::move(chunks);
-  state_->slots.resize(state_->chunks.size());
+                               std::vector<uint64_t> chunks,
+                               size_t window_bytes, IoPool* io_pool,
+                               BufferPool* pool)
+    : state_(std::make_shared<State>()),
+      io_pool_(io_pool),
+      read_ahead_(window_bytes > 0 && io_pool != nullptr) {
+  State& st = *state_;
+  st.array = array;
+  st.pool = pool;
+  st.chunks = std::move(chunks);
+  st.window_bytes = window_bytes;
+  if (!read_ahead_) return;
+  // Everything the reader writes besides page frames is allocated here, on
+  // the consumer: a thread's first malloc gives it an arena of its own.
+  const size_t n = st.chunks.size();
+  st.stored_bytes.resize(n);
+  st.buffers.resize(n);
+  uint64_t largest = 0;
+  for (size_t i = 0; i < n; ++i) {
+    st.stored_bytes[i] = array->StoredChunkBytes(st.chunks[i]);
+    largest = std::max(largest, st.stored_bytes[i]);
+  }
+  if (pool != nullptr) st.pages.reserve(largest / pool->page_size() + 2);
 }
 
 ChunkReadAhead::~ChunkReadAhead() {
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->cancelled = true;
-  // Tasks not yet started will see `cancelled` and bail before touching the
-  // array; tasks mid-read hold the array pointer, so wait those out.
-  state_->cv.wait(lock, [this] { return state_->in_flight == 0; });
-  // Blobs read ahead but never claimed (early scan termination) were wasted
-  // I/O; account them so prefetch tuning can see over-eager windows.
-  uint64_t wasted = 0;
-  for (size_t idx = state_->next_claim; idx < state_->slots.size(); ++idx) {
-    if (state_->slots[idx].state == Slot::kReady) ++wasted;
+  if (!read_ahead_) return;
+  State& st = *state_;
+  std::unique_lock<std::mutex> lock(st.mu);
+  st.stop = true;
+  // A reader still queued exits without touching the array when it runs; a
+  // reader mid-read holds the array pointer and a page pin, so wait it out.
+  ++st.waiting;
+  st.cv.wait(lock, [&st] { return !st.reading; });
+  --st.waiting;
+  // Chunks read ahead but never claimed (early scan termination) were
+  // wasted I/O; account them so the window size stays visible.
+  if (st.pool != nullptr && st.next_read > st.next_claim) {
+    st.pool->RecordPrefetchWasted(st.next_read - st.next_claim);
   }
-  if (state_->pool != nullptr) state_->pool->RecordPrefetchWasted(wasted);
+  st.buffers.clear();
 }
 
-void ChunkReadAhead::ScheduleWindow(const std::shared_ptr<State>& st,
-                                    size_t depth, IoPool* io_pool) {
-  if (io_pool == nullptr || depth == 0) return;
-  const size_t end = std::min(st->chunks.size(), st->next_claim + depth);
-  if (st->next_schedule < st->next_claim) st->next_schedule = st->next_claim;
-  for (; st->next_schedule < end; ++st->next_schedule) {
-    const size_t idx = st->next_schedule;
-    if (st->slots[idx].state != Slot::kIdle) continue;
-    st->slots[idx].state = Slot::kScheduled;
-    ++st->in_flight;
-    const bool accepted = io_pool->Submit([st, idx] {
-      std::unique_lock<std::mutex> lock(st->mu);
-      if (st->cancelled || st->slots[idx].state != Slot::kScheduled) {
-        --st->in_flight;
-        st->cv.notify_all();
-        return;
-      }
-      lock.unlock();
-      Result<ChunkedArray::ChunkParts> parts =
-          st->array->ReadChunkParts(st->chunks[idx]);
-      lock.lock();
-      Slot& slot = st->slots[idx];
-      if (parts.ok()) {
-        slot.parts = std::move(parts).value();
-        slot.state = Slot::kReady;
-        if (st->pool != nullptr) st->pool->RecordPrefetch();
-      } else {
-        slot.status = parts.status();
-        slot.state = Slot::kFailed;
-      }
-      --st->in_flight;
-      st->cv.notify_all();
-    });
-    if (!accepted) {
-      // Pool shut down: fall back to synchronous reads on the consumers.
-      st->slots[idx].state = Slot::kIdle;
-      --st->in_flight;
-      return;
-    }
+void ChunkReadAhead::StartReader() {
+  State& st = *state_;
+  const size_t n = st.chunks.size();
+  // At least one chunk, then as many as fit in the window.
+  size_t end = st.granted;
+  while (end < n && (end == st.granted ||
+                     st.buffered + st.stored_bytes[end] <= st.window_bytes)) {
+    st.buffers[end].resize(st.stored_bytes[end]);
+    st.buffered += st.stored_bytes[end];
+    ++end;
   }
+  st.granted = end;
+  st.reader_live = true;
+  std::shared_ptr<State> shared = state_;
+  if (io_pool_->Submit([shared] { ReadGranted(shared); })) return;
+  // The pool shut down: the granted chunks nobody read are read by their
+  // consumers, like every later one.
+  st.reader_live = false;
+  st.refused = true;
+  for (size_t i = st.next_read; i < st.granted; ++i) {
+    st.buffered -= st.stored_bytes[i];
+    st.buffers[i] = std::string();
+  }
+  st.granted = st.next_read;
+}
+
+void ChunkReadAhead::ReadGranted(const std::shared_ptr<State>& shared) {
+  State& st = *shared;
+  std::unique_lock<std::mutex> lock(st.mu);
+  while (!st.stop && st.next_read < st.granted) {
+    const size_t i = st.next_read;
+    st.reading = true;
+    lock.unlock();
+    // Slot i belongs to the reader until next_read passes it.
+    Status read = st.array->ReadStoredChunk(st.chunks[i], st.buffers[i].data(),
+                                            &st.pages);
+    lock.lock();
+    st.reading = false;
+    if (!read.ok()) {
+      st.failure = std::move(read);
+      break;
+    }
+    st.next_read = i + 1;
+    if (st.pool != nullptr) st.pool->RecordPrefetch();
+    if (st.waiting > 0) st.cv.notify_all();
+  }
+  st.reader_live = false;
+  if (st.waiting > 0) st.cv.notify_all();
 }
 
 Result<bool> ChunkReadAhead::Next(uint64_t* chunk_no,
                                   ChunkedArray::ChunkParts* parts) {
-  std::shared_ptr<State>& st = state_;
-  std::unique_lock<std::mutex> lock(st->mu);
-  if (st->next_claim >= st->chunks.size()) return false;
-  const size_t idx = st->next_claim++;
-  ScheduleWindow(st, depth_, io_pool_);
-
-  Slot& slot = st->slots[idx];
-  if (slot.state == Slot::kReady) {
-    if (st->pool != nullptr) st->pool->RecordPrefetchHit();
-  } else if (slot.state == Slot::kScheduled) {
-    st->cv.wait(lock, [&slot] {
-      return slot.state == Slot::kReady || slot.state == Slot::kFailed;
-    });
-  }
-
-  switch (slot.state) {
-    case Slot::kReady:
-      *chunk_no = st->chunks[idx];
-      *parts = std::move(slot.parts);
-      slot.parts = {};
-      return true;
-    case Slot::kFailed:
-      return slot.status;
-    default: {
-      // Never scheduled: read synchronously, off the latch so other
-      // consumers can claim and wait concurrently.
-      const uint64_t chunk = st->chunks[idx];
+  State& st = *state_;
+  std::unique_lock<std::mutex> lock(st.mu);
+  if (st.next_claim >= st.chunks.size()) return false;
+  const size_t i = st.next_claim++;
+  const uint64_t chunk = st.chunks[i];
+  if (read_ahead_) {
+    bool waited = false;
+    while (i >= st.next_read && !st.refused) {
+      if (!st.failure.ok()) return st.failure;
+      if (!st.reader_live) {
+        StartReader();
+        continue;
+      }
+      waited = true;
+      ++st.waiting;
+      st.cv.wait(lock);
+      --st.waiting;
+    }
+    if (i < st.next_read) {
+      std::string stored = std::move(st.buffers[i]);
+      st.buffered -= st.stored_bytes[i];
+      if (!waited && st.pool != nullptr) st.pool->RecordPrefetchHit();
+      // Hysteresis: the reader restarts only once half the window drained.
+      if (!st.reader_live && !st.refused && st.failure.ok() &&
+          st.granted < st.chunks.size() &&
+          st.buffered <= st.window_bytes / 2) {
+        StartReader();
+      }
       lock.unlock();
-      PARADISE_ASSIGN_OR_RETURN(*parts, st->array->ReadChunkParts(chunk));
+      PARADISE_ASSIGN_OR_RETURN(
+          *parts, st.array->PartsFromStored(chunk, std::move(stored)));
       *chunk_no = chunk;
       return true;
     }
   }
+  // Read-ahead off, or refused: read on this thread, off the latch so other
+  // consumers can claim concurrently.
+  lock.unlock();
+  PARADISE_ASSIGN_OR_RETURN(*parts, st.array->ReadChunkParts(chunk));
+  *chunk_no = chunk;
+  return true;
 }
 
 }  // namespace paradise

@@ -1,14 +1,14 @@
-// ChunkReadAhead: a multi-consumer cursor over a list of chunk numbers that
-// keeps up to `depth` chunk blobs in flight on the storage manager's
-// background I/O pool, ahead of the consuming thread(s). This is the
-// chunk-granular analogue of the sequential-prefetch the paper's Paradise
-// runs got from SHORE: the consolidation scan announces its access pattern
-// (all candidate chunks, in chunk-number = physical order), so the storage
-// layer can overlap the next reads with the current chunk's decode and
-// aggregation work.
+// ChunkReadAhead: a cursor over a list of chunk numbers that hands each
+// chunk to exactly one consumer, in list order. With read-ahead on, one
+// reader task on the storage manager's background I/O pool reads the chunks
+// in that same order, up to a byte window ahead of the consumers, while they
+// decode and aggregate. This is the chunk-granular analogue of the
+// sequential prefetch the paper's Paradise runs got from SHORE: the
+// consolidation scan announces its access pattern (its chunks in
+// chunk-number = physical order) and the storage reads overlap the kernel.
 //
 // Usage (each worker thread):
-//   ChunkReadAhead cursor(array, chunks, depth, io_pool, pool);
+//   ChunkReadAhead cursor(array, chunks, window_bytes, io_pool, pool);
 //   uint64_t chunk_no; ChunkedArray::ChunkParts parts;
 //   while (true) {
 //     PARADISE_ASSIGN_OR_RETURN(bool more, cursor.Next(&chunk_no, &parts));
@@ -19,17 +19,30 @@
 // A chunk is handed out as ChunkedArray::ReadChunkParts returns it: base
 // bytes plus the pinned version's delta, never a re-encoded merge.
 //
-// Next() hands out chunks strictly in list order. A chunk whose background
-// read already finished is taken without blocking (a prefetch hit); one
-// still in flight is waited for; one never scheduled (depth or pool
-// exhausted, or read-ahead disabled) is read synchronously on the consumer.
-// Read failures surface on the consumer that claims the chunk, with the
-// same Status the synchronous path would have produced.
+// One schedule, so the page reads never change. While read-ahead is on, the
+// reader is the only thread that reads a chunk: it reads them one after
+// another in list order, exactly the disk reads of a synchronous serial
+// scan, so the sequential/random split, the modeled I/O and every figure
+// counter match that scan at any number of consumers. Consumers only wait.
+// The reader never parks on an I/O thread, because StorageManager::QuiesceIo
+// and the compactor wait for every I/O task: when it has read every chunk it
+// was granted it exits, and the consumer that drains the window to half
+// grants it the next window and resubmits it (the hysteresis keeps that to a
+// few handoffs per scan). The reader signals only while a consumer waits.
+// It reads into buffers the consumers sized, and the page-id scratch is
+// reserved up front, so the I/O thread allocates nothing per chunk. Only a
+// refused Submit (the pool shut down) makes consumers read for themselves.
 //
-// Lifetime: background tasks share ownership of the internal state block,
-// so a cursor abandoned on an error path cannot dangle; the destructor
-// cancels unstarted tasks and waits only for tasks already mid-read (they
-// hold the array pointer).
+// Read-ahead off (window 0 or no I/O pool): every Next() reads its chunk
+// synchronously on the caller, with no handoff — the path of warm serial
+// scans, whose pages are already buffered.
+//
+// A read failure stops the reader; the consumer claiming that chunk, and
+// every later one, gets the Status the synchronous read would have
+// returned. Lifetime: the reader shares ownership of the internal state, so
+// a cursor abandoned on an error path cannot dangle; the destructor stops
+// the reader and waits only while it is inside a read (it holds the array
+// pointer and pins pages), so no frame stays pinned once it returns.
 #pragma once
 
 #include <condition_variable>
@@ -51,11 +64,12 @@ class IoPool;
 class ChunkReadAhead {
  public:
   /// `array` must outlive the cursor. `chunks` is the exact claim order.
-  /// `io_pool` may be null and `depth` zero — both disable read-ahead and
-  /// make every Next() a synchronous read. `pool` (may be null) receives
-  /// prefetched / prefetch-hit accounting.
+  /// `window_bytes` bounds the stored chunk bytes read ahead of the claims
+  /// (at least one chunk); 0 or a null `io_pool` turns read-ahead off.
+  /// `pool` (may be null) receives prefetched / prefetch-hit / wasted
+  /// accounting.
   ChunkReadAhead(const ChunkedArray* array, std::vector<uint64_t> chunks,
-                 size_t depth, IoPool* io_pool, BufferPool* pool);
+                 size_t window_bytes, IoPool* io_pool, BufferPool* pool);
   ~ChunkReadAhead();
 
   ChunkReadAhead(const ChunkReadAhead&) = delete;
@@ -68,36 +82,42 @@ class ChunkReadAhead {
   Result<bool> Next(uint64_t* chunk_no, ChunkedArray::ChunkParts* parts);
 
  private:
-  struct Slot {
-    enum : uint8_t { kIdle = 0, kScheduled, kReady, kFailed };
-    uint8_t state = kIdle;
-    ChunkedArray::ChunkParts parts;
-    Status status;
-  };
-
-  /// Shared between the cursor and its background tasks (shared_ptr-owned so
-  /// in-flight tasks survive cursor destruction).
+  /// Shared between the cursor and its reader task (shared_ptr-owned so a
+  /// reader still queued when the cursor dies finds it alive).
   struct State {
     std::mutex mu;
     std::condition_variable cv;
     const ChunkedArray* array = nullptr;
     BufferPool* pool = nullptr;
     std::vector<uint64_t> chunks;
-    std::vector<Slot> slots;      // parallel to `chunks`
-    size_t next_claim = 0;        // next index Next() hands out
-    size_t next_schedule = 0;     // first index not yet scheduled
-    bool cancelled = false;
-    size_t in_flight = 0;         // tasks currently executing
+    // Read-ahead only, parallel to `chunks`: stored sizes, and the buffers
+    // the reader fills (sized when granted, moved out when taken).
+    std::vector<uint64_t> stored_bytes;
+    std::vector<std::string> buffers;
+    std::vector<PageId> pages;  // the reader's page-id scratch
+    size_t window_bytes = 0;
+    size_t next_claim = 0;  // next index Next() hands out
+    size_t next_read = 0;   // chunks [0, next_read) are read
+    size_t granted = 0;     // the reader may read up to here
+    uint64_t buffered = 0;  // stored bytes granted and not yet taken
+    bool reader_live = false;  // a reader task is queued or running
+    bool reading = false;      // the reader is inside a chunk read
+    bool stop = false;         // the cursor is gone: the reader exits
+    bool refused = false;      // Submit refused: consumers read themselves
+    size_t waiting = 0;        // threads waiting on `cv`
+    Status failure;            // the reader's error at chunk `next_read`
   };
 
-  /// Schedules reads for [next_claim, next_claim + depth) that are still
-  /// idle. Called with st->mu held.
-  static void ScheduleWindow(const std::shared_ptr<State>& st, size_t depth,
-                             IoPool* io_pool);
+  /// Grants the reader buffers for the chunks after the last granted one,
+  /// up to the window, and submits it. Called with st->mu held and no
+  /// reader live.
+  void StartReader();
+  /// The reader task: reads granted chunks in order until none is left.
+  static void ReadGranted(const std::shared_ptr<State>& st);
 
   std::shared_ptr<State> state_;
-  size_t depth_;
   IoPool* io_pool_;
+  bool read_ahead_;
 };
 
 }  // namespace paradise

@@ -15,14 +15,19 @@
 // ChunkDelta and merged inside the kernel and the probe (core/morsel.h);
 // the executor never rebuilds or re-encodes a chunk.
 //
-// At num_threads == 1 the pass runs inline on the caller's thread with
-// synchronous chunk reads — the paper's serial algorithms. With more
-// threads (the intra-operator parallelism the paper names as future work,
-// §6) workers claim morsels from one MorselPool (core/morsel.h) fed by a
-// read-ahead cursor, each aggregating into a private flat array that a final
-// merge folds together. Results are bit-identical at every thread count:
-// AggState accumulation over int64 measures is order-independent, and
-// cell→group assignment does not depend on which worker takes which morsel.
+// At num_threads == 1 the pass runs inline on the caller's thread — the
+// paper's serial algorithms. With more threads (the intra-operator
+// parallelism the paper names as future work, §6) workers claim morsels from
+// one MorselPool (core/morsel.h), each aggregating into a private flat array
+// that a final merge folds together. Chunks come from one ChunkReadAhead
+// cursor (array/chunk_prefetcher.h): a cold scan (the caller just emptied the
+// buffer pool) or a multi-worker one reads them ahead on the storage
+// manager's I/O pool, one reader in chunk order, so its page reads — and
+// every count derived from them — are those of the synchronous serial scan;
+// a warm serial scan reads each chunk itself. Results are bit-identical at
+// every thread count: AggState accumulation over int64 measures is
+// order-independent, and cell→group assignment does not depend on which
+// worker takes which morsel.
 #pragma once
 
 #include <cstddef>
@@ -56,8 +61,14 @@ struct ArrayConsolidateStats {
 
 struct ArrayConsolidateOptions {
   /// Worker threads (>= 1). 1 runs inline on the caller's thread with no
-  /// read-ahead and no morsel splitting.
+  /// morsel splitting; it reads ahead only when `cold` is set. More workers
+  /// always read ahead.
   size_t num_threads = 1;
+  /// The caller just emptied the buffer pool (RunQuery's cold-buffer
+  /// protocol), so every chunk read waits for the disk: the scan reads its
+  /// chunks ahead on the I/O pool even with one worker, overlapping those
+  /// waits with decode. The page reads and their order do not change.
+  bool cold = false;
   /// Polled at every morsel boundary (at least once per chunk); when it
   /// fires the query stops within one morsel's work, every worker is joined,
   /// and the token's typed Status is returned. Not owned; may be nullptr.

@@ -37,7 +37,6 @@ void IoPool::Shutdown() {
       return;
     }
     shutdown_ = true;
-    queue_.clear();
   }
   work_cv_.notify_all();
   for (std::thread& t : threads_) {
@@ -50,7 +49,8 @@ void IoPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     work_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-    if (shutdown_) return;
+    // Queued tasks still run after Shutdown(): their owners wait for them.
+    if (queue_.empty()) return;
     std::function<void()> task = std::move(queue_.front());
     queue_.pop_front();
     ++active_;

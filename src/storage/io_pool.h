@@ -1,14 +1,17 @@
-// IoPool: a small fixed-size background thread pool that serves chunk
-// read-ahead (array/chunk_prefetcher.h). Tasks are opaque closures; the pool
-// guarantees only ordering-free execution and a Drain() barrier, which is
-// all read-ahead needs — prefetch tasks are idempotent hints, never
-// correctness-bearing work.
+// IoPool: a small fixed-size background thread pool. It serves the chunk
+// reader of a read-ahead scan (array/chunk_prefetcher.h) and the per-chunk
+// merges of a compaction (ingest/compactor.cc). Tasks are opaque closures;
+// the pool guarantees only ordering-free execution, a Drain() barrier, and
+// that every accepted task runs exactly once — also across Shutdown(), so an
+// owner waiting for its task's completion never waits forever.
 //
 // The StorageManager owns one pool per database (created when
 // StorageOptions::io_pool_threads > 0) and quiesces it with Drain() before
 // any operation that assumes no I/O is in flight (FlushAndEvictAll,
 // Checkpoint, Close), so cache-dropping and commit protocols never race a
-// background read.
+// background read. A task therefore must not park waiting for another
+// thread: the chunk reader exits when its window is full and its consumer
+// resubmits it.
 #pragma once
 
 #include <condition_variable>
@@ -26,15 +29,15 @@ class IoPool {
   /// Starts `num_threads` workers (at least 1).
   explicit IoPool(size_t num_threads);
 
-  /// Stops accepting work, discards queued tasks, joins the workers.
+  /// Runs Shutdown().
   ~IoPool();
 
   IoPool(const IoPool&) = delete;
   IoPool& operator=(const IoPool&) = delete;
 
   /// Enqueues `task` for execution on some worker. Returns false (dropping
-  /// the task) after Shutdown() — callers treat a refused prefetch as a
-  /// cache miss, so this is safe at any time.
+  /// the task) after Shutdown(); the caller then does the work itself (a
+  /// scan reads its chunks synchronously), so this is safe at any time.
   bool Submit(std::function<void()> task);
 
   /// Blocks until every task submitted so far has finished and no worker is
@@ -42,8 +45,9 @@ class IoPool {
   /// on; callers quiesce producers first.
   void Drain();
 
-  /// Irreversibly stops the pool: pending tasks are discarded, running ones
-  /// finish, workers join. Idempotent; also run by the destructor.
+  /// Irreversibly stops the pool: new tasks are refused, every task already
+  /// accepted (queued or running) runs to completion, workers join.
+  /// Idempotent; also run by the destructor.
   void Shutdown();
 
   size_t num_threads() const { return threads_.size(); }
