@@ -1,6 +1,5 @@
 #include "array/chunk_prefetcher.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "storage/buffer_pool.h"
@@ -20,18 +19,7 @@ ChunkReadAhead::ChunkReadAhead(const ChunkedArray* array,
   st.pool = pool;
   st.chunks = std::move(chunks);
   st.window_bytes = window_bytes;
-  if (!read_ahead_) return;
-  // Everything the reader writes besides page frames is allocated here, on
-  // the consumer: a thread's first malloc gives it an arena of its own.
-  const size_t n = st.chunks.size();
-  st.stored_bytes.resize(n);
-  st.buffers.resize(n);
-  uint64_t largest = 0;
-  for (size_t i = 0; i < n; ++i) {
-    st.stored_bytes[i] = array->StoredChunkBytes(st.chunks[i]);
-    largest = std::max(largest, st.stored_bytes[i]);
-  }
-  if (pool != nullptr) st.pages.reserve(largest / pool->page_size() + 2);
+  if (read_ahead_) st.slots.resize(st.chunks.size());
 }
 
 ChunkReadAhead::~ChunkReadAhead() {
@@ -49,51 +37,38 @@ ChunkReadAhead::~ChunkReadAhead() {
   if (st.pool != nullptr && st.next_read > st.next_claim) {
     st.pool->RecordPrefetchWasted(st.next_read - st.next_claim);
   }
-  st.buffers.clear();
+  st.slots.clear();
 }
 
 void ChunkReadAhead::StartReader() {
   State& st = *state_;
-  const size_t n = st.chunks.size();
-  // At least one chunk, then as many as fit in the window.
-  size_t end = st.granted;
-  while (end < n && (end == st.granted ||
-                     st.buffered + st.stored_bytes[end] <= st.window_bytes)) {
-    st.buffers[end].resize(st.stored_bytes[end]);
-    st.buffered += st.stored_bytes[end];
-    ++end;
-  }
-  st.granted = end;
   st.reader_live = true;
   std::shared_ptr<State> shared = state_;
-  if (io_pool_->Submit([shared] { ReadGranted(shared); })) return;
-  // The pool shut down: the granted chunks nobody read are read by their
-  // consumers, like every later one.
+  if (io_pool_->Submit([shared] { ReadWindow(shared); })) return;
+  // The pool shut down: consumers read every chunk not yet read themselves.
   st.reader_live = false;
   st.refused = true;
-  for (size_t i = st.next_read; i < st.granted; ++i) {
-    st.buffered -= st.stored_bytes[i];
-    st.buffers[i] = std::string();
-  }
-  st.granted = st.next_read;
 }
 
-void ChunkReadAhead::ReadGranted(const std::shared_ptr<State>& shared) {
+void ChunkReadAhead::ReadWindow(const std::shared_ptr<State>& shared) {
   State& st = *shared;
   std::unique_lock<std::mutex> lock(st.mu);
-  while (!st.stop && st.next_read < st.granted) {
+  while (!st.stop && st.next_read < st.chunks.size() &&
+         st.buffered < st.window_bytes) {
     const size_t i = st.next_read;
     st.reading = true;
     lock.unlock();
     // Slot i belongs to the reader until next_read passes it.
-    Status read = st.array->ReadStoredChunk(st.chunks[i], st.buffers[i].data(),
-                                            &st.pages);
+    Result<ChunkedArray::ChunkParts> read =
+        st.array->ReadChunkParts(st.chunks[i]);
     lock.lock();
     st.reading = false;
     if (!read.ok()) {
-      st.failure = std::move(read);
+      st.failure = read.status();
       break;
     }
+    st.slots[i] = std::move(read).value();
+    st.buffered += st.slots[i].base.size();
     st.next_read = i + 1;
     if (st.pool != nullptr) st.pool->RecordPrefetch();
     if (st.waiting > 0) st.cv.notify_all();
@@ -123,18 +98,15 @@ Result<bool> ChunkReadAhead::Next(uint64_t* chunk_no,
       --st.waiting;
     }
     if (i < st.next_read) {
-      std::string stored = std::move(st.buffers[i]);
-      st.buffered -= st.stored_bytes[i];
+      *parts = std::move(st.slots[i]);
+      st.buffered -= parts->base.size();
       if (!waited && st.pool != nullptr) st.pool->RecordPrefetchHit();
       // Hysteresis: the reader restarts only once half the window drained.
       if (!st.reader_live && !st.refused && st.failure.ok() &&
-          st.granted < st.chunks.size() &&
+          st.next_read < st.chunks.size() &&
           st.buffered <= st.window_bytes / 2) {
         StartReader();
       }
-      lock.unlock();
-      PARADISE_ASSIGN_OR_RETURN(
-          *parts, st.array->PartsFromStored(chunk, std::move(stored)));
       *chunk_no = chunk;
       return true;
     }

@@ -25,17 +25,15 @@
 // scan, so the sequential/random split, the modeled I/O and every figure
 // counter match that scan at any number of consumers. Consumers only wait.
 // The reader never parks on an I/O thread, because StorageManager::QuiesceIo
-// and the compactor wait for every I/O task: when it has read every chunk it
-// was granted it exits, and the consumer that drains the window to half
-// grants it the next window and resubmits it (the hysteresis keeps that to a
-// few handoffs per scan). The reader signals only while a consumer waits.
-// It reads into buffers the consumers sized, and the page-id scratch is
-// reserved up front, so the I/O thread allocates nothing per chunk. Only a
+// and the compactor wait for every I/O task: once the chunks it holds for
+// the consumers reach the byte window it exits, and the consumer that drains
+// them to half the window resubmits it (the hysteresis keeps that to a few
+// handoffs per scan). The reader signals only while a consumer waits. Only a
 // refused Submit (the pool shut down) makes consumers read for themselves.
 //
 // Read-ahead off (window 0 or no I/O pool): every Next() reads its chunk
-// synchronously on the caller, with no handoff — the path of warm serial
-// scans, whose pages are already buffered.
+// synchronously on the caller, with no handoff — the path of scans whose
+// pages are already buffered.
 //
 // A read failure stops the reader; the consumer claiming that chunk, and
 // every later one, gets the Status the synchronous read would have
@@ -49,7 +47,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "array/chunked_array.h"
@@ -64,8 +61,8 @@ class IoPool;
 class ChunkReadAhead {
  public:
   /// `array` must outlive the cursor. `chunks` is the exact claim order.
-  /// `window_bytes` bounds the stored chunk bytes read ahead of the claims
-  /// (at least one chunk); 0 or a null `io_pool` turns read-ahead off.
+  /// `window_bytes` bounds the chunk bytes read ahead of the claims (at
+  /// least one chunk); 0 or a null `io_pool` turns read-ahead off.
   /// `pool` (may be null) receives prefetched / prefetch-hit / wasted
   /// accounting.
   ChunkReadAhead(const ChunkedArray* array, std::vector<uint64_t> chunks,
@@ -90,16 +87,13 @@ class ChunkReadAhead {
     const ChunkedArray* array = nullptr;
     BufferPool* pool = nullptr;
     std::vector<uint64_t> chunks;
-    // Read-ahead only, parallel to `chunks`: stored sizes, and the buffers
-    // the reader fills (sized when granted, moved out when taken).
-    std::vector<uint64_t> stored_bytes;
-    std::vector<std::string> buffers;
-    std::vector<PageId> pages;  // the reader's page-id scratch
+    // Read-ahead only, parallel to `chunks`: what the reader read, moved
+    // out when claimed.
+    std::vector<ChunkedArray::ChunkParts> slots;
     size_t window_bytes = 0;
     size_t next_claim = 0;  // next index Next() hands out
     size_t next_read = 0;   // chunks [0, next_read) are read
-    size_t granted = 0;     // the reader may read up to here
-    uint64_t buffered = 0;  // stored bytes granted and not yet taken
+    uint64_t buffered = 0;  // base bytes read and not yet claimed
     bool reader_live = false;  // a reader task is queued or running
     bool reading = false;      // the reader is inside a chunk read
     bool stop = false;         // the cursor is gone: the reader exits
@@ -108,12 +102,10 @@ class ChunkReadAhead {
     Status failure;            // the reader's error at chunk `next_read`
   };
 
-  /// Grants the reader buffers for the chunks after the last granted one,
-  /// up to the window, and submits it. Called with st->mu held and no
-  /// reader live.
+  /// Submits the reader. Called with st->mu held and no reader live.
   void StartReader();
-  /// The reader task: reads granted chunks in order until none is left.
-  static void ReadGranted(const std::shared_ptr<State>& st);
+  /// The reader task: reads chunks in order until the window is full.
+  static void ReadWindow(const std::shared_ptr<State>& st);
 
   std::shared_ptr<State> state_;
   IoPool* io_pool_;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/coding.h"
+#include "storage/buffer_pool.h"
 #include "storage/io_pool.h"
 
 namespace paradise {
@@ -236,30 +237,9 @@ Result<ChunkedArray::ChunkParts> ChunkedArray::ReadChunkParts(
   return ReadChunkPartsAt(*version(), chunk_no);
 }
 
-uint64_t ChunkedArray::StoredChunkBytes(uint64_t chunk_no) const {
-  if (chunk_no >= layout_.num_chunks()) return 0;
-  const ChunkInfo& info = version()->directory[chunk_no];
-  return info.num_valid == 0 ? 0 : info.bytes;
-}
-
-Status ChunkedArray::ReadStoredChunk(uint64_t chunk_no, char* out,
-                                     std::vector<PageId>* pages) const {
-  PARADISE_RETURN_IF_ERROR(CheckChunkNo(layout_, chunk_no));
-  const VersionPtr v = version();
-  const ChunkInfo& info = v->directory[chunk_no];
-  if (info.num_valid == 0) return Status::OK();
-  return storage_->objects()->ReadRangeInto(v->data_oid, info.offset,
-                                            info.bytes, out, pages);
-}
-
-Result<ChunkedArray::ChunkParts> ChunkedArray::PartsFromStored(
-    uint64_t chunk_no, std::string stored) const {
-  PARADISE_RETURN_IF_ERROR(CheckChunkNo(layout_, chunk_no));
-  const VersionPtr v = version();
-  ChunkParts parts;
-  PARADISE_ASSIGN_OR_RETURN(parts.base, UnwrapChunkBlob(std::move(stored)));
-  if (v->overlay != nullptr) parts.delta = v->overlay->Find(chunk_no);
-  return parts;
+bool ChunkedArray::DataBuffered() const {
+  // A large object is addressed by its header page (storage/large_object.h).
+  return storage_->pool()->IsResident(version()->data_oid);
 }
 
 bool ChunkedArray::ChunkIsEmpty(uint64_t chunk_no) const {

@@ -111,20 +111,10 @@ class ChunkedArray {
   };
   Result<ChunkParts> ReadChunkParts(uint64_t chunk_no) const;
 
-  /// ReadChunkParts in two steps, for a reader on another thread
-  /// (array/chunk_prefetcher.h): ReadStoredChunk copies the base chunk's
-  /// bytes as stored (StoredChunkBytes of them, still LZW-wrapped) into
-  /// caller memory through the pages ReadChunkParts would fetch, in the same
-  /// order, allocating nothing once `pages` holds StoredChunkBytes /
-  /// page_size + 2 ids; PartsFromStored then unwraps them and attaches the
-  /// delta, returning what ReadChunkParts would have. Each call pins the
-  /// current version on its own, so call them on a copy nobody publishes
-  /// to, as the engines' per-query pin is.
-  uint64_t StoredChunkBytes(uint64_t chunk_no) const;
-  Status ReadStoredChunk(uint64_t chunk_no, char* out,
-                         std::vector<PageId>* pages) const;
-  Result<ChunkParts> PartsFromStored(uint64_t chunk_no,
-                                     std::string stored) const;
+  /// True if the page every chunk read starts from — the header of the
+  /// version's data object — is in the buffer pool. False right after the
+  /// pool was emptied, so a scan's reads are about to go to disk.
+  bool DataBuffered() const;
 
   /// True if the chunk has no valid cells — neither base cells in the
   /// directory nor overlay deltas.

@@ -16,10 +16,9 @@ namespace paradise {
 
 namespace {
 
-/// Stored chunk bytes a read-ahead scan's reader keeps ahead of the claims
-/// on the storage manager's background I/O pool (array/chunk_prefetcher.h).
-/// The reader is resubmitted once half of it drained: on Data Set 1 that is
-/// about 70 of DataSet1(1000)'s small chunks, 5 of DataSet1(50)'s.
+/// Chunk bytes a scan's reader keeps ahead of the claims on the storage
+/// manager's background I/O pool (array/chunk_prefetcher.h). The reader is
+/// resubmitted once half of it drained.
 constexpr size_t kReadAheadBytes = 256 << 10;
 
 /// Adds one worker's work counters into the query's.
@@ -83,14 +82,13 @@ Result<query::GroupedResult> ArrayConsolidate(
         if (!data.ChunkIsEmpty(c)) chunks.push_back(c);
       }
     }
-    // Reads go ahead on the I/O pool when they would wait for the disk (the
-    // caller emptied the pool) or when several workers consume them; a warm
-    // serial scan reads synchronously, with no handoff. A single worker never
-    // splits: nobody could steal the pieces.
-    const bool read_ahead = options.cold || threads > 1;
+    // Read ahead when the scan's reads are about to miss the pool (the
+    // cold-buffer protocol just emptied it); a scan over buffered pages
+    // reads each chunk on its consumer, which costs no handoff. A single
+    // worker never splits: nobody could steal the pieces.
     StorageManager* storage = array.storage();
     ChunkReadAhead cursor(&data, std::move(chunks),
-                          read_ahead ? kReadAheadBytes : 0,
+                          data.DataBuffered() ? 0 : kReadAheadBytes,
                           storage->io_pool(), storage->pool());
     MorselPool pool(&cursor, plan ? &work : nullptr,
                     threads == 1 ? UINT32_MAX : options.min_cells,

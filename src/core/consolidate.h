@@ -20,14 +20,15 @@
 // parallelism the paper names as future work, §6) workers claim morsels from
 // one MorselPool (core/morsel.h), each aggregating into a private flat array
 // that a final merge folds together. Chunks come from one ChunkReadAhead
-// cursor (array/chunk_prefetcher.h): a cold scan (the caller just emptied the
-// buffer pool) or a multi-worker one reads them ahead on the storage
-// manager's I/O pool, one reader in chunk order, so its page reads — and
-// every count derived from them — are those of the synchronous serial scan;
-// a warm serial scan reads each chunk itself. Results are bit-identical at
-// every thread count: AggState accumulation over int64 measures is
-// order-independent, and cell→group assignment does not depend on which
-// worker takes which morsel.
+// cursor (array/chunk_prefetcher.h). When the scan's reads are about to miss
+// the pool (ChunkedArray::DataBuffered is false, as right after the
+// cold-buffer protocol emptied it), one reader on the storage manager's I/O
+// pool reads them ahead in chunk order, so the page reads — and every count
+// derived from them — are those of a synchronous serial scan; over buffered
+// pages each consumer reads its own chunks.
+// Results are bit-identical at every thread count: AggState accumulation
+// over int64 measures is order-independent, and cell→group assignment does
+// not depend on which worker takes which morsel.
 #pragma once
 
 #include <cstddef>
@@ -61,14 +62,8 @@ struct ArrayConsolidateStats {
 
 struct ArrayConsolidateOptions {
   /// Worker threads (>= 1). 1 runs inline on the caller's thread with no
-  /// morsel splitting; it reads ahead only when `cold` is set. More workers
-  /// always read ahead.
+  /// morsel splitting. Whether chunks are read ahead does not depend on it.
   size_t num_threads = 1;
-  /// The caller just emptied the buffer pool (RunQuery's cold-buffer
-  /// protocol), so every chunk read waits for the disk: the scan reads its
-  /// chunks ahead on the I/O pool even with one worker, overlapping those
-  /// waits with decode. The page reads and their order do not change.
-  bool cold = false;
   /// Polled at every morsel boundary (at least once per chunk); when it
   /// fires the query stops within one morsel's work, every worker is joined,
   /// and the token's typed Status is returned. Not owned; may be nullptr.

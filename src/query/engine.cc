@@ -275,7 +275,6 @@ Result<Execution> RunQueryImpl(Database* db, EngineKind kind,
       const std::optional<AggregateMatch> match = db->FindAggregate(q);
       ArrayConsolidateOptions array_options;
       array_options.num_threads = options.num_threads;
-      array_options.cold = options.cold;
       array_options.cancel = options.cancel;
       ArrayConsolidateStats stats;
       PARADISE_ASSIGN_OR_RETURN(

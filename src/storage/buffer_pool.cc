@@ -158,6 +158,12 @@ void BufferPool::CountDiskRead(Shard& s, PageId id) {
   }
 }
 
+bool BufferPool::IsResident(PageId id) const {
+  const Shard& s = *shards_[ShardIndex(id)];
+  std::lock_guard<std::mutex> lock(s.mu);
+  return s.page_table.count(id) != 0;
+}
+
 Result<PageGuard> BufferPool::FetchPage(PageId id) {
   const size_t shard_index = ShardIndex(id);
   Shard& s = *shards_[shard_index];

@@ -149,6 +149,10 @@ class BufferPool {
   /// the paper's cold-buffer protocol.
   Status FlushAndEvictAll();
 
+  /// True if page `id` holds a frame (cached, or being read in), without
+  /// fetching it or counting a read.
+  bool IsResident(PageId id) const;
+
   size_t capacity() const { return capacity_; }
   size_t page_size() const { return page_size_; }
   size_t num_shards() const { return shards_.size(); }

@@ -245,70 +245,48 @@ Result<std::string> LargeObjectStore::Read(ObjectId oid) const {
 
 Result<std::string> LargeObjectStore::ReadRange(ObjectId oid, uint64_t offset,
                                                 uint64_t read_len) const {
+  const size_t page_size = pool_->page_size();
+  // Ids of the data pages the range covers, read from the directory pages
+  // that list them and no others; the walk's pin ends with this block.
   std::vector<PageId> range_pages;
-  PARADISE_RETURN_IF_ERROR(RangePages(oid, offset, read_len, &range_pages));
+  {
+    PARADISE_ASSIGN_OR_RETURN(DirectoryWalk walk,
+                              DirectoryWalk::Start(pool_, oid));
+    const uint64_t length = walk.length();
+    if (offset > length || read_len > length - offset) {
+      return Status::OutOfRange("read of " + std::to_string(read_len) +
+                                " bytes at " + std::to_string(offset) +
+                                " beyond object of " + std::to_string(length) +
+                                " bytes");
+    }
+    if (read_len == 0) return std::string();
+    const uint64_t first_page = offset / page_size;
+    const uint64_t last_page = (offset + read_len - 1) / page_size;
+    range_pages.reserve(last_page - first_page + 1);
+    for (uint64_t p = first_page; p <= last_page; ++p) {
+      while (p - walk.first() >= walk.count()) {
+        if (walk.at_end()) {
+          return Status::Corruption("large object " + std::to_string(oid) +
+                                    " directory ends before data page " +
+                                    std::to_string(p));
+        }
+        PARADISE_RETURN_IF_ERROR(walk.Next());
+      }
+      range_pages.push_back(walk.id(static_cast<uint32_t>(p - walk.first())));
+    }
+  }
   std::string out;
   out.resize(read_len);
-  PARADISE_RETURN_IF_ERROR(
-      CopyRange(range_pages, offset, read_len, out.data()));
-  return out;
-}
-
-Status LargeObjectStore::ReadRangeInto(ObjectId oid, uint64_t offset,
-                                       uint64_t length, char* out,
-                                       std::vector<PageId>* pages) const {
-  PARADISE_RETURN_IF_ERROR(RangePages(oid, offset, length, pages));
-  return CopyRange(*pages, offset, length, out);
-}
-
-Status LargeObjectStore::RangePages(ObjectId oid, uint64_t offset,
-                                    uint64_t read_len,
-                                    std::vector<PageId>* range_pages) const {
-  range_pages->clear();
-  const size_t page_size = pool_->page_size();
-  // Reads the directory pages that list the range's ids and no others; the
-  // walk's pin ends on return, before any data page is fetched.
-  PARADISE_ASSIGN_OR_RETURN(DirectoryWalk walk,
-                            DirectoryWalk::Start(pool_, oid));
-  const uint64_t length = walk.length();
-  if (offset > length || read_len > length - offset) {
-    return Status::OutOfRange("read of " + std::to_string(read_len) +
-                              " bytes at " + std::to_string(offset) +
-                              " beyond object of " + std::to_string(length) +
-                              " bytes");
-  }
-  if (read_len == 0) return Status::OK();
-  const uint64_t first_page = offset / page_size;
-  const uint64_t last_page = (offset + read_len - 1) / page_size;
-  range_pages->reserve(last_page - first_page + 1);
-  for (uint64_t p = first_page; p <= last_page; ++p) {
-    while (p - walk.first() >= walk.count()) {
-      if (walk.at_end()) {
-        return Status::Corruption("large object " + std::to_string(oid) +
-                                  " directory ends before data page " +
-                                  std::to_string(p));
-      }
-      PARADISE_RETURN_IF_ERROR(walk.Next());
-    }
-    range_pages->push_back(walk.id(static_cast<uint32_t>(p - walk.first())));
-  }
-  return Status::OK();
-}
-
-Status LargeObjectStore::CopyRange(const std::vector<PageId>& range_pages,
-                                   uint64_t offset, uint64_t read_len,
-                                   char* out) const {
-  const size_t page_size = pool_->page_size();
   uint64_t written = 0;
   for (const PageId page : range_pages) {
     const uint64_t in_page = (offset + written) % page_size;
     const uint64_t n = std::min<uint64_t>(page_size - in_page,
                                           read_len - written);
     PARADISE_ASSIGN_OR_RETURN(PageGuard g, pool_->FetchPage(page));
-    std::memcpy(out + written, g.data() + in_page, n);
+    std::memcpy(out.data() + written, g.data() + in_page, n);
     written += n;
   }
-  return Status::OK();
+  return out;
 }
 
 Result<uint64_t> LargeObjectStore::Size(ObjectId oid) const {

@@ -34,13 +34,6 @@ class LargeObjectStore {
   Result<std::string> ReadRange(ObjectId oid, uint64_t offset,
                                 uint64_t length) const;
 
-  /// ReadRange into caller memory: copies the `length` bytes at `offset`
-  /// to `out`, fetching the same pages in the same order. `pages` is
-  /// scratch for the range's data-page ids; when its capacity covers them
-  /// (length / page_size + 2 always does) the read allocates nothing.
-  Status ReadRangeInto(ObjectId oid, uint64_t offset, uint64_t length,
-                       char* out, std::vector<PageId>* pages) const;
-
   /// Byte length of the object.
   Result<uint64_t> Size(ObjectId oid) const;
 
@@ -56,15 +49,6 @@ class LargeObjectStore {
   Result<uint64_t> PageFootprint(ObjectId oid) const;
 
  private:
-  /// Ids of the data pages holding [offset, offset + length), read from
-  /// the directory pages that list them; OutOfRange beyond the object.
-  Status RangePages(ObjectId oid, uint64_t offset, uint64_t length,
-                    std::vector<PageId>* pages) const;
-
-  /// Copies [offset, offset + length) out of `pages` (RangePages) to `out`.
-  Status CopyRange(const std::vector<PageId>& pages, uint64_t offset,
-                   uint64_t length, char* out) const;
-
   /// Collects the data-page ids and directory-page ids of an object.
   /// Directory counts that overrun their page or the object are Corruption.
   Status CollectPages(ObjectId oid, uint64_t* length,

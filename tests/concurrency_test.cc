@@ -20,6 +20,7 @@
 #include "common/random.h"
 #include "core/consolidate.h"
 #include "core/morsel.h"
+#include "ingest/ingest.h"
 #include "query/engine.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -297,14 +298,11 @@ struct ScanRun {
 // same pages in the same order, so each starts with the simulated disk head
 // where the previous one left it and the seq/rand split is comparable.
 ScanRun ColdScan(Database* db, const query::ConsolidationQuery& q,
-                 size_t threads, bool cold) {
+                 size_t threads) {
   ScanRun run;
   EXPECT_OK(db->DropCaches());
   db->storage()->pool()->ResetStats();
-  ArrayConsolidateOptions options;
-  options.cold = cold;
-  Result<query::GroupedResult> r =
-      ConsolidateAt(*db->olap(), q, threads, nullptr, options);
+  Result<query::GroupedResult> r = ConsolidateAt(*db->olap(), q, threads);
   EXPECT_OK(r.status());
   if (r.ok()) run.result = std::move(r).value();
   run.io = db->storage()->pool()->stats();
@@ -323,27 +321,36 @@ TEST(ChunkReadAheadTest, ColdScansReadExactlyLikeTheSynchronousScan) {
                                     MultiPageChunkConfig()};
   for (const gen::GenConfig& config : configs) {
     SCOPED_TRACE(config.num_valid_cells);
-    TempFile file("conc_exact_counts");
     ASSERT_OK_AND_ASSIGN(gen::SyntheticDataset data, gen::Generate(config));
+    const query::ConsolidationQuery q = gen::Query1(3);
+    const query::GroupedResult expected = BruteForce(data, q);
+
+    // The synchronous reference: the same file built without an I/O pool.
+    TempFile sync_file("conc_exact_counts_sync");
+    DatabaseOptions sync_options = SmallDbOptions();
+    sync_options.storage.io_pool_threads = 0;
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<Database> sync_db,
+        BuildDatabaseFromDataset(sync_file.path(), data, sync_options));
+    ColdScan(sync_db.get(), q, 1);  // puts the disk head in place
+    const ScanRun sync = ColdScan(sync_db.get(), q, 1);
+    EXPECT_TRUE(sync.result.SameAs(expected));
+    EXPECT_EQ(sync.io.prefetched, 0u);
+    ASSERT_GT(sync.io.disk_reads, 0u);
+
+    TempFile file("conc_exact_counts");
     ASSERT_OK_AND_ASSIGN(
         std::unique_ptr<Database> db,
         BuildDatabaseFromDataset(file.path(), data, SmallDbOptions()));
     ASSERT_NE(db->storage()->io_pool(), nullptr);
-    const query::ConsolidationQuery q = gen::Query1(3);
-    const query::GroupedResult expected = BruteForce(data, q);
-
-    ColdScan(db.get(), q, 1, false);  // puts the disk head in place
-    const ScanRun sync = ColdScan(db.get(), q, 1, false);
-    EXPECT_TRUE(sync.result.SameAs(expected));
-    EXPECT_EQ(sync.io.prefetched, 0u);
-    ASSERT_GT(sync.io.disk_reads, 0u);
+    ColdScan(db.get(), q, 1);  // puts the disk head in place
     for (int round = 0; round < 3; ++round) {
       SCOPED_TRACE(round);
-      const ScanRun serial = ColdScan(db.get(), q, 1, true);
+      const ScanRun serial = ColdScan(db.get(), q, 1);
       EXPECT_TRUE(serial.result.SameAs(expected));
       ExpectSameReads(serial.io, sync.io);
       EXPECT_GT(serial.io.prefetched, 0u);
-      const ScanRun parallel = ColdScan(db.get(), q, 2, true);
+      const ScanRun parallel = ColdScan(db.get(), q, 2);
       EXPECT_TRUE(parallel.result.SameAs(expected));
       ExpectSameReads(parallel.io, sync.io);
     }
@@ -360,13 +367,17 @@ TEST(ChunkReadAheadTest, MultiPageChunksAreReadWhole) {
       BuildDatabaseFromDataset(file.path(), data, options));
   const ChunkedArray& array = db->olap()->array();
   std::vector<uint64_t> chunks;
-  uint64_t largest = 0;
   for (uint64_t c = 0; c < array.layout().num_chunks(); ++c) {
-    if (array.ChunkIsEmpty(c)) continue;
-    chunks.push_back(c);
-    largest = std::max(largest, array.StoredChunkBytes(c));
+    if (!array.ChunkIsEmpty(c)) chunks.push_back(c);
   }
-  ASSERT_GT(largest, options.storage.page_size);
+  ASSERT_GE(chunks.size(), 3u);
+  // Chunk 2 shares no page with chunk 0, whose read also cached the
+  // directory: its own page reads show it spans several pages.
+  ASSERT_OK(db->DropCaches());
+  ASSERT_OK(array.ReadChunkParts(chunks[0]).status());
+  db->storage()->pool()->ResetStats();
+  ASSERT_OK(array.ReadChunkParts(chunks[2]).status());
+  ASSERT_GE(db->storage()->pool()->stats().disk_reads, 2u);
   // Windows of one chunk (a handoff per chunk), a few chunks, and all.
   for (size_t window : {size_t{1}, size_t{3} * options.storage.page_size,
                         size_t{1} << 20}) {
@@ -406,19 +417,35 @@ TEST(ChunkReadAheadTest, WarmSerialScanReadsItself) {
       std::unique_ptr<Database> db,
       BuildDatabaseFromDataset(file.path(), data, SmallDbOptions()));
   const query::ConsolidationQuery q = gen::Query1(3);
+  ASSERT_OK_AND_ASSIGN(Execution cold,
+                       RunQuery(db.get(), EngineKind::kArray, q));
+  EXPECT_GT(cold.stats.io.disk_reads, 0u);
+  EXPECT_GT(cold.stats.io.prefetched, 0u);
+  // The rerun finds the array's pages buffered and reads them itself.
   RunQueryOptions warm;
   warm.cold = false;
-  ASSERT_OK(RunQuery(db.get(), EngineKind::kArray, q, warm).status());
   ASSERT_OK_AND_ASSIGN(Execution exec,
                        RunQuery(db.get(), EngineKind::kArray, q, warm));
   EXPECT_TRUE(exec.result.SameAs(BruteForce(data, q)));
+  EXPECT_TRUE(exec.result.SameAs(cold.result));
+  EXPECT_EQ(exec.stats.io.disk_reads, 0u);
   EXPECT_EQ(exec.stats.io.prefetched, 0u);
   EXPECT_EQ(exec.stats.io.prefetch_hits, 0u);
-  // The same query under the cold protocol reads ahead.
-  ASSERT_OK_AND_ASSIGN(Execution cold,
-                       RunQuery(db.get(), EngineKind::kArray, q));
-  EXPECT_TRUE(cold.result.SameAs(exec.result));
-  EXPECT_GT(cold.stats.io.prefetched, 0u);
+
+  // A commit and a compaction write the new data object through the pool,
+  // so the ingest readers' next scans still find it buffered.
+  ASSERT_OK(db->ingest()->Write(data.CellKeys(data.cell_global_indices[0]),
+                                {int64_t{7}}));
+  ASSERT_OK(db->ingest()->Commit());
+  ASSERT_OK_AND_ASSIGN(Execution committed,
+                       RunQuery(db.get(), EngineKind::kArray, q, warm));
+  EXPECT_EQ(committed.stats.io.prefetched, 0u);
+  ASSERT_OK(db->ingest()->Compact());
+  ASSERT_OK_AND_ASSIGN(Execution compacted,
+                       RunQuery(db.get(), EngineKind::kArray, q, warm));
+  EXPECT_TRUE(compacted.result.SameAs(committed.result));
+  EXPECT_EQ(compacted.stats.io.disk_reads, 0u);
+  EXPECT_EQ(compacted.stats.io.prefetched, 0u);
 }
 
 TEST(ChunkReadAheadTest, ReadFaultMidScanReturnsItsStatus) {
@@ -439,7 +466,7 @@ TEST(ChunkReadAheadTest, ReadFaultMidScanReturnsItsStatus) {
       BuildDatabaseFromDataset(file.path(), data, options));
   ASSERT_NE(faults, nullptr);
   const query::ConsolidationQuery q = gen::Query1(3);
-  const ScanRun clean = ColdScan(db.get(), q, 1, false);
+  const ScanRun clean = ColdScan(db.get(), q, 1);
   ASSERT_GT(clean.io.disk_reads, 6u);
   for (size_t threads : {size_t{1}, size_t{2}}) {
     SCOPED_TRACE(threads);
@@ -447,16 +474,13 @@ TEST(ChunkReadAheadTest, ReadFaultMidScanReturnsItsStatus) {
     FaultInjectionOptions schedule;
     schedule.fail_nth_read = clean.io.disk_reads / 2;
     faults->Arm(schedule);
-    ArrayConsolidateOptions cold;
-    cold.cold = true;
-    Result<query::GroupedResult> r =
-        ConsolidateAt(*db->olap(), q, threads, nullptr, cold);
+    Result<query::GroupedResult> r = ConsolidateAt(*db->olap(), q, threads);
     faults->Arm(FaultInjectionOptions{});
     ASSERT_FALSE(r.ok());
     EXPECT_TRUE(r.status().IsIOError()) << r.status().ToString();
     EXPECT_EQ(db->storage()->pool()->pinned_frames(), 0u);
     // Nothing is left behind: the next cold scan is exact.
-    const ScanRun again = ColdScan(db.get(), q, threads, true);
+    const ScanRun again = ColdScan(db.get(), q, threads);
     EXPECT_TRUE(again.result.SameAs(clean.result));
   }
 }
@@ -530,15 +554,19 @@ TEST(ChunkReadAheadTest, ShutdownWithQueuedReadsReturns) {
   TempFile file("conc_reader_shutdown");
   ASSERT_OK_AND_ASSIGN(gen::SyntheticDataset data,
                        gen::Generate(TinyConfig(400, 47)));
+  // Everything the scan thread touches is shared with it, so a hung scan
+  // reported below still holds live objects.
   ASSERT_OK_AND_ASSIGN(
-      std::unique_ptr<Database> db,
+      std::shared_ptr<Database> db,
       BuildDatabaseFromDataset(file.path(), data, SmallDbOptions()));
-  ASSERT_OK(db->DropCaches());
-  const ChunkedArray array = db->olap()->array();
+  auto array = std::make_shared<ChunkedArray>(db->olap()->array());
   std::vector<uint64_t> chunks;
-  for (uint64_t c = 0; c < array.layout().num_chunks(); ++c) {
-    if (!array.ChunkIsEmpty(c)) chunks.push_back(c);
+  for (uint64_t c = 0; c < array->layout().num_chunks(); ++c) {
+    if (!array->ChunkIsEmpty(c)) chunks.push_back(c);
   }
+  ASSERT_OK_AND_ASSIGN(ChunkedArray::ChunkParts first,
+                       array->ReadChunkParts(chunks[0]));
+  ASSERT_OK(db->DropCaches());
 
   // The scan's reader queues behind a busy task; the pool shuts down while
   // the consumer waits for it. The scan must still finish: the queued reader
@@ -554,13 +582,15 @@ TEST(ChunkReadAheadTest, ShutdownWithQueuedReadsReturns) {
     Status status;
   };
   auto outcome = std::make_shared<Outcome>();
-  std::thread scan([&array, &chunks, io, outcome, db = db.get()] {
+  std::thread scan([array, chunks, io, outcome, db,
+                    window = 2 * first.base.size()] {
     size_t n = 0;
     Status status;
     {
-      // A window of two chunks: the reader is granted again after Shutdown.
-      ChunkReadAhead cursor(&array, chunks, 2 * array.StoredChunkBytes(chunks[0]),
-                            io.get(), db->storage()->pool());
+      // A window of about two chunks: the reader is submitted again after
+      // Shutdown.
+      ChunkReadAhead cursor(array.get(), chunks, window, io.get(),
+                            db->storage()->pool());
       for (;;) {
         uint64_t chunk_no = 0;
         ChunkedArray::ChunkParts parts;

@@ -253,14 +253,21 @@ TEST_F(BufferPoolTest, MoveTransfersPin) {
 }
 
 TEST_F(BufferPoolTest, FlushAndEvictEmptiesPool) {
+  PageId first = kInvalidPageId;
   for (int i = 0; i < 6; ++i) {
     ASSERT_OK_AND_ASSIGN(PageGuard g, pool_->NewPage());
     g.mutable_data()[0] = 1;
+    if (i == 0) first = g.page_id();
   }
+  EXPECT_TRUE(pool_->IsResident(first));
   ASSERT_OK(pool_->FlushAndEvictAll());
   pool_->ResetStats();
-  ASSERT_OK_AND_ASSIGN(PageGuard g, pool_->FetchPage(1));
+  // The residency probe neither fetches nor counts a read.
+  EXPECT_FALSE(pool_->IsResident(first));
+  EXPECT_EQ(pool_->stats().logical_reads, 0u);
+  ASSERT_OK_AND_ASSIGN(PageGuard g, pool_->FetchPage(first));
   EXPECT_EQ(pool_->stats().disk_reads, 1u);  // cold again
+  EXPECT_TRUE(pool_->IsResident(first));
 }
 
 TEST(BufferPoolStatsTest, DeltaSaturatesInsteadOfUnderflowing) {
