@@ -89,7 +89,9 @@ void PrintResult(Database* db, const query::ConsolidationQuery& q,
   }
 }
 
-void RunAndReport(Database* db, const char* title,
+// Returns false when a relational engine's answer differs from the array
+// engine's.
+bool RunAndReport(Database* db, const char* title,
                   const query::ConsolidationQuery& q, size_t max_rows = 8) {
   std::printf("\n=== %s ===\n", title);
   auto array = RunQuery(db, EngineKind::kArray, q);
@@ -97,17 +99,20 @@ void RunAndReport(Database* db, const char* title,
   PrintResult(db, q, array->result, max_rows);
   // Cross-check with every applicable relational engine.
   std::printf("[array %.2f ms", array->stats.seconds * 1e3);
+  bool all_match = true;
   for (EngineKind kind : {EngineKind::kStarJoin, EngineKind::kLeftDeep,
                           EngineKind::kBitmap}) {
     if (kind == EngineKind::kBitmap && !q.HasSelection()) continue;
     auto exec = RunQuery(db, kind, q);
     PARADISE_CHECK_OK(exec.status());
+    const bool match = exec->result.SameAs(array->result);
+    all_match = all_match && match;
     std::printf(" | %s %.2f ms%s",
                 std::string(EngineKindToString(kind)).c_str(),
-                exec->stats.seconds * 1e3,
-                exec->result.SameAs(array->result) ? "" : " (MISMATCH!)");
+                exec->stats.seconds * 1e3, match ? "" : " (MISMATCH!)");
   }
   std::printf("]\n");
+  return all_match;
 }
 
 }  // namespace
@@ -171,8 +176,10 @@ int main() {
   by_cat_region.dims.resize(3);
   by_cat_region.dims[0].group_by_col = 2;  // category
   by_cat_region.dims[1].group_by_col = 2;  // region
-  RunAndReport(db->get(), "volume by category x region (time collapsed)",
-               by_cat_region, 12);
+  bool all_match = true;
+  all_match &= RunAndReport(db->get(),
+                            "volume by category x region (time collapsed)",
+                            by_cat_region, 12);
 
   // Q2: quarterly trend for one category.
   query::ConsolidationQuery trend;
@@ -180,7 +187,7 @@ int main() {
   trend.dims[0].selections.push_back(
       query::Selection{2, {query::Literal{std::string("drink")}}});
   trend.dims[2].group_by_col = 2;  // quarter
-  RunAndReport(db->get(), "drink volume by quarter", trend, 10);
+  all_match &= RunAndReport(db->get(), "drink volume by quarter", trend, 10);
 
   // Q3: drill down — type breakdown within one region and one quarter.
   query::ConsolidationQuery drill;
@@ -190,14 +197,16 @@ int main() {
       query::Selection{2, {query::Literal{std::string("west")}}});
   drill.dims[2].selections.push_back(
       query::Selection{2, {query::Literal{std::string("q3")}}});
-  RunAndReport(db->get(), "type breakdown in the west during q3", drill, 12);
+  all_match &= RunAndReport(db->get(), "type breakdown in the west during q3",
+                            drill, 12);
 
   // Q4: the second measure — revenue instead of unit volume.
   query::ConsolidationQuery revenue;
   revenue.dims.resize(3);
   revenue.dims[0].group_by_col = 2;  // category
   revenue.measure = 1;               // "revenue"
-  RunAndReport(db->get(), "REVENUE by category (measure #2)", revenue, 6);
+  all_match &=
+      RunAndReport(db->get(), "REVENUE by category (measure #2)", revenue, 6);
 
   // Q5: multi-value selection (IN-list) over two regions.
   query::ConsolidationQuery inlist;
@@ -207,9 +216,14 @@ int main() {
       2,
       {query::Literal{std::string("west")}, query::Literal{std::string("east")}}});
   inlist.dims[2].group_by_col = 2;  // quarter
-  RunAndReport(db->get(), "city x quarter volume for west+east regions",
-               inlist, 6);
+  all_match &= RunAndReport(db->get(),
+                            "city x quarter volume for west+east regions",
+                            inlist, 6);
 
   std::remove(path.c_str());
+  if (!all_match) {
+    std::fprintf(stderr, "a relational engine disagreed with the array engine\n");
+    return 1;
+  }
   return 0;
 }

@@ -33,15 +33,18 @@ struct GroupSpec {
 
   /// "<dim>.<attr>" labels for the result columns.
   std::vector<std::string> GroupColumnNames(const OlapArray& array) const;
-
-  /// Decodes a flat result index back into group codes.
-  std::vector<int32_t> Decode(uint64_t flat) const;
 };
 
 /// Turns the flat result array into a canonical GroupedResult, dropping
-/// empty groups (cells no input mapped to).
+/// empty groups (cells no input mapped to). `columns` names each grouped
+/// dimension. An odometer over the cardinalities writes the code matrix, so
+/// no row allocates; the rvalue form adopts `flat` as the AggState column
+/// when no group is empty.
 query::GroupedResult FlatToGroupedResult(const GroupSpec& spec,
                                          const std::vector<query::AggState>& flat,
+                                         std::vector<std::string> columns);
+query::GroupedResult FlatToGroupedResult(const GroupSpec& spec,
+                                         std::vector<query::AggState>&& flat,
                                          std::vector<std::string> columns);
 
 /// Where one group column of a finer result lands in a coarser grouping.
@@ -60,8 +63,8 @@ struct RollUpColumn {
 /// emits the cells in canonical order — no hashing, no sort. `columns` has
 /// one entry per finer group column and must land on every target column
 /// exactly once. Returns nullopt, having written nothing outside the array,
-/// when a row's width is not columns.size(), a code lies outside its map, or
-/// a kept code is >= its target cardinality.
+/// when finer's rows are not columns.size() codes wide, a code lies outside
+/// its map, or a kept code is >= its target cardinality.
 std::optional<query::GroupedResult> RollUp(
     const query::GroupedResult& finer, const std::vector<RollUpColumn>& columns,
     const GroupSpec& target, std::vector<std::string> names);

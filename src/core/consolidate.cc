@@ -55,7 +55,8 @@ Result<query::GroupedResult> ArrayConsolidate(
     PARADISE_ASSIGN_OR_RETURN(plan,
                               select_detail::MakeSelectionPlan(array, q, spec));
     if (plan->empty) {
-      return FlatToGroupedResult(spec, {}, spec.GroupColumnNames(array));
+      return FlatToGroupedResult(spec, std::vector<query::AggState>{},
+                                 spec.GroupColumnNames(array));
     }
   }
 
@@ -168,7 +169,8 @@ Result<query::GroupedResult> ArrayConsolidate(
   }
 
   ScopedPhase phase(timer, "emit");
-  return FlatToGroupedResult(spec, flat, spec.GroupColumnNames(array));
+  return FlatToGroupedResult(spec, std::move(flat),
+                             spec.GroupColumnNames(array));
 }
 
 Result<OlapArray> ConsolidateToOlapArray(

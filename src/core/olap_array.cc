@@ -97,12 +97,12 @@ Status OlapArray::Builder::Init() {
   return Status::OK();
 }
 
-Status OlapArray::Builder::PutByKeys(const std::vector<int32_t>& keys,
+Status OlapArray::Builder::PutByKeys(std::span<const int32_t> keys,
                                      int64_t value) {
   return PutByKeys(keys, std::vector<int64_t>{value});
 }
 
-Status OlapArray::Builder::PutByKeys(const std::vector<int32_t>& keys,
+Status OlapArray::Builder::PutByKeys(std::span<const int32_t> keys,
                                      const std::vector<int64_t>& values) {
   if (!initialized_) return Status::InvalidArgument("call Init() first");
   if (keys.size() != dims_.size()) {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,10 +50,10 @@ class OlapArray {
     Status Init();
 
     /// Adds the cell addressed by one key per dimension (single measure).
-    Status PutByKeys(const std::vector<int32_t>& keys, int64_t value);
+    Status PutByKeys(std::span<const int32_t> keys, int64_t value);
 
     /// Adds the cell's p measure values.
-    Status PutByKeys(const std::vector<int32_t>& keys,
+    Status PutByKeys(std::span<const int32_t> keys,
                      const std::vector<int64_t>& values);
 
     /// Writes the arrays, the meta object, and the catalog entry.

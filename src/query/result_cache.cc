@@ -248,10 +248,8 @@ void ConsolidationResultCache::Clear() {
 size_t ConsolidationResultCache::EntryBytes(const std::string& key,
                                             const GroupedResult& r) {
   size_t bytes = sizeof(Entry) + key.size() * 2;  // key lives in entry + index
-  bytes += r.rows().capacity() * sizeof(ResultRow);
-  for (const ResultRow& row : r.rows()) {
-    bytes += row.group.capacity() * sizeof(int32_t);
-  }
+  bytes += r.codes().capacity() * sizeof(int32_t);
+  bytes += r.aggs().capacity() * sizeof(AggState);
   for (const std::string& col : r.group_columns()) {
     bytes += sizeof(std::string) + col.capacity();
   }

@@ -181,9 +181,9 @@ class ConsolidationResultCache {
   };
   using LruList = std::list<Entry>;
 
-  /// Approximate heap footprint of a cached result (rows, group vectors,
-  /// key). The bound is deliberately simple — the budget is a guardrail,
-  /// not an allocator.
+  /// Heap footprint of a cached result: the entry, the key (held twice),
+  /// both result columns' capacities and the column names. The bound is
+  /// deliberately simple — the budget is a guardrail, not an allocator.
   static size_t EntryBytes(const std::string& key, const GroupedResult& r);
 
   /// Lookup without its timing; an entry at another epoch misses, and is

@@ -57,7 +57,9 @@ std::vector<std::string> GroupColumnNames(const RelationalInput& in) {
 
 query::GroupedResult EmitGroups(std::vector<std::string> group_columns,
                                 const GroupMap& groups) {
+  // Append in hash order, then sort once by a row permutation.
   query::GroupedResult result(std::move(group_columns));
+  result.Reserve(groups.size());
   for (const auto& [group, agg] : groups) {
     result.Add(query::ResultRow{group, agg});
   }

@@ -464,14 +464,14 @@ bool Session::SendResult(ResultReply reply) {
   // RollUp, EmitGroups; the cache stores their results), so the same query
   // yields byte-identical frames regardless of engine, thread count or
   // cache outcome.
-  const std::string payload = EncodeResultReply(reply);
-  if (payload.size() > kMaxFramePayload) {
+  const size_t payload_bytes = ResultReplyBytes(reply);
+  if (payload_bytes > kMaxFramePayload) {
     return SendError(WireError::kResultTooLarge, StatusCode::kOk,
-                     "result payload of " + std::to_string(payload.size()) +
+                     "result payload of " + std::to_string(payload_bytes) +
                          " bytes exceeds the frame limit");
   }
   counters_->queries_ok.fetch_add(1, std::memory_order_relaxed);
-  return SendFrame(FrameType::kResult, payload);
+  return SendAll(fd_, EncodeResultFrame(reply)).ok();
 }
 
 }  // namespace paradise::server

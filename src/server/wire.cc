@@ -1,5 +1,6 @@
 #include "server/wire.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/coding.h"
@@ -24,10 +25,6 @@ void PutU64(std::string* out, uint64_t v) {
   char buf[8];
   EncodeFixed64(buf, v);
   out->append(buf, 8);
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
 }
 
 void PutString(std::string* out, std::string_view s) {
@@ -62,13 +59,6 @@ class Reader {
     return true;
   }
 
-  bool GetI64(int64_t* v) {
-    uint64_t u;
-    if (!GetU64(&u)) return false;
-    *v = static_cast<int64_t>(u);
-    return true;
-  }
-
   bool GetString(std::string* s) {
     uint32_t len;
     if (!GetU32(&len)) return false;
@@ -78,6 +68,14 @@ class Reader {
     return true;
   }
 
+  /// The next `n` bytes, or nullptr when fewer remain.
+  const char* Take(size_t n) {
+    if (data_.size() - pos_ < n) return nullptr;
+    const char* at = data_.data() + pos_;
+    pos_ += n;
+    return at;
+  }
+
   bool Done() const { return pos_ == data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }
 
@@ -85,6 +83,71 @@ class Reader {
   std::string_view data_;
   size_t pos_ = 0;
 };
+
+// --- exactly-sized writers: each returns the byte past what it wrote ------
+
+char* WriteU32(char* p, uint32_t v) {
+  EncodeFixed32(p, v);
+  return p + 4;
+}
+
+char* WriteU64(char* p, uint64_t v) {
+  EncodeFixed64(p, v);
+  return p + 8;
+}
+
+char* WriteString(char* p, std::string_view s) {
+  p = WriteU32(p, static_cast<uint32_t>(s.size()));
+  return std::copy(s.begin(), s.end(), p);
+}
+
+size_t StringBytes(std::string_view s) { return 4 + s.size(); }
+
+char* WriteFrameHeader(char* p, FrameType type, size_t payload_bytes) {
+  p = WriteU32(p, kWireMagic);
+  p = WriteU32(p, static_cast<uint32_t>(payload_bytes));
+  p[0] = static_cast<char>(type);
+  p[1] = p[2] = p[3] = '\0';  // pad — must stay zero on the wire
+  return p + 4;
+}
+
+/// Wire bytes of one result row: its codes, then sum, count, min, max.
+constexpr size_t RowBytes(size_t width) { return 4 * width + 32; }
+
+size_t GroupedResultBytes(const query::GroupedResult& result) {
+  size_t bytes = 4 + 8 + result.num_groups() * RowBytes(result.width());
+  for (const std::string& name : result.group_columns()) {
+    bytes += StringBytes(name);
+  }
+  return bytes;
+}
+
+char* WriteGroupedResult(const query::GroupedResult& result, char* p) {
+  const auto& columns = result.group_columns();
+  p = WriteU32(p, static_cast<uint32_t>(columns.size()));
+  for (const std::string& name : columns) p = WriteString(p, name);
+  p = WriteU64(p, result.num_groups());
+  const size_t width = result.width();
+  const int32_t* code = result.codes().data();
+  for (const query::AggState& agg : result.aggs()) {
+    for (size_t c = 0; c < width; ++c) {
+      p = WriteU32(p, static_cast<uint32_t>(*code++));
+    }
+    p = WriteU64(p, static_cast<uint64_t>(agg.sum));
+    p = WriteU64(p, agg.count);
+    p = WriteU64(p, static_cast<uint64_t>(agg.min));
+    p = WriteU64(p, static_cast<uint64_t>(agg.max));
+  }
+  return p;
+}
+
+char* WriteResultReply(const ResultReply& reply, char* p) {
+  p = WriteString(p, reply.engine);
+  p = WriteString(p, reply.plan_reason);
+  p = WriteString(p, reply.stats_json);
+  *p++ = static_cast<char>(reply.agg);
+  return WriteGroupedResult(reply.result, p);
+}
 
 Status Malformed(std::string_view what) {
   return Status::InvalidArgument("malformed " + std::string(what) +
@@ -121,13 +184,9 @@ std::string_view WireErrorToString(WireError e) {
 }
 
 std::string EncodeFrame(FrameType type, std::string_view payload) {
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&out, kWireMagic);
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU8(&out, static_cast<uint8_t>(type));
-  out.append(3, '\0');  // pad — must stay zero on the wire
-  out.append(payload);
+  std::string out(kFrameHeaderBytes + payload.size(), '\0');
+  std::copy(payload.begin(), payload.end(),
+            WriteFrameHeader(out.data(), type, payload.size()));
   return out;
 }
 
@@ -270,19 +329,9 @@ Result<ErrorReply> DecodeErrorReply(std::string_view payload) {
 
 void AppendGroupedResult(const query::GroupedResult& result,
                          std::string* out) {
-  const auto& columns = result.group_columns();
-  PutU32(out, static_cast<uint32_t>(columns.size()));
-  for (const std::string& name : columns) PutString(out, name);
-  PutU64(out, result.num_groups());
-  for (const query::ResultRow& row : result.rows()) {
-    for (int32_t code : row.group) {
-      PutU32(out, static_cast<uint32_t>(code));
-    }
-    PutI64(out, row.agg.sum);
-    PutU64(out, row.agg.count);
-    PutI64(out, row.agg.min);
-    PutI64(out, row.agg.max);
-  }
+  const size_t at = out->size();
+  out->resize(at + GroupedResultBytes(result));
+  WriteGroupedResult(result, out->data() + at);
 }
 
 namespace {
@@ -297,37 +346,48 @@ Result<query::GroupedResult> ReadGroupedResult(Reader* r) {
   for (std::string& name : columns) {
     if (!r->GetString(&name)) return Malformed("result");
   }
-  query::GroupedResult result(std::move(columns));
   uint64_t num_rows = 0;
   if (!r->GetU64(&num_rows)) return Malformed("result");
-  const uint64_t row_bytes = 4ull * num_columns + 32;
-  if (num_rows > r->remaining() / row_bytes + 1) return Malformed("result");
-  for (uint64_t i = 0; i < num_rows; ++i) {
-    query::ResultRow row;
-    row.group.resize(num_columns);
-    for (uint32_t c = 0; c < num_columns; ++c) {
-      uint32_t code;
-      if (!r->GetU32(&code)) return Malformed("result");
-      row.group[c] = static_cast<int32_t>(code);
+  // The payload bounds the row count before anything is sized from it.
+  const uint64_t row_bytes = RowBytes(num_columns);
+  if (num_rows > r->remaining() / row_bytes) return Malformed("result");
+  const char* p = r->Take(num_rows * row_bytes);
+  std::vector<int32_t> codes(num_rows * num_columns);
+  std::vector<query::AggState> aggs(num_rows);
+  int32_t* code = codes.data();
+  for (query::AggState& agg : aggs) {
+    for (uint32_t c = 0; c < num_columns; ++c, p += 4) {
+      *code++ = static_cast<int32_t>(DecodeFixed32(p));
     }
-    if (!r->GetI64(&row.agg.sum) || !r->GetU64(&row.agg.count) ||
-        !r->GetI64(&row.agg.min) || !r->GetI64(&row.agg.max)) {
-      return Malformed("result");
-    }
-    result.Add(std::move(row));
+    agg.sum = static_cast<int64_t>(DecodeFixed64(p));
+    agg.count = DecodeFixed64(p + 8);
+    agg.min = static_cast<int64_t>(DecodeFixed64(p + 16));
+    agg.max = static_cast<int64_t>(DecodeFixed64(p + 24));
+    p += 32;
   }
-  return result;
+  return query::GroupedResult(std::move(columns), std::move(codes),
+                              std::move(aggs));
 }
 
 }  // namespace
 
+size_t ResultReplyBytes(const ResultReply& reply) {
+  return StringBytes(reply.engine) + StringBytes(reply.plan_reason) +
+         StringBytes(reply.stats_json) + 1 + GroupedResultBytes(reply.result);
+}
+
 std::string EncodeResultReply(const ResultReply& reply) {
-  std::string out;
-  PutString(&out, reply.engine);
-  PutString(&out, reply.plan_reason);
-  PutString(&out, reply.stats_json);
-  PutU8(&out, reply.agg);
-  AppendGroupedResult(reply.result, &out);
+  std::string out(ResultReplyBytes(reply), '\0');
+  WriteResultReply(reply, out.data());
+  return out;
+}
+
+std::string EncodeResultFrame(const ResultReply& reply) {
+  const size_t payload_bytes = ResultReplyBytes(reply);
+  std::string out(kFrameHeaderBytes + payload_bytes, '\0');
+  WriteResultReply(reply,
+                   WriteFrameHeader(out.data(), FrameType::kResult,
+                                    payload_bytes));
   return out;
 }
 

@@ -198,11 +198,19 @@ Result<ErrorReply> DecodeErrorReply(std::string_view payload);
 std::string EncodeResultReply(const ResultReply& reply);
 Result<ResultReply> DecodeResultReply(std::string_view payload);
 
+/// The size of EncodeResultReply(reply), computed without encoding.
+size_t ResultReplyBytes(const ResultReply& reply);
+
+/// EncodeFrame(kResult, EncodeResultReply(reply)), byte for byte, written
+/// header first into one buffer of exactly the frame's size.
+std::string EncodeResultFrame(const ResultReply& reply);
+
 /// GroupedResult serialization shared by the reply codec, the golden
 /// comparisons in tests, and the bench's divergence check. Layout:
 ///   u32 num_group_columns, then that many strings
 ///   u64 num_rows, then per row: num_group_columns × i32 group codes,
 ///   then AggState as i64 sum, u64 count, i64 min, i64 max.
+/// Written in one pass into exactly that many bytes appended to `out`.
 void AppendGroupedResult(const query::GroupedResult& result, std::string* out);
 
 }  // namespace paradise::server

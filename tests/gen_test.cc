@@ -198,19 +198,51 @@ TEST(QueryTest, ValidateChecksArityAndColumns) {
 
 TEST(ResultTest, SortAndCompare) {
   query::GroupedResult a({"g"});
-  a.Add({{2}, {}});
-  a.Add({{1}, {}});
+  a.Add({std::vector<int32_t>{2}, {}});
+  a.Add({std::vector<int32_t>{1}, {}});
   a.SortCanonical();
   EXPECT_EQ(a.rows()[0].group[0], 1);
   query::GroupedResult b({"g"});
-  b.Add({{1}, {}});
-  b.Add({{2}, {}});
+  b.Add({std::vector<int32_t>{1}, {}});
+  b.Add({std::vector<int32_t>{2}, {}});
   b.SortCanonical();
   EXPECT_TRUE(a.SameAs(b));
   query::GroupedResult c({"g"});
-  c.Add({{1}, {}});
+  c.Add({std::vector<int32_t>{1}, {}});
   c.SortCanonical();
   EXPECT_FALSE(a.SameAs(c));
+}
+
+TEST(ResultTest, SortCanonicalPermutesCodesAndAggsTogether) {
+  // Rows out of order in two columns, each tagged by its sum.
+  const std::vector<std::vector<int32_t>> groups = {
+      {1, 0}, {0, 5}, {1, -2}, {0, -1}};
+  query::GroupedResult r({"a", "b"});
+  for (size_t i = 0; i < groups.size(); ++i) {
+    query::AggState agg;
+    agg.Add(static_cast<int64_t>(i));
+    r.Add({groups[i], agg});
+  }
+  r.SortCanonical();
+  EXPECT_EQ(r.codes(), (std::vector<int32_t>{0, -1, 0, 5, 1, -2, 1, 0}));
+  std::vector<int64_t> sums;
+  for (const query::AggState& agg : r.aggs()) sums.push_back(agg.sum);
+  EXPECT_EQ(sums, (std::vector<int64_t>{3, 1, 2, 0}));
+  EXPECT_EQ(r.TotalSum(), 6);
+}
+
+TEST(ResultTest, ZeroColumnResultKeepsItsRow) {
+  // Every dimension collapsed: one row of no codes.
+  query::GroupedResult r(std::vector<std::string>{});
+  query::AggState total;
+  total.Add(4);
+  r.Add({std::span<const int32_t>{}, total});
+  EXPECT_EQ(r.num_groups(), 1u);
+  EXPECT_EQ(r.width(), 0u);
+  EXPECT_TRUE(r.codes().empty());
+  EXPECT_EQ(r.rows()[0].agg.sum, 4);
+  EXPECT_TRUE(r.rows()[0].group.empty());
+  EXPECT_FALSE(r.SameAs(query::GroupedResult(std::vector<std::string>{})));
 }
 
 TEST(ResultTest, AggStateFinalize) {

@@ -770,7 +770,10 @@ TEST(KernelEmit, RowsStrictlyIncreasingForEveryRollUpShape) {
                                   " threads=" + std::to_string(threads);
         ASSERT_FALSE(got.rows().empty()) << where;
         for (size_t i = 1; i < got.rows().size(); ++i) {
-          ASSERT_LT(got.rows()[i - 1].group, got.rows()[i].group)
+          const std::span<const int32_t> prev = got.rows()[i - 1].group;
+          const std::span<const int32_t> cur = got.rows()[i].group;
+          ASSERT_TRUE(std::lexicographical_compare(prev.begin(), prev.end(),
+                                                   cur.begin(), cur.end()))
               << where << " row " << i;
         }
         ASSERT_TRUE(got.SameAs(truth)) << where;

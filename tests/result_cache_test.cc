@@ -142,7 +142,8 @@ std::shared_ptr<const GroupedResult> MakeResult(size_t rows, int32_t tag) {
   for (size_t i = 0; i < rows; ++i) {
     query::AggState agg;
     agg.Add(tag + static_cast<int64_t>(i));
-    r.Add(query::ResultRow{{static_cast<int32_t>(i)}, agg});
+    const int32_t code = static_cast<int32_t>(i);
+    r.Add(query::ResultRow{{&code, 1}, agg});
   }
   r.SortCanonical();
   return std::make_shared<const GroupedResult>(std::move(r));
@@ -172,6 +173,27 @@ TEST(ResultCacheTest, HitMissAndLruRefresh) {
   EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_GT(stats.bytes_in_use, 0u);
+}
+
+TEST(ResultCacheTest, EntryBytesCountBothColumnsTheNamesAndTheKey) {
+  // An empty, unnamed result costs its entry and its key alone. A 10 000-row
+  // entry costs that much again plus exactly its two columns' capacities,
+  // its one column name, and its key's extra length ("dbxy" is two bytes
+  // longer than "db", and the key is held twice).
+  ConsolidationResultCache cache;
+  cache.Insert("db", 1, TaggedQuery(0), std::make_shared<const GroupedResult>());
+  const uint64_t before = cache.stats().bytes_in_use;
+  ASSERT_GT(before, 0u);
+  const std::shared_ptr<const GroupedResult> big = MakeResult(10000, 3);
+  ASSERT_EQ(big->codes().size(), 10000u);
+  ASSERT_EQ(big->aggs().size(), 10000u);
+  cache.Insert("dbxy", 1, TaggedQuery(1), big);
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.stats().bytes_in_use - before,
+            before + big->codes().capacity() * sizeof(int32_t) +
+                big->aggs().capacity() * sizeof(query::AggState) +
+                sizeof(std::string) + big->group_columns()[0].capacity() +
+                2 * 2);
 }
 
 TEST(ResultCacheTest, EpochMismatchInvalidates) {

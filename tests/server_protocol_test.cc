@@ -74,6 +74,103 @@ TEST(WireFrameTest, CancelFrameGoldenBytes) {
   EXPECT_FALSE(IsKnownFrameType(8));
 }
 
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 15]);
+  }
+  return out;
+}
+
+// The three results the Result-frame KATs pin: three columns and two rows
+// with a negative min, no columns and one row (every dimension collapsed),
+// and no rows at all.
+ResultReply KatThreeColumnsTwoRows() {
+  ResultReply reply;
+  reply.engine = "array";
+  reply.plan_reason = "p";
+  reply.stats_json = "{}";
+  reply.agg = 2;
+  reply.result = query::GroupedResult({"d0.h1", "d1.h2", "d3.h1"});
+  query::AggState first;
+  first.Add(17);
+  first.Add(-4);
+  reply.result.Add(query::ResultRow{std::vector<int32_t>{0, -3, 7}, first});
+  query::AggState second;
+  second.Add(5);
+  reply.result.Add(query::ResultRow{std::vector<int32_t>{1, 2, 0}, second});
+  return reply;
+}
+
+ResultReply KatNoColumnsOneRow() {
+  ResultReply reply;
+  reply.engine = "cache";
+  reply.agg = 0;
+  reply.result = query::GroupedResult(std::vector<std::string>{});
+  query::AggState total;
+  total.Add(9);
+  total.Add(-2);
+  reply.result.Add(query::ResultRow{std::vector<int32_t>{}, total});
+  return reply;
+}
+
+ResultReply KatNoRows() {
+  ResultReply reply;
+  reply.engine = "bitmap";
+  reply.stats_json = "{\"seconds\":0}";
+  reply.agg = 1;
+  reply.result = query::GroupedResult({"d2.h1"});
+  return reply;
+}
+
+// Both ways of building a Result frame must give these bytes: EncodeFrame
+// around EncodeResultReply, and olapd's single-buffer EncodeResultFrame.
+void ExpectResultFrameHex(const ResultReply& reply, const std::string& hex) {
+  const std::string payload = EncodeResultReply(reply);
+  EXPECT_EQ(ResultReplyBytes(reply), payload.size());
+  EXPECT_EQ(Hex(EncodeFrame(FrameType::kResult, payload)), hex);
+  EXPECT_EQ(Hex(EncodeResultFrame(reply)), hex);
+  Result<ResultReply> decoded = DecodeResultReply(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->result.group_columns(), reply.result.group_columns());
+  EXPECT_TRUE(decoded->result.SameAs(reply.result));
+  EXPECT_EQ(EncodeResultReply(*decoded), payload);
+}
+
+TEST(WireFrameTest, ResultFrameGoldenBytes) {
+  // header (len 0x94, type 3) | "array" | "p" | "{}" | agg 2 | 3 names |
+  // 2 rows: codes 0,-3,7 then sum 13, count 2, min -4, max 17; codes 1,2,0
+  // then sum 5, count 1, min 5, max 5.
+  ExpectResultFrameHex(
+      KatThreeColumnsTwoRows(),
+      "4f4c505194000000030000000500000061727261790100000070020000007b7d"
+      "02030000000500000064302e68310500000064312e68320500000064332e6831"
+      "020000000000000000000000fdffffff070000000d0000000000000002000000"
+      "00000000fcffffffffffffff1100000000000000010000000200000000000000"
+      "0500000000000000010000000000000005000000000000000500000000000000");
+}
+
+TEST(WireFrameTest, ZeroColumnResultFrameGoldenBytes) {
+  // No names, one row of no codes: sum 7, count 2, min -2, max 9.
+  ExpectResultFrameHex(
+      KatNoColumnsOneRow(),
+      "4f4c50513e000000030000000500000063616368650000000000000000000000"
+      "0000010000000000000007000000000000000200000000000000feffffffffff"
+      "ffff0900000000000000");
+}
+
+TEST(WireFrameTest, EmptyResultFrameGoldenBytes) {
+  // One name, zero rows.
+  ExpectResultFrameHex(
+      KatNoRows(),
+      "4f4c50513500000003000000060000006269746d6170000000000d0000007b22"
+      "7365636f6e6473223a307d01010000000500000064322e683100000000000000"
+      "00");
+}
+
 TEST(WireFrameTest, PayloadRoundTrips) {
   HelloReply hello;
   hello.protocol_version = 7;
@@ -137,8 +234,8 @@ TEST(WireFrameTest, PayloadRoundTrips) {
   reply.stats_json = "{\"seconds\":0.5}";
   reply.agg = 2;
   reply.result = query::GroupedResult({"dim0.h01", "dim1.h11"});
-  query::ResultRow row;
-  row.group = {0, -3};
+  const std::vector<int32_t> codes = {0, -3};
+  query::ResultRow row{codes, {}};
   row.agg.Add(17);
   row.agg.Add(-4);
   reply.result.Add(row);
@@ -284,11 +381,12 @@ TEST(WirePayloadTest, TruncationSweep) {
   reply.engine = "array";
   reply.stats_json = "{}";
   reply.result = query::GroupedResult({"c"});
-  query::ResultRow row;
-  row.group = {1};
+  const std::vector<int32_t> codes = {1};
+  query::ResultRow row{codes, {}};
   row.agg.Add(5);
   reply.result.Add(row);
   SweepTruncations(EncodeResultReply(reply), DecodeResultReply);
+  SweepTruncations(EncodeResultReply(KatNoColumnsOneRow()), DecodeResultReply);
 }
 
 TEST(WirePayloadTest, QueryRequestValidation) {
@@ -369,6 +467,17 @@ TEST(WirePayloadTest, ResultReplyRejectsLyingCounts) {
     bytes.append(
         Bytes({0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}));  // rows
     EXPECT_FALSE(DecodeResultReply(bytes).ok());
+  }
+  // A zero-column result whose row count disagrees with its one 32-byte
+  // row: one row more, or none (the row is then trailing garbage).
+  {
+    const std::string one_row = EncodeResultReply(KatNoColumnsOneRow());
+    const size_t rows_at = one_row.size() - 32 - 8;
+    for (unsigned char rows : {0x02, 0x00}) {
+      std::string bytes = one_row;
+      bytes[rows_at] = static_cast<char>(rows);
+      EXPECT_FALSE(DecodeResultReply(bytes).ok()) << int{rows} << " rows";
+    }
   }
 }
 
