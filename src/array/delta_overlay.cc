@@ -1,24 +1,33 @@
 #include "array/delta_overlay.h"
 
+#include <algorithm>
+#include <iterator>
 #include <optional>
 
 namespace paradise {
 
-void DeltaOverlay::Apply(uint64_t chunk_no,
-                         const std::vector<ChunkEntry>& cells) {
+void DeltaOverlay::Apply(uint64_t chunk_no, std::vector<ChunkEntry> cells) {
   if (cells.empty()) return;
-  ChunkDelta& delta = chunks_[chunk_no];
-  // Merge into the sorted vector via a temporary offset map: generations are
-  // applied once per commit, never per read, so simplicity beats constant
-  // factors here.
-  std::map<uint32_t, int64_t> merged;
-  for (const ChunkEntry& e : delta.cells) merged[e.offset] = e.value;
-  for (const ChunkEntry& e : cells) merged[e.offset] = e.value;
-  delta.cells.clear();
-  delta.cells.reserve(merged.size());
-  for (const auto& [offset, value] : merged) {
-    delta.cells.push_back(ChunkEntry{offset, value});
+  const auto by_offset = [](const ChunkEntry& x, const ChunkEntry& y) {
+    return x.offset < y.offset;
+  };
+  std::stable_sort(cells.begin(), cells.end(), by_offset);
+  std::vector<ChunkEntry>& delta = chunks_[chunk_no].cells;
+  const auto old_end = static_cast<std::ptrdiff_t>(delta.size());
+  delta.insert(delta.end(), cells.begin(), cells.end());
+  // Stable: at an equal offset the older cell stays first, so keeping each
+  // offset's last cell keeps its newest write.
+  std::inplace_merge(delta.begin(), delta.begin() + old_end, delta.end(),
+                     by_offset);
+  auto out = delta.begin();
+  for (const ChunkEntry& e : delta) {
+    if (out != delta.begin() && std::prev(out)->offset == e.offset) {
+      *std::prev(out) = e;
+    } else {
+      *out++ = e;
+    }
   }
+  delta.erase(out, delta.end());
 }
 
 Result<std::string> MergeChunkBlob(const std::string& base_blob,

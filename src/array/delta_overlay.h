@@ -1,5 +1,5 @@
-// DeltaOverlay: the in-memory read-side of incremental ingest. Committed
-// ingest generations (src/ingest/) fold down to one immutable per-measure
+// DeltaOverlay: the in-memory read-side of incremental ingest. Each ingest
+// commit (src/ingest/) folds its batch into one immutable per-measure
 // overlay — for each chunk, the sorted (offsetInChunk, value) upserts that
 // supersede the packed base chunk. Readers never rebuild a chunk: they take
 // the base chunk's bytes plus its ChunkDelta (ChunkedArray::ReadChunkParts)
@@ -26,7 +26,7 @@
 namespace paradise {
 
 /// Upserts for one chunk, sorted by offset (unique offsets; later ingest
-/// generations already folded in, last write wins).
+/// batches already folded in, last write wins).
 struct ChunkDelta {
   std::vector<ChunkEntry> cells;
 };
@@ -49,10 +49,10 @@ class DeltaOverlay {
     return n;
   }
 
-  /// Folds `cells` (any order, duplicates allowed) into `chunk_no`,
-  /// overwriting earlier values at the same offset — callers apply
-  /// generations in commit order.
-  void Apply(uint64_t chunk_no, const std::vector<ChunkEntry>& cells);
+  /// Folds one batch of upserts (arrival order, duplicates allowed) into
+  /// `chunk_no` in one linear merge, the last write per offset winning —
+  /// callers fold batches in commit order.
+  void Apply(uint64_t chunk_no, std::vector<ChunkEntry> cells);
 
   const std::map<uint64_t, ChunkDelta>& chunks() const { return chunks_; }
 

@@ -1,5 +1,7 @@
 #include "core/aggregate.h"
 
+#include <algorithm>
+
 namespace paradise {
 
 Result<GroupSpec> GroupSpec::Make(const OlapArray& array,
@@ -68,15 +70,7 @@ query::GroupedResult EmitFlat(const GroupSpec& spec,
     for (size_t c = 0; c < inner; ++c) {
       const query::AggState& a = flat[base + c];
       if (a.count == 0) continue;
-      // Two codes a step rather than std::copy_n, a library call per row:
-      // Query 1's 10 000 four-code rows emit in 62 µs this way and in 84 µs
-      // with std::copy_n (medians, 4-vCPU x86-64 host).
-      size_t g = 0;
-      for (; g + 2 <= outer; g += 2) {
-        out[g] = at[g];
-        out[g + 1] = at[g + 1];
-      }
-      if (g < outer) out[g] = at[g];
+      std::copy_n(at.data(), outer, out);
       if (outer < width) out[outer] = static_cast<int32_t>(c);
       out += width;
       if (!adopt) aggs.push_back(a);

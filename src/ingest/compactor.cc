@@ -1,6 +1,6 @@
-// Compaction: folds every committed delta generation into a copy-on-write
-// rewrite of the OLAP array's packed chunk objects and retires the
-// generations. The write amplification happens entirely off the read path:
+// Compaction: merges the fold of every committed delta generation into a
+// copy-on-write rewrite of the OLAP array's packed chunk objects and retires
+// the generations. The write amplification happens entirely off the read path:
 // per-chunk merges fan out on the storage IoPool, the current array
 // versions stay untouched until one pointer swap, and pinned readers keep
 // the pre-compaction objects alive through the graveyard until their
@@ -20,8 +20,6 @@ Status IngestManager::Compact(const CancellationToken* cancel) {
   if (live_.empty()) return Status::OK();
   StorageManager* storage = db_->storage();
   OlapArray* olap = db_->olap();
-  std::vector<std::shared_ptr<const DeltaOverlay>> overlays =
-      BuildLiveOverlays();
 
   // 1. Prepare one copy-on-write compaction per overlay-bearing measure.
   //    This is the heavy phase (read base + merge + write new objects) and
@@ -38,9 +36,9 @@ Status IngestManager::Compact(const CancellationToken* cancel) {
     }
   };
   for (size_t m = 0; m < num_measures_; ++m) {
-    if (overlays[m] == nullptr || overlays[m]->empty()) continue;
+    if (overlays_[m] == nullptr || overlays_[m]->empty()) continue;
     Result<ChunkedArray::Compaction> comp_or =
-        olap->mutable_array(m)->PrepareCompaction(*overlays[m],
+        olap->mutable_array(m)->PrepareCompaction(*overlays_[m],
                                                   storage->io_pool(), cancel);
     if (!comp_or.ok()) {
       abandon();
@@ -87,13 +85,14 @@ Status IngestManager::Compact(const CancellationToken* cancel) {
   PARADISE_RETURN_IF_ERROR(db_->PublishIngest([] { return Status::OK(); }));
 
   // 5. Post-commit reclamation. Generation and state objects have no
-  //    readers (overlays hold copies in memory); the old array objects may
-  //    still back pinned query snapshots, so they wait in the graveyard
+  //    readers (overlays hold their cells in memory); the old array objects
+  //    may still back pinned query snapshots, so they wait in the graveyard
   //    until their version refcounts show no reader can reach them.
   const ObjectId old_state = state_oid_;
   state_oid_ = new_state;
   for (const LiveGeneration& g : live_) FreeBestEffort(g.oid);
   live_.clear();
+  overlays_.assign(num_measures_, nullptr);
   if (old_state != kInvalidObjectId) FreeBestEffort(old_state);
   FreeBestEffort(old_olap_meta);
   Retired retired;

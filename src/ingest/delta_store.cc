@@ -87,23 +87,22 @@ Result<DeltaGeneration> DeltaGeneration::Deserialize(std::string_view blob) {
   return gen;
 }
 
-std::vector<std::shared_ptr<const DeltaOverlay>> BuildOverlays(
-    size_t num_measures,
-    const std::vector<const DeltaGeneration*>& generations) {
-  std::vector<std::shared_ptr<DeltaOverlay>> building(num_measures);
-  for (const DeltaGeneration* gen : generations) {
-    for (size_t m = 0; m < gen->measures.size() && m < num_measures; ++m) {
-      for (const auto& [chunk_no, cells] : gen->measures[m]) {
-        if (cells.empty()) continue;
-        if (building[m] == nullptr) {
-          building[m] = std::make_shared<DeltaOverlay>();
-        }
-        building[m]->Apply(chunk_no, cells);
+std::vector<std::shared_ptr<const DeltaOverlay>> FoldGeneration(
+    const std::vector<std::shared_ptr<const DeltaOverlay>>& overlays,
+    DeltaGeneration gen) {
+  std::vector<std::shared_ptr<const DeltaOverlay>> out = overlays;
+  for (size_t m = 0; m < gen.measures.size() && m < out.size(); ++m) {
+    std::shared_ptr<DeltaOverlay> folded;
+    for (auto& [chunk_no, cells] : gen.measures[m]) {
+      if (cells.empty()) continue;
+      if (folded == nullptr) {
+        folded = out[m] == nullptr ? std::make_shared<DeltaOverlay>()
+                                   : std::make_shared<DeltaOverlay>(*out[m]);
       }
+      folded->Apply(chunk_no, std::move(cells));
     }
+    if (folded != nullptr) out[m] = std::move(folded);
   }
-  std::vector<std::shared_ptr<const DeltaOverlay>> out(num_measures);
-  for (size_t m = 0; m < num_measures; ++m) out[m] = std::move(building[m]);
   return out;
 }
 

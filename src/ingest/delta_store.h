@@ -2,9 +2,9 @@
 // freezes the writer's buffered cells into one DeltaGeneration, spills it to
 // a single storage object ("PDLT" blob) registered under the
 // "ingest.delta.<seq>" catalog root, and records it in the "ingest.state"
-// object. Readers never touch generations directly: committed generations
-// fold, in sequence order, into one immutable DeltaOverlay per measure
-// (BuildOverlays), which ChunkedArray consults in its decode path.
+// object. Memory keeps no generation past its commit: FoldGeneration folds
+// it into the measures' DeltaOverlays, which ChunkedArray consults in its
+// decode path; recovery folds the persisted generations in sequence order.
 //
 // Crash contract: generation and state objects are only ever created fresh
 // and published through new catalog roots (copy-on-write all the way down),
@@ -45,10 +45,12 @@ struct DeltaGeneration {
   static Result<DeltaGeneration> Deserialize(std::string_view blob);
 };
 
-/// Folds `generations` (already in commit order) into one immutable overlay
-/// per measure. Entry m is null when measure m has no deltas at all, so
-/// overlay-free measures keep the no-overlay fast path.
-std::vector<std::shared_ptr<const DeltaOverlay>> BuildOverlays(
-    size_t num_measures, const std::vector<const DeltaGeneration*>& generations);
+/// `overlays` (one per measure; null = no deltas, the no-overlay fast path)
+/// with `gen`, the next generation in commit order, folded in. A measure
+/// `gen` touches gets a folded copy; input overlays, which readers may hold,
+/// are never changed.
+std::vector<std::shared_ptr<const DeltaOverlay>> FoldGeneration(
+    const std::vector<std::shared_ptr<const DeltaOverlay>>& overlays,
+    DeltaGeneration gen);
 
 }  // namespace paradise

@@ -45,7 +45,8 @@ bool IsIngestGenerationRoot(const std::string& root_name, uint64_t* seq) {
 IngestManager::IngestManager(Database* db)
     : db_(db),
       num_measures_(db->has_olap() ? db->olap()->num_measures() : 0),
-      pending_(num_measures_) {
+      pending_(num_measures_),
+      overlays_(num_measures_) {
   if (db_->storage()->options().metrics_enabled) {
     MetricsRegistry& reg = MetricsRegistry::Default();
     metric_writes_ = reg.GetCounter("ingest.writes");
@@ -119,12 +120,6 @@ std::string IngestManager::SerializeState(
   return out;
 }
 
-Status IngestManager::ParseState(
-    const std::string& blob, uint64_t* applied, uint64_t* next_seq,
-    std::vector<std::pair<uint64_t, ObjectId>>* gens) const {
-  return ParseIngestState(blob, applied, next_seq, gens);
-}
-
 Status ParseIngestState(const std::string& blob, uint64_t* applied,
                         uint64_t* next_seq,
                         std::vector<std::pair<uint64_t, ObjectId>>* gens) {
@@ -154,14 +149,6 @@ Status ParseIngestState(const std::string& blob, uint64_t* applied,
   return Status::OK();
 }
 
-std::vector<std::shared_ptr<const DeltaOverlay>>
-IngestManager::BuildLiveOverlays() const {
-  std::vector<const DeltaGeneration*> gens;
-  gens.reserve(live_.size());
-  for (const LiveGeneration& g : live_) gens.push_back(&g.gen);
-  return BuildOverlays(num_measures_, gens);
-}
-
 Status IngestManager::Commit() {
   std::lock_guard<std::mutex> lk(mu_);
   const uint64_t cells = pending_.total_cells();
@@ -179,24 +166,23 @@ Status IngestManager::Commit() {
 
   // 2. New state object listing the enlarged generation set.
   std::vector<LiveGeneration> new_live = live_;
-  new_live.push_back(LiveGeneration{seq, gen_oid, DeltaGeneration()});
+  new_live.push_back(LiveGeneration{seq, gen_oid});
   PARADISE_ASSIGN_OR_RETURN(
       ObjectId new_state,
       storage->objects()->Create(
           SerializeState(applied_cells_ + cells, seq + 1, new_live)));
   PARADISE_RETURN_IF_ERROR(storage->SetRoot(kStateRoot, new_state));
 
-  // 3. Adopt the new in-memory state, then build the overlays the newest
-  //    epoch will serve.
-  new_live.back().gen = std::move(pending_);
+  // 3. Adopt the new in-memory state, the overlays the newest epoch will
+  //    serve included: a publish that fails leaves the batch folded in, for
+  //    the next commit to publish.
+  overlays_ = FoldGeneration(overlays_, std::move(pending_));
   pending_ = DeltaGeneration(num_measures_);
   live_ = std::move(new_live);
   next_seq_ = seq + 1;
   applied_cells_ += cells;
   const ObjectId old_state = state_oid_;
   state_oid_ = new_state;
-  std::vector<std::shared_ptr<const DeltaOverlay>> overlays =
-      BuildLiveOverlays();
   // Raised before the publish: a reader that pins the new epoch sees it.
   ingested_.store(true);
 
@@ -206,7 +192,7 @@ Status IngestManager::Commit() {
   PARADISE_RETURN_IF_ERROR(db_->PublishIngest([&]() -> Status {
     OlapArray* olap = db_->olap();
     for (size_t m = 0; m < num_measures_; ++m) {
-      olap->mutable_array(m)->PublishOverlay(overlays[m]);
+      olap->mutable_array(m)->PublishOverlay(overlays_[m]);
     }
     return Status::OK();
   }));
@@ -232,7 +218,7 @@ Status IngestManager::Recover() {
   uint64_t applied = 0;
   uint64_t next_seq = 0;
   std::vector<std::pair<uint64_t, ObjectId>> gens;
-  PARADISE_RETURN_IF_ERROR(ParseState(blob, &applied, &next_seq, &gens));
+  PARADISE_RETURN_IF_ERROR(ParseIngestState(blob, &applied, &next_seq, &gens));
 
   std::vector<LiveGeneration> live;
   live.reserve(gens.size());
@@ -246,7 +232,8 @@ Status IngestManager::Recover() {
           "ingest generation " + std::to_string(seq) +
           " carries sequence " + std::to_string(gen.seq));
     }
-    live.push_back(LiveGeneration{seq, oid, std::move(gen)});
+    overlays_ = FoldGeneration(overlays_, std::move(gen));
+    live.push_back(LiveGeneration{seq, oid});
   }
   state_oid_ = state_oid;
   applied_cells_ = applied;
@@ -256,11 +243,9 @@ Status IngestManager::Recover() {
 
   // Republish: Open runs single-threaded before any reader exists, so the
   // overlays can swap in directly.
-  std::vector<std::shared_ptr<const DeltaOverlay>> overlays =
-      BuildLiveOverlays();
   OlapArray* olap = db_->olap();
   for (size_t m = 0; m < num_measures_; ++m) {
-    olap->mutable_array(m)->PublishOverlay(overlays[m]);
+    olap->mutable_array(m)->PublishOverlay(overlays_[m]);
   }
   return Status::OK();
 }
@@ -285,7 +270,9 @@ IngestManager::Stats IngestManager::stats() const {
   s.pending_cells = pending_.total_cells();
   s.applied_cells = applied_cells_;
   s.live_generations = live_.size();
-  for (const LiveGeneration& g : live_) s.overlay_cells += g.gen.total_cells();
+  for (const auto& overlay : overlays_) {
+    if (overlay != nullptr) s.overlay_cells += overlay->total_cells();
+  }
   s.commits = commits_;
   s.compactions = compactions_;
   s.compactions_cancelled = compactions_cancelled_;

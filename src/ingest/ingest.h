@@ -1,13 +1,14 @@
 // IngestManager: the incremental write path of a loaded database
 // (DESIGN.md choice 15). Writes buffer in memory keyed by (measure, chunk,
 // offsetInChunk); Commit() spills the buffered generation copy-on-write,
-// publishes a new commit epoch through the dual-slot manifest, and swaps
-// fresh DeltaOverlays into the OLAP array's measure arrays so the newest
-// epoch serves the merged data immediately — before any compaction runs.
-// Compact() merges every committed generation into a copy-on-write rewrite
-// of the packed chunk arrays (per-chunk merge work fans out on the IoPool,
-// cancellation-aware), republishes the ADT meta, drops the generation
-// roots, and bumps the epoch again.
+// folds it into overlays_ (one DeltaOverlay per measure, the only in-memory
+// record of committed, uncompacted writes), publishes a new commit epoch
+// through the dual-slot manifest, and swaps the folded overlays into the
+// OLAP array's measure arrays so the newest epoch serves the merged data
+// immediately — before any compaction runs. Compact() merges overlays_ into
+// a copy-on-write rewrite of the packed chunk arrays (per-chunk merge work
+// fans out on the IoPool, cancellation-aware), republishes the ADT meta,
+// drops the generation roots, and bumps the epoch again.
 //
 // Concurrency: one mutex serializes Write/Commit/Compact/ReclaimRetired
 // against each other. Readers are never blocked by any of them — queries
@@ -63,18 +64,19 @@ class IngestManager {
                const std::vector<int64_t>& measures);
 
   /// Makes every buffered write durable and visible: spills the pending
-  /// generation, advances the commit epoch, and publishes rebuilt overlays.
-  /// No-op when nothing is buffered.
+  /// generation, folds it into overlays_, advances the commit epoch, and
+  /// publishes the folded overlays. No-op when nothing is buffered.
   Status Commit();
 
-  /// Merges all committed generations into the packed arrays copy-on-write
-  /// and retires them. Readers keep their pinned versions untouched.
+  /// Merges overlays_ into the packed arrays copy-on-write and retires the
+  /// generations. Readers keep their pinned versions untouched.
   /// `cancel` (optional) is polled per chunk; a fired token aborts with the
   /// token's typed status, leaving the generations intact and servable.
   Status Compact(const CancellationToken* cancel = nullptr);
 
-  /// Open-time recovery: loads the persisted ingest state and committed
-  /// generations and republishes their overlays. Called by Database::Open.
+  /// Open-time recovery: loads the persisted ingest state, folds the
+  /// committed generations into overlays_ and publishes them. Called by
+  /// Database::Open.
   Status Recover();
 
   /// Frees retired pre-compaction array objects whose versions no reader
@@ -93,7 +95,7 @@ class IngestManager {
     uint64_t pending_cells = 0;        // buffered, not yet committed
     uint64_t applied_cells = 0;        // lifetime committed cells (persisted)
     uint64_t live_generations = 0;     // committed, not yet compacted
-    uint64_t overlay_cells = 0;        // cells currently served via overlays
+    uint64_t overlay_cells = 0;        // distinct cells in the overlays
     uint64_t commits = 0;              // this process
     uint64_t compactions = 0;          // this process
     uint64_t compactions_cancelled = 0;
@@ -108,7 +110,6 @@ class IngestManager {
   struct LiveGeneration {
     uint64_t seq = 0;
     ObjectId oid = kInvalidObjectId;
-    DeltaGeneration gen;
   };
   /// One compaction's superseded storage, freed once unreferenced.
   struct Retired {
@@ -117,11 +118,6 @@ class IngestManager {
 
   std::string SerializeState(uint64_t applied, uint64_t next_seq,
                              const std::vector<LiveGeneration>& live) const;
-  Status ParseState(const std::string& blob, uint64_t* applied,
-                    uint64_t* next_seq,
-                    std::vector<std::pair<uint64_t, ObjectId>>* gens) const;
-
-  std::vector<std::shared_ptr<const DeltaOverlay>> BuildLiveOverlays() const;
   Status ReclaimRetiredLocked();
   void FreeBestEffort(ObjectId oid);
 
@@ -131,6 +127,9 @@ class IngestManager {
   mutable std::mutex mu_;  // serializes writers; readers never take it
   DeltaGeneration pending_;
   std::vector<LiveGeneration> live_;
+  // Per measure, live_ folded in commit order (null = no deltas). Ahead of
+  // the arrays' overlays after a failed publish, until the next commit.
+  std::vector<std::shared_ptr<const DeltaOverlay>> overlays_;
   uint64_t next_seq_ = 1;
   uint64_t applied_cells_ = 0;
   std::atomic<bool> ingested_{false};  // applied_cells_ > 0, read lock-free

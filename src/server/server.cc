@@ -205,13 +205,15 @@ OlapServer::Stats OlapServer::stats() const {
   s.connections = counters_.connections.load(std::memory_order_relaxed);
   s.queries_ok = counters_.queries_ok.load(std::memory_order_relaxed);
   s.queries_failed = counters_.queries_failed.load(std::memory_order_relaxed);
-  s.busy_replies = counters_.busy_replies.load(std::memory_order_relaxed);
   s.protocol_errors =
       counters_.protocol_errors.load(std::memory_order_relaxed);
   s.timeouts = counters_.timeouts.load(std::memory_order_relaxed);
   s.cancelled = counters_.cancelled.load(std::memory_order_relaxed);
-  s.shed_expired = counters_.shed_expired.load(std::memory_order_relaxed);
   s.read_timeouts = counters_.read_timeouts.load(std::memory_order_relaxed);
+  // Busy replies and sheds are admission outcomes, counted there once.
+  const AdmissionController::Snapshot admission = admission_->snapshot();
+  s.busy_replies = admission.busy_rejections;
+  s.shed_expired = admission.shed_expired;
   return s;
 }
 

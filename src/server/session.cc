@@ -192,7 +192,6 @@ bool Session::ExecuteQuery(const QueryRequest& request,
   AdmissionSlot slot(admission_, token);
   switch (slot.outcome()) {
     case AdmissionController::Outcome::kBusy:
-      counters_->busy_replies.fetch_add(1, std::memory_order_relaxed);
       // The connection stays open: busy is a retryable condition.
       return SendError(WireError::kServerBusy, StatusCode::kOk,
                        "admission queue full; retry");
@@ -202,8 +201,7 @@ bool Session::ExecuteQuery(const QueryRequest& request,
       return false;
     case AdmissionController::Outcome::kExpired:
       return SendTokenStatus(
-          Status::DeadlineExceeded("deadline expired while queued"),
-          /*shed_by_admission=*/true);
+          Status::DeadlineExceeded("deadline expired while queued"));
     case AdmissionController::Outcome::kCancelled:
       return SendTokenStatus(Status::Cancelled("query cancelled while queued"));
     case AdmissionController::Outcome::kAdmitted:
@@ -443,7 +441,7 @@ bool Session::SendError(WireError error, StatusCode code,
   return SendFrame(FrameType::kError, EncodeErrorReply(reply));
 }
 
-bool Session::SendTokenStatus(const Status& st, bool shed_by_admission) {
+bool Session::SendTokenStatus(const Status& st) {
   if (st.IsCancelled()) {
     counters_->cancelled.fetch_add(1, std::memory_order_relaxed);
     if (m_cancelled_ != nullptr) m_cancelled_->Increment();
@@ -452,9 +450,6 @@ bool Session::SendTokenStatus(const Status& st, bool shed_by_admission) {
   }
   counters_->timeouts.fetch_add(1, std::memory_order_relaxed);
   if (m_timeouts_ != nullptr) m_timeouts_->Increment();
-  if (shed_by_admission) {
-    counters_->shed_expired.fetch_add(1, std::memory_order_relaxed);
-  }
   return SendError(WireError::kQueryTimeout, StatusCode::kDeadlineExceeded,
                    st.message());
 }

@@ -61,14 +61,11 @@ struct ServerCounters {
   std::atomic<uint64_t> connections{0};
   std::atomic<uint64_t> queries_ok{0};
   std::atomic<uint64_t> queries_failed{0};
-  std::atomic<uint64_t> busy_replies{0};
   std::atomic<uint64_t> protocol_errors{0};
   /// Queries shed or aborted because their deadline passed (QUERY_TIMEOUT).
   std::atomic<uint64_t> timeouts{0};
   /// Queries abandoned on a client kCancel or disconnect (CANCELLED).
   std::atomic<uint64_t> cancelled{0};
-  /// Of `timeouts`, those shed by admission before taking a slot.
-  std::atomic<uint64_t> shed_expired{0};
   /// Connections reaped by the per-read / idle socket timeouts.
   std::atomic<uint64_t> read_timeouts{0};
 };
@@ -151,9 +148,8 @@ class Session {
   bool SendFrame(FrameType type, std::string_view payload);
   bool SendError(WireError error, StatusCode code, std::string message);
   /// Maps a token's typed Status (kDeadlineExceeded / kCancelled) to its
-  /// wire reply, bumping the matching counters. `shed_by_admission` marks
-  /// timeouts that never took an execution slot.
-  bool SendTokenStatus(const Status& st, bool shed_by_admission = false);
+  /// wire reply, bumping the matching counters.
+  bool SendTokenStatus(const Status& st);
   bool SendResult(ResultReply reply);
 
   const int fd_;

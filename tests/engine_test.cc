@@ -21,11 +21,15 @@ using paradise::testing::SmallDbOptions;
 using paradise::testing::TempFile;
 using paradise::testing::TinyConfig;
 
+// gtest names each case by the byte dump of the parameter, so every byte of
+// the struct is a field: padding would print whatever the stack held.
 struct EngineCase {
   uint64_t seed;
   uint64_t valid_cells;
-  int query_kind;  // 0 = Query1, 1 = Query2, 2 = Query3(2 of 3), 3 = custom
+  // 0 = Query1, 1 = Query2, 2 = Query3(2 of 3), 3 = custom.
+  int64_t query_kind;
 };
+static_assert(sizeof(EngineCase) == 3 * sizeof(uint64_t));
 
 std::string CaseName(const ::testing::TestParamInfo<EngineCase>& info) {
   return "seed" + std::to_string(info.param.seed) + "_cells" +
@@ -33,7 +37,7 @@ std::string CaseName(const ::testing::TestParamInfo<EngineCase>& info) {
          std::to_string(info.param.query_kind);
 }
 
-query::ConsolidationQuery MakeQuery(int kind) {
+query::ConsolidationQuery MakeQuery(int64_t kind) {
   switch (kind) {
     case 0:
       return gen::Query1(3);

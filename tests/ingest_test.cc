@@ -29,6 +29,7 @@
 #include "query/planner.h"
 #include "query/result_cache.h"
 #include "schema/db_verify.h"
+#include "storage/fault_injection.h"
 #include "test_util.h"
 
 namespace paradise {
@@ -442,6 +443,99 @@ TEST(IngestTest, ReopenRecoversUncompactedGenerations) {
   EXPECT_TRUE(report.clean()) << (report.AllIssues().empty()
                                       ? std::string("?")
                                       : report.AllIssues().front());
+}
+
+/// One cell written twice in a batch and once more by a later commit: the
+/// overlay holds it as one cell, and every read serves its last write —
+/// after each commit, after reopen and after compaction.
+TEST(IngestTest, RewrittenCellServesItsLastWriteAsOneOverlayCell) {
+  TempFile file("ingest_rewrite");
+  ASSERT_OK_AND_ASSIGN(gen::SyntheticDataset data,
+                       gen::Generate(TinyConfig(120, 19)));
+  const uint64_t gi =
+      data.cell_global_indices[data.cell_global_indices.size() / 2];
+  auto expect_served = [&](Database* db, int64_t last, uint64_t overlay_cells,
+                           const std::string& when) {
+    EXPECT_EQ(db->ingest()->stats().overlay_cells, overlay_cells) << when;
+    ASSERT_OK_AND_ASSIGN(std::optional<int64_t> cell,
+                         db->olap()->array(0).GetCell(
+                             db->olap()->layout().GlobalToCoords(gi)));
+    EXPECT_EQ(cell, std::optional<int64_t>(last)) << when;
+    ASSERT_OK_AND_ASSIGN(Execution exec,
+                         RunQuery(db, EngineKind::kArray, GroupQuery()));
+    EXPECT_TRUE(exec.result.SameAs(
+        BruteForce(Merged(data, {{gi, last}}), GroupQuery())))
+        << when;
+  };
+  {
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<Database> db,
+        BuildDatabaseFromDataset(file.path(), data, SmallDbOptions()));
+    WriteUpserts(db.get(), data, {{gi, 111}});
+    WriteUpserts(db.get(), data, {{gi, 222}});
+    ASSERT_OK(db->ingest()->Commit());
+    expect_served(db.get(), 222, 1, "first commit");
+    WriteUpserts(db.get(), data, {{gi, 333}});
+    ASSERT_OK(db->ingest()->Commit());
+    EXPECT_EQ(db->ingest()->stats().live_generations, 2u);
+    expect_served(db.get(), 333, 1, "second commit");
+    ASSERT_OK(db->storage()->Close());
+  }
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
+                       Database::Open(file.path(), SmallDbOptions()));
+  EXPECT_EQ(db->ingest()->stats().live_generations, 2u);
+  expect_served(db.get(), 333, 1, "reopen");
+  ASSERT_OK(db->ingest()->Compact());
+  expect_served(db.get(), 333, 0, "compaction");
+}
+
+/// A commit whose publish fails (its checkpoint's fsync) has still adopted
+/// its batch: the next commit publishes both batches, and compaction and
+/// reopen keep them.
+TEST(IngestTest, BatchOfAFailedPublishIsServedFromTheNextCommit) {
+  TempFile file("ingest_failed_publish");
+  ASSERT_OK_AND_ASSIGN(gen::SyntheticDataset data,
+                       gen::Generate(TinyConfig(120, 24)));
+  DatabaseOptions options = SmallDbOptions();
+  FaultInjectingDiskManager* faults = nullptr;
+  options.storage.wrap_disk = [&faults](std::unique_ptr<Disk> inner) {
+    auto wrapped =
+        std::make_unique<FaultInjectingDiskManager>(std::move(inner));
+    faults = wrapped.get();
+    return std::unique_ptr<Disk>(std::move(wrapped));
+  };
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
+                       BuildDatabaseFromDataset(file.path(), data, options));
+  ASSERT_NE(faults, nullptr);
+
+  const std::map<uint64_t, int64_t> first = MakeUpserts(data, 4, 4, 51);
+  WriteUpserts(db.get(), data, first);
+  FaultInjectionOptions fi;
+  fi.fail_nth_sync = 1;
+  faults->Arm(fi);
+  const Status failed = db->ingest()->Commit();
+  EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
+  faults->Arm(FaultInjectionOptions{});
+
+  const std::map<uint64_t, int64_t> second = MakeUpserts(data, 4, 4, 52);
+  WriteUpserts(db.get(), data, second);
+  ASSERT_OK(db->ingest()->Commit());
+  std::map<uint64_t, int64_t> both = first;
+  for (const auto& [gi, v] : second) both[gi] = v;
+  const query::GroupedResult expected =
+      BruteForce(Merged(data, both), GroupQuery());
+  auto expect_both = [&](const std::string& when) {
+    ASSERT_OK_AND_ASSIGN(
+        Execution exec, RunQuery(db.get(), EngineKind::kArray, GroupQuery()));
+    EXPECT_TRUE(exec.result.SameAs(expected)) << when;
+  };
+  expect_both("second commit");
+  ASSERT_OK(db->ingest()->Compact());
+  expect_both("compaction");
+  ASSERT_OK(db->storage()->Close());
+  db.reset();
+  ASSERT_OK_AND_ASSIGN(db, Database::Open(file.path(), SmallDbOptions()));
+  expect_both("reopen");
 }
 
 TEST(IngestTest, CancelledCompactionLeavesDeltasServable) {
